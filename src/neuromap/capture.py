@@ -69,9 +69,11 @@ class Sample:
 class Dataset:
     """An ordered set of samples from one environment and sensor.
 
-    Sample ids are dense 0..n-1 and every observation has the sensor's ray
-    count. ``ranges_matrix`` and ``poses_matrix`` expose the data as arrays
-    for estimators; both are cached after the first call.
+    Sample ids are dense 0..n-1 (so a sample's id is its row index) and
+    every observation has the sensor's ray count. ``ranges_matrix`` and
+    ``poses_matrix`` expose the data as arrays for estimators, and
+    ``range_norms_sq`` the squared Euclidean norm of each range row for the
+    k-NN screen; all three are cached after the first call.
     """
 
     def __init__(self, env_name: str, sensor: SensorConfig, seed: int, samples) -> None:
@@ -91,6 +93,7 @@ class Dataset:
         self.samples = samples
         self._ranges = None
         self._poses = None
+        self._norms_sq = None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -124,6 +127,14 @@ class Dataset:
                 self._ranges = np.stack([s.observation.ranges for s in self.samples])
             self._ranges.flags.writeable = False
         return self._ranges
+
+    def range_norms_sq(self) -> np.ndarray:
+        """(n,) float64, entry i = ||ranges_matrix()[i]||^2."""
+        if self._norms_sq is None:
+            R = self.ranges_matrix()
+            self._norms_sq = np.einsum("ij,ij->i", R, R)
+            self._norms_sq.flags.writeable = False
+        return self._norms_sq
 
     def poses_matrix(self) -> np.ndarray:
         """(n, 3) float64 of (x, y, theta degrees)."""

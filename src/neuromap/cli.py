@@ -5,8 +5,10 @@ file embeds the invocation, tool version and seed, and (bench excepted,
 being a wall-clock measurement) every command is a pure function of its
 flags, so rerunning an invocation reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 input validation error,
-3 runtime abort (collision, estimator failure, tick budget).
+Exit codes: 0 success, 1 usage error, 2 input validation error (including
+inputs captured in another world, and worlds with no room to sample),
+3 runtime abort (collision, estimator failure, tick budget, diverged
+training).
 
 Option values resolve as flags > JSON config file (--config) > defaults.
 """
@@ -26,6 +28,7 @@ from . import __version__
 from .capture import (
     Dataset,
     DatasetFormatError,
+    InfeasibleEnvironmentError,
     WalkConfig,
     generate_dataset,
     load_dataset,
@@ -57,7 +60,15 @@ from .report import (
     svg_coverage,
     svg_route,
 )
-from .training import TrainConfig, evaluate, load_model, save_history, save_model, train
+from .training import (
+    TrainConfig,
+    TrainingDivergedError,
+    evaluate,
+    load_model,
+    save_history,
+    save_model,
+    train,
+)
 from .world import DEFAULT_SENSOR, GridFormatError, SensorConfig, load_environment
 from .worlds import APARTMENT_LOOP, BUILDERS, bundled_environment
 
@@ -233,7 +244,13 @@ def build_estimator(spec: str, env):
         if not Path(db_path).is_file():
             raise InputError(f"knn database not found: {db_path}")
         opts = _parse_kv(tail, {"k": int, "weighting": str})
-        return KnnEstimator(load_dataset(db_path), KnnConfig(**opts))
+        db = load_dataset(db_path)
+        if db.env_name != env.name:
+            raise InputError(
+                f"knn database was captured in {db.env_name!r}, not {env.name!r}; "
+                "its poses belong to another world"
+            )
+        return KnnEstimator(db, KnnConfig(**opts))
     if kind == "model":
         if not rest:
             raise UsageError("model spec needs a file path: model:PATH")
@@ -355,6 +372,11 @@ def cmd_eval(cfg: RunConfig) -> int:
     env = _resolve_env(cfg)
     out = _out_dir(cfg)
     testset = load_dataset(cfg.testset)
+    if testset.env_name != env.name:
+        raise InputError(
+            f"test set was captured in {testset.env_name!r}, not {env.name!r}; "
+            "pose normalisation would be wrong"
+        )
     estimator = build_estimator(cfg.estimator, env)
     try:
         results = {cfg.estimator: evaluate(estimator, testset, env)}
@@ -589,10 +611,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"neuromap: usage error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, DatasetFormatError, GridFormatError, ValueError, OSError) as exc:
+    except (
+        InputError, DatasetFormatError, GridFormatError, InfeasibleEnvironmentError,
+        ValueError, OSError,
+    ) as exc:
         print(f"neuromap: input error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeAbort, EstimatorUnavailableError) as exc:
+    except (RuntimeAbort, EstimatorUnavailableError, TrainingDivergedError) as exc:
         print(f"neuromap: runtime abort: {exc}", file=sys.stderr)
         return 3
 

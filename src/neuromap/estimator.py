@@ -6,6 +6,11 @@ All estimators expose ``estimate(observation) -> PoseEstimate`` and a
 needs the simulator to inject ground truth via ``set_true_pose`` before
 each estimate; callers that hold the true pose (evaluation, navigation)
 do this injection for any estimator that has the method.
+
+k-NN is an exact brute-force search: a matrix-vector screen over cached
+row norms (the GEMM identity of Faiss' exact search) keeps every row that
+rounding could place among the k nearest, and only those are re-ranked
+with the direct distance and the (distance, id) tie rule.
 """
 
 import math
@@ -121,6 +126,15 @@ def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig) -> PoseEstimate:
     Position is the weighted mean of neighbour positions, orientation the
     circular mean with the same weights; distance ties break toward the
     lower sample id. k=1 returns the neighbour's pose verbatim.
+
+    The search is exact in two passes. A screen scores every row r by
+    ``||r||^2 - 2 r.q`` (one matrix-vector product over the database's
+    cached row norms; the score differs from the squared distance only by
+    the constant ``||q||^2``) and keeps every row whose score is within a
+    floating-point rounding bound of the k-th smallest. Only those
+    survivors get the direct distance ``sqrt(sum((r - q)^2))`` and the
+    (distance, id) ordering, so the neighbours, weights and output bits are
+    those of a full scan with the direct formula.
     """
     if len(db) == 0:
         raise ValueError("empty database")
@@ -130,14 +144,33 @@ def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig) -> PoseEstimate:
     q = np.asarray(obs.ranges, dtype=np.float64)
     if q.shape != (R.shape[1],):
         raise ValueError(f"query has {q.size} rays, database has {R.shape[1]}")
-    d = np.sqrt(((R - q) ** 2).sum(axis=1))
-    ids = np.array([s.id for s in db.samples])
-    order = np.lexsort((ids, d))  # distance first, then id
-    sel = order[: cfg.k]
+    norms_sq = db.range_norms_sq()
+    a = norms_sq - 2.0 * (R @ q)
+    a_k = np.partition(a, cfg.k - 1)[cfg.k - 1]
+    # Why the screen never drops a true neighbour. Let m be the ray count,
+    # u = eps/2, c = max||r|| + ||q||, s_i = ||r_i - q||^2 exactly, A_i =
+    # s_i - ||q||^2 the exact score, a_i its computed value and d_i the
+    # computed direct distance. Dot-product error bounds, which hold for any
+    # summation order the BLAS picks, give |a_i - A_i| <= da = (m+1) u c^2
+    # and |d_i^2 - s_i| <= dd = (m+4) u c^2 (to first order in u). Let S be
+    # the k rows with the smallest a. A reference neighbour i is among the
+    # first k by d, so d_i <= d_j for some j in S, and
+    #   a_i <= A_i + da = s_i - ||q||^2 + da <= d_i^2 - ||q||^2 + da + dd
+    #       <= d_j^2 - ||q||^2 + da + dd <= A_j + da + 2 dd
+    #       <= a_j + 2 (da + dd) <= a_(k) + 2 (da + dd).
+    # 2 (da + dd) = (2m + 5) u c^2 < (m + 3) eps c^2; the margin below is
+    # at least six times that, which also absorbs the rounding of c and of
+    # the threshold sum. Ties in a (duplicate rows) all pass the <= test.
+    c = math.sqrt(norms_sq.max()) + math.sqrt(float(q @ q))
+    tol = 8.0 * (R.shape[1] + 2) * np.finfo(np.float64).eps * c * c
+    cand = np.flatnonzero(a <= a_k + tol)  # ascending row index = ascending id
+    d = np.sqrt(((R[cand] - q) ** 2).sum(axis=1))
+    best = np.argsort(d, kind="stable")[: cfg.k]  # distance first, then id
+    sel = cand[best]
     if cfg.k == 1:
         return PoseEstimate(db.samples[sel[0]].pose)
     if cfg.weighting == WEIGHT_INVERSE:
-        w = 1.0 / (d[sel] + INVERSE_WEIGHT_EPS)
+        w = 1.0 / (d[best] + INVERSE_WEIGHT_EPS)
     else:
         w = np.ones(cfg.k)
     poses = db.poses_matrix()[sel]

@@ -9,6 +9,8 @@ import pytest
 
 from neuromap.capture import Dataset, Sample, generate_dataset, save_dataset
 from neuromap.estimator import (
+    INVERSE_WEIGHT_EPS,
+    WEIGHT_INVERSE,
     EstimatorUnavailableError,
     ExternalEstimator,
     KnnConfig,
@@ -237,6 +239,96 @@ def test_knn_error_decreases_with_database_density():
             errs[n].append(float(np.mean(e)))
     med = {n: sorted(v)[1] for n, v in errs.items()}
     assert med[100] > med[1000] > med[10_000], med
+
+
+# k-NN exactness against the full scan --------------------------------------------
+
+
+def knn_full_scan(db, obs, cfg):
+    """Reference k-NN: the direct distance to every row, then a (distance, id)
+    lexsort. knn_estimate must match it bit for bit."""
+    R = db.ranges_matrix()
+    q = np.asarray(obs.ranges, dtype=np.float64)
+    d = np.sqrt(((R - q) ** 2).sum(axis=1))
+    ids = np.array([s.id for s in db.samples])
+    order = np.lexsort((ids, d))  # distance first, then id
+    sel = order[: cfg.k]
+    if cfg.k == 1:
+        return PoseEstimate(db.samples[sel[0]].pose)
+    if cfg.weighting == WEIGHT_INVERSE:
+        w = 1.0 / (d[sel] + INVERSE_WEIGHT_EPS)
+    else:
+        w = np.ones(cfg.k)
+    poses = db.poses_matrix()[sel]
+    wsum = w.sum()
+    x = float((w * poses[:, 0]).sum() / wsum)
+    y = float((w * poses[:, 1]).sum() / wsum)
+    theta = circular_mean(poses[:, 2], weights=w)
+    return PoseEstimate(Pose2D(x, y, theta))
+
+
+def random_db(rng, n, rays, rows=None):
+    rows = rng.uniform(0.0, 1.0, (n, rays)) if rows is None else rows
+    sensor = SensorConfig(fov=360.0, ray_count=rays, max_range=10.0)
+    samples = [
+        Sample(i, Observation(r), Pose2D(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-180, 180)))
+        for i, r in enumerate(rows)
+    ]
+    return Dataset("e", sensor, 0, samples)
+
+
+def assert_knn_matches_full_scan(db, queries, ks):
+    for k in ks:
+        for weighting in ("uniform", "inverse-distance"):
+            cfg = KnnConfig(k=k, weighting=weighting)
+            for q in queries:
+                got = knn_estimate(db, Observation(q), cfg)
+                want = knn_full_scan(db, Observation(q), cfg)
+                assert got.clamped == want.clamped
+                got_bits = np.array([got.pose.x, got.pose.y, got.pose.theta]).tobytes()
+                want_bits = np.array([want.pose.x, want.pose.y, want.pose.theta]).tobytes()
+                assert got_bits == want_bits, (k, weighting, got, want)
+
+
+@pytest.mark.parametrize("n,rays", [(1, 1), (7, 3), (64, 16), (500, 96), (3000, 8)])
+def test_knn_matches_full_scan_on_random_databases(n, rays):
+    rng = np.random.default_rng(n * 1000 + rays)
+    db = random_db(rng, n, rays)
+    R = db.ranges_matrix()
+    # fresh queries plus database rows themselves (exact matches, d = 0)
+    queries = [*rng.uniform(0.0, 1.0, (6, rays)), R[0], R[n // 2]]
+    assert_knn_matches_full_scan(db, queries, sorted({1, min(5, n), n}))
+
+
+def test_knn_matches_full_scan_on_duplicate_rows():
+    # each distinct row appears several times under scattered ids, so every
+    # k cuts through a group of exact distance ties
+    rng = np.random.default_rng(17)
+    distinct = rng.uniform(0.0, 1.0, (5, 12))
+    rows = distinct[rng.integers(0, 5, 60)]
+    db = random_db(rng, 60, 12, rows=rows)
+    queries = [*distinct, (distinct[0] + distinct[1]) / 2, rng.uniform(0.0, 1.0, 12)]
+    assert_knn_matches_full_scan(db, queries, [1, 2, 3, 5, 11, 12, 13, 29, 60])
+
+
+def test_knn_matches_full_scan_on_one_ulp_near_ties():
+    # rows 1 ulp away from the query in one or more rays, interleaved with
+    # exact copies and rows 1 ulp apart from each other: the screen's
+    # rounding must keep every one of them for the exact re-rank
+    rng = np.random.default_rng(23)
+    rays = 48
+    q = rng.uniform(0.25, 0.75, rays)
+    up, down = np.nextafter(q, 2.0), np.nextafter(q, -1.0)
+    rows = []
+    for i in range(80):
+        r = q.copy()
+        picks = rng.choice(rays, size=1 + i % 4, replace=False)
+        r[picks] = (up if i % 2 else down)[picks]
+        rows.append(q.copy() if i % 5 == 0 else r)
+    rows += list(rng.uniform(0.0, 1.0, (40, rays)))
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    db = random_db(rng, len(rows), rays, rows=rows)
+    assert_knn_matches_full_scan(db, [q, up, down], [1, 2, 5, 16, 17, 40, 80, 120])
 
 
 # regressor ----------------------------------------------------------------------
