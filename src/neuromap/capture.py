@@ -235,16 +235,20 @@ def sample_random_pose(env: EnvironmentSpec, rng: np.random.Generator) -> Pose2D
     part of the reproducibility contract.
 
     Raises:
-        InfeasibleEnvironmentError: after 10^6 rejected attempts.
+        InfeasibleEnvironmentError: at the first rejection when no cell is
+            free, otherwise after 10^6 rejected attempts.
     """
     b = env.bounds
     grid = env.grid
-    for _ in range(REJECTION_BUDGET):
+    for attempt in range(REJECTION_BUDGET):
         x = rng.uniform(b.x_min, b.x_max)
         y = rng.uniform(b.y_min, b.y_max)
         theta = rng.uniform(-180.0, 180.0)
         if grid.is_free(x, y):
             return Pose2D(x, y, theta)
+        # checked only once a draw is rejected, so accepted draws cost nothing
+        if attempt == 0 and grid.cells.all():
+            raise InfeasibleEnvironmentError(f"no free pose in {env.name!r}: every cell is occupied")
     raise InfeasibleEnvironmentError(
         f"no free pose found in {env.name!r} after {REJECTION_BUDGET} attempts"
     )

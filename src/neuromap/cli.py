@@ -230,7 +230,7 @@ def build_estimator(spec: str, env):
     """Build an estimator from a spec string.
 
     Forms: ``oracle[:sigma_pos=..,sigma_theta=..,seed=..]``,
-    ``knn:DB[,k=..,weighting=..]``, ``model:PATH``,
+    ``knn:DB[,k=N,weighting=inverse-distance|uniform]``, ``model:PATH``,
     ``external:COMMAND LINE``.
     """
     kind, _, rest = spec.partition(":")
@@ -250,6 +250,8 @@ def build_estimator(spec: str, env):
                 f"knn database was captured in {db.env_name!r}, not {env.name!r}; "
                 "its poses belong to another world"
             )
+        if db.sensor != env.sensor:
+            raise InputError(f"knn database sensor {db.sensor} does not match {env.sensor}")
         return KnnEstimator(db, KnnConfig(**opts))
     if kind == "model":
         if not rest:

@@ -17,6 +17,10 @@ from .pose import EnvBounds, Pose2D
 FREE_CHAR = "."
 OCCUPIED_CHAR = "#"
 
+# Depth of the ring of occupied cells around the raycaster's copy of a grid,
+# and the number of traversal steps between compactions of its ray state.
+RAY_RING = 8
+
 
 class GridFormatError(ValueError):
     """A grid file (or text) violates the documented format."""
@@ -86,7 +90,7 @@ class OccupancyGrid:
     BOTTOM row (minimum y). Instances are immutable after construction.
     """
 
-    __slots__ = ("width", "height", "resolution", "origin_x", "origin_y", "cells", "_flat")
+    __slots__ = ("width", "height", "resolution", "origin_x", "origin_y", "cells", "_padded")
 
     def __init__(
         self,
@@ -112,7 +116,8 @@ class OccupancyGrid:
         object.__setattr__(self, "origin_x", float(origin_x))
         object.__setattr__(self, "origin_y", float(origin_y))
         object.__setattr__(self, "cells", arr)
-        object.__setattr__(self, "_flat", arr.ravel())
+        padded = np.pad(arr, RAY_RING, constant_values=True)
+        object.__setattr__(self, "_padded", padded.ravel())
 
     def __setattr__(self, name, value):
         raise AttributeError("OccupancyGrid is immutable")
@@ -324,24 +329,38 @@ def ray_distances(
     Rays start at (xs[i], ys[i]) (which must be free cells) and travel along
     bearings_deg[i]. Each result is the distance to the first occupied cell
     or to the world boundary, capped at max_range. The traversal steps from
-    cell edge to cell edge, so there is no marching step size to tune.
+    cell edge to cell edge (Amanatides & Woo 1987), so there is no marching
+    step size to tune.
+
+    Raises:
+        ValueError: when the inputs differ in length, an origin or bearing
+            is not finite, or max_range is not positive.
+        InvalidPoseError: when a ray starts outside the world or in an
+            obstacle cell.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    bearings = np.radians(np.asarray(bearings_deg, dtype=np.float64))
+    bearings_deg = np.asarray(bearings_deg, dtype=np.float64)
     n = xs.size
-    if ys.size != n or bearings.size != n:
+    if ys.size != n or bearings_deg.size != n:
         raise ValueError("xs, ys and bearings_deg must have equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(bearings_deg).all()):
+        raise ValueError("ray origins and bearings must be finite")
+    if not max_range > 0.0:
+        raise ValueError(f"max_range must be positive, got {max_range!r}")
+    bearings = np.radians(bearings_deg)
 
     res = grid.resolution
     w, h = grid.width, grid.height
-    flat = grid._flat
-
-    ix = np.floor((xs - grid.origin_x) / res).astype(np.int64)
-    iy = np.floor((ys - grid.origin_y) / res).astype(np.int64)
-    outside_start = (ix < 0) | (ix >= w) | (iy < 0) | (iy >= h)
-    clipped = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
-    blocked = outside_start | flat[clipped]
+    # The grid sits inside a ring of occupied cells, so leaving the world is
+    # an ordinary hit and every ray stops by the time it enters the ring. A
+    # start outside the world is clipped onto the ring, where it is blocked.
+    padded = grid._padded
+    stride = w + 2 * RAY_RING
+    ix = np.clip(np.floor((xs - grid.origin_x) / res), -1, w).astype(np.int64)
+    iy = np.clip(np.floor((ys - grid.origin_y) / res), -1, h).astype(np.int64)
+    cell = (iy + RAY_RING) * stride + (ix + RAY_RING)
+    blocked = padded[cell]
     if np.any(blocked):
         k = int(np.flatnonzero(blocked)[0])
         raise InvalidPoseError(f"ray origin ({xs[k]}, {ys[k]}) is not in free space")
@@ -351,39 +370,51 @@ def ray_distances(
     step_x = np.sign(ux).astype(np.int64)
     step_y = np.sign(uy).astype(np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_delta_x = np.where(ux != 0.0, res / np.abs(ux), np.inf)
-        t_delta_y = np.where(uy != 0.0, res / np.abs(uy), np.inf)
+        tdx = np.where(ux != 0.0, res / np.abs(ux), np.inf)
+        tdy = np.where(uy != 0.0, res / np.abs(uy), np.inf)
         # distance to the first vertical / horizontal cell edge ahead
         edge_x = grid.origin_x + (ix + (step_x > 0)) * res
         edge_y = grid.origin_y + (iy + (step_y > 0)) * res
-        t_max_x = np.where(ux != 0.0, (edge_x - xs) / ux, np.inf)
-        t_max_y = np.where(uy != 0.0, (edge_y - ys) / uy, np.inf)
+        tx = np.where(ux != 0.0, (edge_x - xs) / ux, np.inf)
+        ty = np.where(uy != 0.0, (edge_y - ys) / uy, np.inf)
+    # A start on a cell edge gives t = -0.0 on that axis. Stored ranges carry
+    # -0.0 only from a ray's first crossing and +0.0 from any later one, so
+    # the axis not crossed first gets x + 0.0, which changes no other value;
+    # the masked adds below never touch an axis that is not crossed.
+    first_x = tx <= ty
+    tx[~first_x] += 0.0
+    ty[first_x] += 0.0
 
-    out = np.full(n, float(max_range), dtype=np.float64)
-    alive = np.arange(n)
-    max_iters = 2 * (w + h) + 4 * int(math.ceil(max_range / res)) + 16
-    for _ in range(max_iters):
-        if alive.size == 0:
-            break
-        take_x = t_max_x[alive] <= t_max_y[alive]
-        t_cross = np.where(take_x, t_max_x[alive], t_max_y[alive])
-        ix[alive] += np.where(take_x, step_x[alive], 0)
-        iy[alive] += np.where(take_x, 0, step_y[alive])
-        t_max_x[alive] += np.where(take_x, t_delta_x[alive], 0.0)
-        t_max_y[alive] += np.where(take_x, 0.0, t_delta_y[alive])
-
-        capped = t_cross >= max_range
-        axs, ays = ix[alive], iy[alive]
-        outside = (axs < 0) | (axs >= w) | (ays < 0) | (ays >= h)
-        inside = ~outside
-        hit = np.zeros(alive.size, dtype=bool)
-        hit[inside] = flat[ays[inside] * w + axs[inside]]
-        done = capped | outside | hit
-        finished = alive[done]
-        out[finished] = np.where(capped[done], float(max_range), t_cross[done])
-        alive = alive[~done]
-    if alive.size:
-        raise RuntimeError("raycast failed to terminate; grid state is inconsistent")
+    # Ray state is updated in place and compacted every RAY_RING steps, not
+    # on every step where a ray stops: compaction costs as much as a step.
+    # A stopped ray coasts on until then, at most RAY_RING - 1 cells past
+    # the cell it stopped in, which the ring's depth keeps inside the padded
+    # grid; only its first stop is recorded.
+    d_y = step_y * stride  # flat-index step across a horizontal edge
+    d_xy = step_x - d_y  # ... added on top of d_y for a vertical edge
+    ray = np.arange(n)
+    stopped = np.zeros(n, dtype=bool)
+    out = np.full(n, float(max_range))
+    step = 0
+    while ray.size:
+        take_x = tx <= ty  # ties step in x
+        # np.minimum returns its second argument on a tie, so a signed-zero
+        # tie reports tx, as the <= rule does
+        t_cross = np.minimum(ty, tx)
+        cell += d_y + d_xy * take_x
+        np.add(tx, tdx, out=tx, where=take_x)
+        np.add(ty, tdy, out=ty, where=~take_x)
+        stop = (padded[cell] | (t_cross >= max_range)) > stopped  # newly stopped
+        if stop.any():
+            out[ray[stop]] = np.minimum(t_cross[stop], max_range)
+            stopped |= stop
+        step += 1
+        if step % RAY_RING == 0 and stopped.any():
+            live = np.flatnonzero(~stopped)
+            ray, cell, tx, ty, tdx, tdy, d_y, d_xy = (
+                a[live] for a in (ray, cell, tx, ty, tdx, tdy, d_y, d_xy)
+            )
+            stopped = np.zeros(live.size, dtype=bool)
     return out
 
 

@@ -208,6 +208,23 @@ def test_knn_database_from_another_world_is_input_error(two_worlds, tmp_path, ca
     assert "knn database was captured in 'a', not 'b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "bench", "navigate"])
+def test_knn_database_with_another_sensor_is_input_error(workspace, tmp_path, capsys, command):
+    db = tmp_path / "fov90"
+    assert main(["gen", *ENV_FLAGS, "--fov", "90", "--n", "20", "--out", str(db)]) == 0
+    argv = {
+        "eval": ["--testset", str(workspace / "test" / "dataset.csv")],
+        "bench": ["--frames", "2", "--repeats", "1"],
+        "navigate": ["--waypoints", "apartment_loop", "--start", "1.5,1.5,0"],
+    }[command]
+    capsys.readouterr()
+    rc = main([command, *ENV_FLAGS, "--estimator", f"knn:{db / 'dataset.csv'}", *argv,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "knn database sensor SensorConfig(fov=90.0" in err and err.count("\n") == 1
+
+
 def test_eval_testset_from_another_world_is_input_error(two_worlds, tmp_path, capsys):
     rc = main(["eval", "--env", str(two_worlds / "b.grid"), "--rays", "16",
                "--estimator", f"knn:{two_worlds / 'b' / 'dataset.csv'}",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from neuromap.capture import STREAM_GEN, derived_rng, sample_random_pose
 from neuromap.pose import Pose2D
 from neuromap.world import (
     DEFAULT_SENSOR,
@@ -20,6 +21,7 @@ from neuromap.world import (
     raycast,
     save_environment,
 )
+from neuromap.worlds import cabin
 from worldgen import marching_ray, random_free_pose, random_world
 
 
@@ -389,3 +391,187 @@ def test_batch_matches_single_rays():
             grid, xs[i : i + 1], ys[i : i + 1], bearings[i : i + 1], 12.0
         )[0]
         assert batch[i] == single
+
+
+@pytest.mark.parametrize("arg", [1, 2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ray_distances_rejects_non_finite_input(arg, bad):
+    grid = empty_grid(4, 4, 1.0)
+    args = [np.array([1.5, 2.5]), np.array([1.5, 2.5]), np.array([0.0, 90.0])]
+    args[arg - 1][1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        ray_distances(grid, *args, 5.0)
+
+
+@pytest.mark.parametrize("max_range", [0.0, -1.0, math.nan])
+def test_ray_distances_rejects_non_positive_max_range(max_range):
+    grid = empty_grid(4, 4, 1.0)
+    with pytest.raises(ValueError, match="max_range"):
+        ray_distances(grid, np.array([1.5]), np.array([1.5]), np.array([0.0]), max_range)
+
+
+# differential tests against the per-step gather/scatter traversal -------------
+
+
+def ray_distances_reference(grid, xs, ys, bearings_deg, max_range):
+    """The traversal ``ray_distances`` replaced: every step gathers and
+    scatters the whole ray state through an index of live rays and checks
+    the world box and the occupancy separately. The fast loop must return
+    the same bytes."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    bearings = np.radians(np.asarray(bearings_deg, dtype=np.float64))
+    n = xs.size
+    res = grid.resolution
+    w, h = grid.width, grid.height
+    flat = grid.cells.ravel()
+
+    ix = np.floor((xs - grid.origin_x) / res).astype(np.int64)
+    iy = np.floor((ys - grid.origin_y) / res).astype(np.int64)
+    outside_start = (ix < 0) | (ix >= w) | (iy < 0) | (iy >= h)
+    clipped = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
+    assert not np.any(outside_start | flat[clipped])
+
+    ux = np.cos(bearings)
+    uy = np.sin(bearings)
+    step_x = np.sign(ux).astype(np.int64)
+    step_y = np.sign(uy).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_delta_x = np.where(ux != 0.0, res / np.abs(ux), np.inf)
+        t_delta_y = np.where(uy != 0.0, res / np.abs(uy), np.inf)
+        edge_x = grid.origin_x + (ix + (step_x > 0)) * res
+        edge_y = grid.origin_y + (iy + (step_y > 0)) * res
+        t_max_x = np.where(ux != 0.0, (edge_x - xs) / ux, np.inf)
+        t_max_y = np.where(uy != 0.0, (edge_y - ys) / uy, np.inf)
+
+    out = np.full(n, float(max_range), dtype=np.float64)
+    alive = np.arange(n)
+    max_iters = 2 * (w + h) + 4 * int(math.ceil(max_range / res)) + 16
+    for _ in range(max_iters):
+        if alive.size == 0:
+            break
+        take_x = t_max_x[alive] <= t_max_y[alive]
+        t_cross = np.where(take_x, t_max_x[alive], t_max_y[alive])
+        ix[alive] += np.where(take_x, step_x[alive], 0)
+        iy[alive] += np.where(take_x, 0, step_y[alive])
+        t_max_x[alive] += np.where(take_x, t_delta_x[alive], 0.0)
+        t_max_y[alive] += np.where(take_x, 0.0, t_delta_y[alive])
+
+        capped = t_cross >= max_range
+        axs, ays = ix[alive], iy[alive]
+        outside = (axs < 0) | (axs >= w) | (ays < 0) | (ays >= h)
+        inside = ~outside
+        hit = np.zeros(alive.size, dtype=bool)
+        hit[inside] = flat[ays[inside] * w + axs[inside]]
+        done = capped | outside | hit
+        finished = alive[done]
+        out[finished] = np.where(capped[done], float(max_range), t_cross[done])
+        alive = alive[~done]
+    assert alive.size == 0
+    return out
+
+
+def assert_same_bytes(grid, xs, ys, bearings, max_range):
+    xs, ys, bearings = np.broadcast_arrays(*(np.asarray(a, np.float64) for a in (xs, ys, bearings)))
+    xs, ys, bearings = xs.ravel(), ys.ravel(), bearings.ravel()
+    fast = ray_distances(grid, xs, ys, bearings, max_range)
+    ref = ray_distances_reference(grid, xs, ys, bearings, max_range)
+    assert fast.tobytes() == ref.tobytes()
+    return ref
+
+
+def edge_coordinates(origin, res, count):
+    """Every cell-edge coordinate as the grid computes it, and its two
+    floating-point neighbours: the rounding there decides the start cell."""
+    edges = origin + np.arange(count + 1) * res
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+AXIS_AND_DIAGONAL = np.array([0.0, 90.0, 180.0, 270.0, -90.0, 360.0, 45.0, 135.0, 225.0, 315.0])
+
+
+def test_fast_traversal_matches_reference_on_random_worlds():
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        grid = random_world(rng)
+        poses = [random_free_pose(rng, grid) for _ in range(20)]
+        xs = np.repeat([p.x for p in poses], 48)
+        ys = np.repeat([p.y for p in poses], 48)
+        bearings = rng.uniform(-180.0, 180.0, size=xs.size)
+        assert_same_bytes(grid, xs, ys, bearings, float(rng.uniform(0.5, 12.0)))
+
+
+def test_fast_traversal_matches_reference_from_edges_and_corners():
+    # origins on (and one ulp either side of) cell edges and corners, at
+    # axis-aligned and diagonal bearings; with origins and resolutions that
+    # do not divide evenly, the first crossing can be +0.0, -0.0 or slightly
+    # negative, and a ray can tie in x and y at its first step
+    rng = np.random.default_rng(32)
+    signed_zero = False
+    for _ in range(40):
+        grid = random_world(rng, min_size=2.0, max_size=4.0, max_boxes=8)
+        ex = edge_coordinates(grid.origin_x, grid.resolution, grid.width)
+        ey = edge_coordinates(grid.origin_y, grid.resolution, grid.height)
+        gx, gy = (a.ravel() for a in np.meshgrid(ex, ey))
+        centre_y = grid.origin_y + (rng.integers(0, grid.height, size=ex.size) + 0.5) * grid.resolution
+        centre_x = grid.origin_x + (rng.integers(0, grid.width, size=ey.size) + 0.5) * grid.resolution
+        xs = np.concatenate([gx, ex, centre_x])
+        ys = np.concatenate([gy, centre_y, ey])
+        free = np.array([grid.is_free(x, y) for x, y in zip(xs, ys)])
+        xs, ys = xs[free], ys[free]
+        bearings = np.concatenate([AXIS_AND_DIAGONAL, rng.uniform(-180.0, 180.0, size=6)])
+        ref = assert_same_bytes(grid, xs[:, None], ys[:, None], bearings[None, :], 5.0)
+        signed_zero |= bool(np.any((ref == 0.0) & np.signbit(ref)))
+    assert signed_zero  # the sign rule was exercised
+
+
+def test_fast_traversal_matches_reference_on_unit_grid_corners():
+    # 45-degree rays through cell corners of a unit grid with a checkerboard
+    # of obstacles: whether a corner steps in x or y first decides the hit
+    cells = (np.add.outer(np.arange(8), np.arange(8)) % 2 == 1) & (np.arange(8) % 3 == 0)[None, :]
+    grid = OccupancyGrid(8, 8, 1.0, 0.0, 0.0, cells)
+    pts = [(x, y) for x in range(8) for y in range(8) if grid.is_free(float(x), float(y))]
+    xs = np.array([p[0] for p in pts], dtype=np.float64)
+    ys = np.array([p[1] for p in pts], dtype=np.float64)
+    assert_same_bytes(grid, xs[:, None], ys[:, None], AXIS_AND_DIAGONAL[None, :], 20.0)
+    assert_same_bytes(grid, xs[:, None] + 0.5, ys[:, None] + 0.5, AXIS_AND_DIAGONAL[None, :], 20.0)
+
+
+def test_fast_traversal_matches_reference_at_short_and_exact_max_range():
+    rng = np.random.default_rng(33)
+    grid = random_world(rng)
+    poses = [random_free_pose(rng, grid) for _ in range(30)]
+    xs = np.repeat([p.x for p in poses], 64)
+    ys = np.repeat([p.y for p in poses], 64)
+    bearings = rng.uniform(-180.0, 180.0, size=xs.size)
+    full = assert_same_bytes(grid, xs, ys, bearings, 50.0)
+    # shorter than every wall: all rays capped
+    assert np.all(assert_same_bytes(grid, xs, ys, bearings, 0.5 * float(full.min())) < full)
+    # exactly a hit distance, and exactly an edge crossing on an empty grid
+    for max_range in full[:5]:
+        assert_same_bytes(grid, xs, ys, bearings, float(max_range))
+    empty = empty_grid(10, 10, 1.0)
+    for max_range in (0.5, 1.5, 4.5):
+        capped = assert_same_bytes(empty, 5.5, 5.5, AXIS_AND_DIAGONAL, max_range)
+        assert capped[0] == max_range
+
+
+def test_fast_traversal_matches_reference_in_one_cell_world():
+    rng = np.random.default_rng(34)
+    grid = OccupancyGrid(1, 1, 0.5, -0.25, 0.3, np.zeros((1, 1), bool))
+    xs = rng.uniform(-0.25, 0.25, size=200)
+    ys = rng.uniform(0.3, 0.8, size=200)
+    bearings = np.concatenate([AXIS_AND_DIAGONAL, rng.uniform(-180.0, 180.0, size=190)])
+    assert_same_bytes(grid, xs, ys, bearings, 1.0)
+    assert_same_bytes(grid, -0.25, 0.3, AXIS_AND_DIAGONAL, 1.0)
+
+
+def test_fast_traversal_matches_reference_on_cabin_dataset_poses():
+    # the first 2000 poses of `generate_dataset` on the bundled cabin
+    env = cabin()
+    poses = [sample_random_pose(env, derived_rng(101, STREAM_GEN, i)) for i in range(2000)]
+    offsets = env.sensor.bearing_offsets()
+    xs = np.array([p.x for p in poses])[:, None]
+    ys = np.array([p.y for p in poses])[:, None]
+    bearings = np.array([p.theta for p in poses])[:, None] + offsets[None, :]
+    assert_same_bytes(env.grid, xs, ys, bearings, env.sensor.max_range)
