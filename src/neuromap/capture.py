@@ -55,54 +55,61 @@ def derived_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Sample:
-    """One captured observation with its ground-truth pose."""
+    """One captured observation with its ground-truth pose; a dataset row's view."""
 
     id: int
     observation: Observation
     pose: Pose2D
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"sample id must be >= 0, got {self.id}")
-
 
 class Dataset:
-    """An ordered set of samples from one environment and sensor.
-
-    Sample ids are dense 0..n-1 (so a sample's id is its row index) and
-    every observation has the sensor's ray count. ``ranges_matrix`` and
-    ``poses_matrix`` expose the data as arrays for estimators, and
-    ``range_norms_sq`` the squared Euclidean norm of each range row for the
-    k-NN screen; all three are cached after the first call.
+    """An ordered set of samples from one environment and sensor, held as
+    two read-only float64 arrays: ``poses_matrix()`` (n, 3) of (x, y, theta
+    degrees, wrapped on construction as ``wrap_angle`` does) and
+    ``ranges_matrix()`` (n, ray_count) in [0, 1]. A sample's id is its row.
+    A C-contiguous float64 ranges array is kept, not copied, and made
+    read-only. ``d[i]`` and iteration build ``Sample`` views.
+    ``range_norms_sq`` caches each range row's squared norm for k-NN.
     """
 
-    def __init__(self, env_name: str, sensor: SensorConfig, seed: int, samples) -> None:
+    def __init__(self, env_name: str, sensor: SensorConfig, seed: int, poses, ranges) -> None:
         if not env_name:
             raise ValueError("env_name must be non-empty")
-        samples = tuple(samples)
-        for i, s in enumerate(samples):
-            if s.id != i:
-                raise ValueError(f"sample ids must be dense 0..n-1; index {i} has id {s.id}")
-            if len(s.observation) != sensor.ray_count:
-                raise ValueError(
-                    f"sample {i} has {len(s.observation)} ranges, sensor expects {sensor.ray_count}"
-                )
+        poses = np.array(poses, dtype=np.float64, order="C")
+        ranges = np.ascontiguousarray(ranges, dtype=np.float64)
+        if poses.ndim != 2 or poses.shape[1] != 3:
+            raise ValueError(f"poses must be (n, 3), got shape {poses.shape}")
+        if ranges.shape != (len(poses), sensor.ray_count):
+            raise ValueError(
+                f"ranges must be ({len(poses)}, {sensor.ray_count}) for this sensor, "
+                f"got shape {ranges.shape}"
+            )
+        if not np.isfinite(poses).all():
+            raise ValueError("pose values must be finite")
+        if not ((ranges >= 0.0) & (ranges <= 1.0)).all():
+            raise ValueError("ranges must all lie in [0, 1]")
+        r = np.remainder(poses[:, 2], 360.0)  # Python's %: wrap_angle bit for bit
+        poses[:, 2] = np.where(r > 180.0, r - 360.0, r)
+        poses.flags.writeable = False
+        ranges.flags.writeable = False
         self.env_name = env_name
         self.sensor = sensor
         self.seed = int(seed)
-        self.samples = samples
-        self._ranges = None
-        self._poses = None
+        self._poses = poses
+        self._ranges = ranges
         self._norms_sq = None
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._poses)
 
     def __iter__(self):
-        return iter(self.samples)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> Sample:
-        return self.samples[i]
+        i = range(len(self))[i]
+        # Python floats, not np.float64, whose repr would leak into trace files
+        x, y, theta = self._poses[i].tolist()
+        return Sample(i, Observation(self._ranges[i]), Pose2D(x, y, theta))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -111,21 +118,12 @@ class Dataset:
             self.env_name == other.env_name
             and self.sensor == other.sensor
             and self.seed == other.seed
-            and len(self) == len(other)
-            and all(
-                a.pose == b.pose and np.array_equal(a.observation.ranges, b.observation.ranges)
-                for a, b in zip(self.samples, other.samples)
-            )
+            and np.array_equal(self._poses, other._poses)
+            and np.array_equal(self._ranges, other._ranges)
         )
 
     def ranges_matrix(self) -> np.ndarray:
         """(n, ray_count) float64, row i = sample i's normalised ranges."""
-        if self._ranges is None:
-            if len(self.samples) == 0:
-                self._ranges = np.zeros((0, self.sensor.ray_count))
-            else:
-                self._ranges = np.stack([s.observation.ranges for s in self.samples])
-            self._ranges.flags.writeable = False
         return self._ranges
 
     def range_norms_sq(self) -> np.ndarray:
@@ -138,10 +136,6 @@ class Dataset:
 
     def poses_matrix(self) -> np.ndarray:
         """(n, 3) float64 of (x, y, theta degrees)."""
-        if self._poses is None:
-            self._poses = np.array([(s.pose.x, s.pose.y, s.pose.theta) for s in self.samples])
-            self._poses = self._poses.reshape(len(self.samples), 3)
-            self._poses.flags.writeable = False
         return self._poses
 
 
@@ -254,17 +248,17 @@ def sample_random_pose(env: EnvironmentSpec, rng: np.random.Generator) -> Pose2D
     )
 
 
-def _observe_poses(env: EnvironmentSpec, poses, chunk: int = 256) -> np.ndarray:
-    """Raycast many poses at once; returns (n, ray_count) normalised ranges."""
+def _observe_poses(env: EnvironmentSpec, poses: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """Raycast (n, 3) poses at once; returns (n, ray_count) normalised ranges."""
     sensor = env.sensor
     offsets = sensor.bearing_offsets()
     k = offsets.size
     out = np.empty((len(poses), k))
     for lo in range(0, len(poses), chunk):
         batch = poses[lo : lo + chunk]
-        xs = np.repeat([p.x for p in batch], k)
-        ys = np.repeat([p.y for p in batch], k)
-        bearings = (np.array([p.theta for p in batch])[:, None] + offsets[None, :]).ravel()
+        xs = np.repeat(batch[:, 0], k)
+        ys = np.repeat(batch[:, 1], k)
+        bearings = (batch[:, 2, None] + offsets[None, :]).ravel()
         d = ray_distances(env.grid, xs, ys, bearings, sensor.max_range)
         out[lo : lo + len(batch)] = d.reshape(len(batch), k) / sensor.max_range
     return out
@@ -278,20 +272,26 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    poses = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i)) for i in range(n)]
-    ranges = _observe_poses(env, poses)
-    samples = [Sample(i, Observation(ranges[i]), poses[i]) for i in range(n)]
-    return Dataset(env.name, env.sensor, seed, samples)
+    drawn = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i)) for i in range(n)]
+    poses = np.array([(p.x, p.y, p.theta) for p in drawn])
+    return Dataset(env.name, env.sensor, seed, poses, _observe_poses(env, poses))
 
 
 def _free_start_pose(env: EnvironmentSpec, cfg: WalkConfig, rng: np.random.Generator) -> Pose2D:
     b = env.bounds
-    for _ in range(REJECTION_BUDGET):
+    for attempt in range(REJECTION_BUDGET):
         x = rng.uniform(b.x_min, b.x_max)
         y = rng.uniform(b.y_min, b.y_max)
         theta = rng.uniform(-180.0, 180.0)
         if env.grid.footprint_free(x, y, cfg.clearance_radius):
             return Pose2D(x, y, theta)
+        # checked only once a draw is rejected, so feasible worlds draw the same numbers
+        if attempt == 0:
+            gb = env.grid.bounds()
+            if env.grid.cells.all() or 2.0 * cfg.clearance_radius > min(gb.width, gb.height):
+                raise InfeasibleEnvironmentError(
+                    f"no start pose with clearance {cfg.clearance_radius} in {env.name!r}: no room"
+                )
     raise InfeasibleEnvironmentError(
         f"no start pose with clearance {cfg.clearance_radius} in {env.name!r}"
     )
@@ -356,9 +356,8 @@ def random_walk_capture(
             wedged = True
             break
 
-    ranges = _observe_poses(env, captured_poses)
-    samples = [Sample(i, Observation(ranges[i]), p) for i, p in enumerate(captured_poses)]
-    dataset = Dataset(env.name, env.sensor, seed, samples)
+    poses = np.array([(p.x, p.y, p.theta) for p in captured_poses])
+    dataset = Dataset(env.name, env.sensor, seed, poses, _observe_poses(env, poses))
     return WalkResult(dataset=dataset, wedged=wedged, steps=steps, log=tuple(log))
 
 
@@ -370,25 +369,16 @@ def split_dataset(d: Dataset, test_n: int, seed: int) -> tuple[Dataset, Dataset]
     if not 0 <= test_n < n:
         raise ValueError(f"test_n must be in [0, {n}), got {test_n}")
     rng = derived_rng(seed, STREAM_SPLIT)
-    perm = rng.permutation(n)
-    test_ids = set(int(i) for i in perm[:test_n])
-    train, test = [], []
-    for s in d.samples:
-        (test if s.id in test_ids else train).append(s)
-    def renum(rows):
-        return [Sample(i, s.observation, s.pose) for i, s in enumerate(rows)]
-
+    is_test = np.zeros(n, dtype=bool)
+    is_test[rng.permutation(n)[:test_n]] = True
+    poses, ranges = d.poses_matrix(), d.ranges_matrix()
     return (
-        Dataset(d.env_name, d.sensor, seed, renum(train)),
-        Dataset(d.env_name, d.sensor, seed, renum(test)),
+        Dataset(d.env_name, d.sensor, seed, poses[~is_test], ranges[~is_test]),
+        Dataset(d.env_name, d.sensor, seed, poses[is_test], ranges[is_test]),
     )
 
 
 # --- file format -------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return "%.9g" % v
 
 
 def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
@@ -409,10 +399,10 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
                 raise ValueError(f"extra header key {k!r} collides with a core field")
             header[k] = v
     lines = [DATASET_MAGIC, json.dumps(header, sort_keys=True)]
-    for s in d.samples:
-        fields = [str(s.id), _fmt(s.pose.x), _fmt(s.pose.y), _fmt(s.pose.theta)]
-        fields.extend(_fmt(r) for r in s.observation.ranges)
-        lines.append(",".join(fields))
+    row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count))
+    # one row of ranges at a time: a whole-matrix tolist() would hold 24 bytes per value
+    for i, (p, r) in enumerate(zip(d.poses_matrix().tolist(), d.ranges_matrix())):
+        lines.append(row % (i, *p, *r.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -445,7 +435,8 @@ def load_dataset(path) -> Dataset:
     if len(rows) != n:
         raise DatasetFormatError(f"{path}: header says n={n} but file has {len(rows)} rows")
     want = 4 + sensor.ray_count
-    samples = []
+    poses = np.empty((n, 3))
+    ranges = np.empty((n, sensor.ray_count))
     for i, row in enumerate(rows):
         fields = row.split(",")
         if len(fields) != want:
@@ -454,11 +445,17 @@ def load_dataset(path) -> Dataset:
             )
         try:
             sid = int(fields[0])
-            x, y, theta = (float(v) for v in fields[1:4])
-            ranges = np.array([float(v) for v in fields[4:]])
+            # numpy parses each string as float() does
+            poses[i] = fields[1:4]
+            ranges[i] = fields[4:]
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: line {i + 3}: bad value: {exc}") from exc
         if sid != i:
             raise DatasetFormatError(f"{path}: line {i + 3}: ids must be dense, got {sid}")
-        samples.append(Sample(sid, Observation(ranges), Pose2D(x, y, theta)))
-    return Dataset(env_name, sensor, seed, samples)
+    bad_pose = ~np.isfinite(poses).all(axis=1)
+    bad_ranges = ~((ranges >= 0.0) & (ranges <= 1.0)).all(axis=1)
+    if (bad_pose | bad_ranges).any():
+        i = int(np.argmax(bad_pose | bad_ranges))
+        what = "ranges must all lie in [0, 1]" if bad_ranges[i] else "pose values must be finite"
+        raise DatasetFormatError(f"{path}: line {i + 3}: {what}")
+    return Dataset(env_name, sensor, seed, poses, ranges)

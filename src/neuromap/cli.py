@@ -274,9 +274,10 @@ def cmd_gen(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     dataset = generate_dataset(env, cfg.n, cfg.seed)
     save_dataset(dataset, out / "dataset.csv", extra_header={"provenance": cfg.provenance()})
-    cov = coverage_summary(env, dataset)
+    poses = dataset.poses_matrix()
+    cov = coverage_summary(env, poses)
     _write_json(out / "coverage.json", {"coverage": cov.to_dict()}, cfg)
-    svg_coverage(env, dataset, out / "coverage.svg", comments=cfg.provenance_lines())
+    svg_coverage(env, poses, out / "coverage.svg", comments=cfg.provenance_lines())
     print(f"gen: {len(dataset)} samples in {env.name}; coverage {cov.fraction:.1%} "
           f"of {cov.free_cells} free cells")
     return 0
@@ -294,13 +295,14 @@ def cmd_walk(cfg: RunConfig) -> int:
     )
     result = random_walk_capture(env, walk_cfg, cfg.seed)
     save_dataset(result.dataset, out / "dataset.csv", extra_header={"provenance": cfg.provenance()})
-    cov = coverage_summary(env, result.dataset)
+    poses = result.dataset.poses_matrix()
+    cov = coverage_summary(env, poses)
     _write_json(
         out / "coverage.json",
         {"coverage": cov.to_dict(), "wedged": result.wedged, "steps": result.steps},
         cfg,
     )
-    svg_coverage(env, result.dataset, out / "coverage.svg", comments=cfg.provenance_lines())
+    svg_coverage(env, poses, out / "coverage.svg", comments=cfg.provenance_lines())
     print(f"walk: {result.steps} steps, {len(result.dataset)} captures in {env.name}"
           + (" (wedged)" if result.wedged else ""))
     return 0
@@ -359,12 +361,12 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _knn_ablation(estimator, sizes, testset, env):
     rows = {}
+    db = estimator.db
     for size in sizes:
-        if size > len(estimator.db):
-            raise InputError(f"ablation size {size} exceeds database size {len(estimator.db)}")
+        if size > len(db):
+            raise InputError(f"ablation size {size} exceeds database size {len(db)}")
         subset = Dataset(
-            estimator.db.env_name, estimator.db.sensor, estimator.db.seed,
-            estimator.db.samples[:size],
+            db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]
         )
         rows[f"knn@{size}"] = evaluate(KnnEstimator(subset, estimator.cfg), testset, env)
     return rows
@@ -474,7 +476,8 @@ def cmd_plot(cfg: RunConfig) -> int:
         raise UsageError("plot needs exactly one of --dataset or --trace")
     if cfg.dataset is not None:
         dataset = load_dataset(cfg.dataset)
-        svg_coverage(env, dataset, out / "coverage.svg", comments=cfg.provenance_lines())
+        svg_coverage(env, dataset.poses_matrix(), out / "coverage.svg",
+                     comments=cfg.provenance_lines())
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:
         trace = load_trace(cfg.trace)
@@ -491,7 +494,7 @@ def cmd_plot(cfg: RunConfig) -> int:
 
 def cmd_bench(cfg: RunConfig) -> int:
     env = _resolve_env(cfg)
-    frames = generate_dataset(env, cfg.frames, cfg.seed)
+    frames = list(generate_dataset(env, cfg.frames, cfg.seed))
     estimator = build_estimator(cfg.estimator, env)
     inject = getattr(estimator, "set_true_pose", None)
     rates = []

@@ -167,8 +167,8 @@ def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig) -> PoseEstimate:
     d = np.sqrt(((R[cand] - q) ** 2).sum(axis=1))
     best = np.argsort(d, kind="stable")[: cfg.k]  # distance first, then id
     sel = cand[best]
-    if cfg.k == 1:
-        return PoseEstimate(db.samples[sel[0]].pose)
+    if cfg.k == 1:  # Python floats, as save_trace writes them with repr
+        return PoseEstimate(Pose2D(*db.poses_matrix()[sel[0]].tolist()))
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[best] + INVERSE_WEIGHT_EPS)
     else:

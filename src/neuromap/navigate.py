@@ -178,12 +178,9 @@ class _Episode:
         if inject is not None:
             inject(self.true_pose)
         try:
-            result = self.estimator.estimate(obs)
+            self.last_estimate = self.estimator.estimate(obs)
         except EstimatorUnavailableError:
             raise _Abort(ABORT_ESTIMATOR) from None
-        if not isinstance(result, PoseEstimate):
-            result = PoseEstimate(result)
-        self.last_estimate = result
         self._append(EVENT_ESTIMATE)
         return self.last_estimate.pose
 

@@ -98,14 +98,13 @@ def _polyline(points, cls, color, vp):
     ]
 
 
-def svg_coverage(env: EnvironmentSpec, poses, path=None, comments=()) -> str:
-    """Map plus one red dot per sample pose. ``poses`` may be a Dataset
-    or any iterable of objects with x and y."""
-    poses = [s.pose for s in poses.samples] if hasattr(poses, "samples") else list(poses)
+def svg_coverage(env: EnvironmentSpec, positions, path=None, comments=()) -> str:
+    """Map plus one red dot per sample position; ``positions`` is an
+    (n, >= 2) array of x, y first, such as a dataset's ``poses_matrix()``."""
     vp = _Viewport(env.bounds)
     body = _grid_rects(env, vp)
-    for p in poses:
-        px, py = vp.to_px(p.x, p.y)
+    for x, y in positions[:, :2].tolist():
+        px, py = vp.to_px(x, y)
         body.append(
             f'<circle class="sample" cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.5" '
             f'fill="{MARKER_COLOR}"/>'
@@ -170,8 +169,8 @@ class CoverageSummary:
         }
 
 
-def coverage_summary(env: EnvironmentSpec, poses, cell_m: float = 0.5) -> CoverageSummary:
-    poses = [s.pose for s in poses.samples] if hasattr(poses, "samples") else list(poses)
+def coverage_summary(env: EnvironmentSpec, positions, cell_m: float = 0.5) -> CoverageSummary:
+    """Coverage of sample positions, an (n, >= 2) array of x, y first."""
     b = env.bounds
     grid = env.grid
     nx = max(1, math.ceil((b.x_max - b.x_min) / cell_m))
@@ -194,20 +193,21 @@ def coverage_summary(env: EnvironmentSpec, poses, cell_m: float = 0.5) -> Covera
             free[bin_of(xs, ys)] = True
 
     covered = np.zeros(nx * ny, dtype=bool)
-    for p in poses:
-        covered[bin_of(p.x, p.y)] = True
+    for x, y in positions[:, :2].tolist():
+        covered[bin_of(x, y)] = True
     covered &= free
     return CoverageSummary(cell_m, int(free.sum()), int(covered.sum()))
 
 
-def near_obstacle_fraction(env: EnvironmentSpec, poses, clearance_m: float = 0.3) -> float:
-    """Fraction of sample positions closer than ``clearance_m`` to any
-    obstacle or the boundary; lets capture strategies be compared."""
-    poses = [s.pose for s in poses.samples] if hasattr(poses, "samples") else list(poses)
-    if not poses:
+def near_obstacle_fraction(env: EnvironmentSpec, positions, clearance_m: float = 0.3) -> float:
+    """Fraction of sample positions (an (n, >= 2) array of x, y first)
+    closer than ``clearance_m`` to any obstacle or the boundary; lets
+    capture strategies be compared."""
+    if len(positions) == 0:
         raise ValueError("no poses")
-    near = sum(1 for p in poses if not env.grid.footprint_free(p.x, p.y, clearance_m))
-    return near / len(poses)
+    xy = positions[:, :2].tolist()
+    near = sum(1 for x, y in xy if not env.grid.footprint_free(x, y, clearance_m))
+    return near / len(xy)
 
 
 # --- metrics serialisation ---------------------------------------------------------

@@ -557,8 +557,7 @@ def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     for i, s in enumerate(testset):
         if inject is not None:
             inject(s.pose)
-        est = estimator.estimate(s.observation)
-        pose = getattr(est, "pose", est)  # accept PoseEstimate or bare Pose2D
+        pose = estimator.estimate(s.observation).pose
         errs[i, 0] = math.hypot(pose.x - s.pose.x, pose.y - s.pose.y)
         errs[i, 1] = abs(ang_diff(pose.theta, s.pose.theta))
     return Metrics(

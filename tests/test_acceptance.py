@@ -308,7 +308,8 @@ def test_criterion_07_database_size_trend():
     for seed in (7, 8, 9):
         full = generate_dataset(env, 20_000, seed=seed)
         for size in sizes:
-            sub = Dataset(full.env_name, full.sensor, full.seed, full.samples[:size])
+            sub = Dataset(full.env_name, full.sensor, full.seed,
+                          full.poses_matrix()[:size], full.ranges_matrix()[:size])
             m = evaluate(KnnEstimator(sub, KnnConfig(k=5)), queries, env)
             errs[size].append(m.mean_pos_err)
     medians = [float(np.median(errs[size])) for size in sizes]
@@ -418,8 +419,8 @@ def test_criterion_10_capture_fidelity(tmp_path):
     generated = load_dataset(tmp_path / "gen" / "dataset.csv")
     env = apartment()
     assert len(generated) == 100_000
-    for s in generated.samples:
-        assert env.grid.is_free(s.pose.x, s.pose.y)
+    for x, y, _ in generated.poses_matrix().tolist():
+        assert env.grid.is_free(x, y)
     print(f"\n[criterion 10] {len(walked)} capture pairs obey the 10 cm / 10 deg rule; "
           f"100000/100000 generated samples collision-free")
 

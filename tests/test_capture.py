@@ -11,7 +11,6 @@ from neuromap.capture import (
     Dataset,
     DatasetFormatError,
     InfeasibleEnvironmentError,
-    Sample,
     WalkConfig,
     datasets_close,
     derived_rng,
@@ -23,7 +22,7 @@ from neuromap.capture import (
     split_dataset,
 )
 from neuromap.pose import Pose2D, ang_diff, distance
-from neuromap.world import Observation, OccupancyGrid, SensorConfig, environment_from_grid
+from neuromap.world import OccupancyGrid, SensorConfig, environment_from_grid
 
 
 def make_env(grid, name="test-env", ray_count=16, max_range=10.0):
@@ -167,6 +166,14 @@ def test_generate_sharding_by_index_stream():
     for i in (0, 7, 19):
         lone = sample_random_pose(env, derived_rng(31, STREAM_GEN, i))
         assert d[i].pose == lone
+
+
+def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
+    env = make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 3.0, 4.0))
+    d = generate_dataset(env, 500, seed=404)
+    drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(500)]
+    rows = np.array([(p.x, p.y, p.theta) for p in drawn])
+    assert d.poses_matrix().tobytes() == rows.tobytes()
 
 
 def test_generate_covers_coarse_free_cells():
@@ -433,6 +440,19 @@ def test_load_errors(tmp_path):
     with pytest.raises(DatasetFormatError, match="dense"):
         load_dataset(bad)
 
+    # values the arrays refuse name their line
+    for column, value, what in (
+        (5, "nan", "ranges"), (6, "inf", "ranges"), (7, "1.5", "ranges"), (4, "-0.01", "ranges"),
+        (1, "nan", "finite"), (2, "-inf", "finite"), (3, "inf", "finite"),
+    ):
+        mangled = good[:]
+        parts = mangled[4].split(",")
+        parts[column] = value
+        mangled[4] = ",".join(parts)
+        bad.write_text("\n".join(mangled) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"line 5: .*{what}"):
+            load_dataset(bad)
+
 
 def test_extra_header_keys_survive_save_and_are_ignored_by_load(tmp_path):
     d = _toy_dataset(4)
@@ -445,17 +465,46 @@ def test_extra_header_keys_survive_save_and_are_ignored_by_load(tmp_path):
         save_dataset(d, path, extra_header={"seed": 99})
 
 
+def test_pose_wrap_on_load(tmp_path):
+    # a loaded theta is wrapped as Pose2D wraps it: -180 -> 180, -0 -> 0,
+    # and many negative angles move by an ulp (-10.1 -> -10.100000000000023)
+    path = tmp_path / "wrap.csv"
+    header = (
+        '#neuromap-dataset v1\n'
+        '{"env_name": "e", "fov": 90.0, "max_range": 10.0, "n": 3, "ray_count": 2, "seed": 0}\n'
+    )
+    path.write_text(header + "0,1.5,2.5,-180,0.5,1\n1,1.5,2.5,-0,0,0.25\n2,3,4,-10.1,0.125,0.75\n")
+    d = load_dataset(path)
+    want = [Pose2D(1.5, 2.5, -180.0), Pose2D(1.5, 2.5, -0.0), Pose2D(3.0, 4.0, -10.1)]
+    assert [s.pose for s in d] == want
+    theta = d.poses_matrix()[:, 2]
+    assert theta.tobytes() == np.array([p.theta for p in want]).tobytes()
+    assert [s.pose.theta for s in d] == [p.theta for p in want]
+    # load -> save writes the wrapped angles
+    save_dataset(d, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text() == header + (
+        "0,1.5,2.5,180,0.5,1\n1,1.5,2.5,0,0,0.25\n2,3,4,-10.1,0.125,0.75\n"
+    )
+
+
 def test_dataset_validation():
     env = make_env(empty_grid(4, 4, 1.0), ray_count=8)
-    obs = Observation(np.full(8, 0.5))
+    poses, ranges = np.array([(1.0, 1.0, 0.0)]), np.full((1, 8), 0.5)
+    Dataset("e", env.sensor, 1, poses, ranges)
+    with pytest.raises(ValueError, match="ranges"):
+        Dataset("e", env.sensor, 1, poses, np.full((1, 4), 0.5))  # sensor has 8 rays
+    with pytest.raises(ValueError, match="ranges"):
+        Dataset("e", env.sensor, 1, poses, np.full((2, 8), 0.5))  # one pose, two scans
+    with pytest.raises(ValueError, match="poses"):
+        Dataset("e", env.sensor, 1, poses[:, :2], ranges)
     with pytest.raises(ValueError):
-        Dataset("e", env.sensor, 1, [Sample(1, obs, Pose2D(1, 1))])  # ids not dense
-    with pytest.raises(ValueError):
-        Dataset("e", env.sensor, 1, [Sample(0, Observation(np.full(4, 0.5)), Pose2D(1, 1))])
-    with pytest.raises(ValueError):
-        Dataset("", env.sensor, 1, [])
-    with pytest.raises(ValueError):
-        Sample(-1, obs, Pose2D(0, 0))
+        Dataset("", env.sensor, 1, poses, ranges)
+    for bad in (np.nan, np.inf, -0.001, 1.0001):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Dataset("e", env.sensor, 1, poses, np.full((1, 8), bad))
+    for bad in ((np.nan, 1.0, 0.0), (1.0, np.inf, 0.0), (1.0, 1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset("e", env.sensor, 1, np.array([bad]), ranges)
 
 
 def test_matrices_shapes_and_cache():

@@ -8,8 +8,10 @@ generation fast.
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neuromap.capture import Dataset, load_dataset, save_dataset
@@ -109,8 +111,9 @@ def test_walk_avoids_obstacles_more_than_gen(workspace, tmp_path):
     out = tmp_path / "w"
     assert main(["walk", *ENV_FLAGS, "--steps", "2000", "--seed", "8", "--out", str(out)]) == 0
     env = apartment()
-    walk_near = near_obstacle_fraction(env, load_dataset(out / "dataset.csv"), 0.3)
-    gen_near = near_obstacle_fraction(env, load_dataset(workspace / "db" / "dataset.csv"), 0.3)
+    walk_near = near_obstacle_fraction(env, load_dataset(out / "dataset.csv").poses_matrix(), 0.3)
+    gen_db = load_dataset(workspace / "db" / "dataset.csv")
+    gen_near = near_obstacle_fraction(env, gen_db.poses_matrix(), 0.3)
     assert walk_near < gen_near
 
 
@@ -304,7 +307,7 @@ def test_plot_dataset_marker_count(workspace, tmp_path):
 def test_plot_empty_dataset_grid_only(tmp_path):
     empty = tmp_path / "empty.csv"
     sensor = SensorConfig(fov=360.0, ray_count=16, max_range=12.0)
-    save_dataset(Dataset("apartment", sensor, 0, ()), empty)
+    save_dataset(Dataset("apartment", sensor, 0, np.zeros((0, 3)), np.zeros((0, 16))), empty)
     out = tmp_path / "p"
     assert main(["plot", *ENV_FLAGS, "--dataset", str(empty), "--out", str(out)]) == 0
     svg = (out / "coverage.svg").read_text()
@@ -347,18 +350,17 @@ def test_bench_report(workspace, tmp_path, capsys):
 def test_bench_knn_slows_with_database_size(workspace, tmp_path):
     # wall-clock, but an 80x database gap dwarfs timer noise
     db = load_dataset(workspace / "db" / "dataset.csv")
-    small = Dataset(db.env_name, db.sensor, db.seed, db.samples[:10])
+    small = Dataset(db.env_name, db.sensor, db.seed,
+                    db.poses_matrix()[:10], db.ranges_matrix()[:10])
     small_path = tmp_path / "small.csv"
     save_dataset(small, small_path)
-
-    import time
 
     from neuromap.capture import generate_dataset
 
     env = apartment()
     env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid,
                     sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
-    frames = generate_dataset(env, 40, seed=2)
+    frames = list(generate_dataset(env, 40, seed=2))  # views built outside the timing
 
     def rate(est):
         # best of 5 passes: with cheap queries one pass is mostly fixed
@@ -434,8 +436,6 @@ def test_config_file_rejects_bad_json(tmp_path):
 
 
 def test_gen_in_world_without_free_cell_is_input_error(tmp_path, monkeypatch, capsys):
-    import numpy as np
-
     from neuromap import capture
     from neuromap.world import OccupancyGrid, environment_from_grid
 
@@ -447,6 +447,23 @@ def test_gen_in_world_without_free_cell_is_input_error(tmp_path, monkeypatch, ca
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("neuromap: input error: no free pose") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("occupied, clearance", [(True, "0.5"), (False, "2.5")])
+def test_walk_in_world_without_room_fails_fast(tmp_path, capsys, occupied, clearance):
+    # a fully occupied grid, or a 4 m world too narrow for a 5 m footprint:
+    # the first rejected start pose ends the walk, not 10^6 more draws
+    from neuromap.world import OccupancyGrid, environment_from_grid
+
+    grid = OccupancyGrid(4, 4, 1.0, 0.0, 0.0, np.full((4, 4), occupied))
+    save_environment(environment_from_grid(grid, "blocked"), tmp_path / "blocked.grid")
+    t0 = time.perf_counter()
+    rc = main(["walk", "--env", str(tmp_path / "blocked.grid"), "--clearance", clearance,
+               "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("neuromap: input error: no start pose") and err.count("\n") == 1
 
 
 def test_env_file_path_and_unknown_name(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neuromap.capture import Dataset, Sample, generate_dataset, save_dataset
+from neuromap.capture import Dataset, generate_dataset, save_dataset
 from neuromap.estimator import (
     INVERSE_WEIGHT_EPS,
     WEIGHT_INVERSE,
@@ -130,19 +130,15 @@ def test_oracle_config_validation():
 def test_knn_exact_match_k1():
     env = asym_env()
     db = generate_dataset(env, 50, seed=2)
-    q = db.samples[7].observation
+    q = db[7].observation
     est = knn_estimate(db, q, KnnConfig(k=1))
-    assert est.pose == db.samples[7].pose  # verbatim, not a reconstruction
+    assert est.pose == db[7].pose  # verbatim, not a reconstruction
 
 
 def test_knn_equidistant_pair_hand_case():
-    obs = lambda v: Observation(np.full(4, v))
-    samples = [
-        Sample(0, obs(0.4), Pose2D(0.0, 0.0, -10.0)),
-        Sample(1, obs(0.6), Pose2D(2.0, 0.0, 10.0)),
-    ]
-    db = Dataset("e", SensorConfig(fov=90.0, ray_count=4, max_range=10.0), 0, samples)
-    est = knn_estimate(db, obs(0.5), KnnConfig(k=2, weighting="uniform"))
+    sensor = SensorConfig(fov=90.0, ray_count=4, max_range=10.0)
+    db = Dataset("e", sensor, 0, [(0.0, 0.0, -10.0), (2.0, 0.0, 10.0)], [[0.4] * 4, [0.6] * 4])
+    est = knn_estimate(db, Observation(np.full(4, 0.5)), KnnConfig(k=2, weighting="uniform"))
     assert est.pose.x == 1.0 and est.pose.y == 0.0 and est.pose.theta == 0.0
 
 
@@ -158,27 +154,18 @@ def test_knn_full_database_uniform_is_centroid():
 
 
 def test_knn_tie_breaks_toward_lower_id():
-    dup = Observation(np.full(4, 0.5))
-    far = Observation(np.full(4, 0.9))
+    dup, far = [0.5] * 4, [0.9] * 4
     sensor = SensorConfig(fov=90.0, ray_count=4, max_range=10.0)
-    samples = [
-        Sample(0, far, Pose2D(5.0, 5.0, 0.0)),
-        Sample(1, dup, Pose2D(3.0, 3.0, 90.0)),
-        Sample(2, far, Pose2D(6.0, 6.0, 0.0)),
-        Sample(3, dup, Pose2D(1.0, 1.0, 0.0)),  # same observation, higher id
-    ]
-    db = Dataset("e", sensor, 0, samples)
-    est = knn_estimate(db, dup, KnnConfig(k=1))
+    poses = [(5.0, 5.0, 0.0), (3.0, 3.0, 90.0), (6.0, 6.0, 0.0), (1.0, 1.0, 0.0)]
+    # row 3 has row 1's observation and a higher id
+    db = Dataset("e", sensor, 0, poses, [far, dup, far, dup])
+    est = knn_estimate(db, Observation(dup), KnnConfig(k=1))
     assert est.pose == Pose2D(3.0, 3.0, 90.0)
 
 
 def test_knn_inverse_distance_weights():
     sensor = SensorConfig(fov=90.0, ray_count=2, max_range=10.0)
-    samples = [
-        Sample(0, Observation([0.5, 0.5]), Pose2D(0.0, 0.0, 0.0)),
-        Sample(1, Observation([0.5, 0.8]), Pose2D(4.0, 0.0, 0.0)),
-    ]
-    db = Dataset("e", sensor, 0, samples)
+    db = Dataset("e", sensor, 0, [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0)], [[0.5, 0.5], [0.5, 0.8]])
     est = knn_estimate(db, Observation([0.5, 0.6]), KnnConfig(k=2))
     w0 = 1.0 / (0.1 + 1e-9)
     w1 = 1.0 / (0.2 + 1e-9)
@@ -189,9 +176,9 @@ def test_knn_inverse_distance_weights():
 def test_knn_exact_match_dominates_inverse_weighting():
     env = asym_env()
     db = generate_dataset(env, 30, seed=4)
-    q = db.samples[11].observation
+    q = db[11].observation
     est = knn_estimate(db, q, KnnConfig(k=3))
-    truth = db.samples[11].pose
+    truth = db[11].pose
     assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-6
 
 
@@ -199,9 +186,10 @@ def test_knn_validation():
     env = asym_env()
     db = generate_dataset(env, 5, seed=5)
     with pytest.raises(ValueError):
-        knn_estimate(db, db.samples[0].observation, KnnConfig(k=6))
+        knn_estimate(db, db[0].observation, KnnConfig(k=6))
+    empty = Dataset("e", env.sensor, 0, np.zeros((0, 3)), np.zeros((0, env.sensor.ray_count)))
     with pytest.raises(ValueError):
-        knn_estimate(Dataset("e", env.sensor, 0, []), db.samples[0].observation, KnnConfig())
+        knn_estimate(empty, db[0].observation, KnnConfig())
     with pytest.raises(ValueError):
         knn_estimate(db, Observation(np.full(3, 0.5)), KnnConfig(k=2))
     with pytest.raises(ValueError):
@@ -213,7 +201,7 @@ def test_knn_estimator_matches_function():
     db = generate_dataset(env, 60, seed=6)
     est = KnnEstimator(db, KnnConfig(k=5))
     queries = generate_dataset(env, 10, seed=7)
-    for s in queries.samples:
+    for s in queries:
         a = est.estimate(s.observation)
         b = knn_estimate(db, s.observation, KnnConfig(k=5))
         assert a == b
@@ -234,7 +222,7 @@ def test_knn_error_decreases_with_database_density():
                     est.estimate(s.observation).pose.x - s.pose.x,
                     est.estimate(s.observation).pose.y - s.pose.y,
                 )
-                for s in queries.samples
+                for s in queries
             ]
             errs[n].append(float(np.mean(e)))
     med = {n: sorted(v)[1] for n, v in errs.items()}
@@ -250,11 +238,11 @@ def knn_full_scan(db, obs, cfg):
     R = db.ranges_matrix()
     q = np.asarray(obs.ranges, dtype=np.float64)
     d = np.sqrt(((R - q) ** 2).sum(axis=1))
-    ids = np.array([s.id for s in db.samples])
+    ids = np.arange(len(db))  # a sample's id is its row number
     order = np.lexsort((ids, d))  # distance first, then id
     sel = order[: cfg.k]
     if cfg.k == 1:
-        return PoseEstimate(db.samples[sel[0]].pose)
+        return PoseEstimate(db[sel[0]].pose)
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[sel] + INVERSE_WEIGHT_EPS)
     else:
@@ -270,11 +258,8 @@ def knn_full_scan(db, obs, cfg):
 def random_db(rng, n, rays, rows=None):
     rows = rng.uniform(0.0, 1.0, (n, rays)) if rows is None else rows
     sensor = SensorConfig(fov=360.0, ray_count=rays, max_range=10.0)
-    samples = [
-        Sample(i, Observation(r), Pose2D(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-180, 180)))
-        for i, r in enumerate(rows)
-    ]
-    return Dataset("e", sensor, 0, samples)
+    poses = [(*rng.uniform(-5.0, 5.0, 2), rng.uniform(-180, 180)) for _ in rows]
+    return Dataset("e", sensor, 0, poses, rows)
 
 
 def assert_knn_matches_full_scan(db, queries, ks):
@@ -406,7 +391,7 @@ def test_external_knn_differential(tmp_path):
     internal = KnnEstimator(load_dataset(db_path), KnnConfig(k=5))
     cmd = stub_cmd("--mode", "knn", "--db", str(db_path), "--env", str(env_path), "--k", "5")
     with ExternalEstimator(cmd, env) as est:
-        for s in queries.samples:
+        for s in queries:
             got = est.estimate(s.observation)
             want = internal.estimate(s.observation)
             # the channel transmits normalised values exactly (repr floats),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from neuromap.capture import Dataset, Sample, generate_dataset
+from neuromap.capture import Dataset, generate_dataset
+from neuromap.estimator import PoseEstimate
 from neuromap.pose import NormalizedPose, Pose2D
 from neuromap.training import (
     ACTION_CONTINUE,
@@ -396,15 +397,15 @@ def test_training_beats_untrained_baseline():
     sensor = SensorConfig(fov=120.0, ray_count=16, max_range=15.0)
     env = environment_from_grid(grid, "corridor", sensor)
     rng = np.random.default_rng(7)
-    samples = []
-    while len(samples) < 1500:
+    poses, ranges = [], []
+    while len(poses) < 1500:
         x = float(rng.uniform(0.05, 11.95))
         y = float(rng.uniform(0.05, 1.95))
         if not env.grid.is_free(x, y):
             continue
-        pose = Pose2D(x, y, 0.0)
-        samples.append(Sample(len(samples), raycast(env.grid, pose, sensor), pose))
-    data = Dataset(env.name, sensor, 7, samples)
+        poses.append((x, y, 0.0))
+        ranges.append(raycast(env.grid, Pose2D(x, y, 0.0), sensor).ranges)
+    data = Dataset(env.name, sensor, 7, poses, ranges)
 
     cfg = TrainConfig(seed=3, max_iterations=6000, eval_interval=1000, hidden_dims=(32,), lr0=1e-3)
     model, history = train(data, env, cfg)
@@ -499,22 +500,22 @@ class _TruthEstimator:
         if self.noise_sigma:
             dx = dx + self.rng.normal(0.0, self.noise_sigma)
             dy = dy + self.rng.normal(0.0, self.noise_sigma)
-        return Pose2D(self._true.x + dx, self._true.y + dy, self._true.theta + dt)
+        return PoseEstimate(Pose2D(self._true.x + dx, self._true.y + dy, self._true.theta + dt))
 
 
 def _fake_testset(env, n, seed=0):
     rng = np.random.default_rng(seed)
     k = env.sensor.ray_count
     b = env.bounds
-    samples = []
-    for i in range(n):
-        pose = Pose2D(
+    poses = [
+        (
             float(rng.uniform(b.x_min + 0.2, b.x_max - 0.2)),
             float(rng.uniform(b.y_min + 0.2, b.y_max - 0.2)),
             float(rng.uniform(-180.0, 180.0)),
         )
-        samples.append(Sample(i, Observation(np.full(k, 0.5)), pose))
-    return Dataset(env.name, env.sensor, seed, samples)
+        for _ in range(n)
+    ]
+    return Dataset(env.name, env.sensor, seed, poses, np.full((n, k), 0.5))
 
 
 def test_perfect_estimator_scores_zero():
@@ -537,12 +538,11 @@ def test_fixed_offset_gives_known_errors():
 def test_theta_error_is_wrap_aware():
     env = small_env()
     rng = np.random.default_rng(1)
-    samples = [Sample(0, Observation(np.full(16, 0.5)), Pose2D(2.0, 2.0, -175.0))]
-    testset = Dataset(env.name, env.sensor, 0, samples)
+    testset = Dataset(env.name, env.sensor, 0, [(2.0, 2.0, -175.0)], np.full((1, 16), 0.5))
 
     class Fixed:
         def estimate(self, obs):
-            return Pose2D(2.0, 2.0, 175.0)
+            return PoseEstimate(Pose2D(2.0, 2.0, 175.0))
 
     m = evaluate(Fixed(), testset, env)
     assert abs(m.mean_theta_err - 10.0) < 1e-12

@@ -84,6 +84,9 @@ def test_loop_closes_at_start():
 # --- SVG renderers -----------------------------------------------------------------
 
 
+NO_POSITIONS = np.zeros((0, 3))
+
+
 def tiny_env():
     cells = np.zeros((6, 8), dtype=bool)
     grid = OccupancyGrid(8, 6, 0.5, 0.0, 0.0, cells)
@@ -93,7 +96,7 @@ def tiny_env():
 
 def test_coverage_svg_marker_per_sample():
     env = tiny_env()
-    poses = [Pose2D(0.5, 0.5, 0.0), Pose2D(3.0, 2.0, 10.0), Pose2D(2.5, 0.8, -90.0)]
+    poses = np.array([(0.5, 0.5, 0.0), (3.0, 2.0, 10.0), (2.5, 0.8, -90.0)])
     text = svg_coverage(env, poses)
     assert text.count('class="sample"') == 3
     assert text.count('fill="red"') == 3
@@ -101,7 +104,7 @@ def test_coverage_svg_marker_per_sample():
 
 
 def test_coverage_svg_empty_is_grid_only():
-    text = svg_coverage(tiny_env(), [])
+    text = svg_coverage(tiny_env(), NO_POSITIONS)
     assert 'class="sample"' not in text
     assert 'class="cell"' in text  # the map itself is still drawn
 
@@ -110,14 +113,14 @@ def test_origin_maps_to_bottom_left():
     # world (x_min, y_min) must land at the bottom-left of the viewport:
     # x at the left margin, y at height - margin (SVG y axis points down)
     env = tiny_env()
-    text = svg_coverage(env, [Pose2D(0.0, 0.0, 0.0)])
+    text = svg_coverage(env, np.array([(0.0, 0.0, 0.0)]))
     height = 6 * 0.5 * 50.0 + 20.0
     assert f'cx="10.00" cy="{height - 10.0:.2f}"' in text
 
 
 def test_grid_rects_merge_runs():
     # the 1 m box covers a 2x2 cell block: one merged rect per row
-    text = svg_coverage(tiny_env(), [])
+    text = svg_coverage(tiny_env(), NO_POSITIONS)
     assert text.count('class="cell"') == 2
 
 
@@ -147,7 +150,7 @@ def test_route_svg_skips_missing_estimates():
 def test_svg_comments_embedded(tmp_path):
     env = tiny_env()
     out = tmp_path / "cov.svg"
-    svg_coverage(env, [], out, comments=("invocation: neuromap gen", "seed: 3"))
+    svg_coverage(env, NO_POSITIONS, out, comments=("invocation: neuromap gen", "seed: 3"))
     text = out.read_text()
     assert "<!-- invocation: neuromap gen -->" in text
     assert "<!-- seed: 3 -->" in text
@@ -162,7 +165,7 @@ def test_coverage_summary_counts_hand_case():
     cells = np.zeros((6, 8), dtype=bool)
     grid = OccupancyGrid(8, 6, 0.5, 0.0, 0.0, cells)
     env = environment_from_grid(grid, "room", SensorConfig(fov=90, ray_count=4, max_range=5))
-    poses = [Pose2D(0.2, 0.2, 0), Pose2D(0.8, 0.3, 0), Pose2D(3.5, 2.5, 0)]
+    poses = np.array([(0.2, 0.2, 0.0), (0.8, 0.3, 0.0), (3.5, 2.5, 0.0)])
     cov = coverage_summary(env, poses, cell_m=1.0)
     assert cov.free_cells == 12
     assert cov.covered_cells == 2
@@ -171,7 +174,7 @@ def test_coverage_summary_counts_hand_case():
 
 def test_coverage_summary_excludes_fully_occupied_cells():
     env = tiny_env()  # 4x3 m with a 1 m box occupying one 1 m coarse cell
-    cov = coverage_summary(env, [], cell_m=1.0)
+    cov = coverage_summary(env, NO_POSITIONS, cell_m=1.0)
     assert cov.free_cells == 11
     assert cov.covered_cells == 0 and cov.fraction == 0.0
 
@@ -185,11 +188,11 @@ def test_coverage_summary_validation():
 
 def test_near_obstacle_fraction():
     env = tiny_env()
-    center = Pose2D(3.0, 2.0, 0.0)       # > 0.3 m from the box and walls
-    hugging = Pose2D(2.2, 1.5, 0.0)      # 0.2 m from the box face
-    assert near_obstacle_fraction(env, [center, hugging], clearance_m=0.3) == 0.5
+    center = (3.0, 2.0, 0.0)       # > 0.3 m from the box and walls
+    hugging = (2.2, 1.5, 0.0)      # 0.2 m from the box face
+    assert near_obstacle_fraction(env, np.array([center, hugging]), clearance_m=0.3) == 0.5
     with pytest.raises(ValueError):
-        near_obstacle_fraction(env, [])
+        near_obstacle_fraction(env, NO_POSITIONS)
 
 
 # --- metrics serialisation ---------------------------------------------------------
