@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .pose import Pose2D, ang_diff, wrap_angle
-from .world import EnvironmentSpec, Observation, SensorConfig, ray_distances
+from .world import EnvironmentSpec, SensorConfig, ray_distances
 
 REJECTION_BUDGET = 1_000_000
 
@@ -53,22 +53,13 @@ def derived_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream, index))))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One captured observation with its ground-truth pose; a dataset row's view."""
-
-    id: int
-    observation: Observation
-    pose: Pose2D
-
-
 class Dataset:
     """An ordered set of samples from one environment and sensor, held as
     two read-only float64 arrays: ``poses_matrix()`` (n, 3) of (x, y, theta
     degrees, wrapped on construction as ``wrap_angle`` does) and
     ``ranges_matrix()`` (n, ray_count) in [0, 1]. A sample's id is its row.
     A C-contiguous float64 ranges array is kept, not copied, and made
-    read-only. ``d[i]`` and iteration build ``Sample`` views.
+    read-only.
     ``range_norms_sq`` caches each range row's squared norm for k-NN.
     """
 
@@ -101,15 +92,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self._poses)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, i: int) -> Sample:
-        i = range(len(self))[i]
-        # Python floats, not np.float64, whose repr would leak into trace files
-        x, y, theta = self._poses[i].tolist()
-        return Sample(i, Observation(self._ranges[i]), Pose2D(x, y, theta))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

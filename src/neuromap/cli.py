@@ -36,6 +36,7 @@ from .capture import (
     save_dataset,
 )
 from .estimator import (
+    Estimator,
     EstimatorUnavailableError,
     ExternalEstimator,
     KnnConfig,
@@ -210,6 +211,24 @@ def _json_safe(value):
     return value
 
 
+def _check_capture(what: str, dataset: Dataset, env) -> None:
+    """Refuse a dataset captured in another world or with another sensor."""
+    if dataset.env_name != env.name:
+        raise InputError(
+            f"{what} was captured in {dataset.env_name!r}, not {env.name!r}; "
+            "its poses belong to another world"
+        )
+    if dataset.sensor != env.sensor:
+        raise InputError(f"{what} sensor {dataset.sensor} does not match {env.sensor}")
+
+
+def _waypoints(name) -> list:
+    """A bundled route name or a waypoint file."""
+    if name in BUNDLED_WAYPOINTS:
+        return list(BUNDLED_WAYPOINTS[name])
+    return load_waypoints(name)
+
+
 # --- estimator spec strings --------------------------------------------------------
 
 
@@ -226,7 +245,7 @@ def _parse_kv(text, casts):
     return out
 
 
-def build_estimator(spec: str, env):
+def build_estimator(spec: str, env) -> Estimator:
     """Build an estimator from a spec string.
 
     Forms: ``oracle[:sigma_pos=..,sigma_theta=..,seed=..]``,
@@ -245,13 +264,7 @@ def build_estimator(spec: str, env):
             raise InputError(f"knn database not found: {db_path}")
         opts = _parse_kv(tail, {"k": int, "weighting": str})
         db = load_dataset(db_path)
-        if db.env_name != env.name:
-            raise InputError(
-                f"knn database was captured in {db.env_name!r}, not {env.name!r}; "
-                "its poses belong to another world"
-            )
-        if db.sensor != env.sensor:
-            raise InputError(f"knn database sensor {db.sensor} does not match {env.sensor}")
+        _check_capture("knn database", db, env)
         return KnnEstimator(db, KnnConfig(**opts))
     if kind == "model":
         if not rest:
@@ -321,13 +334,7 @@ def cmd_train(cfg: RunConfig) -> int:
     env = _resolve_env(cfg)
     out = _out_dir(cfg)
     dataset = load_dataset(cfg.dataset)
-    if dataset.env_name != env.name:
-        raise InputError(
-            f"dataset was captured in {dataset.env_name!r}, not {env.name!r}; "
-            "pose normalisation would be wrong"
-        )
-    if dataset.sensor != env.sensor:
-        raise InputError("dataset sensor does not match the environment sensor")
+    _check_capture("dataset", dataset, env)
     train_cfg = TrainConfig(
         seed=cfg.seed,
         max_iterations=cfg.iterations,
@@ -376,13 +383,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     env = _resolve_env(cfg)
     out = _out_dir(cfg)
     testset = load_dataset(cfg.testset)
-    if testset.env_name != env.name:
-        raise InputError(
-            f"test set was captured in {testset.env_name!r}, not {env.name!r}; "
-            "pose normalisation would be wrong"
-        )
-    estimator = build_estimator(cfg.estimator, env)
-    try:
+    _check_capture("test set", testset, env)
+    with build_estimator(cfg.estimator, env) as estimator:
         results = {cfg.estimator: evaluate(estimator, testset, env)}
         if cfg.ablate:
             key, _, raw = str(cfg.ablate).partition("=")
@@ -392,10 +394,6 @@ def cmd_eval(cfg: RunConfig) -> int:
                 raise UsageError("--ablate requires a knn estimator")
             sizes = [int(v) for v in raw.split(",") if v]
             results.update(_knn_ablation(estimator, sizes, testset, env))
-    finally:
-        close = getattr(estimator, "close", None)
-        if close:
-            close()
     save_metrics(results, out / "metrics.json", provenance=cfg.provenance())
     table = metrics_table(results, comments=cfg.provenance_lines())
     (out / "table.txt").write_text(table)
@@ -417,10 +415,7 @@ def _parse_start(text) -> Pose2D:
 def cmd_navigate(cfg: RunConfig) -> int:
     env = _resolve_env(cfg)
     out = _out_dir(cfg)
-    if cfg.waypoints in BUNDLED_WAYPOINTS:
-        waypoints = list(BUNDLED_WAYPOINTS[cfg.waypoints])
-    else:
-        waypoints = load_waypoints(cfg.waypoints)
+    waypoints = _waypoints(cfg.waypoints)
     nav_cfg = NavConfig(
         T_d=cfg.td, T_a=cfg.ta, max_step=cfg.max_step,
         linear_speed=cfg.linear_speed, angular_speed=cfg.angular_speed,
@@ -430,15 +425,10 @@ def cmd_navigate(cfg: RunConfig) -> int:
     odo = OdometryConfig(
         sigma_lin_frac=cfg.odo_lin, sigma_ang_per_step=cfg.odo_ang, seed=cfg.seed,
     )
-    estimator = build_estimator(cfg.estimator, env)
-    try:
+    with build_estimator(cfg.estimator, env) as estimator:
         trace, report = navigate_waypoints(
             waypoints, estimator, env, _parse_start(cfg.start), nav_cfg, odo
         )
-    finally:
-        close = getattr(estimator, "close", None)
-        if close:
-            close()
 
     save_trace(trace, out / "trace.csv", comments=cfg.provenance_lines())
     _write_json(
@@ -481,12 +471,7 @@ def cmd_plot(cfg: RunConfig) -> int:
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:
         trace = load_trace(cfg.trace)
-        waypoints = []
-        if cfg.waypoints:
-            if cfg.waypoints in BUNDLED_WAYPOINTS:
-                waypoints = list(BUNDLED_WAYPOINTS[cfg.waypoints])
-            else:
-                waypoints = load_waypoints(cfg.waypoints)
+        waypoints = _waypoints(cfg.waypoints) if cfg.waypoints else []
         svg_route(env, trace, waypoints, out / "route.svg", comments=cfg.provenance_lines())
         print(f"plot: route.svg with {len(trace)} trace rows")
     return 0
@@ -494,22 +479,13 @@ def cmd_plot(cfg: RunConfig) -> int:
 
 def cmd_bench(cfg: RunConfig) -> int:
     env = _resolve_env(cfg)
-    frames = list(generate_dataset(env, cfg.frames, cfg.seed))
-    estimator = build_estimator(cfg.estimator, env)
-    inject = getattr(estimator, "set_true_pose", None)
+    frames = generate_dataset(env, cfg.frames, cfg.seed)
     rates = []
-    try:
+    with build_estimator(cfg.estimator, env) as estimator:
         for _ in range(cfg.repeats):
             t0 = time.perf_counter()
-            for sample in frames:
-                if inject is not None:
-                    inject(sample.pose)
-                estimator.estimate(sample.observation)
+            evaluate(estimator, frames, env)
             rates.append(len(frames) / (time.perf_counter() - t0))
-    finally:
-        close = getattr(estimator, "close", None)
-        if close:
-            close()
     mean = float(np.mean(rates))
     std = float(np.std(rates))
     print(f"bench: {cfg.estimator}: {mean:.1f} +/- {std:.1f} estimates/s "

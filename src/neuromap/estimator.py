@@ -1,11 +1,11 @@
 """Pose estimators: noisy oracle, k-NN over a capture database, trained
 regressor inference, and an adapter for external estimator processes.
 
-All estimators expose ``estimate(observation) -> PoseEstimate`` and a
-``sensor`` attribute (None when unconstrained). The oracle additionally
-needs the simulator to inject ground truth via ``set_true_pose`` before
-each estimate; callers that hold the true pose (evaluation, navigation)
-do this injection for any estimator that has the method.
+Every estimator is an ``Estimator``: it has a ``sensor``, answers
+``estimate(observation, true_pose=None) -> PoseEstimate`` and is closed by
+``close()`` or a ``with`` block. Callers that hold the true pose
+(evaluation, navigation) pass it to every estimator; only the oracle reads
+it.
 
 k-NN is an exact brute-force search: a matrix-vector screen over cached
 row norms (the GEMM identity of Faiss' exact search) keeps every row that
@@ -70,8 +70,26 @@ class KnnConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
 
 
-def _check_length(ranges, sensor: SensorConfig | None):
-    if sensor is not None and len(ranges) != sensor.ray_count:
+class Estimator:
+    """The estimator protocol: a ``sensor``, ``estimate`` and ``close``."""
+
+    sensor: SensorConfig
+
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the estimator holds; nothing by default."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _check_length(ranges, sensor: SensorConfig):
+    if len(ranges) != sensor.ray_count:
         raise ValueError(
             f"observation has {len(ranges)} rays, estimator expects {sensor.ray_count}"
         )
@@ -96,28 +114,23 @@ def oracle_estimate(true_pose: Pose2D, cfg: OracleConfig, rng, bounds=None) -> P
     return PoseEstimate(Pose2D(x, y, true_pose.theta + dt), clamped)
 
 
-class OracleEstimator:
-    """Test double: returns the injected true pose perturbed by Gaussian noise.
+class OracleEstimator(Estimator):
+    """Test double: returns the true pose perturbed by Gaussian noise.
 
     Stateful (consumes its RNG stream); confine to a single caller.
     """
 
-    def __init__(self, cfg: OracleConfig, env: EnvironmentSpec | None = None):
+    def __init__(self, cfg: OracleConfig, env: EnvironmentSpec):
         self.cfg = cfg
         self.env = env
-        self.sensor = env.sensor if env is not None else None
+        self.sensor = env.sensor
         self._rng = np.random.default_rng(cfg.seed)
-        self._true_pose: Pose2D | None = None
 
-    def set_true_pose(self, pose: Pose2D) -> None:
-        self._true_pose = pose
-
-    def estimate(self, observation: Observation) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
         _check_length(observation.ranges, self.sensor)
-        if self._true_pose is None:
-            raise RuntimeError("oracle estimator needs set_true_pose before estimate")
-        bounds = self.env.bounds if self.env is not None else None
-        return oracle_estimate(self._true_pose, self.cfg, self._rng, bounds)
+        if true_pose is None:
+            raise RuntimeError("oracle estimator needs the true_pose argument")
+        return oracle_estimate(true_pose, self.cfg, self._rng, self.env.bounds)
 
 
 def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig) -> PoseEstimate:
@@ -181,7 +194,7 @@ def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig) -> PoseEstimate:
     return PoseEstimate(Pose2D(x, y, theta))
 
 
-class KnnEstimator:
+class KnnEstimator(Estimator):
     """Immutable k-NN estimator over a capture database."""
 
     def __init__(self, db: Dataset, cfg: KnnConfig = KnnConfig()):
@@ -193,12 +206,12 @@ class KnnEstimator:
         self.cfg = cfg
         self.sensor = db.sensor
 
-    def estimate(self, observation: Observation) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
         _check_length(observation.ranges, self.sensor)
         return knn_estimate(self.db, observation, self.cfg)
 
 
-class RegressorEstimator:
+class RegressorEstimator(Estimator):
     """Inference wrapper denormalising a trained regressor's outputs."""
 
     def __init__(self, model, env: EnvironmentSpec):
@@ -216,14 +229,14 @@ class RegressorEstimator:
         self.sensor = model.sensor if model.sensor is not None else env.sensor
         self._forward = forward
 
-    def estimate(self, observation: Observation) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
         _check_length(observation.ranges, self.sensor)
         npose = self._forward(self.model, observation)
         # tanh outputs are strictly inside (-1, 1): never clamped
         return PoseEstimate(denormalize(npose, self.env.bounds))
 
 
-class ExternalEstimator:
+class ExternalEstimator(Estimator):
     """Line-protocol adapter around an external estimator process.
 
     Request: ``EST <id> r0 r1 ...``; response: ``POSE <id> nx ny ntheta``
@@ -248,12 +261,6 @@ class ExternalEstimator:
         except OSError as e:
             raise EstimatorUnavailableError(f"cannot start {argv!r}: {e}") from e
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     def _fail(self, msg):
         self._broken = True
         raise EstimatorUnavailableError(msg)
@@ -275,7 +282,7 @@ class ExternalEstimator:
         line, self._buf = self._buf.split(b"\n", 1)
         return line.decode("ascii", errors="replace")
 
-    def estimate(self, observation: Observation) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
         if self._broken:
             raise EstimatorUnavailableError("estimator channel is poisoned")
         _check_length(observation.ranges, self.sensor)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import EstimatorUnavailableError, PoseEstimate
+from .estimator import Estimator, EstimatorUnavailableError, PoseEstimate
 from .pose import Pose2D, ang_diff, heading
 from .world import EnvironmentSpec, raycast
 
@@ -174,11 +174,8 @@ class _Episode:
 
     def estimate(self) -> Pose2D:
         obs = raycast(self.env.grid, self.true_pose, self.env.sensor)
-        inject = getattr(self.estimator, "set_true_pose", None)
-        if inject is not None:
-            inject(self.true_pose)
         try:
-            self.last_estimate = self.estimator.estimate(obs)
+            self.last_estimate = self.estimator.estimate(obs, self.true_pose)
         except EstimatorUnavailableError:
             raise _Abort(ABORT_ESTIMATOR) from None
         self._append(EVENT_ESTIMATE)
@@ -209,7 +206,7 @@ class _Episode:
             self._append(EVENT_MOVE)
 
 
-def navigate_waypoints(waypoints, estimator, env: EnvironmentSpec, start_pose: Pose2D,
+def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, start_pose: Pose2D,
                        cfg: NavConfig = NavConfig(), odo: OdometryConfig = OdometryConfig()):
     """Drive through waypoints in order; returns (RouteTrace, NavReport).
 
@@ -222,8 +219,7 @@ def navigate_waypoints(waypoints, estimator, env: EnvironmentSpec, start_pose: P
         raise ValueError("need at least one waypoint")
     if not env.grid.footprint_free(start_pose.x, start_pose.y, cfg.footprint_radius):
         raise ValueError("start pose is not footprint-free")
-    sensor = getattr(estimator, "sensor", None)
-    if sensor is not None and sensor != env.sensor:
+    if estimator.sensor != env.sensor:
         raise ValueError("estimator sensor does not match environment sensor")
 
     ep = _Episode(start_pose, estimator, env, cfg, odo)

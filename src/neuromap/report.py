@@ -176,25 +176,18 @@ def coverage_summary(env: EnvironmentSpec, positions, cell_m: float = 0.5) -> Co
     nx = max(1, math.ceil((b.x_max - b.x_min) / cell_m))
     ny = max(1, math.ceil((b.y_max - b.y_min) / cell_m))
 
-    def bin_of(x, y):
-        ix = min(int((x - b.x_min) / cell_m), nx - 1)
-        iy = min(int((y - b.y_min) / cell_m), ny - 1)
+    def bins(x, y):  # truncating casts, as int() does
+        ix = np.minimum(((x - b.x_min) / cell_m).astype(np.int64), nx - 1)
+        iy = np.minimum(((y - b.y_min) / cell_m).astype(np.int64), ny - 1)
         return iy * nx + ix
 
-    # coarse cell -> free if any fine cell inside it is free
-    fine = ~grid.cells  # True where free
+    # coarse cell -> free if any fine cell centre inside it is free
+    iy, ix = np.nonzero(~grid.cells)
     free = np.zeros(nx * ny, dtype=bool)
-    res = grid.resolution
-    for iy in range(grid.height):
-        ys = grid.origin_y + (iy + 0.5) * res
-        row = fine[iy]
-        for ix in np.flatnonzero(row):
-            xs = grid.origin_x + (ix + 0.5) * res
-            free[bin_of(xs, ys)] = True
-
+    free[bins(grid.origin_x + (ix + 0.5) * grid.resolution,
+              grid.origin_y + (iy + 0.5) * grid.resolution)] = True
     covered = np.zeros(nx * ny, dtype=bool)
-    for x, y in positions[:, :2].tolist():
-        covered[bin_of(x, y)] = True
+    covered[bins(positions[:, 0], positions[:, 1])] = True
     covered &= free
     return CoverageSummary(cell_m, int(free.sum()), int(covered.sum()))
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .capture import Dataset, derived_rng
-from .pose import NormalizedPose, ang_diff, denormalize, normalize
+from .estimator import Estimator
+from .pose import NormalizedPose, Pose2D, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, Observation, SensorConfig
 
 STREAM_INIT = 10
@@ -158,17 +159,6 @@ def forward(model: RegressorModel, obs: Observation) -> NormalizedPose:
     """Run one observation through the network."""
     out = forward_batch(model, obs.ranges[None, :])[0]
     return _head_to_normalized(model, out)
-
-
-def l1_loss(pred: NormalizedPose, truth: NormalizedPose) -> float:
-    """Mean absolute difference over the three normalised components.
-
-    The yaw component compares raw normalised values (no wrap): the
-    regression head treats ntheta as a plain coordinate.
-    """
-    return (
-        abs(pred.nx - truth.nx) + abs(pred.ny - truth.ny) + abs(pred.ntheta - truth.ntheta)
-    ) / 3.0
 
 
 def batch_loss(pred: np.ndarray, target: np.ndarray, kind: str = "l1") -> float:
@@ -539,27 +529,24 @@ class Metrics:
             raise ValueError("errors must be >= 0 and yaw errors <= 180")
 
 
-def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
+def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     """Per-sample position and yaw error of an estimator over a test set.
 
-    Estimators exposing ``set_true_pose`` (the error-injection oracle) get
-    the ground truth before each query.
+    Each query passes the sample's true pose, which only the oracle reads.
     """
     if len(testset) == 0:
         raise ValueError("test set is empty")
     if testset.sensor != env.sensor:
         raise ValueError(f"test set sensor {testset.sensor} does not match {env.sensor}")
-    est_sensor = getattr(estimator, "sensor", None)
-    if est_sensor is not None and est_sensor != env.sensor:
-        raise ValueError(f"estimator sensor {est_sensor} does not match {env.sensor}")
-    inject = getattr(estimator, "set_true_pose", None)
+    if estimator.sensor != env.sensor:
+        raise ValueError(f"estimator sensor {estimator.sensor} does not match {env.sensor}")
     errs = np.empty((len(testset), 2))
-    for i, s in enumerate(testset):
-        if inject is not None:
-            inject(s.pose)
-        pose = estimator.estimate(s.observation).pose
-        errs[i, 0] = math.hypot(pose.x - s.pose.x, pose.y - s.pose.y)
-        errs[i, 1] = abs(ang_diff(pose.theta, s.pose.theta))
+    rows = zip(testset.poses_matrix().tolist(), testset.ranges_matrix())
+    for i, (pose_row, ranges) in enumerate(rows):
+        truth = Pose2D(*pose_row)
+        pose = estimator.estimate(Observation(ranges), truth).pose
+        errs[i, 0] = math.hypot(pose.x - truth.x, pose.y - truth.y)
+        errs[i, 1] = abs(ang_diff(pose.theta, truth.theta))
     return Metrics(
         mean_pos_err=float(np.mean(errs[:, 0])),
         mean_theta_err=float(np.mean(errs[:, 1])),

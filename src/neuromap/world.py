@@ -73,7 +73,7 @@ class Observation:
         r = np.asarray(self.ranges, dtype=np.float64)
         if r.ndim != 1 or r.size == 0:
             raise ValueError(f"ranges must be a non-empty vector, got shape {r.shape}")
-        if not np.all(np.isfinite(r)) or np.any(r < 0.0) or np.any(r > 1.0):
+        if not ((r >= 0.0) & (r <= 1.0)).all():  # also false for nan and +-inf
             raise ValueError("ranges must all lie in [0, 1]")
         r = r.copy()
         r.flags.writeable = False

@@ -152,10 +152,10 @@ def test_generate_all_poses_free_and_ids_dense():
     grid = empty_grid(12, 12, 0.5).with_metric_box(1.0, 1.0, 5.0, 2.0)
     env = make_env(grid)
     d = generate_dataset(env, 300, seed=7)
-    assert [s.id for s in d] == list(range(300))
-    for s in d:
-        assert grid.is_free(s.pose.x, s.pose.y)
-        assert len(s.observation) == env.sensor.ray_count
+    assert len(d) == 300  # a sample's id is its row
+    assert d.ranges_matrix().shape == (300, env.sensor.ray_count)
+    for x, y, _ in d.poses_matrix().tolist():
+        assert grid.is_free(x, y)
 
 
 def test_generate_sharding_by_index_stream():
@@ -165,7 +165,7 @@ def test_generate_sharding_by_index_stream():
     d = generate_dataset(env, 20, seed=31)
     for i in (0, 7, 19):
         lone = sample_random_pose(env, derived_rng(31, STREAM_GEN, i))
-        assert d[i].pose == lone
+        assert Pose2D(*d.poses_matrix()[i].tolist()) == lone
 
 
 def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
@@ -188,8 +188,8 @@ def test_generate_covers_coarse_free_cells():
     env = make_env(grid, ray_count=8)
     d = generate_dataset(env, 10_000, seed=11)
     seen = set()
-    for s in d:
-        seen.add((int(s.pose.x // 1.0), int(s.pose.y // 1.0)))
+    for x, y, _ in d.poses_matrix().tolist():
+        seen.add((int(x // 1.0), int(y // 1.0)))
     for cx in range(7):
         for cy in range(15):
             sub = grid.cells[cy * 10 : (cy + 1) * 10, cx * 10 : (cx + 1) * 10]
@@ -211,7 +211,7 @@ def test_walk_zero_steps_captures_start_only():
     start = Pose2D(5.0, 5.0, 30.0)
     res = random_walk_capture(env, WalkConfig(max_steps=0), seed=1, start=start)
     assert len(res.dataset) == 1
-    assert res.dataset[0].pose == start
+    assert Pose2D(*res.dataset.poses_matrix()[0].tolist()) == start
     assert not res.wedged
     assert res.steps == 0
 
@@ -225,7 +225,7 @@ def test_walk_single_long_step_captures_once():
     res = random_walk_capture(env, cfg, seed=0, start=start)
     assert len(res.dataset) == 2
     assert res.log[0].captured
-    assert abs(distance(res.dataset[1].pose, start) - 0.12) < 1e-12
+    assert abs(distance(Pose2D(*res.dataset.poses_matrix()[1].tolist()), start) - 0.12) < 1e-12
 
 
 def test_walk_corridor_spacing():
@@ -240,7 +240,7 @@ def test_walk_corridor_spacing():
         capture_dist=0.10, capture_rot=60.0, step_len=0.105, clearance_radius=0.2, max_steps=14
     )
     res = random_walk_capture(env, cfg, seed=3, start=Pose2D(0.5, 1.25, 0.0))
-    poses = [s.pose for s in res.dataset]
+    poses = [Pose2D(*p) for p in res.dataset.poses_matrix().tolist()]
     assert len(poses) == 15  # start + one capture per step
     xs = [p.x for p in poses]
     gaps = np.diff(xs)
@@ -275,8 +275,8 @@ def test_walk_keeps_clearance():
     env = make_env(grid, ray_count=8)
     cfg = WalkConfig(max_steps=400)
     res = random_walk_capture(env, cfg, seed=77)
-    for s in res.dataset:
-        assert grid.footprint_free(s.pose.x, s.pose.y, cfg.clearance_radius)
+    for x, y, _ in res.dataset.poses_matrix().tolist():
+        assert grid.footprint_free(x, y, cfg.clearance_radius)
 
 
 def test_walk_deterministic():
@@ -335,20 +335,20 @@ def test_split_zero_test_returns_input_and_empty():
     d = _toy_dataset(20)
     train, test = split_dataset(d, 0, seed=9)
     assert len(train) == 20 and len(test) == 0
-    assert [s.pose for s in train] == [s.pose for s in d]
+    assert train.poses_matrix().tolist() == d.poses_matrix().tolist()
 
 
 def test_split_partitions_and_preserves_order():
     d = _toy_dataset(50)
     train, test = split_dataset(d, 12, seed=9)
     assert len(train) == 38 and len(test) == 12
-    key = lambda s: (s.pose.x, s.pose.y, s.pose.theta)
-    union = sorted(map(key, train)) + sorted(map(key, test))
-    assert sorted(union) == sorted(map(key, d))
+    rows = lambda ds: [tuple(r) for r in ds.poses_matrix().tolist()]
+    union = sorted(rows(train)) + sorted(rows(test))
+    assert sorted(union) == sorted(rows(d))
     # both halves keep the original relative order
-    orig = [key(s) for s in d]
-    assert [orig.index(key(s)) for s in train] == sorted(orig.index(key(s)) for s in train)
-    assert [orig.index(key(s)) for s in test] == sorted(orig.index(key(s)) for s in test)
+    orig = rows(d)
+    assert [orig.index(r) for r in rows(train)] == sorted(orig.index(r) for r in rows(train))
+    assert [orig.index(r) for r in rows(test)] == sorted(orig.index(r) for r in rows(test))
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -476,10 +476,10 @@ def test_pose_wrap_on_load(tmp_path):
     path.write_text(header + "0,1.5,2.5,-180,0.5,1\n1,1.5,2.5,-0,0,0.25\n2,3,4,-10.1,0.125,0.75\n")
     d = load_dataset(path)
     want = [Pose2D(1.5, 2.5, -180.0), Pose2D(1.5, 2.5, -0.0), Pose2D(3.0, 4.0, -10.1)]
-    assert [s.pose for s in d] == want
+    assert [Pose2D(*p) for p in d.poses_matrix().tolist()] == want
     theta = d.poses_matrix()[:, 2]
     assert theta.tobytes() == np.array([p.theta for p in want]).tobytes()
-    assert [s.pose.theta for s in d] == [p.theta for p in want]
+    assert theta.tolist() == [p.theta for p in want]
     # load -> save writes the wrapped angles
     save_dataset(d, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == header + (

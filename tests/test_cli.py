@@ -16,9 +16,10 @@ import pytest
 
 from neuromap.capture import Dataset, load_dataset, save_dataset
 from neuromap.cli import build_estimator, main
-from neuromap.estimator import KnnEstimator, OracleEstimator
-from neuromap.training import load_history, load_model
-from neuromap.world import SensorConfig, save_environment
+from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator, PoseEstimate
+from neuromap.pose import Pose2D
+from neuromap.training import RegressorModel, load_history, load_model, save_model
+from neuromap.world import Observation, SensorConfig, save_environment
 from neuromap.worlds import apartment
 
 STUB = str(Path(__file__).parent / "external_stub.py")
@@ -360,7 +361,7 @@ def test_bench_knn_slows_with_database_size(workspace, tmp_path):
     env = apartment()
     env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid,
                     sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
-    frames = list(generate_dataset(env, 40, seed=2))  # views built outside the timing
+    frames = [Observation(r) for r in generate_dataset(env, 40, seed=2).ranges_matrix()]
 
     def rate(est):
         # best of 5 passes: with cheap queries one pass is mostly fixed
@@ -368,8 +369,8 @@ def test_bench_knn_slows_with_database_size(workspace, tmp_path):
         best = float("inf")
         for _ in range(5):
             t0 = time.perf_counter()
-            for s in frames:
-                est.estimate(s.observation)
+            for obs in frames:
+                est.estimate(obs)
             best = min(best, time.perf_counter() - t0)
         return len(frames) / best
 
@@ -391,6 +392,27 @@ def test_build_estimator_specs(workspace):
     knn = build_estimator(f"knn:{workspace / 'db' / 'dataset.csv'},k=7,weighting=uniform", env)
     assert isinstance(knn, KnnEstimator)
     assert knn.cfg.k == 7 and knn.cfg.weighting == "uniform"
+
+
+@pytest.mark.parametrize("kind", ["oracle", "knn", "model", "external"])
+def test_every_estimator_spec_follows_the_protocol(workspace, tmp_path, kind):
+    env = apartment()
+    env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid,
+                    sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
+    model = tmp_path / "m.model"
+    save_model(RegressorModel.zeros((16, 3), env_name=env.name, sensor=env.sensor), model)
+    spec = {
+        "oracle": "oracle:sigma_pos=0.1,seed=3",
+        "knn": f"knn:{workspace / 'db' / 'dataset.csv'}",
+        "model": f"model:{model}",
+        "external": f"external:{sys.executable} {STUB}",
+    }[kind]
+    test = load_dataset(workspace / "test" / "dataset.csv")
+    obs, truth = Observation(test.ranges_matrix()[0]), Pose2D(*test.poses_matrix()[0])
+    with build_estimator(spec, env) as est:
+        assert isinstance(est, Estimator)
+        assert est.sensor == env.sensor
+        assert isinstance(est.estimate(obs, truth), PoseEstimate)
 
 
 def test_unknown_estimator_kind_is_usage_error(workspace, tmp_path):

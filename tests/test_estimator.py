@@ -87,8 +87,7 @@ def test_oracle_estimator_clamps_to_bounds():
     obs = Observation(np.full(8, 0.5))
     clamped_seen = False
     for _ in range(200):
-        est.set_true_pose(Pose2D(7.8, 4.8, 0.0))
-        r = est.estimate(obs)
+        r = est.estimate(obs, Pose2D(7.8, 4.8, 0.0))
         assert env.bounds.contains(r.pose.x, r.pose.y)
         clamped_seen = clamped_seen or r.clamped
     assert clamped_seen
@@ -102,17 +101,15 @@ def test_oracle_estimator_determinism_and_preconditions():
         e = OracleEstimator(OracleConfig(sigma_pos=0.1, sigma_theta=2.0, seed=4), env)
         out = []
         for i in range(10):
-            e.set_true_pose(Pose2D(4.0, 2.0, 30.0 * i))
-            out.append(e.estimate(obs).pose)
+            out.append(e.estimate(obs, Pose2D(4.0, 2.0, 30.0 * i)).pose)
         return out
 
     assert run() == run()
     e = OracleEstimator(OracleConfig(), env)
-    with pytest.raises(RuntimeError, match="set_true_pose"):
+    with pytest.raises(RuntimeError, match="true_pose"):
         e.estimate(obs)
-    e.set_true_pose(Pose2D(1.0, 1.0, 0.0))
     with pytest.raises(ValueError):
-        e.estimate(Observation(np.full(5, 0.5)))
+        e.estimate(Observation(np.full(5, 0.5)), Pose2D(1.0, 1.0, 0.0))
 
 
 def test_oracle_config_validation():
@@ -130,9 +127,9 @@ def test_oracle_config_validation():
 def test_knn_exact_match_k1():
     env = asym_env()
     db = generate_dataset(env, 50, seed=2)
-    q = db[7].observation
+    q = Observation(db.ranges_matrix()[7])
     est = knn_estimate(db, q, KnnConfig(k=1))
-    assert est.pose == db[7].pose  # verbatim, not a reconstruction
+    assert est.pose == Pose2D(*db.poses_matrix()[7])  # verbatim, not a reconstruction
 
 
 def test_knn_equidistant_pair_hand_case():
@@ -176,20 +173,21 @@ def test_knn_inverse_distance_weights():
 def test_knn_exact_match_dominates_inverse_weighting():
     env = asym_env()
     db = generate_dataset(env, 30, seed=4)
-    q = db[11].observation
+    q = Observation(db.ranges_matrix()[11])
     est = knn_estimate(db, q, KnnConfig(k=3))
-    truth = db[11].pose
+    truth = Pose2D(*db.poses_matrix()[11])
     assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-6
 
 
 def test_knn_validation():
     env = asym_env()
     db = generate_dataset(env, 5, seed=5)
+    q = Observation(db.ranges_matrix()[0])
     with pytest.raises(ValueError):
-        knn_estimate(db, db[0].observation, KnnConfig(k=6))
+        knn_estimate(db, q, KnnConfig(k=6))
     empty = Dataset("e", env.sensor, 0, np.zeros((0, 3)), np.zeros((0, env.sensor.ray_count)))
     with pytest.raises(ValueError):
-        knn_estimate(empty, db[0].observation, KnnConfig())
+        knn_estimate(empty, q, KnnConfig())
     with pytest.raises(ValueError):
         knn_estimate(db, Observation(np.full(3, 0.5)), KnnConfig(k=2))
     with pytest.raises(ValueError):
@@ -201,9 +199,9 @@ def test_knn_estimator_matches_function():
     db = generate_dataset(env, 60, seed=6)
     est = KnnEstimator(db, KnnConfig(k=5))
     queries = generate_dataset(env, 10, seed=7)
-    for s in queries:
-        a = est.estimate(s.observation)
-        b = knn_estimate(db, s.observation, KnnConfig(k=5))
+    for row in queries.ranges_matrix():
+        a = est.estimate(Observation(row))
+        b = knn_estimate(db, Observation(row), KnnConfig(k=5))
         assert a == b
 
 
@@ -219,10 +217,10 @@ def test_knn_error_decreases_with_database_density():
             est = KnnEstimator(db, KnnConfig(k=5))
             e = [
                 math.hypot(
-                    est.estimate(s.observation).pose.x - s.pose.x,
-                    est.estimate(s.observation).pose.y - s.pose.y,
+                    est.estimate(Observation(row)).pose.x - x,
+                    est.estimate(Observation(row)).pose.y - y,
                 )
-                for s in queries
+                for row, (x, y, _) in zip(queries.ranges_matrix(), queries.poses_matrix())
             ]
             errs[n].append(float(np.mean(e)))
     med = {n: sorted(v)[1] for n, v in errs.items()}
@@ -242,7 +240,7 @@ def knn_full_scan(db, obs, cfg):
     order = np.lexsort((ids, d))  # distance first, then id
     sel = order[: cfg.k]
     if cfg.k == 1:
-        return PoseEstimate(db[sel[0]].pose)
+        return PoseEstimate(Pose2D(*db.poses_matrix()[sel[0]].tolist()))
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[sel] + INVERSE_WEIGHT_EPS)
     else:
@@ -391,9 +389,9 @@ def test_external_knn_differential(tmp_path):
     internal = KnnEstimator(load_dataset(db_path), KnnConfig(k=5))
     cmd = stub_cmd("--mode", "knn", "--db", str(db_path), "--env", str(env_path), "--k", "5")
     with ExternalEstimator(cmd, env) as est:
-        for s in queries:
-            got = est.estimate(s.observation)
-            want = internal.estimate(s.observation)
+        for row in queries.ranges_matrix():
+            got = est.estimate(Observation(row))
+            want = internal.estimate(Observation(row))
             # the channel transmits normalised values exactly (repr floats),
             # so the adapter output equals the internal pose pushed through
             # the same normalise/denormalise round trip, bit for bit
@@ -442,6 +440,15 @@ def test_external_quit_on_close():
     est.close()
     assert est._proc.returncode == 0  # stub honoured QUIT
     est.close()  # idempotent
+
+
+def test_external_is_reaped_when_its_with_block_raises():
+    env = asym_env()
+    with pytest.raises(KeyError):
+        with ExternalEstimator(stub_cmd(), env) as est:
+            est.estimate(Observation(np.full(8, 0.5)))
+            raise KeyError("body failed")
+    assert est._proc.returncode == 0  # QUIT sent and the stub exited
 
 
 def test_pose_estimate_fields():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from neuromap.estimator import (
+    Estimator,
     EstimatorUnavailableError,
     OracleConfig,
     OracleEstimator,
@@ -68,21 +69,19 @@ def perfect_oracle(env):
     return OracleEstimator(OracleConfig(), env)
 
 
-class FailingEstimator:
+class FailingEstimator(Estimator):
     """Succeeds ``good_calls`` times, then raises."""
 
     def __init__(self, env, good_calls):
         self.inner = perfect_oracle(env)
+        self.sensor = env.sensor
         self.remaining = good_calls
 
-    def set_true_pose(self, pose):
-        self.inner.set_true_pose(pose)
-
-    def estimate(self, observation):
+    def estimate(self, observation, true_pose=None):
         if self.remaining <= 0:
             raise EstimatorUnavailableError("simulated outage")
         self.remaining -= 1
-        return self.inner.estimate(observation)
+        return self.inner.estimate(observation, true_pose)
 
 
 def events(trace):
@@ -388,10 +387,10 @@ def test_blocked_start_rejected():
 def test_sensor_mismatch_rejected():
     env = empty_env()
 
-    class WrongSensor:
+    class WrongSensor(Estimator):
         sensor = SensorConfig(fov=180.0, ray_count=8, max_range=5.0)
 
-        def estimate(self, observation):  # pragma: no cover - never reached
+        def estimate(self, observation, true_pose=None):  # pragma: no cover - never reached
             raise AssertionError
 
     with pytest.raises(ValueError, match="sensor"):

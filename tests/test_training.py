@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from neuromap.capture import Dataset, generate_dataset
-from neuromap.estimator import PoseEstimate
-from neuromap.pose import NormalizedPose, Pose2D
+from neuromap.estimator import Estimator, PoseEstimate
+from neuromap.pose import Pose2D
 from neuromap.training import (
     ACTION_CONTINUE,
     ACTION_CONVERGED,
@@ -27,7 +27,6 @@ from neuromap.training import (
     evaluate,
     forward,
     forward_batch,
-    l1_loss,
     load_history,
     load_model,
     save_history,
@@ -106,21 +105,6 @@ def test_sincos_head_yields_valid_normalized_yaw():
 
 
 # loss ---------------------------------------------------------------------------
-
-
-def test_l1_loss_frozen_values():
-    a = NormalizedPose(0.0, 0.0, 0.0)
-    b = NormalizedPose(1.0, -1.0, 0.5)
-    assert l1_loss(a, a) == 0.0
-    assert abs(l1_loss(a, b) - 2.5 / 3.0) < 1e-15
-    assert l1_loss(a, b) == l1_loss(b, a)
-
-
-def test_l1_loss_uses_raw_ntheta_difference():
-    # +-180 wrap is NOT applied in loss space: 0.9 vs -0.9 differ by 1.8
-    a = NormalizedPose(0.0, 0.0, 0.9)
-    b = NormalizedPose(0.0, 0.0, -0.9)
-    assert abs(l1_loss(a, b) - 1.8 / 3.0) < 1e-15
 
 
 def test_batch_loss_is_mean_over_samples_and_components():
@@ -483,24 +467,21 @@ def test_train_rejects_small_datasets():
 # evaluate ------------------------------------------------------------------------
 
 
-class _TruthEstimator:
-    """Echoes the injected true pose, optionally with fixed or noisy offset."""
+class _TruthEstimator(Estimator):
+    """Echoes the true pose, optionally with fixed or noisy offset."""
 
-    def __init__(self, offset=(0.0, 0.0, 0.0), noise_sigma=0.0, rng=None):
+    def __init__(self, env, offset=(0.0, 0.0, 0.0), noise_sigma=0.0, rng=None):
+        self.sensor = env.sensor
         self.offset = offset
         self.noise_sigma = noise_sigma
         self.rng = rng
-        self._true = None
 
-    def set_true_pose(self, pose):
-        self._true = pose
-
-    def estimate(self, observation):
+    def estimate(self, observation, true_pose=None):
         dx, dy, dt = self.offset
         if self.noise_sigma:
             dx = dx + self.rng.normal(0.0, self.noise_sigma)
             dy = dy + self.rng.normal(0.0, self.noise_sigma)
-        return PoseEstimate(Pose2D(self._true.x + dx, self._true.y + dy, self._true.theta + dt))
+        return PoseEstimate(Pose2D(true_pose.x + dx, true_pose.y + dy, true_pose.theta + dt))
 
 
 def _fake_testset(env, n, seed=0):
@@ -521,7 +502,7 @@ def _fake_testset(env, n, seed=0):
 def test_perfect_estimator_scores_zero():
     env = small_env()
     testset = _fake_testset(env, 50)
-    m = evaluate(_TruthEstimator(), testset, env)
+    m = evaluate(_TruthEstimator(env), testset, env)
     assert m.mean_pos_err == 0.0 and m.mean_theta_err == 0.0
     assert m.median_pos_err == 0.0 and m.median_theta_err == 0.0
     assert m.per_sample_errors.shape == (50, 2)
@@ -530,7 +511,7 @@ def test_perfect_estimator_scores_zero():
 def test_fixed_offset_gives_known_errors():
     env = small_env(size=40)  # roomy bounds so the offset stays inside
     testset = _fake_testset(env, 8)
-    m = evaluate(_TruthEstimator(offset=(3.0, 4.0, 0.0)), testset, env)
+    m = evaluate(_TruthEstimator(env, offset=(3.0, 4.0, 0.0)), testset, env)
     assert abs(m.mean_pos_err - 5.0) < 1e-9
     assert m.mean_theta_err == 0.0
 
@@ -540,8 +521,10 @@ def test_theta_error_is_wrap_aware():
     rng = np.random.default_rng(1)
     testset = Dataset(env.name, env.sensor, 0, [(2.0, 2.0, -175.0)], np.full((1, 16), 0.5))
 
-    class Fixed:
-        def estimate(self, obs):
+    class Fixed(Estimator):
+        sensor = env.sensor
+
+        def estimate(self, observation, true_pose=None):
             return PoseEstimate(Pose2D(2.0, 2.0, 175.0))
 
     m = evaluate(Fixed(), testset, env)
@@ -554,7 +537,7 @@ def test_noisy_estimator_matches_rayleigh_band():
     env = small_env(size=40)
     testset = _fake_testset(env, 10_000)
     sigma = 0.1
-    est = _TruthEstimator(noise_sigma=sigma, rng=np.random.default_rng(42))
+    est = _TruthEstimator(env, noise_sigma=sigma, rng=np.random.default_rng(42))
     m = evaluate(est, testset, env)
     assert sigma <= m.mean_pos_err <= 2.0 * sigma
     assert abs(m.mean_pos_err - sigma * math.sqrt(math.pi / 2.0)) < 0.05 * sigma
@@ -564,10 +547,12 @@ def test_evaluate_validates_sensors():
     env = small_env(ray_count=16)
     other = small_env(ray_count=8)
     testset = _fake_testset(other, 5)
+    with pytest.raises(ValueError, match="test set sensor"):
+        evaluate(_TruthEstimator(env), testset, env)
+    with pytest.raises(ValueError, match="estimator sensor"):
+        evaluate(_TruthEstimator(other), _fake_testset(env, 5), env)
     with pytest.raises(ValueError):
-        evaluate(_TruthEstimator(), testset, env)
-    with pytest.raises(ValueError):
-        evaluate(_TruthEstimator(), _fake_testset(env, 0), env)
+        evaluate(_TruthEstimator(env), _fake_testset(env, 0), env)
 
 
 def test_metrics_validation():

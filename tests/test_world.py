@@ -75,6 +75,10 @@ def test_observation_validation():
     with pytest.raises(ValueError):
         Observation(np.array([np.nan]))
     with pytest.raises(ValueError):
+        Observation(np.array([0.5, np.inf]))
+    with pytest.raises(ValueError):
+        Observation(np.array([-np.inf, 0.5]))
+    with pytest.raises(ValueError):
         Observation(np.zeros((2, 2)))
 
 

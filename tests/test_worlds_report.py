@@ -179,6 +179,64 @@ def test_coverage_summary_excludes_fully_occupied_cells():
     assert cov.covered_cells == 0 and cov.fraction == 0.0
 
 
+def coverage_summary_loop(env, positions, cell_m=0.5):
+    """Reference coverage: bins every free fine cell and every position one
+    at a time with int(); coverage_summary must give the same summary."""
+    b, grid = env.bounds, env.grid
+    nx = max(1, math.ceil((b.x_max - b.x_min) / cell_m))
+    ny = max(1, math.ceil((b.y_max - b.y_min) / cell_m))
+
+    def bin_of(x, y):
+        ix = min(int((x - b.x_min) / cell_m), nx - 1)
+        iy = min(int((y - b.y_min) / cell_m), ny - 1)
+        return iy * nx + ix
+
+    free = np.zeros(nx * ny, dtype=bool)
+    for iy in range(grid.height):
+        ys = grid.origin_y + (iy + 0.5) * grid.resolution
+        for ix in np.flatnonzero(~grid.cells[iy]):
+            free[bin_of(grid.origin_x + (ix + 0.5) * grid.resolution, ys)] = True
+    covered = np.zeros(nx * ny, dtype=bool)
+    for x, y in positions[:, :2].tolist():
+        covered[bin_of(x, y)] = True
+    covered &= free
+    return CoverageSummary(cell_m, int(free.sum()), int(covered.sum()))
+
+
+def _positions(env, rng, n):
+    """Uniform positions plus the bounds' corners and coarse-cell edges."""
+    b = env.bounds
+    xy = rng.uniform((b.x_min, b.y_min), (b.x_max, b.y_max), (n, 2))
+    edges = [(b.x_min, b.y_min), (b.x_max, b.y_max), (b.x_min, b.y_max), (b.x_max, b.y_min)]
+    edges += [(b.x_min + k * 0.5, b.y_min + k * 0.7) for k in range(8)]
+    xy = np.vstack([xy, [e for e in edges if b.contains(*e)]])
+    return np.column_stack([xy, np.zeros(len(xy))])
+
+
+@pytest.mark.parametrize("cell_m", [0.3, 0.37, 0.5, 0.7, 1.0, 2.3])
+def test_coverage_summary_matches_the_loop_on_bundled_worlds(cell_m):
+    rng = np.random.default_rng(int(cell_m * 100))
+    for env in (cabin(), apartment()):
+        for positions in (NO_POSITIONS, _positions(env, rng, 3000)):
+            want = coverage_summary_loop(env, positions, cell_m)
+            assert coverage_summary(env, positions, cell_m) == want
+
+
+def test_coverage_summary_matches_the_loop_on_random_grids():
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        w, h = rng.integers(1, 40, 2)
+        res = float(rng.choice([0.05, 0.1, 0.25, 0.3, 1.0]))
+        cells = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+        origin = rng.uniform(-5.0, 5.0, 2)
+        grid = OccupancyGrid(int(w), int(h), res, float(origin[0]), float(origin[1]), cells)
+        env = environment_from_grid(grid, "r", SensorConfig(fov=90, ray_count=4, max_range=5))
+        cell_m = float(rng.uniform(0.05, 3.0))
+        positions = _positions(env, rng, 200)
+        want = coverage_summary_loop(env, positions, cell_m)
+        assert coverage_summary(env, positions, cell_m) == want, trial
+
+
 def test_coverage_summary_validation():
     with pytest.raises(ValueError):
         CoverageSummary(0.0, 10, 5)
