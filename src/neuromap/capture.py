@@ -14,6 +14,7 @@ isolation and sharded generation equals serial generation bit for bit.
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -389,9 +390,13 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Parse a dataset file; unknown JSON header keys are ignored."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.split("\n")
+    """Parse a dataset file; unknown JSON header keys are ignored.
+
+    The data rows are parsed by one ``np.loadtxt`` call: an integer id, then
+    floats, each as numpy reads them. Only when it refuses them are the rows
+    read one by one, to name the first bad line.
+    """
+    lines = Path(path).read_text(encoding="ascii").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != DATASET_MAGIC:
@@ -413,27 +418,29 @@ def load_dataset(path) -> Dataset:
         n = int(header["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{path}: bad header field: {exc}") from exc
-    rows = lines[2:]
-    if len(rows) != n:
-        raise DatasetFormatError(f"{path}: header says n={n} but file has {len(rows)} rows")
+    del lines[:2]  # the data rows
+    if len(lines) != n:
+        raise DatasetFormatError(f"{path}: header says n={n} but file has {len(lines)} rows")
+    row = np.dtype(
+        [("id", np.int64), ("pose", np.float64, 3), ("ranges", np.float64, sensor.ray_count)]
+    )
     want = 4 + sensor.ray_count
-    poses = np.empty((n, 3))
-    ranges = np.empty((n, sensor.ray_count))
-    for i, row in enumerate(rows):
-        fields = row.split(",")
-        if len(fields) != want:
-            raise DatasetFormatError(
-                f"{path}: line {i + 3}: expected {want} columns, got {len(fields)}"
-            )
-        try:
-            sid = int(fields[0])
-            # numpy parses each string as float() does
-            poses[i] = fields[1:4]
-            ranges[i] = fields[4:]
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}: line {i + 3}: bad value: {exc}") from exc
-        if sid != i:
-            raise DatasetFormatError(f"{path}: line {i + 3}: ids must be dense, got {sid}")
+    body = np.empty(0, row)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # such as "no data" when every row is blank
+            if n:
+                body = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning) as exc:
+        raise DatasetFormatError(f"{path}: {_first_bad_row(lines, row, want) or exc}") from exc
+    if len(body) != n:  # np.loadtxt skips blank lines
+        raise DatasetFormatError(f"{path}: {_first_bad_row(lines, row, want)}")
+    del lines  # the text goes before the arrays are copied out of body
+    bad_id = body["id"] != np.arange(n)
+    if bad_id.any():
+        i = int(np.argmax(bad_id))
+        raise DatasetFormatError(f"{path}: line {i + 3}: ids must be dense, got {body['id'][i]}")
+    poses, ranges = body["pose"], body["ranges"]
     bad_pose = ~np.isfinite(poses).all(axis=1)
     bad_ranges = ~((ranges >= 0.0) & (ranges <= 1.0)).all(axis=1)
     if (bad_pose | bad_ranges).any():
@@ -441,3 +448,17 @@ def load_dataset(path) -> Dataset:
         what = "ranges must all lie in [0, 1]" if bad_ranges[i] else "pose values must be finite"
         raise DatasetFormatError(f"{path}: line {i + 3}: {what}")
     return Dataset(env_name, sensor, seed, poses, ranges)
+
+
+def _first_bad_row(rows, row_dtype, want: int) -> str | None:
+    """'line N: why' for the first data row without ``want`` columns or
+    that np.loadtxt refuses on its own."""
+    for i, text in enumerate(rows):
+        got = text.count(",") + 1
+        if got != want:
+            return f"line {i + 3}: expected {want} columns, got {got}"
+        try:
+            np.loadtxt([text], dtype=row_dtype, delimiter=",", comments=None)
+        except ValueError as exc:  # numpy's own "at row 0, column C" would mislead
+            return f"line {i + 3}: bad value: {str(exc).partition(' at row ')[0]}"
+    return None

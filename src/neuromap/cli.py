@@ -366,34 +366,41 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _knn_ablation(estimator, sizes, testset, env):
-    rows = {}
-    db = estimator.db
-    for size in sizes:
-        if size > len(db):
-            raise InputError(f"ablation size {size} exceeds database size {len(db)}")
-        subset = Dataset(
-            db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]
-        )
-        rows[f"knn@{size}"] = evaluate(KnnEstimator(subset, estimator.cfg), testset, env)
-    return rows
+def _parse_ablate(text) -> list:
+    """The database sizes of ``--ablate sizes=N1,N2,..``; none when unset."""
+    if not text:
+        return []
+    key, _, raw = str(text).partition("=")
+    try:
+        sizes = [int(v) for v in raw.split(",") if v]
+    except ValueError:
+        sizes = []
+    if key != "sizes" or not sizes or min(sizes) < 1:
+        raise UsageError(f"bad --ablate value {text!r}; expected sizes=N1,N2,.. with each N >= 1")
+    return sizes
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    sizes = _parse_ablate(cfg.ablate)
     env = _resolve_env(cfg)
     out = _out_dir(cfg)
     testset = load_dataset(cfg.testset)
     _check_capture("test set", testset, env)
     with build_estimator(cfg.estimator, env) as estimator:
-        results = {cfg.estimator: evaluate(estimator, testset, env)}
-        if cfg.ablate:
-            key, _, raw = str(cfg.ablate).partition("=")
-            if key != "sizes" or not raw:
-                raise UsageError("--ablate expects sizes=N1,N2,..")
+        if sizes:
             if not isinstance(estimator, KnnEstimator):
                 raise UsageError("--ablate requires a knn estimator")
-            sizes = [int(v) for v in raw.split(",") if v]
-            results.update(_knn_ablation(estimator, sizes, testset, env))
+            if max(sizes) > len(estimator.db):
+                raise InputError(
+                    f"ablation size {max(sizes)} exceeds database size {len(estimator.db)}"
+                )
+        results = {cfg.estimator: evaluate(estimator, testset, env)}
+        for size in sizes:  # k-NN over the database's first `size` rows
+            db = estimator.db
+            subset = Dataset(
+                db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]
+            )
+            results[f"knn@{size}"] = evaluate(KnnEstimator(subset, estimator.cfg), testset, env)
     save_metrics(results, out / "metrics.json", provenance=cfg.provenance())
     table = metrics_table(results, comments=cfg.provenance_lines())
     (out / "table.txt").write_text(table)

@@ -532,7 +532,8 @@ class Metrics:
 def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     """Per-sample position and yaw error of an estimator over a test set.
 
-    Each query passes the sample's true pose, which only the oracle reads.
+    The whole test set goes to one ``estimate_batch`` call with the true
+    poses, which only the oracle reads.
     """
     if len(testset) == 0:
         raise ValueError("test set is empty")
@@ -541,10 +542,10 @@ def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Me
     if estimator.sensor != env.sensor:
         raise ValueError(f"estimator sensor {estimator.sensor} does not match {env.sensor}")
     errs = np.empty((len(testset), 2))
-    rows = zip(testset.poses_matrix().tolist(), testset.ranges_matrix())
-    for i, (pose_row, ranges) in enumerate(rows):
-        truth = Pose2D(*pose_row)
-        pose = estimator.estimate(Observation(ranges), truth).pose
+    truths = [Pose2D(*row) for row in testset.poses_matrix().tolist()]
+    estimates = estimator.estimate_batch(testset.ranges_matrix(), truths)
+    for i, (truth, estimate) in enumerate(zip(truths, estimates, strict=True)):
+        pose = estimate.pose
         errs[i, 0] = math.hypot(pose.x - truth.x, pose.y - truth.y)
         errs[i, 1] = abs(ang_diff(pose.theta, truth.theta))
     return Metrics(

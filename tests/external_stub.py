@@ -1,7 +1,8 @@
 """External estimator test double speaking the EST/POSE line protocol.
 
 Modes: const (fixed reply), knn (k-NN over a database, replying with
-normalised values), garbage, badid, hang, partial, exit.
+normalised values), garbage, badid, hang, partial, exit. ``--log FILE``
+appends each request's id to FILE, one per line.
 """
 
 import argparse
@@ -18,6 +19,7 @@ def main():
     ap.add_argument("--db")
     ap.add_argument("--env")
     ap.add_argument("--k", type=int, default=5)
+    ap.add_argument("--log")
     args = ap.parse_args()
 
     if args.mode == "exit":
@@ -40,6 +42,9 @@ def main():
         if parts[0] == "QUIT":
             return
         req_id = parts[1]
+        if args.log:
+            with open(args.log, "a") as log:
+                log.write(req_id + "\n")
         if args.mode == "hang":
             time.sleep(3600)
         elif args.mode == "partial":

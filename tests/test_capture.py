@@ -454,6 +454,67 @@ def test_load_errors(tmp_path):
             load_dataset(bad)
 
 
+def _saved_rows(tmp_path, n=5):
+    """The lines of a saved n-row, 8-ray dataset file (data rows from line 3)."""
+    env = make_env(empty_grid(10, 10, 0.5), ray_count=8)
+    path = tmp_path / "d.csv"
+    save_dataset(generate_dataset(env, n, seed=1), path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [
+        (6, "abc"),  # not a number, in a range column
+        (5, "0.5#9"),  # '#' inside a field is not a comment
+        (0, "#3"),  # nor at the start of a row
+        (2, ""),
+        (0, "3.0"),  # a float-formatted id, refused as int() refuses it
+        (7, "1_0"),  # float() reads 10.0; the loader refuses digit separators
+    ],
+)
+def test_load_names_the_line_of_a_bad_value(tmp_path, column, value):
+    lines = _saved_rows(tmp_path)
+    parts = lines[5].split(",")
+    parts[column] = value
+    lines[5] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv: line 6: bad value: .*" + repr(value)):
+        load_dataset(bad)
+
+
+@pytest.mark.parametrize("blank", ["", "\r"])
+def test_load_refuses_a_blank_line_in_the_body(tmp_path, blank):
+    lines = _saved_rows(tmp_path)
+    lines[4] = blank  # the row count still matches the header
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 5: expected 12 columns, got 1"):
+        load_dataset(bad)
+    bad.write_text("\n".join(lines[:2] + [blank] * 5) + "\n")  # no data at all
+    with pytest.raises(DatasetFormatError, match="line 3: expected 12 columns, got 1"):
+        load_dataset(bad)
+
+
+def test_load_reads_each_value_as_float_does(tmp_path):
+    header = (
+        '#neuromap-dataset v1\n'
+        '{"env_name": "e", "fov": 90.0, "max_range": 10.0, "n": 3, "ray_count": 4, "seed": 0}\n'
+    )
+    rows = [
+        "0,1e-3,+2.5,10.5,0.5,.5,5e-1,1E0",
+        "1, 3 ,4.0 ,-20.25,0.30000000000000004,1.0000000000000002e-1,4.9e-324,0",
+        "+2,0.1,0.2,0.3,-0,0.0,1.,0.6999999999999999555910790149937",
+    ]
+    path = tmp_path / "d.csv"
+    path.write_text(header + "\n".join(rows) + "\n")
+    d = load_dataset(path)
+    values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+    assert d.poses_matrix().tobytes() == values[:, :3].tobytes()
+    assert d.ranges_matrix().tobytes() == values[:, 3:].tobytes()
+
+
 def test_extra_header_keys_survive_save_and_are_ignored_by_load(tmp_path):
     d = _toy_dataset(4)
     path = tmp_path / "d.csv"

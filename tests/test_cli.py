@@ -191,11 +191,51 @@ def test_eval_knn_with_ablation(workspace, tmp_path):
     assert "knn@400" in table
 
 
-def test_eval_ablation_requires_knn(workspace, tmp_path):
+def _fail_if_evaluated(monkeypatch):
+    def evaluate(*args):
+        raise AssertionError("evaluated before --ablate was checked")
+
+    monkeypatch.setattr("neuromap.cli.evaluate", evaluate)
+
+
+def test_eval_ablation_requires_knn(workspace, tmp_path, monkeypatch, capsys):
+    _fail_if_evaluated(monkeypatch)
     rc = main(["eval", *ENV_FLAGS, "--estimator", "oracle",
                "--testset", str(workspace / "test" / "dataset.csv"),
                "--ablate", "sizes=10", "--out", str(tmp_path / "e")])
     assert rc == 1
+    assert capsys.readouterr().err == "neuromap: usage error: --ablate requires a knn estimator\n"
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_eval_ablation_beyond_the_database_fails_before_evaluating(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    _fail_if_evaluated(monkeypatch)
+    rc = main(["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'}",
+               "--testset", str(workspace / "test" / "dataset.csv"),
+               "--ablate", "sizes=100,1000000", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("neuromap: input error: ablation size 1000000 exceeds database size")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value", ["sizes=oops", "sizes=", "sizes=,", "size=10", "sizes=0", "sizes=-3"]
+)
+def test_eval_bad_ablate_is_usage_error_before_any_work(workspace, tmp_path, capsys, value):
+    # the test set is not a dataset: loading it would exit 2
+    garbage = tmp_path / "garbage.csv"
+    garbage.write_text("not a dataset\n")
+    rc = main(["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'}",
+               "--testset", str(garbage), "--ablate", value, "--out", str(tmp_path / "e")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"neuromap: usage error: bad --ablate value {value!r}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "e" / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "bench", "navigate"])

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neuromap import estimator as estimator_module
 from neuromap.capture import Dataset, generate_dataset, save_dataset
 from neuromap.estimator import (
     INVERSE_WEIGHT_EPS,
+    SCREEN_BLOCK_BYTES,
     WEIGHT_INVERSE,
     EstimatorUnavailableError,
     ExternalEstimator,
@@ -110,6 +112,24 @@ def test_oracle_estimator_determinism_and_preconditions():
         e.estimate(obs)
     with pytest.raises(ValueError):
         e.estimate(Observation(np.full(5, 0.5)), Pose2D(1.0, 1.0, 0.0))
+
+
+def test_oracle_batch_draws_what_a_loop_of_estimate_calls_draws():
+    env = asym_env()
+    cfg = OracleConfig(sigma_pos=0.3, sigma_theta=4.0, seed=21)
+    rng = np.random.default_rng(5)
+    ranges = rng.uniform(0.0, 1.0, (12, 8))
+    truths = [Pose2D(*rng.uniform(0.5, 4.5, 2), rng.uniform(-180, 180)) for _ in range(12)]
+    looped = OracleEstimator(cfg, env)
+    want = [looped.estimate(Observation(r), t) for r, t in zip(ranges, truths)]
+    batched = OracleEstimator(cfg, env)
+    assert batched.estimate_batch(ranges, truths) == want
+    # the stream continues where the batch left it, as after the loop
+    assert batched.estimate(Observation(ranges[0]), truths[0]) == looped.estimate(
+        Observation(ranges[0]), truths[0]
+    )
+    with pytest.raises(ValueError, match="12 observations but 11 true poses"):
+        batched.estimate_batch(ranges, truths[:-1])
 
 
 def test_oracle_config_validation():
@@ -260,30 +280,49 @@ def random_db(rng, n, rays, rows=None):
     return Dataset("e", sensor, 0, poses, rows)
 
 
-def assert_knn_matches_full_scan(db, queries, ks):
+def estimate_bits(est):
+    return est.clamped, np.array([est.pose.x, est.pose.y, est.pose.theta]).tobytes()
+
+
+def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
+    """Per-query knn_estimate and KnnEstimator.estimate_batch against the
+    full scan, bit for bit. The batches screen blocks of len(queries) - 1
+    queries, so they cover 1, block - 1, block and block + 1 queries."""
+    block = max(1, len(queries) - 1)
+    monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", block * 8 * len(db))
+    truths = [Pose2D(0.0, 0.0, 0.0)] * len(queries)
     for k in ks:
         for weighting in ("uniform", "inverse-distance"):
             cfg = KnnConfig(k=k, weighting=weighting)
-            for q in queries:
-                got = knn_estimate(db, Observation(q), cfg)
-                want = knn_full_scan(db, Observation(q), cfg)
-                assert got.clamped == want.clamped
-                got_bits = np.array([got.pose.x, got.pose.y, got.pose.theta]).tobytes()
-                want_bits = np.array([want.pose.x, want.pose.y, want.pose.theta]).tobytes()
-                assert got_bits == want_bits, (k, weighting, got, want)
+            want = [estimate_bits(knn_full_scan(db, Observation(q), cfg)) for q in queries]
+            got = [estimate_bits(knn_estimate(db, Observation(q), cfg)) for q in queries]
+            assert got == want, (k, weighting)
+            est = KnnEstimator(db, cfg)
+            for count in sorted({1, block - 1, block, block + 1} - {0}):
+                batch = est.estimate_batch(np.array(queries[:count]), truths[:count])
+                assert [estimate_bits(e) for e in batch] == want[:count], (k, weighting, count)
 
 
 @pytest.mark.parametrize("n,rays", [(1, 1), (7, 3), (64, 16), (500, 96), (3000, 8)])
-def test_knn_matches_full_scan_on_random_databases(n, rays):
+def test_knn_matches_full_scan_on_random_databases(n, rays, monkeypatch):
     rng = np.random.default_rng(n * 1000 + rays)
     db = random_db(rng, n, rays)
     R = db.ranges_matrix()
     # fresh queries plus database rows themselves (exact matches, d = 0)
     queries = [*rng.uniform(0.0, 1.0, (6, rays)), R[0], R[n // 2]]
-    assert_knn_matches_full_scan(db, queries, sorted({1, min(5, n), n}))
+    assert_knn_matches_full_scan(db, queries, sorted({1, min(5, n), n}), monkeypatch)
 
 
-def test_knn_matches_full_scan_on_duplicate_rows():
+def test_knn_batch_of_one_real_screen_block_matches_full_scan(monkeypatch):
+    # 3000 rows of 8 rays: the block SCREEN_BLOCK_BYTES gives, and one more query
+    rng = np.random.default_rng(3008)
+    db = random_db(rng, 3000, 8)
+    block = SCREEN_BLOCK_BYTES // (8 * len(db))
+    queries = [*rng.uniform(0.0, 1.0, (block - 1, 8)), *db.ranges_matrix()[:2]]
+    assert_knn_matches_full_scan(db, queries, [1, 5, len(db)], monkeypatch)
+
+
+def test_knn_matches_full_scan_on_duplicate_rows(monkeypatch):
     # each distinct row appears several times under scattered ids, so every
     # k cuts through a group of exact distance ties
     rng = np.random.default_rng(17)
@@ -291,10 +330,10 @@ def test_knn_matches_full_scan_on_duplicate_rows():
     rows = distinct[rng.integers(0, 5, 60)]
     db = random_db(rng, 60, 12, rows=rows)
     queries = [*distinct, (distinct[0] + distinct[1]) / 2, rng.uniform(0.0, 1.0, 12)]
-    assert_knn_matches_full_scan(db, queries, [1, 2, 3, 5, 11, 12, 13, 29, 60])
+    assert_knn_matches_full_scan(db, queries, [1, 2, 3, 5, 11, 12, 13, 29, 60], monkeypatch)
 
 
-def test_knn_matches_full_scan_on_one_ulp_near_ties():
+def test_knn_matches_full_scan_on_one_ulp_near_ties(monkeypatch):
     # rows 1 ulp away from the query in one or more rays, interleaved with
     # exact copies and rows 1 ulp apart from each other: the screen's
     # rounding must keep every one of them for the exact re-rank
@@ -311,7 +350,8 @@ def test_knn_matches_full_scan_on_one_ulp_near_ties():
     rows += list(rng.uniform(0.0, 1.0, (40, rays)))
     rows = np.array(rows)[rng.permutation(len(rows))]
     db = random_db(rng, len(rows), rays, rows=rows)
-    assert_knn_matches_full_scan(db, [q, up, down], [1, 2, 5, 16, 17, 40, 80, 120])
+    queries = [q, up, down, rows[0], rows[1]]
+    assert_knn_matches_full_scan(db, queries, [1, 2, 5, 16, 17, 40, 80, 120], monkeypatch)
 
 
 # regressor ----------------------------------------------------------------------
@@ -365,6 +405,17 @@ def test_external_const_centre():
     cx, cy = env.bounds.center()
     assert r.pose == Pose2D(cx, cy, 0.0)
     assert not r.clamped
+
+
+def test_external_batch_sends_request_ids_in_order(tmp_path):
+    env = asym_env()
+    log = tmp_path / "ids.txt"
+    ranges = np.random.default_rng(6).uniform(0.0, 1.0, (7, 8))
+    with ExternalEstimator(stub_cmd("--log", str(log)), env) as est:
+        got = est.estimate_batch(ranges, [None] * len(ranges))
+        one = est.estimate(Observation(ranges[0]))
+    assert got == [one] * len(ranges)
+    assert log.read_text().split() == [str(i) for i in range(len(ranges) + 1)]
 
 
 def test_external_out_of_range_is_clamped():
