@@ -14,6 +14,7 @@ isolation and sharded generation equals serial generation bit for bit.
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,17 @@ from .pose import Pose2D, ang_diff, wrap_angle
 from .world import EnvironmentSpec, SensorConfig, ray_distances
 
 REJECTION_BUDGET = 1_000_000
+
+# _observe_poses hands ray_distances chunks of about CHUNK_RAYS rays (512
+# poses of a 96-ray sensor), one chunk per worker thread; larger chunks
+# spread numpy's per-call overhead over more rays. Each ray in flight holds
+# ~200 bytes of traversal state, so RAYS_IN_FLIGHT caps the chunks running
+# at once, and peak memory does not grow with the core count.
+CHUNK_RAYS = 512 * 96
+RAYS_IN_FLIGHT = 8 * CHUNK_RAYS
+
+# rows per formatted block in save_dataset
+SAVE_BLOCK_ROWS = 1024
 
 # Random-walk policy knobs. At each step the walker keeps a target heading,
 # redrawn with probability TURN_PROB, turns toward it by at most MAX_TURN_DEG
@@ -231,19 +243,53 @@ def sample_random_pose(env: EnvironmentSpec, rng: np.random.Generator) -> Pose2D
     )
 
 
-def _observe_poses(env: EnvironmentSpec, poses: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Raycast (n, 3) poses at once; returns (n, ray_count) normalised ranges."""
+def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
+    """Raycast (n, 3) poses at once; returns (n, ray_count) normalised ranges.
+
+    Chunks of poses run on a thread pool as wide as the process's CPU
+    affinity mask (numpy releases the GIL inside its loops), each writing
+    only its own rows, so the result does not depend on the CPU count. A
+    failure raises what a serial loop over the chunks would raise first,
+    and no chunk starts after it.
+    """
     sensor = env.sensor
     offsets = sensor.bearing_offsets()
     k = offsets.size
     out = np.empty((len(poses), k))
-    for lo in range(0, len(poses), chunk):
+    chunk = max(1, CHUNK_RAYS // k)
+    starts = range(0, len(poses), chunk)
+    if not starts:
+        return out
+
+    def observe(lo: int) -> None:
         batch = poses[lo : lo + chunk]
         xs = np.repeat(batch[:, 0], k)
         ys = np.repeat(batch[:, 1], k)
         bearings = (batch[:, 2, None] + offsets[None, :]).ravel()
         d = ray_distances(env.grid, xs, ys, bearings, sensor.max_range)
         out[lo : lo + len(batch)] = d.reshape(len(batch), k) / sensor.max_range
+
+    # imported here, so the commands that raycast no dataset load no threads
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(starts), max(1, RAYS_IN_FLIGHT // (chunk * k)))
+    # Chunks are handed out as workers free up, so none waits in a queue,
+    # and none starts once a failure is seen.
+    futures, running = [], set()
+    with ThreadPoolExecutor(workers) as pool:
+        for lo in starts:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.exception() for f in done):
+                    break
+            futures.append(pool.submit(observe, lo))
+            running.add(futures[-1])
+    for f in futures:  # in chunk order, so a serial loop's first failure is raised
+        f.result()
     return out
 
 
@@ -381,12 +427,18 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
             if k in header:
                 raise ValueError(f"extra header key {k!r} collides with a core field")
             header[k] = v
-    lines = [DATASET_MAGIC, json.dumps(header, sort_keys=True)]
-    row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count))
-    # one row of ranges at a time: a whole-matrix tolist() would hold 24 bytes per value
-    for i, (p, r) in enumerate(zip(d.poses_matrix().tolist(), d.ranges_matrix())):
-        lines.append(row % (i, *p, *r.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # json.dumps may refuse a value, so it runs before the file is truncated
+    head = f"{DATASET_MAGIC}\n{json.dumps(header, sort_keys=True)}\n"
+    row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count)) + "\n"
+    poses, ranges = d.poses_matrix(), d.ranges_matrix()
+    with open(path, "w", encoding="ascii") as f:
+        f.write(head)
+        # a block at a time: the whole text, or a whole-matrix tolist(), would
+        # hold several times the file's size
+        for lo in range(0, len(d), SAVE_BLOCK_ROWS):
+            hi = lo + SAVE_BLOCK_ROWS
+            rows = zip(poses[lo:hi].tolist(), ranges[lo:hi].tolist())
+            f.write("".join(row % (i, *p, *r) for i, (p, r) in enumerate(rows, lo)))
 
 
 def load_dataset(path) -> Dataset:

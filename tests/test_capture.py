@@ -1,10 +1,21 @@
 """Dataset capture: rejection sampling, random walks, the dataset file."""
 
+import concurrent.futures
+import json
+import os
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from neuromap import capture
 from neuromap.capture import (
+    DATASET_MAGIC,
+    SAVE_BLOCK_ROWS,
     STREAM_GEN,
     STREAM_WALK,
     CaptureGate,
@@ -22,7 +33,13 @@ from neuromap.capture import (
     split_dataset,
 )
 from neuromap.pose import Pose2D, ang_diff, distance
-from neuromap.world import OccupancyGrid, SensorConfig, environment_from_grid
+from neuromap.world import (
+    InvalidPoseError,
+    OccupancyGrid,
+    SensorConfig,
+    environment_from_grid,
+    ray_distances,
+)
 
 
 def make_env(grid, name="test-env", ray_count=16, max_range=10.0):
@@ -201,6 +218,102 @@ def test_generate_rejects_bad_n():
     env = make_env(empty_grid(4, 4, 1.0))
     with pytest.raises(ValueError):
         generate_dataset(env, 0, seed=1)
+
+
+# parallel raycast ----------------------------------------------------------------
+
+CHUNK = 7  # poses per _observe_poses chunk in these tests
+
+
+def box_env():
+    return make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 4.0, 3.0), ray_count=16)
+
+
+def observe_with(monkeypatch, env, poses, cpus, chunk=CHUNK):
+    """_observe_poses with ``cpus`` CPUs in the affinity mask and ``chunk``-pose chunks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(capture, "CHUNK_RAYS", chunk * env.sensor.ray_count)
+    return capture._observe_poses(env, poses)
+
+
+def one_call(env, poses):
+    """Every ray of every pose in a single ray_distances call."""
+    k, sensor = env.sensor.ray_count, env.sensor
+    bearings = (poses[:, 2, None] + sensor.bearing_offsets()[None, :]).ravel()
+    d = ray_distances(
+        env.grid, np.repeat(poses[:, 0], k), np.repeat(poses[:, 1], k), bearings, sensor.max_range
+    )
+    return d.reshape(len(poses), k) / sensor.max_range
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_observe_poses_equals_one_call_bit_for_bit(monkeypatch, n, cpus):
+    env = box_env()
+    poses = generate_dataset(env, n, seed=n).poses_matrix()
+    got = observe_with(monkeypatch, env, poses, cpus)
+    assert got.tobytes() == one_call(env, poses).tobytes()
+
+
+def test_observe_poses_under_frequent_thread_switches(monkeypatch):
+    env = box_env()
+    poses = generate_dataset(env, 120, seed=4).poses_matrix()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # more workers than this machine has cores, one pose per chunk
+        got = observe_with(monkeypatch, env, poses, cpus=8, chunk=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == one_call(env, poses).tobytes()
+
+
+def test_observe_no_poses_makes_no_pool(monkeypatch):
+    def no_pool(workers):
+        raise AssertionError(f"pool of {workers} created")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    got = capture._observe_poses(box_env(), np.empty((0, 3)))
+    assert got.shape == (0, 16)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_observe_failure_is_the_first_failing_chunk_in_order(monkeypatch, cpus):
+    env = box_env()
+    poses = generate_dataset(env, 4 * CHUNK, seed=8).poses_matrix().copy()
+    first, later = CHUNK + 3, 2 * CHUNK + 1  # chunks 1 and 2
+    poses[first, :2] = (2.6, 2.4)  # inside the box
+    poses[later, :2] = (3.6, 2.6)
+
+    def slow_first(grid, xs, ys, bearings, max_range):
+        if poses[first, 0] in xs:
+            time.sleep(0.2)  # chunk 2 fails first in time when it runs beside chunk 1
+        return ray_distances(grid, xs, ys, bearings, max_range)
+
+    monkeypatch.setattr(capture, "ray_distances", slow_first)
+    with pytest.raises(InvalidPoseError) as info:
+        observe_with(monkeypatch, env, poses, cpus)
+    assert str(info.value) == "ray origin (2.6, 2.4) is not in free space"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_observe_failure_starts_no_queued_chunk(monkeypatch, cpus):
+    env = box_env()
+    poses = generate_dataset(env, 20 * CHUNK, seed=9).poses_matrix()
+    calls = []
+    lock = threading.Lock()
+
+    def second_call_fails(grid, xs, ys, bearings, max_range):
+        with lock:
+            calls.append(len(xs))
+            if len(calls) == 2:
+                raise InvalidPoseError("second chunk")
+        return np.full(len(xs), max_range)
+
+    monkeypatch.setattr(capture, "ray_distances", second_call_fails)
+    with pytest.raises(InvalidPoseError, match="second chunk"):
+        observe_with(monkeypatch, env, poses, cpus)
+    # the other workers may each have begun one more chunk before the failure
+    assert 2 <= len(calls) <= 1 + cpus
 
 
 # random walk -------------------------------------------------------------------
@@ -513,6 +626,49 @@ def test_load_reads_each_value_as_float_does(tmp_path):
     values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
     assert d.poses_matrix().tobytes() == values[:, :3].tobytes()
     assert d.ranges_matrix().tobytes() == values[:, 3:].tobytes()
+
+
+def whole_text_save(d, path, extra_header=None):
+    """The writer before it streamed: builds the whole text, then writes it."""
+    header = {
+        "env_name": d.env_name,
+        "seed": d.seed,
+        "fov": d.sensor.fov,
+        "ray_count": d.sensor.ray_count,
+        "max_range": d.sensor.max_range,
+        "n": len(d),
+    }
+    header.update(extra_header or {})
+    lines = [DATASET_MAGIC, json.dumps(header, sort_keys=True)]
+    row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count))
+    for i, (p, r) in enumerate(zip(d.poses_matrix().tolist(), d.ranges_matrix())):
+        lines.append(row % (i, *p, *r.tolist()))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+@pytest.fixture(scope="module")
+def block_plus_one():
+    return _toy_dataset(SAVE_BLOCK_ROWS + 1, seed=6)
+
+
+@pytest.mark.parametrize("extra", [None, {"provenance": {"invocation": "gen --n 5"}}])
+@pytest.mark.parametrize("n", [0, 1, SAVE_BLOCK_ROWS - 1, SAVE_BLOCK_ROWS, SAVE_BLOCK_ROWS + 1])
+def test_streamed_save_equals_whole_text_writer(tmp_path, block_plus_one, n, extra):
+    full = block_plus_one
+    d = Dataset(full.env_name, full.sensor, full.seed,
+                full.poses_matrix()[:n], full.ranges_matrix()[:n])
+    save_dataset(d, tmp_path / "streamed.csv", extra_header=extra)
+    whole_text_save(d, tmp_path / "whole.csv", extra_header=extra)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("extra, error", [({"seed": 99}, ValueError), ({"x": object()}, TypeError)])
+def test_refused_header_leaves_an_existing_file_untouched(tmp_path, extra, error):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"keep me\n")
+    with pytest.raises(error):
+        save_dataset(_toy_dataset(3), path, extra_header=extra)
+    assert path.read_bytes() == b"keep me\n"
 
 
 def test_extra_header_keys_survive_save_and_are_ignored_by_load(tmp_path):

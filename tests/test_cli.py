@@ -6,6 +6,7 @@ generation fast.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -76,6 +77,23 @@ def test_gen_rerun_is_byte_identical(tmp_path):
     second = {p.name: read(p) for p in (tmp_path / "o").iterdir()}
     assert first == second
     assert set(first) == {"dataset.csv", "coverage.json", "coverage.svg"}
+
+
+def test_gen_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    # 600 samples of the default 96-ray sensor span two raycast chunks
+    argv = ["gen", "--env", "apartment", "--n", "600", "--seed", "5", "--out", str(tmp_path / "o")]
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)), raising=False)
+        assert main(argv) == 0
+        runs.append({p.name: read(p) for p in (tmp_path / "o").iterdir()})
+    assert runs[0] == runs[1]
+    assert set(runs[0]) == {"dataset.csv", "coverage.json", "coverage.svg"}
+    argv[argv.index("600")] = "50"
+    assert main(argv) == 0
+    rows = (tmp_path / "o" / "dataset.csv").read_text().splitlines()[2:]
+    assert len(rows) == 50
+    assert rows == runs[0]["dataset.csv"].decode().splitlines()[2:52]
 
 
 def test_gen_dense_sampling_covers_map(tmp_path):
