@@ -19,7 +19,7 @@ import math
 import shlex
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +146,7 @@ def _merge_options(args, argv, defaults, file_keys=()):
         for key, value in loaded.items():
             if key not in defaults:
                 raise InputError(f"{path}: unknown option {key!r} for this command")
-            merged[key] = value
+            merged[key] = _config_value(path, key, value, defaults[key])
     for key in defaults:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -160,30 +160,42 @@ def _merge_options(args, argv, defaults, file_keys=()):
     return cfg
 
 
+def _config_value(path, key, value, default):
+    """``value`` as its flag would give it. int keys take ints, float keys ints
+    or floats, str keys strings (``hidden`` also a list of ints); JSON true and
+    false are not numbers, and null is taken only where the default is unset."""
+    kind = _FLAG_TYPES.get(key, str)
+    if value is None and default is None:
+        return None
+    if key == "hidden" and type(value) is list and all(type(v) is int for v in value):
+        return value
+    if type(value) is kind or (kind is float and type(value) is int):
+        try:
+            return kind(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise InputError(f"{path}: option {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
 def _resolve_env(cfg: RunConfig):
-    """--env is either a bundled name or a grid file path."""
+    """--env is either a bundled name or a grid file path; --fov, --rays and
+    --max-range override the bundled world's sensor or the default one."""
     name = cfg.options.get("env")
     if name is None:
         raise UsageError("--env is required")
+    env = bundled_environment(name) if name in BUILDERS else None
+    base = DEFAULT_SENSOR if env is None else env.sensor
     overrides = {
         k: cfg.options[k] for k in ("fov", "rays", "max_range") if cfg.options.get(k) is not None
     }
-    if name in BUILDERS:
-        env = bundled_environment(name)
-        if overrides:
-            sensor = SensorConfig(
-                fov=overrides.get("fov", env.sensor.fov),
-                ray_count=overrides.get("rays", env.sensor.ray_count),
-                max_range=overrides.get("max_range", env.sensor.max_range),
-            )
-            env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid, sensor=sensor)
-        return env
     sensor = SensorConfig(
-        fov=overrides.get("fov", DEFAULT_SENSOR.fov),
-        ray_count=overrides.get("rays", DEFAULT_SENSOR.ray_count),
-        max_range=overrides.get("max_range", DEFAULT_SENSOR.max_range),
+        fov=overrides.get("fov", base.fov),
+        ray_count=overrides.get("rays", base.ray_count),
+        max_range=overrides.get("max_range", base.max_range),
     )
-    return load_environment(name, sensor=sensor)
+    if env is None:
+        return load_environment(name, sensor=sensor)
+    return replace(env, sensor=sensor)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -610,9 +622,5 @@ def main(argv=None) -> int:
         return 3
 
 
-def entry():  # console_scripts hook
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

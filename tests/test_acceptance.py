@@ -170,19 +170,18 @@ def test_criterion_03_gradient_check():
         m_relu, m_l1 = _kink_margins(m, X, T)
         if m_relu < 5e-3 or m_l1 < 5e-3:
             continue  # an h-perturbation could cross a relu or |.| kink
-        _, grads = backward(m, X, T, "l1")
-        for p, g in zip(m.parameters(), grads):
-            flat, gflat = p.ravel(), g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                lp = batch_loss(forward_batch(m, X), T, "l1")
-                flat[j] = orig - h
-                lm = batch_loss(forward_batch(m, X), T, "l1")
-                flat[j] = orig
-                fd = (lp - lm) / (2.0 * h)
-                denom = max(abs(fd), abs(gflat[j]), 1e-6)
-                assert abs(fd - gflat[j]) / denom <= 1e-4
+        _, grad = backward(m, X, T, "l1")
+        flat = m.params
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            lp = batch_loss(forward_batch(m, X), T, "l1")
+            flat[j] = orig - h
+            lm = batch_loss(forward_batch(m, X), T, "l1")
+            flat[j] = orig
+            fd = (lp - lm) / (2.0 * h)
+            denom = max(abs(fd), abs(grad[j]), 1e-6)
+            assert abs(fd - grad[j]) / denom <= 1e-4
         instances += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -198,14 +197,14 @@ def test_criterion_04_adam_first_step():
     # gradients well above the 1e-8 stabiliser, where the sign law is crisp
     lr = 1e-3
     for g0 in (0.5, -1.7, 3.0, 42.0, -0.1):
-        params = [np.array([0.25])]
-        adam_step(params, [np.array([g0])], AdamState.for_params(params), lr=lr)
-        delta = params[0][0] - 0.25
+        params = np.array([0.25])
+        adam_step(params, np.array([g0]), AdamState(params), lr=lr)
+        delta = params[0] - 0.25
         assert abs(delta + lr * math.copysign(1.0, g0)) <= 1e-6 * lr
-    params = [np.array([1.0, -2.0, 0.0])]
-    before = params[0].copy()
-    adam_step(params, [np.zeros(3)], AdamState.for_params(params), lr=lr)
-    assert np.array_equal(params[0], before)  # exact, not approximate
+    params = np.array([1.0, -2.0, 0.0])
+    before = params.copy()
+    adam_step(params, np.zeros(3), AdamState(params), lr=lr)
+    assert np.array_equal(params, before)  # exact, not approximate
     print("\n[criterion 04] first-step magnitude and zero-grad fixpoint hold")
 
 

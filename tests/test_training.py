@@ -12,6 +12,7 @@ from neuromap.training import (
     ACTION_CONTINUE,
     ACTION_CONVERGED,
     ACTION_RESET,
+    ADAM_BLOCK,
     DECAY_PER_INTERVAL,
     AdamState,
     HistoryRow,
@@ -122,10 +123,9 @@ def test_zero_loss_batch_has_zero_gradients():
     m = random_model(rng, dims=(5, 7, 3))
     X = rng.uniform(0, 1, size=(4, 5))
     T = forward_batch(m, X)  # targets equal predictions: loss 0, sign(0) = 0
-    loss, grads = backward(m, X, T, "l1")
+    loss, grad = backward(m, X, T, "l1")
     assert loss == 0.0
-    for g in grads:
-        assert np.all(g == 0.0)
+    assert np.all(grad == 0.0)
 
 
 def test_hand_differentiated_single_weight():
@@ -138,12 +138,12 @@ def test_hand_differentiated_single_weight():
     t = -0.5
     X = np.array([[x]])
     T = np.array([[t, 0.0, 0.0]])
-    loss, grads = backward(m, X, T, "l1")
+    loss, grad = backward(m, X, T, "l1")
     pred = math.tanh(0.8 * x)
     assert abs(loss - (pred - t) / 3.0) < 1e-15
     expected = (1.0 - pred**2) * x / 3.0
-    assert abs(grads[0][0, 0] - expected) < 1e-12
-    assert np.all(grads[0][1:, :] == 0.0)  # sign(0) = 0 on the other outputs
+    assert abs(grad[0] - expected) < 1e-12  # W0[0, 0]
+    assert np.all(grad[1:3] == 0.0)  # W0[1:, 0]: sign(0) = 0 on the other outputs
 
 
 def _kink_margins(model, X, T):
@@ -174,22 +174,18 @@ def test_gradients_match_central_finite_differences():
         m_relu, m_l1 = _kink_margins(m, X, T)
         if m_relu < 5e-3 or m_l1 < 5e-3:
             continue  # perturbation could cross a kink; draw another instance
-        _, grads = backward(m, X, T, kind)
-        params = m.parameters()
-        for p, g in zip(params, grads):
-            flat, gflat = p.ravel(), g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                lp = batch_loss(forward_batch(m, X), T, kind)
-                flat[j] = orig - h
-                lm = batch_loss(forward_batch(m, X), T, kind)
-                flat[j] = orig
-                fd = (lp - lm) / (2.0 * h)
-                denom = max(abs(fd), abs(gflat[j]), 1e-6)
-                assert abs(fd - gflat[j]) / denom <= 1e-4, (
-                    f"param {j}: analytic {gflat[j]} vs fd {fd}"
-                )
+        _, grad = backward(m, X, T, kind)
+        flat = m.params
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            lp = batch_loss(forward_batch(m, X), T, kind)
+            flat[j] = orig - h
+            lm = batch_loss(forward_batch(m, X), T, kind)
+            flat[j] = orig
+            fd = (lp - lm) / (2.0 * h)
+            denom = max(abs(fd), abs(grad[j]), 1e-6)
+            assert abs(fd - grad[j]) / denom <= 1e-4, f"param {j}: analytic {grad[j]} vs fd {fd}"
         instances += 1
 
 
@@ -197,51 +193,153 @@ def test_gradients_match_central_finite_differences():
 
 
 def test_adam_zero_grad_zero_decay_is_identity():
-    params = [np.array([1.0, -2.0, 3.0])]
-    before = params[0].copy()
-    state = AdamState.for_params(params)
-    adam_step(params, [np.zeros(3)], state, lr=0.1, weight_decay=0.0)
-    assert np.array_equal(params[0], before)
+    params = np.array([1.0, -2.0, 3.0])
+    before = params.copy()
+    state = AdamState(params)
+    adam_step(params, np.zeros(3), state, lr=0.1, weight_decay=0.0)
+    assert np.array_equal(params, before)
     assert state.t == 1
 
 
 def test_adam_first_step_moves_by_lr_sign():
     for g0 in (0.5, -1.7, 3.0):
-        params = [np.array([0.25])]
-        state = AdamState.for_params(params)
-        adam_step(params, [np.array([g0])], state, lr=1e-3, weight_decay=0.0)
-        delta = params[0][0] - 0.25
+        params = np.array([0.25])
+        state = AdamState(params)
+        adam_step(params, np.array([g0]), state, lr=1e-3, weight_decay=0.0)
+        delta = params[0] - 0.25
         assert abs(delta + 1e-3 * math.copysign(1.0, g0)) <= 1e-6 * 1e-3
 
 
 def test_adam_weight_decay_shrinks_params():
-    params = [np.array([1.0, -1.0])]
-    state = AdamState.for_params(params)
+    params = np.array([1.0, -1.0])
+    state = AdamState(params)
     for _ in range(50):
-        adam_step(params, [np.zeros(2)], state, lr=1e-3, weight_decay=1e-2)
-    assert np.all(np.abs(params[0]) < 1.0)
-    assert np.all(np.sign(params[0]) == [1.0, -1.0])  # shrinks toward 0, no overshoot
-    assert all(np.all(v >= 0.0) for v in state.v)
+        adam_step(params, np.zeros(2), state, lr=1e-3, weight_decay=1e-2)
+    assert np.all(np.abs(params) < 1.0)
+    assert np.all(np.sign(params) == [1.0, -1.0])  # shrinks toward 0, no overshoot
+    assert np.all(state.v >= 0.0)
 
 
 def test_adam_matches_reference_formula():
     rng = np.random.default_rng(35)
     p = rng.normal(size=7)
-    params = [p.copy()]
-    state = AdamState.for_params(params)
+    params = p.copy()
+    state = AdamState(params)
     m = np.zeros(7)
     v = np.zeros(7)
     ref = p.copy()
     for t in range(1, 6):
         g = rng.normal(size=7)
-        adam_step(params, [g.copy()], state, lr=2e-3, weight_decay=1e-4)
+        adam_step(params, g.copy(), state, lr=2e-3, weight_decay=1e-4)
         ge = g + 1e-4 * ref
         m = 0.9 * m + 0.1 * ge
         v = 0.999 * v + 0.001 * ge * ge
         mhat = m / (1.0 - 0.9**t)
         vhat = v / (1.0 - 0.999**t)
         ref = ref - 2e-3 * mhat / (np.sqrt(vhat) + 1e-8)
-        assert np.allclose(params[0], ref, atol=1e-15)
+        assert np.allclose(params, ref, atol=1e-15)
+
+
+# flat parameter vector -------------------------------------------------------------
+
+
+def test_params_layout_and_copy():
+    m = random_model(np.random.default_rng(38), dims=(5, 7, 4, 3))
+    tensors = [t for w, b in zip(m.weights, m.biases) for t in (w, b)]  # W0, b0, W1, b1, ...
+    start = 0
+    for t in tensors:
+        assert np.shares_memory(t, m.params)
+        assert np.shares_memory(t, m.params[start : start + t.size])
+        assert np.array_equal(t.ravel(), m.params[start : start + t.size])
+        start += t.size
+    assert start == m.params.size
+    c = m.copy()
+    assert c.params.tobytes() == m.params.tobytes()
+    assert not np.shares_memory(c.params, m.params)
+    assert not any(np.shares_memory(t, m.params) for t in (*c.weights, *c.biases))
+    m.params[0] += 1.0
+    assert m.weights[0][0, 0] == m.params[0] and c.weights[0][0, 0] != m.params[0]
+
+
+def _per_tensor_backward(weights, biases, X, target, kind):
+    """Per-tensor reference: grads as a list W0, b0, W1, b1, ..."""
+    last = len(weights) - 1
+    pre_acts = []
+    acts = [X]
+    a = X
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.T + b
+        pre_acts.append(z)
+        a = np.tanh(z) if i == last else np.maximum(z, 0.0)
+        acts.append(a)
+    out = acts[-1]
+    loss = batch_loss(out, target, kind)
+    n_terms = out.shape[0] * out.shape[1]
+    if kind == "l1":
+        g = np.sign(out - target) / n_terms
+    else:
+        g = 2.0 * (out - target) / n_terms
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(last, -1, -1):
+        if i == last:
+            dz = g * (1.0 - acts[i + 1] ** 2)
+        else:
+            dz = g * (pre_acts[i] > 0.0)
+        grads_w[i] = dz.T @ acts[i]
+        grads_b[i] = dz.sum(axis=0)
+        if i > 0:
+            g = dz @ weights[i]
+    grads = []
+    for gw, gb in zip(grads_w, grads_b):
+        grads.append(gw)
+        grads.append(gb)
+    return loss, grads
+
+
+def _per_tensor_adam_step(params, grads, m, v, t, lr, weight_decay):
+    """Per-tensor reference Adam step at beta1 0.9, beta2 0.999, eps 1e-8."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        if weight_decay != 0.0:
+            g = g + weight_decay * p
+        mi *= b1
+        mi += (1.0 - b1) * g
+        vi *= b2
+        vi += (1.0 - b2) * (g * g)
+        p -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+
+
+@pytest.mark.parametrize("yaw_mode", ["tanh", "sincos"])
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
+def test_flat_core_matches_per_tensor_reference_bit_for_bit(yaw_mode, kind, weight_decay):
+    rng = np.random.default_rng(39)
+    out_dim = 3 if yaw_mode == "tanh" else 4
+    m = RegressorModel.random((48, 256, 96, out_dim), rng, yaw_mode=yaw_mode)
+    assert m.params.size > 2 * ADAM_BLOCK  # adam_step crosses block boundaries
+    weights = [w.copy() for w in m.weights]
+    biases = [b.copy() for b in m.biases]
+    ref = [t for w, b in zip(weights, biases) for t in (w, b)]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    state = AdamState(m.params)
+    for step in range(1, 21):
+        X = rng.uniform(0.0, 1.0, size=(8, 48))
+        T = rng.uniform(-0.9, 0.9, size=(8, out_dim))
+        lr = 1e-3 * 0.9**step
+        loss, grad = backward(m, X, T, kind)
+        ref_loss, ref_grads = _per_tensor_backward(weights, biases, X, T, kind)
+        assert loss == ref_loss
+        assert grad.tobytes() == np.concatenate([g.ravel() for g in ref_grads]).tobytes()
+        adam_step(m.params, grad, state, lr, weight_decay)
+        _per_tensor_adam_step(ref, ref_grads, ref_m, ref_v, step, lr, weight_decay)
+        assert state.t == step
+        assert m.params.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+        assert state.m.tobytes() == np.concatenate([p.ravel() for p in ref_m]).tobytes()
+        assert state.v.tobytes() == np.concatenate([p.ravel() for p in ref_v]).tobytes()
 
 
 # lr schedule ---------------------------------------------------------------------
@@ -409,8 +507,7 @@ def test_training_is_deterministic():
     m1, h1 = train(data, env, cfg)
     m2, h2 = train(data, env, cfg)
     assert h1 == h2
-    for a, b in zip(m1.parameters(), m2.parameters()):
-        assert a.tobytes() == b.tobytes()
+    assert m1.params.tobytes() == m2.params.tobytes()
 
 
 def test_history_lr_replays_through_schedule():
@@ -576,8 +673,7 @@ def test_model_round_trip(tmp_path):
     assert loaded.yaw_mode == m.yaw_mode
     assert loaded.env_name == "unit-env"
     assert loaded.sensor == sensor
-    for a, b in zip(m.parameters(), loaded.parameters()):
-        assert np.allclose(a, b, rtol=1e-11, atol=1e-15)
+    assert np.allclose(m.params, loaded.params, rtol=1e-11, atol=1e-15)
 
 
 def test_model_save_load_save_is_byte_identical(tmp_path):
