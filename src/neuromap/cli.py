@@ -10,7 +10,9 @@ inputs captured in another world, and worlds with no room to sample),
 3 runtime abort (collision, estimator failure, tick budget, diverged
 training).
 
-Option values resolve as flags > JSON config file (--config) > defaults.
+Option values resolve as flags > JSON config file (--config) > defaults;
+a default that a library config (WalkConfig, TrainConfig, NavConfig,
+OdometryConfig) defines is read from it.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import math
 import shlex
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,72 +101,48 @@ BUNDLED_WAYPOINTS = {"apartment_loop": APARTMENT_LOOP}
 # --- config plumbing ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command's fully merged option set.
-
-    ``options`` holds every value after flag/config-file/default
-    resolution; referenced files are checked at build time so missing
-    inputs fail before any work starts.
-    """
-
-    command: str
-    options: dict
-    argv: tuple
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def provenance(self) -> dict:
-        return {
-            "tool": f"neuromap {__version__}",
-            "invocation": shlex.join(["neuromap", *self.argv]),
-            "seed": self.options.get("seed"),
-        }
-
-    def provenance_lines(self) -> tuple:
-        p = self.provenance()
-        return (f"tool: {p['tool']}", f"invocation: {p['invocation']}", f"seed: {p['seed']}")
-
-
-def _merge_options(args, argv, defaults, file_keys=()):
-    """flags > config file > defaults; unknown config keys are rejected."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
+def _merge_options(args, argv) -> None:
+    """Resolve every option of ``args.command`` onto ``args``: flags > config
+    file > defaults. Unknown config keys are rejected, and referenced files
+    are checked here, so missing inputs fail before any work starts. Adds
+    ``args.provenance`` and its comment-line form ``args.comments``."""
+    _, defaults, file_keys = COMMANDS[args.command]
+    loaded = {}
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise InputError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
+            raw = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
+        if not isinstance(raw, dict):
             raise InputError(f"{path}: config must be a JSON object")
-        for key, value in loaded.items():
+        for key, value in raw.items():
             if key not in defaults:
                 raise InputError(f"{path}: unknown option {key!r} for this command")
-            merged[key] = _config_value(path, key, value, defaults[key])
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    cfg = RunConfig(args.command, merged, tuple(argv))
+            loaded[key] = _config_value(path, key, value, defaults[key])
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, loaded.get(key, default))
     for key in file_keys:
-        value = merged.get(key)
+        value = getattr(args, key)
         if value is not None and value not in BUNDLED_WAYPOINTS and value not in BUILDERS:
             if not Path(value).is_file():
                 raise InputError(f"{key}: no such file: {value}")
-    return cfg
+    args.provenance = {
+        "tool": f"neuromap {__version__}",
+        "invocation": shlex.join(["neuromap", *argv]),
+        "seed": args.seed,
+    }
+    args.comments = tuple(f"{k}: {v}" for k, v in args.provenance.items())
 
 
 def _config_value(path, key, value, default):
     """``value`` as its flag would give it. int keys take ints, float keys ints
     or floats, str keys strings (``hidden`` also a list of ints); JSON true and
     false are not numbers, and null is taken only where the default is unset."""
-    kind = _FLAG_TYPES.get(key, str)
+    kind = _flag_type(key, default)
     if value is None and default is None:
         return None
     if key == "hidden" and type(value) is list and all(type(v) is int for v in value):
@@ -177,39 +155,34 @@ def _config_value(path, key, value, default):
     raise InputError(f"{path}: option {key!r} must be of type {kind.__name__}, got {value!r}")
 
 
-def _resolve_env(cfg: RunConfig):
+def _resolve_env(args):
     """--env is either a bundled name or a grid file path; --fov, --rays and
     --max-range override the bundled world's sensor or the default one."""
-    name = cfg.options.get("env")
-    if name is None:
+    if args.env is None:
         raise UsageError("--env is required")
-    env = bundled_environment(name) if name in BUILDERS else None
+    env = bundled_environment(args.env) if args.env in BUILDERS else None
     base = DEFAULT_SENSOR if env is None else env.sensor
-    overrides = {
-        k: cfg.options[k] for k in ("fov", "rays", "max_range") if cfg.options.get(k) is not None
-    }
     sensor = SensorConfig(
-        fov=overrides.get("fov", base.fov),
-        ray_count=overrides.get("rays", base.ray_count),
-        max_range=overrides.get("max_range", base.max_range),
+        fov=base.fov if args.fov is None else args.fov,
+        ray_count=base.ray_count if args.rays is None else args.rays,
+        max_range=base.max_range if args.max_range is None else args.max_range,
     )
     if env is None:
-        return load_environment(name, sensor=sensor)
+        return load_environment(args.env, sensor=sensor)
     return replace(env, sensor=sensor)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = cfg.options.get("out")
-    if out is None:
+def _out_dir(args) -> Path:
+    if args.out is None:
         raise UsageError("--out is required")
-    path = Path(out)
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_json(path, payload: dict, cfg: RunConfig) -> None:
+def _write_json(path, payload: dict, args) -> None:
     payload = dict(payload)
-    payload["provenance"] = cfg.provenance()
+    payload["provenance"] = args.provenance
     path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
@@ -294,40 +267,40 @@ def build_estimator(spec: str, env) -> Estimator:
 # --- commands ----------------------------------------------------------------------
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    env = _resolve_env(cfg)
-    out = _out_dir(cfg)
-    dataset = generate_dataset(env, cfg.n, cfg.seed)
-    save_dataset(dataset, out / "dataset.csv", extra_header={"provenance": cfg.provenance()})
+def cmd_gen(args) -> int:
+    env = _resolve_env(args)
+    out = _out_dir(args)
+    dataset = generate_dataset(env, args.n, args.seed)
+    save_dataset(dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
     poses = dataset.poses_matrix()
     cov = coverage_summary(env, poses)
-    _write_json(out / "coverage.json", {"coverage": cov.to_dict()}, cfg)
-    svg_coverage(env, poses, out / "coverage.svg", comments=cfg.provenance_lines())
+    _write_json(out / "coverage.json", {"coverage": cov.to_dict()}, args)
+    svg_coverage(env, poses, out / "coverage.svg", comments=args.comments)
     print(f"gen: {len(dataset)} samples in {env.name}; coverage {cov.fraction:.1%} "
           f"of {cov.free_cells} free cells")
     return 0
 
 
-def cmd_walk(cfg: RunConfig) -> int:
-    env = _resolve_env(cfg)
-    out = _out_dir(cfg)
+def cmd_walk(args) -> int:
+    env = _resolve_env(args)
+    out = _out_dir(args)
     walk_cfg = WalkConfig(
-        capture_dist=cfg.capture_dist,
-        capture_rot=cfg.capture_rot,
-        step_len=cfg.step_len,
-        clearance_radius=cfg.clearance,
-        max_steps=cfg.steps,
+        capture_dist=args.capture_dist,
+        capture_rot=args.capture_rot,
+        step_len=args.step_len,
+        clearance_radius=args.clearance,
+        max_steps=args.steps,
     )
-    result = random_walk_capture(env, walk_cfg, cfg.seed)
-    save_dataset(result.dataset, out / "dataset.csv", extra_header={"provenance": cfg.provenance()})
+    result = random_walk_capture(env, walk_cfg, args.seed)
+    save_dataset(result.dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
     poses = result.dataset.poses_matrix()
     cov = coverage_summary(env, poses)
     _write_json(
         out / "coverage.json",
         {"coverage": cov.to_dict(), "wedged": result.wedged, "steps": result.steps},
-        cfg,
+        args,
     )
-    svg_coverage(env, poses, out / "coverage.svg", comments=cfg.provenance_lines())
+    svg_coverage(env, poses, out / "coverage.svg", comments=args.comments)
     print(f"walk: {result.steps} steps, {len(result.dataset)} captures in {env.name}"
           + (" (wedged)" if result.wedged else ""))
     return 0
@@ -342,23 +315,23 @@ def _parse_hidden(text):
         raise UsageError(f"bad --hidden value {text!r}; expected e.g. 64,64") from None
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    env = _resolve_env(cfg)
-    out = _out_dir(cfg)
-    dataset = load_dataset(cfg.dataset)
+def cmd_train(args) -> int:
+    env = _resolve_env(args)
+    out = _out_dir(args)
+    dataset = load_dataset(args.dataset)
     _check_capture("dataset", dataset, env)
     train_cfg = TrainConfig(
-        seed=cfg.seed,
-        max_iterations=cfg.iterations,
-        eval_interval=cfg.eval_interval,
-        batch_size=cfg.batch_size,
-        lr0=cfg.lr0,
-        weight_decay=cfg.weight_decay,
-        decay_mode=cfg.decay_mode,
-        hidden_dims=_parse_hidden(cfg.hidden),
-        val_fraction=cfg.val_fraction,
-        yaw_mode=cfg.yaw_mode,
-        loss=cfg.loss,
+        seed=args.seed,
+        max_iterations=args.iterations,
+        eval_interval=args.eval_interval,
+        batch_size=args.batch_size,
+        lr0=args.lr0,
+        weight_decay=args.weight_decay,
+        decay_mode=args.decay_mode,
+        hidden_dims=_parse_hidden(args.hidden),
+        val_fraction=args.val_fraction,
+        yaw_mode=args.yaw_mode,
+        loss=args.loss,
     )
 
     evals_seen = 0
@@ -368,11 +341,11 @@ def cmd_train(cfg: RunConfig) -> int:
         evals_seen += 1
         if evals_seen % 10 == 0:
             save_model(model, out / "checkpoint.model",
-                       extra_header={"provenance": cfg.provenance(), "iteration": row.iteration})
+                       extra_header={"provenance": args.provenance, "iteration": row.iteration})
 
     model, history = train(dataset, env, train_cfg, on_eval=checkpoint)
-    save_model(model, out / "model.model", extra_header={"provenance": cfg.provenance()})
-    save_history(history, out / "history.csv", comments=cfg.provenance_lines())
+    save_model(model, out / "model.model", extra_header={"provenance": args.provenance})
+    save_history(history, out / "history.csv", comments=args.comments)
     best = min((r.val_pos_err for r in history), default=float("nan"))
     print(f"train: {history[-1].iteration} iterations, best val pos err {best:.4f} m")
     return 0
@@ -392,13 +365,13 @@ def _parse_ablate(text) -> list:
     return sizes
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    sizes = _parse_ablate(cfg.ablate)
-    env = _resolve_env(cfg)
-    out = _out_dir(cfg)
-    testset = load_dataset(cfg.testset)
+def cmd_eval(args) -> int:
+    sizes = _parse_ablate(args.ablate)
+    env = _resolve_env(args)
+    out = _out_dir(args)
+    testset = load_dataset(args.testset)
     _check_capture("test set", testset, env)
-    with build_estimator(cfg.estimator, env) as estimator:
+    with build_estimator(args.estimator, env) as estimator:
         if sizes:
             if not isinstance(estimator, KnnEstimator):
                 raise UsageError("--ablate requires a knn estimator")
@@ -406,15 +379,15 @@ def cmd_eval(cfg: RunConfig) -> int:
                 raise InputError(
                     f"ablation size {max(sizes)} exceeds database size {len(estimator.db)}"
                 )
-        results = {cfg.estimator: evaluate(estimator, testset, env)}
+        results = {args.estimator: evaluate(estimator, testset, env)}
         for size in sizes:  # k-NN over the database's first `size` rows
             db = estimator.db
             subset = Dataset(
                 db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]
             )
             results[f"knn@{size}"] = evaluate(KnnEstimator(subset, estimator.cfg), testset, env)
-    save_metrics(results, out / "metrics.json", provenance=cfg.provenance())
-    table = metrics_table(results, comments=cfg.provenance_lines())
+    save_metrics(results, out / "metrics.json", provenance=args.provenance)
+    table = metrics_table(results, comments=args.comments)
     (out / "table.txt").write_text(table)
     print(table, end="")
     return 0
@@ -431,25 +404,25 @@ def _parse_start(text) -> Pose2D:
     return Pose2D(x, y, theta)
 
 
-def cmd_navigate(cfg: RunConfig) -> int:
-    env = _resolve_env(cfg)
-    out = _out_dir(cfg)
-    waypoints = _waypoints(cfg.waypoints)
+def cmd_navigate(args) -> int:
+    env = _resolve_env(args)
+    out = _out_dir(args)
+    waypoints = _waypoints(args.waypoints)
     nav_cfg = NavConfig(
-        T_d=cfg.td, T_a=cfg.ta, max_step=cfg.max_step,
-        linear_speed=cfg.linear_speed, angular_speed=cfg.angular_speed,
-        dt=cfg.dt, max_ticks=cfg.max_ticks, footprint_radius=cfg.footprint,
-        leg_tolerance=cfg.leg_tolerance,
+        T_d=args.td, T_a=args.ta, max_step=args.max_step,
+        linear_speed=args.linear_speed, angular_speed=args.angular_speed,
+        dt=args.dt, max_ticks=args.max_ticks, footprint_radius=args.footprint,
+        leg_tolerance=args.leg_tolerance,
     )
     odo = OdometryConfig(
-        sigma_lin_frac=cfg.odo_lin, sigma_ang_per_step=cfg.odo_ang, seed=cfg.seed,
+        sigma_lin_frac=args.odo_lin, sigma_ang_per_step=args.odo_ang, seed=args.seed,
     )
-    with build_estimator(cfg.estimator, env) as estimator:
+    with build_estimator(args.estimator, env) as estimator:
         trace, report = navigate_waypoints(
-            waypoints, estimator, env, _parse_start(cfg.start), nav_cfg, odo
+            waypoints, estimator, env, _parse_start(args.start), nav_cfg, odo
         )
 
-    save_trace(trace, out / "trace.csv", comments=cfg.provenance_lines())
+    save_trace(trace, out / "trace.csv", comments=args.comments)
     _write_json(
         out / "report.json",
         {
@@ -467,9 +440,9 @@ def cmd_navigate(cfg: RunConfig) -> int:
                 for (wx, wy), r in zip(waypoints, report.waypoints)
             ],
         },
-        cfg,
+        args,
     )
-    svg_route(env, trace, waypoints, out / "route.svg", comments=cfg.provenance_lines())
+    svg_route(env, trace, waypoints, out / "route.svg", comments=args.comments)
     status = "ok" if report.success else f"abort: {report.abort_reason}"
     print(f"navigate: {status}; {report.tick_count} ticks, "
           f"mean closest approach {report.mean_closest_true:.3f} m")
@@ -478,43 +451,42 @@ def cmd_navigate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    env = _resolve_env(cfg)
-    out = _out_dir(cfg)
-    if (cfg.dataset is None) == (cfg.trace is None):
+def cmd_plot(args) -> int:
+    env = _resolve_env(args)
+    out = _out_dir(args)
+    if (args.dataset is None) == (args.trace is None):
         raise UsageError("plot needs exactly one of --dataset or --trace")
-    if cfg.dataset is not None:
-        dataset = load_dataset(cfg.dataset)
-        svg_coverage(env, dataset.poses_matrix(), out / "coverage.svg",
-                     comments=cfg.provenance_lines())
+    if args.dataset is not None:
+        dataset = load_dataset(args.dataset)
+        svg_coverage(env, dataset.poses_matrix(), out / "coverage.svg", comments=args.comments)
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:
-        trace = load_trace(cfg.trace)
-        waypoints = _waypoints(cfg.waypoints) if cfg.waypoints else []
-        svg_route(env, trace, waypoints, out / "route.svg", comments=cfg.provenance_lines())
+        trace = load_trace(args.trace)
+        waypoints = _waypoints(args.waypoints) if args.waypoints else []
+        svg_route(env, trace, waypoints, out / "route.svg", comments=args.comments)
         print(f"plot: route.svg with {len(trace)} trace rows")
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    env = _resolve_env(cfg)
-    frames = generate_dataset(env, cfg.frames, cfg.seed)
+def cmd_bench(args) -> int:
+    env = _resolve_env(args)
+    frames = generate_dataset(env, args.frames, args.seed)
     rates = []
-    with build_estimator(cfg.estimator, env) as estimator:
-        for _ in range(cfg.repeats):
+    with build_estimator(args.estimator, env) as estimator:
+        for _ in range(args.repeats):
             t0 = time.perf_counter()
             evaluate(estimator, frames, env)
             rates.append(len(frames) / (time.perf_counter() - t0))
     mean = float(np.mean(rates))
     std = float(np.std(rates))
-    print(f"bench: {cfg.estimator}: {mean:.1f} +/- {std:.1f} estimates/s "
-          f"({cfg.frames} frames x {cfg.repeats} repeats)")
-    if cfg.options.get("out"):
+    print(f"bench: {args.estimator}: {mean:.1f} +/- {std:.1f} estimates/s "
+          f"({args.frames} frames x {args.repeats} repeats)")
+    if args.out:
         _write_json(
-            _out_dir(cfg) / "bench.json",
-            {"estimator": cfg.estimator, "frames": cfg.frames, "repeats": cfg.repeats,
+            _out_dir(args) / "bench.json",
+            {"estimator": args.estimator, "frames": args.frames, "repeats": args.repeats,
              "rate_mean": mean, "rate_std": std, "rates": rates},
-            cfg,
+            args,
         )
     return 0
 
@@ -522,67 +494,57 @@ def cmd_bench(cfg: RunConfig) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
+# Every command's options and their defaults, each stated once: a default a
+# library config defines is read from it. An option takes its default's type,
+# a string where the default is unset (None), or its _FLAG_TYPES entry.
+COMMON = {"env": None, "out": None, "seed": 0, "fov": None, "rays": None, "max_range": None}
+_FLAG_TYPES = {"rays": int, "fov": float, "max_range": float, "leg_tolerance": float, "hidden": str}
+
 COMMANDS = {
-    "gen": (
-        cmd_gen,
-        {"env": None, "out": None, "seed": 0, "n": 1000,
-         "fov": None, "rays": None, "max_range": None},
-        ("env",),
-    ),
+    "gen": (cmd_gen, {**COMMON, "n": 1000}, ("env",)),
     "walk": (
         cmd_walk,
-        {"env": None, "out": None, "seed": 0, "steps": 1000,
-         "capture_dist": 0.10, "capture_rot": 10.0, "step_len": 0.1, "clearance": 0.5,
-         "fov": None, "rays": None, "max_range": None},
+        {**COMMON, "steps": WalkConfig.max_steps, "capture_dist": WalkConfig.capture_dist,
+         "capture_rot": WalkConfig.capture_rot, "step_len": WalkConfig.step_len,
+         "clearance": WalkConfig.clearance_radius},
         ("env",),
     ),
     "train": (
         cmd_train,
-        {"env": None, "out": None, "seed": 0, "dataset": None,
-         "iterations": 200_000, "eval_interval": 1000, "batch_size": 32,
-         "lr0": 1e-4, "weight_decay": 1e-6, "decay_mode": "per_iteration",
-         "hidden": "64,64", "val_fraction": 0.1, "yaw_mode": "tanh", "loss": "l1",
-         "fov": None, "rays": None, "max_range": None},
+        {**COMMON, "dataset": None, "iterations": TrainConfig.max_iterations,
+         "eval_interval": TrainConfig.eval_interval, "batch_size": TrainConfig.batch_size,
+         "lr0": TrainConfig.lr0, "weight_decay": TrainConfig.weight_decay,
+         "decay_mode": TrainConfig.decay_mode, "hidden": TrainConfig.hidden_dims,
+         "val_fraction": TrainConfig.val_fraction, "yaw_mode": TrainConfig.yaw_mode,
+         "loss": TrainConfig.loss},
         ("env", "dataset"),
     ),
     "eval": (
         cmd_eval,
-        {"env": None, "out": None, "seed": 0, "estimator": None, "testset": None,
-         "ablate": None, "fov": None, "rays": None, "max_range": None},
+        {**COMMON, "estimator": None, "testset": None, "ablate": None},
         ("env", "testset"),
     ),
     "navigate": (
         cmd_navigate,
-        {"env": None, "out": None, "seed": 0, "estimator": None, "waypoints": None,
-         "start": None, "td": 0.5, "ta": 5.0, "max_step": 1.0, "linear_speed": 0.5,
-         "angular_speed": 30.0, "dt": 0.1, "max_ticks": 100_000, "footprint": 0.5,
-         "leg_tolerance": None, "odo_lin": 0.01, "odo_ang": 0.5,
-         "fov": None, "rays": None, "max_range": None},
+        {**COMMON, "estimator": None, "waypoints": None, "start": None,
+         "td": NavConfig.T_d, "ta": NavConfig.T_a, "max_step": NavConfig.max_step,
+         "linear_speed": NavConfig.linear_speed, "angular_speed": NavConfig.angular_speed,
+         "dt": NavConfig.dt, "max_ticks": NavConfig.max_ticks,
+         "footprint": NavConfig.footprint_radius, "leg_tolerance": NavConfig.leg_tolerance,
+         "odo_lin": OdometryConfig.sigma_lin_frac, "odo_ang": OdometryConfig.sigma_ang_per_step},
         ("env", "waypoints"),
     ),
     "plot": (
         cmd_plot,
-        {"env": None, "out": None, "seed": 0, "dataset": None, "trace": None,
-         "waypoints": None, "fov": None, "rays": None, "max_range": None},
+        {**COMMON, "dataset": None, "trace": None, "waypoints": None},
         ("env", "dataset", "trace", "waypoints"),
     ),
-    "bench": (
-        cmd_bench,
-        {"env": None, "out": None, "seed": 0, "estimator": None, "frames": 100,
-         "repeats": 5, "fov": None, "rays": None, "max_range": None},
-        ("env",),
-    ),
+    "bench": (cmd_bench, {**COMMON, "estimator": None, "frames": 100, "repeats": 5}, ("env",)),
 }
 
-_FLAG_TYPES = {
-    "seed": int, "n": int, "steps": int, "iterations": int, "eval_interval": int,
-    "batch_size": int, "max_ticks": int, "frames": int, "repeats": int, "rays": int,
-    "capture_dist": float, "capture_rot": float, "step_len": float, "clearance": float,
-    "lr0": float, "weight_decay": float, "val_fraction": float, "fov": float,
-    "max_range": float, "td": float, "ta": float, "max_step": float,
-    "linear_speed": float, "angular_speed": float, "dt": float, "footprint": float,
-    "leg_tolerance": float, "odo_lin": float, "odo_ang": float,
-}
+
+def _flag_type(key, default):
+    return _FLAG_TYPES.get(key) or (str if default is None else type(default))
 
 
 def _build_parser():
@@ -592,11 +554,11 @@ def _build_parser():
     for name, (func, defaults, _) in COMMANDS.items():
         p = sub.add_parser(name, prog=f"neuromap {name}")
         p.add_argument("--config", help="JSON file with option defaults")
-        for key in defaults:
-            flag = "--" + key.replace("_", "-")
+        for key, default in defaults.items():
             # argparse default None so the config merge can tell
             # "flag given" from "fell back to default"
-            p.add_argument(flag, type=_FLAG_TYPES.get(key, str), default=None)
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, type=_flag_type(key, default), default=None)
         p.set_defaults(func=func)
     return parser
 
@@ -605,9 +567,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(argv)
-        func, defaults, file_keys = COMMANDS[args.command]
-        cfg = _merge_options(args, argv, defaults, file_keys)
-        return func(cfg)
+        _merge_options(args, argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"neuromap: usage error: {exc}", file=sys.stderr)
         return 1

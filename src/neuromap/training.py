@@ -13,7 +13,7 @@ after the reset ends training as converged.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +237,12 @@ def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 
     bit. At 96-256-256-256-3 on a 2-core x86 VM with one BLAS thread,
     whole-vector temporaries (1.26 MB each) made a step ~8% slower than
     per-layer tensors, and 128 KB slices ~10% faster.
+
+    Raises ValueError, changing nothing, when ``grads`` or the moments are
+    not shaped like ``params`` (a mis-shaped gradient would broadcast).
     """
+    if grads.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError(f"grads {grads.shape}, moments {state.m.shape} must match {params.shape}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -256,39 +261,41 @@ DECAY_PER_ITERATION = "per_iteration"  # each stair multiplies by rate^interval
 DECAY_PER_INTERVAL = "per_interval"  # each stair multiplies by rate once
 
 
-@dataclass
+# The reference recipe's schedule: the rate falls by DECAY_RATE per iteration
+# in DECAY_INTERVAL-iteration stairs, and PATIENCE iterations without a
+# better validation metric reset it, or end training after a reset.
+DECAY_RATE = 0.9998
+DECAY_INTERVAL = 1000
+PATIENCE = 10000
+
+
 class LrSchedule:
     """Staircase exponential decay with plateau reset and convergence.
 
-    The rate holds within each ``decay_interval`` stair and drops at the
-    boundary; a plateau of ``patience`` iterations without the validation
+    The rate holds within each ``DECAY_INTERVAL`` stair and drops at the
+    boundary; a plateau of ``PATIENCE`` iterations without the validation
     metric improving (strictly, beyond 1e-12) resets the rate to ``lr0``
     and restarts the decay clock; a second plateau after the reset declares
     convergence. Any improvement after a reset resumes normal decaying, so
     reset cycles are unlimited.
     """
 
-    lr0: float = 1e-4
-    decay_rate: float = 0.9998
-    decay_interval: int = 1000
-    eval_interval: int = 1000
-    patience: int = 10000
-    decay_mode: str = DECAY_PER_ITERATION
-    phase: str = PHASE_DECAYING
-    best_metric: float = math.inf
-    iters_since_improvement: int = 0
-    current_lr: float = field(init=False)
-    last_reset_iteration: int = 0
-    _last_tick: int = field(default=-1, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.lr0 <= 0 or not (0.0 < self.decay_rate <= 1.0):
-            raise ValueError("lr0 must be positive and decay_rate in (0, 1]")
-        if self.decay_interval < 1 or self.eval_interval < 1 or self.patience < 1:
-            raise ValueError("intervals and patience must be >= 1")
-        if self.decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):
-            raise ValueError(f"unknown decay_mode {self.decay_mode!r}")
-        self.current_lr = self.lr0
+    def __init__(
+        self, lr0: float = 1e-4, eval_interval: int = 1000, decay_mode: str = DECAY_PER_ITERATION
+    ) -> None:
+        if lr0 <= 0 or eval_interval < 1:
+            raise ValueError("lr0 must be positive and eval_interval >= 1")
+        if decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):
+            raise ValueError(f"unknown decay_mode {decay_mode!r}")
+        self.lr0 = lr0
+        self.eval_interval = eval_interval
+        self.decay_mode = decay_mode
+        self.phase = PHASE_DECAYING
+        self.best_metric = math.inf
+        self.iters_since_improvement = 0
+        self.current_lr = lr0
+        self.last_reset_iteration = 0
+        self._last_tick = -1
 
     def tick(self, iteration: int, eval_metric: float | None = None):
         """Advance to ``iteration``; returns (lr, action).
@@ -312,7 +319,7 @@ class LrSchedule:
                     self.phase = PHASE_DECAYING
             else:
                 self.iters_since_improvement += self.eval_interval
-                if self.iters_since_improvement >= self.patience:
+                if self.iters_since_improvement >= PATIENCE:
                     if self.phase == PHASE_DECAYING:
                         action = ACTION_RESET
                         self.phase = PHASE_POST_RESET
@@ -321,9 +328,9 @@ class LrSchedule:
                     else:
                         action = ACTION_CONVERGED
                         self.phase = PHASE_CONVERGED
-        stairs = (iteration - self.last_reset_iteration) // self.decay_interval
-        exponent = stairs * self.decay_interval if self.decay_mode == DECAY_PER_ITERATION else stairs
-        self.current_lr = self.lr0 * self.decay_rate**exponent
+        stairs = (iteration - self.last_reset_iteration) // DECAY_INTERVAL
+        exponent = stairs * DECAY_INTERVAL if self.decay_mode == DECAY_PER_ITERATION else stairs
+        self.current_lr = self.lr0 * DECAY_RATE**exponent
         return self.current_lr, action
 
 
@@ -337,9 +344,6 @@ class TrainConfig:
     eval_interval: int = 1000
     max_iterations: int = 200_000
     lr0: float = 1e-4
-    decay_rate: float = 0.9998
-    decay_interval: int = 1000
-    patience: int = 10000
     decay_mode: str = DECAY_PER_ITERATION
     hidden_dims: tuple = (64, 64)
     val_fraction: float = 0.1
@@ -429,14 +433,7 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
         sensor=dataset.sensor,
     )
     adam = AdamState(model.params)
-    sched = LrSchedule(
-        lr0=cfg.lr0,
-        decay_rate=cfg.decay_rate,
-        decay_interval=cfg.decay_interval,
-        eval_interval=cfg.eval_interval,
-        patience=cfg.patience,
-        decay_mode=cfg.decay_mode,
-    )
+    sched = LrSchedule(cfg.lr0, cfg.eval_interval, cfg.decay_mode)
     batch_rng = derived_rng(cfg.seed, STREAM_BATCHES)
 
     history: list[HistoryRow] = []

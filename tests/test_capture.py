@@ -125,6 +125,17 @@ def test_fully_blocked_world_is_infeasible():
         sample_random_pose(env, derived_rng(1, STREAM_GEN, 0))
 
 
+def test_clearance_keeps_the_disc_free_and_a_too_wide_disc_fails_at_once():
+    env = make_env(empty_grid(10, 10, 0.5).with_metric_box(2.0, 2.0, 3.0, 3.0))
+    for i in range(200):
+        p = sample_random_pose(env, derived_rng(7, STREAM_GEN, i), clearance=0.4)
+        assert env.grid.footprint_free(p.x, p.y, 0.4)
+    t0 = time.perf_counter()
+    with pytest.raises(InfeasibleEnvironmentError, match="clearance 3.0 in 'test-env': no room$"):
+        sample_random_pose(env, derived_rng(7, STREAM_GEN, 0), clearance=3.0)  # 6 m disc, 5 m world
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_acceptance_rate_tracks_free_fraction():
     # left half blocked: acceptance probability = free-cell fraction
     grid = empty_grid(10, 10, 0.5).with_metric_box(0.0, 0.0, 2.5, 5.0)

@@ -553,35 +553,104 @@ def test_config_file_rejects_bad_json(tmp_path):
     assert main(["gen", *ENV_FLAGS, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_gen_in_world_without_free_cell_is_input_error(tmp_path, monkeypatch, capsys):
-    from neuromap import capture
-    from neuromap.world import OccupancyGrid, environment_from_grid
+# --- the option table ----------------------------------------------------------------
 
-    monkeypatch.setattr(capture, "REJECTION_BUDGET", 100)  # 10^6 draws take seconds
-    blocked = OccupancyGrid(4, 4, 1.0, 0.0, 0.0, np.ones((4, 4), bool))
-    save_environment(environment_from_grid(blocked, "blocked"), tmp_path / "blocked.grid")
-    rc = main(["gen", "--env", str(tmp_path / "blocked.grid"), "--n", "5",
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("neuromap: input error: no free pose") and err.count("\n") == 1
+# every numeric option, stated apart from the CLI: (int options, real-valued options)
+NUMERIC_OPTIONS = {
+    "gen": ("seed n rays", "fov max_range"),
+    "walk": ("seed steps rays", "fov max_range capture_dist capture_rot step_len clearance"),
+    "train": ("seed rays iterations eval_interval batch_size",
+              "fov max_range lr0 weight_decay val_fraction"),
+    "eval": ("seed rays", "fov max_range"),
+    "navigate": ("seed rays max_ticks", "fov max_range td ta max_step linear_speed "
+                 "angular_speed dt footprint leg_tolerance odo_lin odo_ang"),
+    "plot": ("seed rays", "fov max_range"),
+    "bench": ("seed rays frames repeats", "fov max_range"),
+}
 
 
-@pytest.mark.parametrize("occupied, clearance", [(True, "0.5"), (False, "2.5")])
-def test_walk_in_world_without_room_fails_fast(tmp_path, capsys, occupied, clearance):
+@pytest.mark.parametrize("command", sorted(NUMERIC_OPTIONS))
+def test_option_types(command):
+    from neuromap.cli import COMMANDS, UsageError, _build_parser
+
+    ints, reals = (set(names.split()) for names in NUMERIC_OPTIONS[command])
+    for key in COMMANDS[command][1]:
+        flag = "--" + key.replace("_", "-")
+        if key in ints:
+            with pytest.raises(UsageError):
+                _build_parser().parse_args([command, flag, "0.5"])
+            continue
+        value = getattr(_build_parser().parse_args([command, flag, "0.5"]), key)
+        assert value == (0.5 if key in reals else "0.5"), key
+        assert type(value) is (float if key in reals else str), key
+
+
+@pytest.mark.parametrize("command", sorted(NUMERIC_OPTIONS))
+def test_numeric_options_refuse_non_numbers(tmp_path, capsys, command):
+    cfg = tmp_path / "run.json"
+    for key in " ".join(NUMERIC_OPTIONS[command]).split():
+        assert main([command, "--" + key.replace("_", "-"), "abc"]) == 1, key
+        capsys.readouterr()
+        cfg.write_text(json.dumps({key: "abc"}))
+        assert main([command, "--config", str(cfg)]) == 2, key
+        assert f"option {key!r} must be of type" in capsys.readouterr().err
+
+
+def _capture_call(monkeypatch, name):
+    """Replace the library call ``name`` bound in the CLI by one that records
+    its arguments and aborts the run."""
+    from neuromap import cli
+
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        raise cli.RuntimeAbort("captured")
+
+    monkeypatch.setattr(cli, name, record)
+    return calls
+
+
+def test_command_defaults_are_the_library_defaults(workspace, tmp_path, monkeypatch):
+    from neuromap.capture import WalkConfig
+    from neuromap.navigate import NavConfig, OdometryConfig
+    from neuromap.training import TrainConfig
+
+    calls = _capture_call(monkeypatch, "random_walk_capture")
+    assert main(["walk", "--env", "apartment", "--out", str(tmp_path / "w")]) == 3
+    assert calls[0][1] == WalkConfig()
+
+    calls = _capture_call(monkeypatch, "train")
+    assert main(["train", *ENV_FLAGS, "--dataset", str(workspace / "db" / "dataset.csv"),
+                 "--out", str(tmp_path / "t")]) == 3
+    assert calls[0][2] == TrainConfig()
+
+    calls = _capture_call(monkeypatch, "navigate_waypoints")
+    assert main(["navigate", "--env", "apartment", "--estimator", "oracle",
+                 "--waypoints", "apartment_loop", "--start", "1.5,1.5,0",
+                 "--out", str(tmp_path / "n")]) == 3
+    assert calls[0][4:] == (NavConfig(), OdometryConfig())
+
+
+@pytest.mark.parametrize("argv, occupied, clearance", [
+    (["gen", "--n", "5"], True, 0.0),
+    (["walk", "--clearance", "0.5"], True, 0.5),
+    (["walk", "--clearance", "2.5"], False, 2.5),
+], ids=["gen-occupied", "walk-occupied", "walk-too-narrow"])
+def test_world_without_room_fails_fast(tmp_path, capsys, argv, occupied, clearance):
     # a fully occupied grid, or a 4 m world too narrow for a 5 m footprint:
-    # the first rejected start pose ends the walk, not 10^6 more draws
+    # the first rejected pose ends the run, not 10^6 more draws
     from neuromap.world import OccupancyGrid, environment_from_grid
 
     grid = OccupancyGrid(4, 4, 1.0, 0.0, 0.0, np.full((4, 4), occupied))
     save_environment(environment_from_grid(grid, "blocked"), tmp_path / "blocked.grid")
     t0 = time.perf_counter()
-    rc = main(["walk", "--env", str(tmp_path / "blocked.grid"), "--clearance", clearance,
-               "--out", str(tmp_path / "o")])
+    rc = main([*argv, "--env", str(tmp_path / "blocked.grid"), "--out", str(tmp_path / "o")])
     assert time.perf_counter() - t0 < 1.0
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("neuromap: input error: no start pose") and err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"neuromap: input error: no free pose with clearance {clearance} in 'blocked': no room\n"
+    )
 
 
 def test_env_file_path_and_unknown_name(tmp_path):

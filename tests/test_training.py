@@ -220,6 +220,21 @@ def test_adam_weight_decay_shrinks_params():
     assert np.all(state.v >= 0.0)
 
 
+@pytest.mark.parametrize("grad_shape, moment_shape", [((1,), (7,)), ((7,), (6,))])
+def test_adam_refuses_mis_shaped_arrays_without_changing_state(grad_shape, moment_shape):
+    # a 1-element gradient would broadcast over all 7 params
+    params = np.arange(7.0)
+    state = AdamState(np.zeros(moment_shape))
+    state.m += 0.5
+    state.v += 0.25
+    before = (params.copy(), state.m.copy(), state.v.copy(), state.t)
+    with pytest.raises(ValueError, match="must match"):
+        adam_step(params, np.ones(grad_shape), state, lr=1e-3, weight_decay=1e-2)
+    assert np.array_equal(params, before[0])
+    assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+    assert state.t == before[3] == 0
+
+
 def test_adam_matches_reference_formula():
     rng = np.random.default_rng(35)
     p = rng.normal(size=7)
@@ -441,7 +456,7 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         LrSchedule(lr0=0.0)
     with pytest.raises(ValueError):
-        LrSchedule(decay_rate=1.5)
+        LrSchedule(eval_interval=0)
     with pytest.raises(ValueError):
         LrSchedule(decay_mode="bogus")
 
