@@ -17,10 +17,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
+from .inputs import FormatError, InputError, check_finite, read_lines
 from .pose import Pose2D, ang_diff, wrap_angle
 from .world import EnvironmentSpec, SensorConfig, ray_distances
 
@@ -48,17 +47,12 @@ WEDGE_LIMIT = 100
 # stream tags for per-purpose RNG derivation
 STREAM_GEN = 0
 STREAM_WALK = 1
-STREAM_SPLIT = 2
 
 DATASET_MAGIC = "#neuromap-dataset v1"
 
 
-class InfeasibleEnvironmentError(RuntimeError):
+class InfeasibleEnvironmentError(InputError):
     """The environment has no room for the requested sampling."""
-
-
-class DatasetFormatError(ValueError):
-    """A dataset file violates the documented format."""
 
 
 def derived_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
@@ -134,28 +128,6 @@ class Dataset:
         return self._poses
 
 
-def datasets_close(a: Dataset, b: Dataset, tol: float = 1e-7) -> bool:
-    """Equality up to serialisation rounding.
-
-    Ranges and positions compare absolutely at ``tol``; yaw compares on its
-    normalised scale (wrap-aware difference / 180), since nine significant
-    decimal digits of an angle near 180 carry ~5e-7 degrees of rounding.
-    """
-    if (a.env_name, a.seed, len(a)) != (b.env_name, b.seed, len(b)):
-        return False
-    if a.sensor != b.sensor:
-        return False
-    if len(a) == 0:
-        return True
-    if not np.allclose(a.ranges_matrix(), b.ranges_matrix(), atol=tol, rtol=0.0):
-        return False
-    pa, pb = a.poses_matrix(), b.poses_matrix()
-    if not np.allclose(pa[:, :2], pb[:, :2], atol=tol, rtol=0.0):
-        return False
-    dtheta = np.abs([ang_diff(x, y) for x, y in zip(pa[:, 2], pb[:, 2])])
-    return bool(np.all(dtheta / 180.0 <= tol))
-
-
 @dataclass(frozen=True)
 class WalkConfig:
     """Random-walk parameters; capture fires on EITHER threshold."""
@@ -167,12 +139,13 @@ class WalkConfig:
     max_steps: int = 1000
 
     def __post_init__(self) -> None:
+        check_finite(self)
         for name in ("capture_dist", "capture_rot", "step_len", "clearance_radius"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive, got {v!r}")
+            if not v > 0.0:
+                raise InputError(f"{name} must be positive, got {v!r}")
         if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+            raise InputError(f"max_steps must be >= 0, got {self.max_steps}")
 
 
 class CaptureGate:
@@ -310,7 +283,7 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
     generation can shard by index range and still match a serial run.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     drawn = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i)) for i in range(n)]
     poses = np.array([(p.x, p.y, p.theta) for p in drawn])
     return Dataset(env.name, env.sensor, seed, poses, _observe_poses(env, poses))
@@ -380,23 +353,6 @@ def random_walk_capture(
     return WalkResult(dataset=dataset, wedged=wedged, steps=steps, log=tuple(log))
 
 
-def split_dataset(d: Dataset, test_n: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint uniform train/test split; both halves keep the input order
-    of their samples and are renumbered densely from 0.
-    """
-    n = len(d)
-    if not 0 <= test_n < n:
-        raise ValueError(f"test_n must be in [0, {n}), got {test_n}")
-    rng = derived_rng(seed, STREAM_SPLIT)
-    is_test = np.zeros(n, dtype=bool)
-    is_test[rng.permutation(n)[:test_n]] = True
-    poses, ranges = d.poses_matrix(), d.ranges_matrix()
-    return (
-        Dataset(d.env_name, d.sensor, seed, poses[~is_test], ranges[~is_test]),
-        Dataset(d.env_name, d.sensor, seed, poses[is_test], ranges[is_test]),
-    )
-
-
 # --- file format -------------------------------------------------------------
 
 
@@ -438,17 +394,15 @@ def load_dataset(path) -> Dataset:
     floats, each as numpy reads them. Only when it refuses them are the rows
     read one by one, to name the first bad line.
     """
-    lines = Path(path).read_text(encoding="ascii").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if not lines or lines[0] != DATASET_MAGIC:
-        raise DatasetFormatError(f"{path}: not a '{DATASET_MAGIC}' file")
+        raise FormatError(path, None, f"not a '{DATASET_MAGIC}' file")
     if len(lines) < 2:
-        raise DatasetFormatError(f"{path}: missing JSON header line")
+        raise FormatError(path, None, "missing JSON header line")
     try:
         header = json.loads(lines[1])
     except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: bad JSON header: {exc}") from exc
+        raise FormatError(path, 2, f"bad JSON header: {exc}") from None
     try:
         env_name = header["env_name"]
         seed = int(header["seed"])
@@ -458,11 +412,13 @@ def load_dataset(path) -> Dataset:
             max_range=float(header["max_range"]),
         )
         n = int(header["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{path}: bad header field: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(path, 2, f"bad header field: {exc}") from None
+    if not (isinstance(env_name, str) and env_name):
+        raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
     del lines[:2]  # the data rows
     if len(lines) != n:
-        raise DatasetFormatError(f"{path}: header says n={n} but file has {len(lines)} rows")
+        raise FormatError(path, None, f"header says n={n} but file has {len(lines)} rows")
     row = np.dtype(
         [("id", np.int64), ("pose", np.float64, 3), ("ranges", np.float64, sensor.ray_count)]
     )
@@ -474,33 +430,33 @@ def load_dataset(path) -> Dataset:
             if n:
                 body = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning) as exc:
-        raise DatasetFormatError(f"{path}: {_first_bad_row(lines, row, want) or exc}") from exc
+        raise _first_bad_row(path, lines, row, want) or FormatError(path, None, str(exc)) from None
     if len(body) != n:  # np.loadtxt skips blank lines
-        raise DatasetFormatError(f"{path}: {_first_bad_row(lines, row, want)}")
+        raise _first_bad_row(path, lines, row, want) or FormatError(path, None, "blank rows")
     del lines  # the text goes before the arrays are copied out of body
     bad_id = body["id"] != np.arange(n)
     if bad_id.any():
         i = int(np.argmax(bad_id))
-        raise DatasetFormatError(f"{path}: line {i + 3}: ids must be dense, got {body['id'][i]}")
+        raise FormatError(path, i + 3, f"ids must be dense, got {body['id'][i]}")
     poses, ranges = body["pose"], body["ranges"]
     bad_pose = ~np.isfinite(poses).all(axis=1)
     bad_ranges = ~((ranges >= 0.0) & (ranges <= 1.0)).all(axis=1)
     if (bad_pose | bad_ranges).any():
         i = int(np.argmax(bad_pose | bad_ranges))
         what = "ranges must all lie in [0, 1]" if bad_ranges[i] else "pose values must be finite"
-        raise DatasetFormatError(f"{path}: line {i + 3}: {what}")
+        raise FormatError(path, i + 3, what)
     return Dataset(env_name, sensor, seed, poses, ranges)
 
 
-def _first_bad_row(rows, row_dtype, want: int) -> str | None:
-    """'line N: why' for the first data row without ``want`` columns or
-    that np.loadtxt refuses on its own."""
-    for i, text in enumerate(rows):
+def _first_bad_row(path, rows, row_dtype, want: int) -> FormatError | None:
+    """The error of the first data row without ``want`` columns or that
+    np.loadtxt refuses on its own."""
+    for line_no, text in enumerate(rows, start=3):
         got = text.count(",") + 1
         if got != want:
-            return f"line {i + 3}: expected {want} columns, got {got}"
+            return FormatError(path, line_no, f"expected {want} columns, got {got}")
         try:
             np.loadtxt([text], dtype=row_dtype, delimiter=",", comments=None)
         except ValueError as exc:  # numpy's own "at row 0, column C" would mislead
-            return f"line {i + 3}: bad value: {str(exc).partition(' at row ')[0]}"
+            return FormatError(path, line_no, f"bad value: {str(exc).partition(' at row ')[0]}")
     return None

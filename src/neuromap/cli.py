@@ -5,10 +5,11 @@ file embeds the invocation, tool version and seed, and (bench excepted,
 being a wall-clock measurement) every command is a pure function of its
 flags, so rerunning an invocation reproduces its outputs byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 input validation error (including
-inputs captured in another world, and worlds with no room to sample),
-3 runtime abort (collision, estimator failure, tick budget, diverged
-training).
+Exit codes: 0 success, 1 usage error, 2 input validation error (an
+``InputError`` or ``OSError``: refused values and files, inputs captured in
+another world, worlds with no room to sample), 3 runtime abort (collision,
+estimator failure, tick budget, diverged training). Any other exception is
+a bug and ends in a traceback.
 
 Option values resolve as flags > JSON config file (--config) > defaults;
 a default that a library config (WalkConfig, TrainConfig, NavConfig,
@@ -29,8 +30,6 @@ import numpy as np
 from . import __version__
 from .capture import (
     Dataset,
-    DatasetFormatError,
-    InfeasibleEnvironmentError,
     WalkConfig,
     generate_dataset,
     load_dataset,
@@ -47,6 +46,7 @@ from .estimator import (
     OracleEstimator,
     RegressorEstimator,
 )
+from .inputs import InputError
 from .navigate import (
     NavConfig,
     OdometryConfig,
@@ -72,16 +72,12 @@ from .training import (
     save_model,
     train,
 )
-from .world import DEFAULT_SENSOR, GridFormatError, SensorConfig, load_environment
+from .world import DEFAULT_SENSOR, SensorConfig, load_environment
 from .worlds import APARTMENT_LOOP, BUILDERS, bundled_environment
 
 
 class UsageError(Exception):
     """Bad flags or malformed spec strings; exit code 1."""
-
-
-class InputError(Exception):
-    """Missing or malformed input files / values; exit code 2."""
 
 
 class RuntimeAbort(Exception):
@@ -113,7 +109,9 @@ def _merge_options(args, argv) -> None:
         if not path.is_file():
             raise InputError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
@@ -125,6 +123,8 @@ def _merge_options(args, argv) -> None:
     for key, default in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, loaded.get(key, default))
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     for key in file_keys:
         value = getattr(args, key)
         if value is not None and value not in BUNDLED_WAYPOINTS and value not in BUILDERS:
@@ -258,9 +258,13 @@ def build_estimator(spec: str, env) -> Estimator:
             raise InputError(f"model file not found: {rest}")
         return RegressorEstimator(load_model(rest), env)
     if kind == "external":
-        if not rest:
+        try:
+            argv = shlex.split(rest)
+        except ValueError as exc:
+            raise UsageError(f"bad external command line {rest!r}: {exc}") from None
+        if not argv:
             raise UsageError("external spec needs a command line: external:CMD ARGS..")
-        return ExternalEstimator(shlex.split(rest), env)
+        return ExternalEstimator(argv, env)
     raise UsageError(f"unknown estimator kind {kind!r}; use oracle/knn/model/external")
 
 
@@ -283,7 +287,6 @@ def cmd_gen(args) -> int:
 
 def cmd_walk(args) -> int:
     env = _resolve_env(args)
-    out = _out_dir(args)
     walk_cfg = WalkConfig(
         capture_dist=args.capture_dist,
         capture_rot=args.capture_rot,
@@ -291,6 +294,7 @@ def cmd_walk(args) -> int:
         clearance_radius=args.clearance,
         max_steps=args.steps,
     )
+    out = _out_dir(args)
     result = random_walk_capture(env, walk_cfg, args.seed)
     save_dataset(result.dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
     poses = result.dataset.poses_matrix()
@@ -317,9 +321,6 @@ def _parse_hidden(text):
 
 def cmd_train(args) -> int:
     env = _resolve_env(args)
-    out = _out_dir(args)
-    dataset = load_dataset(args.dataset)
-    _check_capture("dataset", dataset, env)
     train_cfg = TrainConfig(
         seed=args.seed,
         max_iterations=args.iterations,
@@ -333,7 +334,9 @@ def cmd_train(args) -> int:
         yaw_mode=args.yaw_mode,
         loss=args.loss,
     )
-
+    dataset = load_dataset(args.dataset)
+    _check_capture("dataset", dataset, env)
+    out = _out_dir(args)
     evals_seen = 0
 
     def checkpoint(row, model):
@@ -398,15 +401,14 @@ def _parse_start(text) -> Pose2D:
     if len(parts) != 3:
         raise UsageError(f"bad --start value {text!r}; expected x,y,theta")
     try:
-        x, y, theta = (float(v) for v in parts)
-    except ValueError:
-        raise UsageError(f"bad --start value {text!r}; expected numbers") from None
-    return Pose2D(x, y, theta)
+        return Pose2D(*(float(v) for v in parts))
+    except ValueError:  # not a number, or not finite
+        raise UsageError(f"bad --start value {text!r}; expected finite numbers") from None
 
 
 def cmd_navigate(args) -> int:
     env = _resolve_env(args)
-    out = _out_dir(args)
+    start = _parse_start(args.start)
     waypoints = _waypoints(args.waypoints)
     nav_cfg = NavConfig(
         T_d=args.td, T_a=args.ta, max_step=args.max_step,
@@ -417,10 +419,9 @@ def cmd_navigate(args) -> int:
     odo = OdometryConfig(
         sigma_lin_frac=args.odo_lin, sigma_ang_per_step=args.odo_ang, seed=args.seed,
     )
+    out = _out_dir(args)
     with build_estimator(args.estimator, env) as estimator:
-        trace, report = navigate_waypoints(
-            waypoints, estimator, env, _parse_start(args.start), nav_cfg, odo
-        )
+        trace, report = navigate_waypoints(waypoints, estimator, env, start, nav_cfg, odo)
 
     save_trace(trace, out / "trace.csv", comments=args.comments)
     _write_json(
@@ -469,6 +470,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise InputError(f"repeats must be >= 1, got {args.repeats}")
     env = _resolve_env(args)
     frames = generate_dataset(env, args.frames, args.seed)
     rates = []
@@ -572,10 +575,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"neuromap: usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        InputError, DatasetFormatError, GridFormatError, InfeasibleEnvironmentError,
-        ValueError, OSError,
-    ) as exc:
+    except (InputError, OSError) as exc:
         print(f"neuromap: input error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeAbort, EstimatorUnavailableError, TrainingDivergedError) as exc:

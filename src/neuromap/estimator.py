@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capture import Dataset
+from .inputs import InputError, check_finite
 from .pose import NormalizedPose, Pose2D, circular_mean, denormalize, normalize
 from .world import EnvironmentSpec, Observation, SensorConfig
 
@@ -62,8 +63,11 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.sigma_pos < 0 or self.sigma_theta < 0:
-            raise ValueError("sigmas must be non-negative")
+            raise InputError("sigmas must be non-negative")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +77,9 @@ class KnnConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+            raise InputError(f"k must be positive, got {self.k}")
         if self.weighting not in (WEIGHT_UNIFORM, WEIGHT_INVERSE):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
+            raise InputError(f"unknown weighting {self.weighting!r}")
 
 
 class Estimator:
@@ -241,9 +245,9 @@ class KnnEstimator(Estimator):
 
     def __init__(self, db: Dataset, cfg: KnnConfig = KnnConfig()):
         if len(db) == 0:
-            raise ValueError("empty database")
+            raise InputError("empty database")
         if cfg.k > len(db):
-            raise ValueError(f"k={cfg.k} exceeds database size {len(db)}")
+            raise InputError(f"k={cfg.k} exceeds database size {len(db)}")
         self.db = db
         self.cfg = cfg
         self.sensor = db.sensor
@@ -274,11 +278,15 @@ class RegressorEstimator(Estimator):
         from .training import forward  # noqa: PLC0415
 
         if model.env_name and model.env_name != env.name:
-            raise ValueError(
+            raise InputError(
                 f"model was trained on {model.env_name!r}, environment is {env.name!r}"
             )
         if model.sensor is not None and model.sensor != env.sensor:
-            raise ValueError("model sensor does not match environment sensor")
+            raise InputError("model sensor does not match environment sensor")
+        if model.input_dim != env.sensor.ray_count:
+            raise InputError(
+                f"model takes {model.input_dim} rays, the sensor casts {env.sensor.ray_count}"
+            )
         self.model = model
         self.env = env
         self.sensor = model.sensor if model.sensor is not None else env.sensor

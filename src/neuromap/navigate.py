@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import Estimator, EstimatorUnavailableError, PoseEstimate
+from .inputs import FormatError, InputError, check_finite, read_lines
 from .pose import Pose2D, ang_diff, heading
 from .world import EnvironmentSpec, raycast
 
@@ -24,6 +25,7 @@ EVENT_MOVE = "move"
 EVENT_REACHED = "waypoint-reached"
 EVENT_COLLISION = "collision"
 EVENT_ABORT = "abort"
+EVENTS = (EVENT_ESTIMATE, EVENT_ROTATE, EVENT_MOVE, EVENT_REACHED, EVENT_COLLISION, EVENT_ABORT)
 
 ABORT_COLLISION = "collision"
 ABORT_ESTIMATOR = "estimator-failure"
@@ -46,15 +48,16 @@ class NavConfig:
     leg_tolerance: float | None = None
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("T_d", "T_a", "max_step", "linear_speed", "angular_speed", "dt"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise InputError(f"{name} must be positive")
         if self.max_ticks <= 0 or self.footprint_radius < 0:
-            raise ValueError("max_ticks must be positive, footprint_radius >= 0")
+            raise InputError("max_ticks must be positive, footprint_radius >= 0")
         if self.T_d >= self.max_step:
-            raise ValueError("T_d must be smaller than max_step")
+            raise InputError("T_d must be smaller than max_step")
         if self.leg_tolerance is not None and self.leg_tolerance <= 0:
-            raise ValueError("leg_tolerance must be positive")
+            raise InputError("leg_tolerance must be positive")
 
     @property
     def leg_tol(self) -> float:
@@ -68,8 +71,9 @@ class OdometryConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.sigma_lin_frac < 0 or self.sigma_ang_per_step < 0:
-            raise ValueError("odometry sigmas must be non-negative")
+            raise InputError("odometry sigmas must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -216,11 +220,11 @@ def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, st
     """
     waypoints = [(float(x), float(y)) for x, y in waypoints]
     if not waypoints:
-        raise ValueError("need at least one waypoint")
+        raise InputError("need at least one waypoint")
     if not env.grid.footprint_free(start_pose.x, start_pose.y, cfg.footprint_radius):
-        raise ValueError("start pose is not footprint-free")
+        raise InputError("start pose is not footprint-free")
     if estimator.sensor != env.sensor:
-        raise ValueError("estimator sensor does not match environment sensor")
+        raise InputError("estimator sensor does not match environment sensor")
 
     ep = _Episode(start_pose, estimator, env, cfg, odo)
     abort_reason = ""
@@ -303,48 +307,52 @@ def save_trace(trace: RouteTrace, path, comments=()) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _content_lines(path) -> list:
+    """(line number, stripped text) of each line that is neither blank nor a
+    '#' comment."""
+    numbered = ((i, ln.strip()) for i, ln in enumerate(read_lines(path), start=1))
+    return [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
+
+
 def load_trace(path) -> RouteTrace:
-    lines = [
-        ln for ln in Path(path).read_text(encoding="ascii").splitlines()
-        if ln and not ln.startswith("#")
-    ]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ValueError(f"{path}: not a trace file")
+    lines = _content_lines(path)
+    if not lines or lines[0][1] != TRACE_HEADER:
+        raise FormatError(path, lines[0][0] if lines else None, "not a trace file")
     rows = []
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 10:
-            raise ValueError(f"{path}: malformed trace row {ln!r}")
-        est = None
-        if parts[5]:
-            est = PoseEstimate(Pose2D(float(parts[5]), float(parts[6]), float(parts[7])))
-        rows.append(
-            TraceTick(
-                int(parts[0]), float(parts[1]),
-                Pose2D(float(parts[2]), float(parts[3]), float(parts[4])),
-                est, int(parts[8]), parts[9],
-            )
-        )
+            raise FormatError(path, line_no, f"malformed trace row {ln!r}")
+        if parts[9] not in EVENTS:
+            raise FormatError(path, line_no, f"unknown event {parts[9]!r}")
+        try:
+            time = float(parts[1])
+            if not math.isfinite(time):
+                raise ValueError(f"time must be finite, got {parts[1]!r}")
+            est = None
+            if parts[5]:
+                est = PoseEstimate(Pose2D(float(parts[5]), float(parts[6]), float(parts[7])))
+            pose = Pose2D(float(parts[2]), float(parts[3]), float(parts[4]))
+            rows.append(TraceTick(int(parts[0]), time, pose, est, int(parts[8]), parts[9]))
+            RouteTrace(tuple(rows[-2:]))  # this row continues the order of the last one
+        except ValueError as exc:
+            raise FormatError(path, line_no, f"bad value: {exc}") from None
     return RouteTrace(tuple(rows))
-
-
-def save_waypoints(waypoints, path, comments=()) -> None:
-    lines = [f"# {c}" for c in comments]
-    for x, y in waypoints:
-        lines.append(f"{float(x)!r},{float(y)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def load_waypoints(path) -> list:
     out = []
-    for i, ln in enumerate(Path(path).read_text(encoding="ascii").splitlines()):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for line_no, ln in _content_lines(path):
         parts = ln.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{path}: line {i + 1}: expected 'x,y', got {ln!r}")
-        out.append((float(parts[0]), float(parts[1])))
+            raise FormatError(path, line_no, f"expected 'x,y', got {ln!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise FormatError(path, line_no, f"bad value: {exc}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FormatError(path, line_no, f"waypoint must be finite, got {ln!r}")
+        out.append((x, y))
     if not out:
-        raise ValueError(f"{path}: no waypoints")
+        raise FormatError(path, None, "no waypoints")
     return out

@@ -17,13 +17,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .inputs import InputError
+
 
 class DegenerateHeadingError(ValueError):
     """Heading requested between two (nearly) coincident points."""
 
 
-class IndeterminateMeanError(ValueError):
-    """Circular mean requested for angles whose mean vector vanishes."""
+class IndeterminateMeanError(InputError):
+    """Circular mean requested for angles whose mean vector vanishes; a
+    k-NN database whose neighbours' headings cancel has no estimate."""
 
 
 class OutOfBoundsError(ValueError):

@@ -192,17 +192,6 @@ def coverage_summary(env: EnvironmentSpec, positions, cell_m: float = 0.5) -> Co
     return CoverageSummary(cell_m, int(free.sum()), int(covered.sum()))
 
 
-def near_obstacle_fraction(env: EnvironmentSpec, positions, clearance_m: float = 0.3) -> float:
-    """Fraction of sample positions (an (n, >= 2) array of x, y first)
-    closer than ``clearance_m`` to any obstacle or the boundary; lets
-    capture strategies be compared."""
-    if len(positions) == 0:
-        raise ValueError("no poses")
-    xy = positions[:, :2].tolist()
-    near = sum(1 for x, y in xy if not env.grid.footprint_free(x, y, clearance_m))
-    return near / len(xy)
-
-
 # --- metrics serialisation ---------------------------------------------------------
 
 
@@ -216,26 +205,11 @@ def metrics_to_dict(m: Metrics) -> dict:
     }
 
 
-def metrics_from_dict(d: dict) -> Metrics:
-    return Metrics(
-        mean_pos_err=float(d["mean_pos_err"]),
-        mean_theta_err=float(d["mean_theta_err"]),
-        median_pos_err=float(d["median_pos_err"]),
-        median_theta_err=float(d["median_theta_err"]),
-        per_sample_errors=np.asarray(d["per_sample_errors"], dtype=np.float64),
-    )
-
-
 def save_metrics(metrics_by_name: dict, path, provenance: dict | None = None) -> None:
     doc = {"metrics": {name: metrics_to_dict(m) for name, m in metrics_by_name.items()}}
     if provenance:
         doc["provenance"] = provenance
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
-
-
-def load_metrics(path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="ascii"))
-    return {name: metrics_from_dict(d) for name, d in doc["metrics"].items()}
 
 
 def metrics_table(metrics_by_name: dict, comments=()) -> str:
@@ -244,8 +218,6 @@ def metrics_table(metrics_by_name: dict, comments=()) -> str:
     lines = [f"# {c}" for c in comments]
     lines += [header, "-" * len(header)]
     for name, m in metrics_by_name.items():
-        if isinstance(m, dict):
-            m = metrics_from_dict(m)
         lines.append(
             f"{name:<24} {m.mean_pos_err:>12.4f} {m.median_pos_err:>12.4f} "
             f"{m.mean_theta_err:>14.3f} {m.median_theta_err:>13.3f}"

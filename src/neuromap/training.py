@@ -20,6 +20,7 @@ import numpy as np
 
 from .capture import Dataset, derived_rng
 from .estimator import Estimator
+from .inputs import FormatError, InputError, check_finite, read_lines
 from .pose import NormalizedPose, Pose2D, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, Observation, SensorConfig
 
@@ -41,10 +42,6 @@ ACTION_CONVERGED = "converged"
 
 YAW_TANH = "tanh"  # single normalised-yaw output, 3 outputs total
 YAW_SINCOS = "sincos"  # (sin, cos) yaw head, 4 outputs, dodges the +-180 seam
-
-
-class ModelFormatError(ValueError):
-    """A model file violates the documented format."""
 
 
 class ScheduleContractError(ValueError):
@@ -277,16 +274,12 @@ class LrSchedule:
     metric improving (strictly, beyond 1e-12) resets the rate to ``lr0``
     and restarts the decay clock; a second plateau after the reset declares
     convergence. Any improvement after a reset resumes normal decaying, so
-    reset cycles are unlimited.
+    reset cycles are unlimited. ``TrainConfig`` checks the settings.
     """
 
     def __init__(
         self, lr0: float = 1e-4, eval_interval: int = 1000, decay_mode: str = DECAY_PER_ITERATION
     ) -> None:
-        if lr0 <= 0 or eval_interval < 1:
-            raise ValueError("lr0 must be positive and eval_interval >= 1")
-        if decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):
-            raise ValueError(f"unknown decay_mode {decay_mode!r}")
         self.lr0 = lr0
         self.eval_interval = eval_interval
         self.decay_mode = decay_mode
@@ -351,18 +344,27 @@ class TrainConfig:
     loss: str = "l1"
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InputError("batch_size must be >= 1")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InputError("max_iterations must be >= 1")
+        if self.eval_interval < 1:
+            raise InputError("eval_interval must be >= 1")
+        if not self.lr0 > 0.0:
+            raise InputError("lr0 must be positive")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+            raise InputError("val_fraction must be in (0, 1)")
         if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
+            raise InputError("weight_decay must be >= 0")
+        if min(self.hidden_dims, default=1) < 1:
+            raise InputError(f"hidden widths must be >= 1, got {self.hidden_dims}")
+        if self.decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):
+            raise InputError(f"unknown decay_mode {self.decay_mode!r}")
         if self.loss not in ("l1", "l2"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+            raise InputError(f"unknown loss {self.loss!r}")
         if self.yaw_mode not in (YAW_TANH, YAW_SINCOS):
-            raise ValueError(f"unknown yaw_mode {self.yaw_mode!r}")
+            raise InputError(f"unknown yaw_mode {self.yaw_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,10 @@ def _targets(dataset: Dataset, env: EnvironmentSpec, yaw_mode: str) -> np.ndarra
 
 
 def _val_errors(model: RegressorModel, X: np.ndarray, poses: np.ndarray, env: EnvironmentSpec):
-    """Mean denormalised position / yaw error of the model on (X, poses)."""
+    """Mean denormalised position / yaw error of the model on (X, poses).
+
+    Raises TrainingDivergedError when the model's outputs are not finite.
+    """
     out = forward_batch(model, X)
     b = env.bounds
     ex = b.x_min + (out[:, 0] + 1.0) * 0.5 * b.width
@@ -397,9 +402,14 @@ def _val_errors(model: RegressorModel, X: np.ndarray, poses: np.ndarray, env: En
         et = np.degrees(np.arctan2(out[:, 2], out[:, 3]))
     pos = np.hypot(ex - poses[:, 0], ey - poses[:, 1])
     dt = np.abs((et - poses[:, 2] + 180.0) % 360.0 - 180.0)
-    return float(np.mean(pos)), float(np.mean(dt))
+    pos_err, yaw_err = float(np.mean(pos)), float(np.mean(dt))
+    if not (math.isfinite(pos_err) and math.isfinite(yaw_err)):
+        raise TrainingDivergedError(f"non-finite validation error {pos_err!r} m, {yaw_err!r} deg")
+    return pos_err, yaw_err
 
 
+# the divergence checks report a blown-up step; numpy need not warn of it too
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None):
     """Train a regressor on the dataset; returns (best model, history).
 
@@ -409,10 +419,10 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
     """
     n = len(dataset)
     if n < cfg.batch_size:
-        raise ValueError(f"dataset has {n} samples, need at least batch_size={cfg.batch_size}")
+        raise InputError(f"dataset has {n} samples, need at least batch_size={cfg.batch_size}")
     n_val = max(1, int(round(n * cfg.val_fraction)))
     if n - n_val < cfg.batch_size:
-        raise ValueError("dataset too small for the validation split")
+        raise InputError("dataset too small for the validation split")
 
     X = dataset.ranges_matrix()
     T = _targets(dataset, env, cfg.yaw_mode)
@@ -523,11 +533,11 @@ def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Me
     poses, which only the oracle reads.
     """
     if len(testset) == 0:
-        raise ValueError("test set is empty")
+        raise InputError("test set is empty")
     if testset.sensor != env.sensor:
-        raise ValueError(f"test set sensor {testset.sensor} does not match {env.sensor}")
+        raise InputError(f"test set sensor {testset.sensor} does not match {env.sensor}")
     if estimator.sensor != env.sensor:
-        raise ValueError(f"estimator sensor {estimator.sensor} does not match {env.sensor}")
+        raise InputError(f"estimator sensor {estimator.sensor} does not match {env.sensor}")
     errs = np.empty((len(testset), 2))
     truths = [Pose2D(*row) for row in testset.poses_matrix().tolist()]
     estimates = estimator.estimate_batch(testset.ranges_matrix(), truths)
@@ -578,14 +588,11 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
 
 
 def load_model(path) -> RegressorModel:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     if not lines or lines[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: not a '{MODEL_MAGIC}' file")
+        raise FormatError(path, None, f"not a '{MODEL_MAGIC}' file")
     if len(lines) < 2:
-        raise ModelFormatError(f"{path}: missing JSON header")
+        raise FormatError(path, None, "missing JSON header")
     try:
         header = json.loads(lines[1])
         layer_dims = tuple(int(d) for d in header["layer_dims"])
@@ -593,47 +600,54 @@ def load_model(path) -> RegressorModel:
         env_name = header["env_name"]
         sensor_h = header["sensor"]
         activation = header["activation"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: bad header: {exc}") from exc
+        sensor = None
+        if sensor_h is not None:
+            sensor = SensorConfig(
+                fov=float(sensor_h["fov"]),
+                ray_count=int(sensor_h["ray_count"]),
+                max_range=float(sensor_h["max_range"]),
+            )
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(path, 2, f"bad header: {exc}") from None
     if activation != "relu":
-        raise ModelFormatError(f"{path}: unsupported activation {activation!r}")
-    sensor = None
-    if sensor_h is not None:
-        sensor = SensorConfig(
-            fov=float(sensor_h["fov"]),
-            ray_count=int(sensor_h["ray_count"]),
-            max_range=float(sensor_h["max_range"]),
-        )
+        raise FormatError(path, 2, f"unsupported activation {activation!r}")
+    if min(layer_dims, default=0) < 1:
+        raise FormatError(path, 2, f"layer dims must be positive, got {layer_dims}")
     n_layers = len(layer_dims) - 1
-    tensors = {}
+    tensors = {}  # name -> (line number, values)
     for line_no, line in enumerate(lines[2:], start=3):
         parts = line.split()
         if not parts:
-            raise ModelFormatError(f"{path}: line {line_no}: empty tensor line")
+            raise FormatError(path, line_no, "empty tensor line")
         name = parts[0]
         try:
             values = np.array([float(v) for v in parts[1:]])
         except ValueError as exc:
-            raise ModelFormatError(f"{path}: line {line_no}: bad value: {exc}") from exc
+            raise FormatError(path, line_no, f"bad value: {exc}") from None
+        if not np.isfinite(values).all():
+            raise FormatError(path, line_no, f"tensor {name} has non-finite values")
         if name in tensors:
-            raise ModelFormatError(f"{path}: line {line_no}: duplicate tensor {name}")
-        tensors[name] = values
+            raise FormatError(path, line_no, f"duplicate tensor {name}")
+        tensors[name] = line_no, values
     weights, biases = [], []
     for i in range(n_layers):
         fan_out, fan_in = layer_dims[i + 1], layer_dims[i]
         for key, want in ((f"W{i}", fan_out * fan_in), (f"b{i}", fan_out)):
             if key not in tensors:
-                raise ModelFormatError(f"{path}: missing tensor {key}")
-            if tensors[key].size != want:
-                raise ModelFormatError(
-                    f"{path}: tensor {key} has {tensors[key].size} values, expected {want}"
-                )
-        weights.append(tensors[f"W{i}"].reshape(fan_out, fan_in))
-        biases.append(tensors[f"b{i}"])
+                raise FormatError(path, None, f"missing tensor {key}")
+            line_no, values = tensors[key]
+            if values.size != want:
+                why = f"tensor {key} has {values.size} values, expected {want}"
+                raise FormatError(path, line_no, why)
+        weights.append(tensors[f"W{i}"][1].reshape(fan_out, fan_in))
+        biases.append(tensors[f"b{i}"][1])
     if len(tensors) != 2 * n_layers:
         extras = sorted(set(tensors) - {f"{p}{i}" for i in range(n_layers) for p in "Wb"})
-        raise ModelFormatError(f"{path}: unexpected tensors {extras}")
-    return RegressorModel(layer_dims, weights, biases, yaw_mode, env_name, sensor)
+        raise FormatError(path, None, f"unexpected tensors {extras}")
+    try:  # the tensors fit the header, so what is left to refuse is in the header
+        return RegressorModel(layer_dims, weights, biases, yaw_mode, env_name, sensor)
+    except ValueError as exc:
+        raise FormatError(path, 2, str(exc)) from None
 
 
 def save_history(history, path, comments=()) -> None:
@@ -646,16 +660,3 @@ def save_history(history, path, comments=()) -> None:
             f"{row.iteration},{row.lr!r},{row.val_pos_err!r},{row.val_theta_err!r},{row.event}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def load_history(path) -> list[HistoryRow]:
-    lines = [
-        ln for ln in Path(path).read_text(encoding="ascii").splitlines() if not ln.startswith("#")
-    ]
-    if not lines or lines[0] != "iteration,lr,val_pos_err,val_theta_err,event":
-        raise ValueError(f"{path}: not a history file")
-    out = []
-    for ln in lines[1:]:
-        it, lr, vp, vt, event = ln.split(",")
-        out.append(HistoryRow(int(it), float(lr), float(vp), float(vt), event))
-    return out

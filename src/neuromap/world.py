@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .inputs import FormatError, InputError, check_finite, read_lines
 from .pose import EnvBounds, Pose2D
 
 FREE_CHAR = "."
@@ -20,10 +21,6 @@ OCCUPIED_CHAR = "#"
 # Depth of the ring of occupied cells around the raycaster's copy of a grid,
 # and the number of traversal steps between compactions of its ray state.
 RAY_RING = 8
-
-
-class GridFormatError(ValueError):
-    """A grid file (or text) violates the documented format."""
 
 
 class InvalidPoseError(ValueError):
@@ -45,13 +42,14 @@ class SensorConfig:
     max_range: float = 20.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.fov) and 0.0 < self.fov <= 360.0):
-            raise ValueError(f"fov must be in (0, 360], got {self.fov!r}")
+        check_finite(self)
+        if not 0.0 < self.fov <= 360.0:
+            raise InputError(f"fov must be in (0, 360], got {self.fov!r}")
         min_rays = 1 if self.fov == 360.0 else 2
         if self.ray_count < min_rays:
-            raise ValueError(f"ray_count must be >= {min_rays} for fov {self.fov}")
-        if not (math.isfinite(self.max_range) and self.max_range > 0.0):
-            raise ValueError(f"max_range must be positive, got {self.max_range!r}")
+            raise InputError(f"ray_count must be >= {min_rays} for fov {self.fov}")
+        if not self.max_range > 0.0:
+            raise InputError(f"max_range must be positive, got {self.max_range!r}")
 
     def bearing_offsets(self) -> np.ndarray:
         """Ray bearings relative to the heading, in degrees, ray 0 first."""
@@ -105,6 +103,12 @@ class OccupancyGrid:
             raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
         if not (math.isfinite(resolution) and resolution > 0.0):
             raise ValueError(f"resolution must be positive, got {resolution!r}")
+        x_max, y_max = origin_x + width * resolution, origin_y + height * resolution
+        # false for a non-finite origin too, and for bounds that overflow or round away
+        if not (origin_x < x_max < math.inf and origin_y < y_max < math.inf):
+            raise ValueError(
+                f"bounds x [{origin_x}, {x_max}], y [{origin_y}, {y_max}] must be finite and non-empty"
+            )
         arr = np.asarray(cells, dtype=bool)
         if arr.shape != (height, width):
             raise ValueError(f"cells shape {arr.shape} does not match {height}x{width}")
@@ -164,9 +168,6 @@ class OccupancyGrid:
             return False
         return not self.cells[iy, ix]
 
-    def free_fraction(self) -> float:
-        return 1.0 - float(self.cells.sum()) / float(self.cells.size)
-
     def footprint_free(self, x: float, y: float, radius: float) -> bool:
         """True when a disc of ``radius`` centred at (x, y) fits in free space.
 
@@ -218,48 +219,42 @@ class OccupancyGrid:
     # --- text format -------------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str) -> "OccupancyGrid":
-        """Parse the grid text format.
+    def from_lines(cls, lines: list, path) -> "OccupancyGrid":
+        """Parse the lines of a grid file; errors name ``path``.
 
         Line 1: ``width height resolution origin_x origin_y``. Then exactly
         ``height`` rows of ``width`` characters from {'.', '#'}, the first
         row being the TOP of the world (maximum y).
         """
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()  # trailing newline is optional
         if not lines:
-            raise GridFormatError("empty grid text")
+            raise FormatError(path, None, "empty grid file")
         tokens = lines[0].split()
         if len(tokens) != 5:
-            raise GridFormatError(
-                f"line 1: header needs 5 fields (width height resolution origin_x origin_y), got {len(tokens)}"
+            raise FormatError(
+                path, 1, f"header needs 5 fields (width height resolution origin_x origin_y), got {len(tokens)}"
             )
         try:
             width, height = int(tokens[0]), int(tokens[1])
-            resolution = float(tokens[2])
-            origin_x, origin_y = float(tokens[3]), float(tokens[4])
+            resolution, origin_x, origin_y = (float(t) for t in tokens[2:])
         except ValueError as exc:
-            raise GridFormatError(f"line 1: bad header field: {exc}") from exc
+            raise FormatError(path, 1, f"bad header field: {exc}") from None
         if width < 1 or height < 1:
-            raise GridFormatError(f"line 1: grid must be at least 1x1, got {width}x{height}")
-        if not (math.isfinite(resolution) and resolution > 0.0):
-            raise GridFormatError(f"line 1: resolution must be positive, got {tokens[2]}")
+            raise FormatError(path, 1, f"grid must be at least 1x1, got {width}x{height}")
         body = lines[1:]
         if len(body) != height:
-            raise GridFormatError(f"expected {height} grid rows, found {len(body)}")
-        cells = np.zeros((height, width), dtype=bool)
-        for row_i, line in enumerate(body):
-            if len(line) != width:
-                raise GridFormatError(
-                    f"line {row_i + 2}: row has {len(line)} characters, expected {width}"
-                )
-            for col_i, ch in enumerate(line):
-                if ch == OCCUPIED_CHAR:
-                    cells[height - 1 - row_i, col_i] = True  # first body row = top
-                elif ch != FREE_CHAR:
-                    raise GridFormatError(f"line {row_i + 2}: unknown cell character {ch!r}")
-        return cls(width, height, resolution, origin_x, origin_y, cells)
+            raise FormatError(path, None, f"expected {height} grid rows, found {len(body)}")
+        for line_no, row in enumerate(body, start=2):
+            if len(row) != width:
+                raise FormatError(path, line_no, f"row has {len(row)} characters, expected {width}")
+            unknown = row.lstrip(FREE_CHAR + OCCUPIED_CHAR)
+            if unknown:
+                raise FormatError(path, line_no, f"unknown cell character {unknown[0]!r}")
+        text = "".join(reversed(body)).encode("ascii")  # the first body row is the top
+        cells = np.frombuffer(text, dtype=np.uint8).reshape(height, width) == ord(OCCUPIED_CHAR)
+        try:
+            return cls(width, height, resolution, origin_x, origin_y, cells)
+        except ValueError as exc:
+            raise FormatError(path, 1, str(exc)) from None
 
     def to_text(self) -> str:
         header = f"{self.width} {self.height} {self.resolution!r} {self.origin_x!r} {self.origin_y!r}"
@@ -301,13 +296,8 @@ def environment_from_grid(grid: OccupancyGrid, name: str, sensor: SensorConfig =
 
 def load_environment(path, sensor: SensorConfig = DEFAULT_SENSOR) -> EnvironmentSpec:
     """Load a grid file; the environment takes its name from the file stem."""
-    p = Path(path)
-    text = p.read_text(encoding="ascii")
-    try:
-        grid = OccupancyGrid.from_text(text)
-    except GridFormatError as exc:
-        raise GridFormatError(f"{p}: {exc}") from exc
-    return environment_from_grid(grid, name=p.stem, sensor=sensor)
+    grid = OccupancyGrid.from_lines(read_lines(path), path)
+    return environment_from_grid(grid, name=Path(path).stem, sensor=sensor)
 
 
 def save_environment(env: EnvironmentSpec, path) -> None:

@@ -20,18 +20,16 @@ from neuromap.capture import (
     STREAM_WALK,
     CaptureGate,
     Dataset,
-    DatasetFormatError,
     InfeasibleEnvironmentError,
     WalkConfig,
-    datasets_close,
     derived_rng,
     generate_dataset,
     load_dataset,
     random_walk_capture,
     sample_random_pose,
     save_dataset,
-    split_dataset,
 )
+from neuromap.inputs import FormatError
 from neuromap.pose import Pose2D, ang_diff, distance
 from neuromap.world import (
     InvalidPoseError,
@@ -40,6 +38,7 @@ from neuromap.world import (
     environment_from_grid,
     ray_distances,
 )
+from worldgen import datasets_close
 
 
 def make_env(grid, name="test-env", ray_count=16, max_range=10.0):
@@ -146,7 +145,7 @@ def test_acceptance_rate_tracks_free_fraction():
     xs = rng.uniform(b.x_min, b.x_max, size=n)
     ys = rng.uniform(b.y_min, b.y_max, size=n)
     accepted = sum(grid.is_free(x, y) for x, y in zip(xs, ys))
-    assert abs(accepted / n - grid.free_fraction()) < 0.01
+    assert abs(accepted / n - (1.0 - grid.cells.mean())) < 0.01
 
 
 def test_uniformity_chi_squared_over_free_space():
@@ -447,49 +446,9 @@ def test_walk_config_validation():
     WalkConfig(max_steps=0)  # a zero-step walk is legal: capture the start
 
 
-# splitting ---------------------------------------------------------------------
-
-
 def _toy_dataset(n, seed=1):
     env = make_env(empty_grid(10, 10, 0.5), ray_count=8)
     return generate_dataset(env, n, seed=seed)
-
-
-def test_split_zero_test_returns_input_and_empty():
-    d = _toy_dataset(20)
-    train, test = split_dataset(d, 0, seed=9)
-    assert len(train) == 20 and len(test) == 0
-    assert train.poses_matrix().tolist() == d.poses_matrix().tolist()
-
-
-def test_split_partitions_and_preserves_order():
-    d = _toy_dataset(50)
-    train, test = split_dataset(d, 12, seed=9)
-    assert len(train) == 38 and len(test) == 12
-    rows = lambda ds: [tuple(r) for r in ds.poses_matrix().tolist()]
-    union = sorted(rows(train)) + sorted(rows(test))
-    assert sorted(union) == sorted(rows(d))
-    # both halves keep the original relative order
-    orig = rows(d)
-    assert [orig.index(r) for r in rows(train)] == sorted(orig.index(r) for r in rows(train))
-    assert [orig.index(r) for r in rows(test)] == sorted(orig.index(r) for r in rows(test))
-
-
-def test_split_deterministic_and_seed_sensitive():
-    d = _toy_dataset(40)
-    t1 = split_dataset(d, 10, seed=4)
-    t2 = split_dataset(d, 10, seed=4)
-    assert t1[0] == t2[0] and t1[1] == t2[1]
-    t3 = split_dataset(d, 10, seed=5)
-    assert t1[1] != t3[1]
-
-
-def test_split_validates_test_n():
-    d = _toy_dataset(10)
-    with pytest.raises(ValueError):
-        split_dataset(d, 10, seed=1)
-    with pytest.raises(ValueError):
-        split_dataset(d, -1, seed=1)
 
 
 # file format ---------------------------------------------------------------------
@@ -518,7 +477,7 @@ def test_save_same_dataset_twice_is_byte_identical(tmp_path):
 
 def test_empty_dataset_is_header_only(tmp_path):
     d = _toy_dataset(5)
-    _, empty = split_dataset(d, 0, seed=1)[1], split_dataset(d, 0, seed=1)[1]
+    empty = Dataset(d.env_name, d.sensor, d.seed, np.zeros((0, 3)), np.zeros((0, 8)))
     path = tmp_path / "empty.csv"
     save_dataset(empty, path)
     lines = path.read_text().splitlines()
@@ -536,23 +495,23 @@ def test_load_errors(tmp_path):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("not a dataset\n")
-    with pytest.raises(DatasetFormatError, match="neuromap-dataset"):
+    with pytest.raises(FormatError, match="neuromap-dataset"):
         load_dataset(bad)
 
     bad.write_text(good[0] + "\n{broken\n")
-    with pytest.raises(DatasetFormatError, match="JSON"):
+    with pytest.raises(FormatError, match="JSON"):
         load_dataset(bad)
 
     # drop a column from the second data row
     mangled = good[:]
     mangled[3] = ",".join(mangled[3].split(",")[:-1])
     bad.write_text("\n".join(mangled) + "\n")
-    with pytest.raises(DatasetFormatError, match="line 4"):
+    with pytest.raises(FormatError, match="line 4"):
         load_dataset(bad)
 
     # row count disagrees with the header
     bad.write_text("\n".join(good[:-1]) + "\n")
-    with pytest.raises(DatasetFormatError, match="rows"):
+    with pytest.raises(FormatError, match="rows"):
         load_dataset(bad)
 
     # ids must stay dense
@@ -561,7 +520,7 @@ def test_load_errors(tmp_path):
     parts[0] = "7"
     mangled[3] = ",".join(parts)
     bad.write_text("\n".join(mangled) + "\n")
-    with pytest.raises(DatasetFormatError, match="dense"):
+    with pytest.raises(FormatError, match="dense"):
         load_dataset(bad)
 
     # values the arrays refuse name their line
@@ -574,7 +533,7 @@ def test_load_errors(tmp_path):
         parts[column] = value
         mangled[4] = ",".join(parts)
         bad.write_text("\n".join(mangled) + "\n")
-        with pytest.raises(DatasetFormatError, match=f"line 5: .*{what}"):
+        with pytest.raises(FormatError, match=f"line 5: .*{what}"):
             load_dataset(bad)
 
 
@@ -604,7 +563,7 @@ def test_load_names_the_line_of_a_bad_value(tmp_path, column, value):
     lines[5] = ",".join(parts)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match=r"bad\.csv: line 6: bad value: .*" + repr(value)):
+    with pytest.raises(FormatError, match=r"bad\.csv: line 6: bad value: .*" + repr(value)):
         load_dataset(bad)
 
 
@@ -614,10 +573,10 @@ def test_load_refuses_a_blank_line_in_the_body(tmp_path, blank):
     lines[4] = blank  # the row count still matches the header
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match="line 5: expected 12 columns, got 1"):
+    with pytest.raises(FormatError, match="line 5: expected 12 columns, got 1"):
         load_dataset(bad)
     bad.write_text("\n".join(lines[:2] + [blank] * 5) + "\n")  # no data at all
-    with pytest.raises(DatasetFormatError, match="line 3: expected 12 columns, got 1"):
+    with pytest.raises(FormatError, match="line 3: expected 12 columns, got 1"):
         load_dataset(bad)
 
 

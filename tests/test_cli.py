@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from neuromap.capture import Dataset, load_dataset, save_dataset
-from neuromap.cli import build_estimator, main
+from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator, PoseEstimate
 from neuromap.pose import Pose2D
-from neuromap.training import RegressorModel, load_history, load_model, save_model
+from neuromap.inputs import read_lines
+from neuromap.training import RegressorModel, load_model, save_model
 from neuromap.world import Observation, SensorConfig, save_environment
 from neuromap.worlds import apartment
+from worldgen import near_obstacle_fraction
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 
@@ -125,8 +127,6 @@ def test_walk_zero_steps_single_capture(tmp_path):
 def test_walk_avoids_obstacles_more_than_gen(workspace, tmp_path):
     # the walk keeps a 0.5 m clearance, uniform sampling does not, so the
     # walk's samples must sit further from obstacles
-    from neuromap.report import near_obstacle_fraction
-
     out = tmp_path / "w"
     assert main(["walk", *ENV_FLAGS, "--steps", "2000", "--seed", "8", "--out", str(out)]) == 0
     env = apartment()
@@ -149,8 +149,8 @@ def test_train_outputs_and_checkpoint(workspace, tmp_path):
     assert main(argv) == 0
     model = load_model(out / "model.model")
     assert model.layer_dims == (16, 16, 3)
-    history = load_history(out / "history.csv")
-    assert history[-1].iteration == 1000
+    history = read_lines(out / "history.csv")
+    assert history[-1].split(",")[0] == "1000"
     assert (out / "checkpoint.model").exists()  # written on the 10th eval
     first = {p.name: read(p) for p in out.iterdir()}
     assert main(argv) == 0
@@ -165,7 +165,7 @@ def test_train_rejects_wrong_environment(workspace, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # train keeps numpy's warnings to itself
 def test_train_divergence_is_runtime_abort(workspace, tmp_path, capsys):
     rc = main(["train", *ENV_FLAGS, "--dataset", str(workspace / "test" / "dataset.csv"),
                "--iterations", "50", "--eval-interval", "10", "--hidden", "4",
@@ -594,6 +594,142 @@ def test_numeric_options_refuse_non_numbers(tmp_path, capsys, command):
         cfg.write_text(json.dumps({key: "abc"}))
         assert main([command, "--config", str(cfg)]) == 2, key
         assert f"option {key!r} must be of type" in capsys.readouterr().err
+
+
+# a run of each command that succeeds; an option appended after it overrides
+# its value there, as argparse keeps the last one
+def _valid_runs(workspace):
+    test = str(workspace / "test" / "dataset.csv")
+    return {
+        "gen": [*ENV_FLAGS, "--n", "5"],
+        "walk": [*ENV_FLAGS, "--steps", "5"],
+        "train": [*ENV_FLAGS, "--dataset", test, "--iterations", "2", "--eval-interval", "1",
+                  "--hidden", "4"],
+        "eval": [*ENV_FLAGS, "--estimator", "oracle", "--testset", test],
+        "navigate": [*ENV_FLAGS, "--estimator", "oracle", "--waypoints", "apartment_loop",
+                     "--start", "1.5,1.5,0"],
+        "plot": [*ENV_FLAGS, "--dataset", test],
+        "bench": [*ENV_FLAGS, "--estimator", "oracle", "--frames", "2", "--repeats", "1"],
+    }
+
+
+# options whose library config takes 0, so their invalid edge is -1
+ZERO_ALLOWED = {"seed", "steps", "weight_decay", "footprint", "odo_lin", "odo_ang"}
+
+
+def _refused(capsys, argv, out):
+    """main(argv) refuses: exit 1 or 2, one stderr line, no file under ``out``."""
+    rc = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (1, 2) and len(err.splitlines()) == 1 and "Traceback" not in err, (argv, rc, err)
+    assert not out.exists() or not any(out.iterdir()), argv
+    return err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_numeric_option_refuses_its_invalid_values(workspace, tmp_path, capsys, command):
+    base = _valid_runs(workspace)[command]
+    assert main([command, *base, "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    for key, default in COMMANDS[command][1].items():
+        edge = "-1" if key in ZERO_ALLOWED else "0"
+        kind = _flag_type(key, default)
+        values = {int: [edge], float: ["nan", "inf", "-inf", edge]}.get(kind, [])
+        for value in values:
+            flag = "--" + key.replace("_", "-")
+            _refused(capsys, [command, *base, flag, value], tmp_path / f"{key}{value}")
+
+
+def _good_files(workspace, tmp_path):
+    """One valid file of each format, and the command line that reads it."""
+    rng = np.random.default_rng(3)
+    sensor = SensorConfig(fov=360.0, ray_count=16, max_range=12.0)
+    save_model(RegressorModel.random((16, 4, 3), rng, env_name="apartment", sensor=sensor),
+               tmp_path / "good.model")
+    test = str(workspace / "test" / "dataset.csv")
+    trace = (
+        "# tool: neuromap\n"
+        "tick,time,true_x,true_y,true_theta,est_x,est_y,est_theta,waypoint_idx,event\n"
+        "0,0.0,1.5,1.5,0.0,1.5,1.5,0.0,0,estimate\n"
+        "1,0.1,1.5,1.5,3.0,1.5,1.5,0.0,0,rotate\n"
+    )
+    return {
+        "dataset": (read(test), lambda p: ["plot", *ENV_FLAGS, "--dataset", p]),
+        "model": (read(tmp_path / "good.model"),
+                  lambda p: ["eval", *ENV_FLAGS, "--estimator", f"model:{p}", "--testset", test]),
+        "grid": (apartment().grid.to_text().encode(), lambda p: ["gen", "--env", p, "--n", "5"]),
+        "trace": (trace.encode(), lambda p: ["plot", "--env", "apartment", "--trace", p]),
+        "waypoints": (b"# loop\n4.0,1.3\n6.5,1.5\n",
+                      lambda p: ["navigate", "--env", "apartment", "--estimator", "oracle",
+                                 "--waypoints", p, "--start", "1.5,1.5,0"]),
+    }
+
+
+def _replace_field(text, line, field, value, sep=","):
+    lines = text.split("\n")
+    parts = lines[line].split(sep)
+    if value is None:
+        del parts[field]
+    else:
+        parts[field] = value
+    lines[line] = sep.join(parts)
+    return "\n".join(lines)
+
+
+# per format: (wrong magic or header, a non-finite value, a wrong column count),
+# each a function of the valid text
+MALFORMED = {
+    "dataset": (
+        lambda t: t.replace("v1", "v2", 1),
+        lambda t: _replace_field(t, 4, 6, "nan"),
+        lambda t: _replace_field(t, 4, 6, None),
+    ),
+    "model": (
+        lambda t: t.replace("v1", "v0", 1),
+        lambda t: _replace_field(t, 2, 3, "nan", " "),
+        lambda t: _replace_field(t, 2, 3, None, " "),
+    ),
+    "grid": (
+        lambda t: _replace_field(t, 0, 4, None, " "),
+        lambda t: _replace_field(t, 0, 3, "nan", " "),
+        lambda t: t.replace("\n.", "\n", 1),  # the first row one cell short
+    ),
+    "trace": (
+        lambda t: t.replace("tick,time", "tick,times", 1),
+        lambda t: _replace_field(t, 3, 2, "nan"),
+        lambda t: _replace_field(t, 3, 9, None),
+    ),
+    "waypoints": (
+        lambda t: "x,y\n" + t,
+        lambda t: _replace_field(t, 2, 1, "nan"),
+        lambda t: _replace_field(t, 2, 1, "1.5,0.0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_files_are_input_errors_naming_the_path(workspace, tmp_path, capsys, kind):
+    good, command = _good_files(workspace, tmp_path)[kind]
+    path = tmp_path / f"good.{kind}"
+    path.write_bytes(good)
+    assert main([*command(str(path)), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    text = good.decode()
+    cases = {
+        "empty": b"",
+        "truncated": good[: len(good) // 2],
+        "0xff": good.replace(b"\n", b"\n\xff", 2),
+        **{name: make(text).encode() for name, make in zip(("header", "nan", "columns"), MALFORMED[kind])},
+    }
+    for name, data in cases.items():
+        bad = tmp_path / f"{name}.{kind}"
+        bad.write_bytes(data)
+        err = _refused(capsys, command(str(bad)), tmp_path / name)
+        assert err.startswith("neuromap: input error: ") and str(bad) in err, (name, err)
+    folder = tmp_path / f"folder.{kind}"
+    folder.mkdir()
+    err = _refused(capsys, command(str(folder)), tmp_path / "folder")
+    assert err.startswith("neuromap: input error: ") and str(folder) in err
 
 
 def _capture_call(monkeypatch, name):

@@ -38,7 +38,6 @@ from neuromap.navigate import (
     load_waypoints,
     navigate_waypoints,
     save_trace,
-    save_waypoints,
     simulate_move_tick,
     simulate_rotation_tick,
 )
@@ -526,7 +525,7 @@ def test_trace_rejects_malformed_row(tmp_path):
 def test_waypoints_round_trip(tmp_path):
     pts = [(4.0, 1.3), (6.5, 1.5), (1.0 / 3.0, 0.1)]
     path = tmp_path / "loop.waypoints"
-    save_waypoints(pts, path, comments=("loop",))
+    path.write_text("# loop\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts))
     assert load_waypoints(path) == pts
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from neuromap.capture import Dataset, generate_dataset
 from neuromap.estimator import Estimator, PoseEstimate
+from neuromap.inputs import FormatError, InputError, read_lines
 from neuromap.pose import Pose2D
 from neuromap.training import (
     ACTION_CONTINUE,
@@ -18,7 +19,6 @@ from neuromap.training import (
     HistoryRow,
     LrSchedule,
     Metrics,
-    ModelFormatError,
     RegressorModel,
     ScheduleContractError,
     TrainConfig,
@@ -28,7 +28,6 @@ from neuromap.training import (
     evaluate,
     forward,
     forward_batch,
-    load_history,
     load_model,
     save_history,
     save_model,
@@ -453,12 +452,13 @@ def test_tick_requires_monotone_iterations():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        LrSchedule(lr0=0.0)
-    with pytest.raises(ValueError):
-        LrSchedule(eval_interval=0)
-    with pytest.raises(ValueError):
-        LrSchedule(decay_mode="bogus")
+    # TrainConfig checks the settings it hands LrSchedule
+    with pytest.raises(InputError):
+        TrainConfig(lr0=0.0)
+    with pytest.raises(InputError):
+        TrainConfig(eval_interval=0)
+    with pytest.raises(InputError):
+        TrainConfig(decay_mode="bogus")
 
 
 # train ---------------------------------------------------------------------------
@@ -709,22 +709,22 @@ def test_model_file_errors(tmp_path):
 
     bad = tmp_path / "bad.model"
     bad.write_text("#something else\n")
-    with pytest.raises(ModelFormatError, match="neuromap-model"):
+    with pytest.raises(FormatError, match="neuromap-model"):
         load_model(bad)
 
     bad.write_text("\n".join([lines[0], lines[1], lines[2]]) + "\n")  # missing b0
-    with pytest.raises(ModelFormatError, match="b0"):
+    with pytest.raises(FormatError, match="b0"):
         load_model(bad)
 
     mangled = lines[:]
     mangled[2] = "W0 " + " ".join(mangled[2].split()[1:-1])  # drop one value
     bad.write_text("\n".join(mangled) + "\n")
-    with pytest.raises(ModelFormatError, match="W0"):
+    with pytest.raises(FormatError, match="W0"):
         load_model(bad)
 
     mangled = lines + ["W9 1 2 3"]
     bad.write_text("\n".join(mangled) + "\n")
-    with pytest.raises(ModelFormatError, match="W9"):
+    with pytest.raises(FormatError, match="W9"):
         load_model(bad)
 
 
@@ -747,5 +747,10 @@ def test_history_round_trip(tmp_path):
     save_history(rows, path, comments=("invocation: train --seed 1",))
     text = path.read_text()
     assert text.startswith("# invocation")
-    loaded = load_history(path)
+    lines = read_lines(path)
+    assert lines[:2] == ["# invocation: train --seed 1", "iteration,lr,val_pos_err,val_theta_err,event"]
+    loaded = []
+    for line in lines[2:]:
+        it, lr, vp, vt, event = line.split(",")
+        loaded.append(HistoryRow(int(it), float(lr), float(vp), float(vt), event))
     assert loaded == rows  # repr serialisation reparses bit-exactly

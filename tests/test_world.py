@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from neuromap.capture import STREAM_GEN, derived_rng, sample_random_pose
+from neuromap.inputs import FormatError
 from neuromap.pose import Pose2D
 from neuromap.world import (
     DEFAULT_SENSOR,
     EnvironmentSpec,
-    GridFormatError,
     InvalidPoseError,
     Observation,
     OccupancyGrid,
@@ -27,6 +27,11 @@ from worldgen import marching_ray, random_free_pose, random_world
 
 def empty_grid(width, height, resolution, ox=0.0, oy=0.0):
     return OccupancyGrid(width, height, resolution, ox, oy, np.zeros((height, width), bool))
+
+
+def grid_from_text(text):
+    """Parse grid-file text as load_environment parses the file's lines."""
+    return OccupancyGrid.from_lines(text.splitlines(), "grid.txt")
 
 
 # sensor config ---------------------------------------------------------------
@@ -93,15 +98,14 @@ def test_observation_is_read_only():
 
 
 def test_parse_empty_world():
-    grid = OccupancyGrid.from_text("3 2 0.5 0.0 0.0\n...\n...\n")
+    grid = grid_from_text("3 2 0.5 0.0 0.0\n...\n...\n")
     assert grid.width == 3 and grid.height == 2
     assert int(grid.cells.sum()) == 0
-    assert grid.free_fraction() == 1.0
 
 
 def test_parse_orientation_first_row_is_top():
     # '#' in the first body row, leftmost column = cell at minimum x, MAXIMUM y
-    grid = OccupancyGrid.from_text("2 2 1.0 0.0 0.0\n#.\n..\n")
+    grid = grid_from_text("2 2 1.0 0.0 0.0\n#.\n..\n")
     assert bool(grid.cells[1, 0]) is True
     assert int(grid.cells.sum()) == 1
     assert not grid.is_free(0.5, 1.5)
@@ -109,30 +113,30 @@ def test_parse_orientation_first_row_is_top():
 
 
 def test_parse_row_length_mismatch_names_line():
-    with pytest.raises(GridFormatError, match="line 3"):
-        OccupancyGrid.from_text("3 2 0.5 0.0 0.0\n...\n....\n")
+    with pytest.raises(FormatError, match="line 3"):
+        grid_from_text("3 2 0.5 0.0 0.0\n...\n....\n")
 
 
 def test_parse_errors():
-    with pytest.raises(GridFormatError):
-        OccupancyGrid.from_text("")
-    with pytest.raises(GridFormatError):
-        OccupancyGrid.from_text("3 2 0.5 0.0\n...\n...\n")  # 4 header fields
-    with pytest.raises(GridFormatError):
-        OccupancyGrid.from_text("x 2 0.5 0.0 0.0\n...\n...\n")
-    with pytest.raises(GridFormatError):
-        OccupancyGrid.from_text("3 2 -0.5 0.0 0.0\n...\n...\n")
-    with pytest.raises(GridFormatError):
-        OccupancyGrid.from_text("3 2 0.5 0.0 0.0\n...\n")  # missing row
-    with pytest.raises(GridFormatError, match="line 2"):
-        OccupancyGrid.from_text("3 2 0.5 0.0 0.0\n..x\n...\n")
+    with pytest.raises(FormatError):
+        grid_from_text("")
+    with pytest.raises(FormatError):
+        grid_from_text("3 2 0.5 0.0\n...\n...\n")  # 4 header fields
+    with pytest.raises(FormatError):
+        grid_from_text("x 2 0.5 0.0 0.0\n...\n...\n")
+    with pytest.raises(FormatError):
+        grid_from_text("3 2 -0.5 0.0 0.0\n...\n...\n")
+    with pytest.raises(FormatError):
+        grid_from_text("3 2 0.5 0.0 0.0\n...\n")  # missing row
+    with pytest.raises(FormatError, match="line 2"):
+        grid_from_text("3 2 0.5 0.0 0.0\n..x\n...\n")
 
 
 def test_cabin_scale_dimension_arithmetic():
     # a 7m x 15m interior at 0.05 m/cell is a 140 x 300 grid
     header = "140 300 0.05 0.0 0.0"
     body = "\n".join(["." * 140] * 300)
-    grid = OccupancyGrid.from_text(header + "\n" + body + "\n")
+    grid = grid_from_text(header + "\n" + body + "\n")
     assert (grid.width, grid.height) == (140, 300)
     b = grid.bounds()
     assert abs(b.width - 7.0) < 1e-12
@@ -144,7 +148,7 @@ def test_text_round_trip_is_stable():
     for _ in range(20):
         grid = random_world(rng)
         text = grid.to_text()
-        again = OccupancyGrid.from_text(text)
+        again = grid_from_text(text)
         assert again == grid
         assert again.to_text() == text  # second serialisation is byte-identical
 
@@ -162,7 +166,7 @@ def test_load_and_save_environment(tmp_path):
         load_environment(tmp_path / "missing.grid")
     bad = tmp_path / "bad.grid"
     bad.write_text("1 1\n.\n")
-    with pytest.raises(GridFormatError, match="bad.grid"):
+    with pytest.raises(FormatError, match="bad.grid"):
         load_environment(bad)
 
 
@@ -183,7 +187,7 @@ def test_environment_spec_rejects_inconsistent_bounds():
 
 
 def test_is_free_basics():
-    grid = OccupancyGrid.from_text("2 1 1.0 0.0 0.0\n#.\n")
+    grid = grid_from_text("2 1 1.0 0.0 0.0\n#.\n")
     assert not grid.is_free(0.5, 0.5)
     assert grid.is_free(1.5, 0.5)
     assert not grid.is_free(-0.1, 0.5)
@@ -191,8 +195,8 @@ def test_is_free_basics():
 
 
 def test_edge_point_resolves_to_higher_cell():
-    left_occupied = OccupancyGrid.from_text("2 1 1.0 0.0 0.0\n#.\n")
-    right_occupied = OccupancyGrid.from_text("2 1 1.0 0.0 0.0\n.#\n")
+    left_occupied = grid_from_text("2 1 1.0 0.0 0.0\n#.\n")
+    right_occupied = grid_from_text("2 1 1.0 0.0 0.0\n.#\n")
     # x = 1.0 is the shared edge; floor((1.0 - 0)/1.0) = 1, the right cell
     assert left_occupied.is_free(1.0, 0.5)
     assert not right_occupied.is_free(1.0, 0.5)

@@ -12,11 +12,8 @@ from neuromap.pose import Pose2D
 from neuromap.report import (
     CoverageSummary,
     coverage_summary,
-    load_metrics,
-    metrics_from_dict,
     metrics_table,
     metrics_to_dict,
-    near_obstacle_fraction,
     save_metrics,
     svg_coverage,
     svg_route,
@@ -31,6 +28,7 @@ from neuromap.worlds import (
     cabin,
     data_path,
 )
+from worldgen import near_obstacle_fraction
 
 # --- bundled worlds ----------------------------------------------------------------
 
@@ -266,7 +264,7 @@ def sample_metrics():
 
 def test_metrics_dict_round_trip():
     m = sample_metrics()
-    back = metrics_from_dict(metrics_to_dict(m))
+    back = Metrics(**metrics_to_dict(m))
     assert back.mean_pos_err == m.mean_pos_err
     assert back.median_theta_err == m.median_theta_err
     assert np.array_equal(back.per_sample_errors, m.per_sample_errors)
@@ -275,16 +273,15 @@ def test_metrics_dict_round_trip():
 def test_metrics_file_round_trip(tmp_path):
     path = tmp_path / "metrics.json"
     save_metrics({"knn": sample_metrics()}, path, provenance={"seed": 1})
-    loaded = load_metrics(path)
-    assert set(loaded) == {"knn"}
-    assert loaded["knn"].mean_pos_err == 0.2
-    assert json.loads(path.read_text())["provenance"] == {"seed": 1}
+    doc = json.loads(path.read_text())
+    assert set(doc["metrics"]) == {"knn"}
+    assert doc["metrics"]["knn"] == metrics_to_dict(sample_metrics())
+    assert doc["provenance"] == {"seed": 1}
 
 
-def test_metrics_table_renders_dicts_too():
-    # the JSON form feeds straight back into the renderer
+def test_metrics_table_renders_one_row_per_estimator():
     m = sample_metrics()
-    table = metrics_table({"knn": m, "oracle": metrics_to_dict(m)}, comments=("run 1",))
+    table = metrics_table({"knn": m, "oracle": m}, comments=("run 1",))
     assert "# run 1" in table
     assert "knn" in table and "oracle" in table
     assert "0.2000" in table and "3.000" in table

@@ -1,8 +1,9 @@
-"""Shared helpers: random worlds and free poses for property tests."""
+"""Shared helpers: random worlds and free poses for property tests, and
+comparisons of datasets and sample positions."""
 
 import numpy as np
 
-from neuromap.pose import Pose2D
+from neuromap.pose import Pose2D, ang_diff
 from neuromap.world import OccupancyGrid
 
 
@@ -55,3 +56,36 @@ def marching_ray(grid, x, y, bearing_deg, max_range, step=1e-4):
     if not blocked.any():
         return float(max_range)
     return float(min(ts[int(np.argmax(blocked))], max_range))
+
+
+def datasets_close(a, b, tol: float = 1e-7) -> bool:
+    """Equality of two datasets up to serialisation rounding.
+
+    Ranges and positions compare absolutely at ``tol``; yaw compares on its
+    normalised scale (wrap-aware difference / 180), since nine significant
+    decimal digits of an angle near 180 carry ~5e-7 degrees of rounding.
+    """
+    if (a.env_name, a.seed, len(a)) != (b.env_name, b.seed, len(b)):
+        return False
+    if a.sensor != b.sensor:
+        return False
+    if len(a) == 0:
+        return True
+    if not np.allclose(a.ranges_matrix(), b.ranges_matrix(), atol=tol, rtol=0.0):
+        return False
+    pa, pb = a.poses_matrix(), b.poses_matrix()
+    if not np.allclose(pa[:, :2], pb[:, :2], atol=tol, rtol=0.0):
+        return False
+    dtheta = np.abs([ang_diff(x, y) for x, y in zip(pa[:, 2], pb[:, 2])])
+    return bool(np.all(dtheta / 180.0 <= tol))
+
+
+def near_obstacle_fraction(env, positions, clearance_m: float = 0.3) -> float:
+    """Fraction of sample positions (an (n, >= 2) array of x, y first)
+    closer than ``clearance_m`` to any obstacle or the boundary; lets
+    capture strategies be compared."""
+    if len(positions) == 0:
+        raise ValueError("no poses")
+    xy = positions[:, :2].tolist()
+    near = sum(1 for x, y in xy if not env.grid.footprint_free(x, y, clearance_m))
+    return near / len(xy)
