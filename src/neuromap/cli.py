@@ -196,17 +196,6 @@ def _json_safe(value):
     return value
 
 
-def _check_capture(what: str, dataset: Dataset, env) -> None:
-    """Refuse a dataset captured in another world or with another sensor."""
-    if dataset.env_name != env.name:
-        raise InputError(
-            f"{what} was captured in {dataset.env_name!r}, not {env.name!r}; "
-            "its poses belong to another world"
-        )
-    if dataset.sensor != env.sensor:
-        raise InputError(f"{what} sensor {dataset.sensor} does not match {env.sensor}")
-
-
 def _waypoints(name) -> list:
     """A bundled route name or a waypoint file."""
     if name in BUNDLED_WAYPOINTS:
@@ -248,9 +237,7 @@ def build_estimator(spec: str, env) -> Estimator:
         if not Path(db_path).is_file():
             raise InputError(f"knn database not found: {db_path}")
         opts = _parse_kv(tail, {"k": int, "weighting": str})
-        db = load_dataset(db_path)
-        _check_capture("knn database", db, env)
-        return KnnEstimator(db, KnnConfig(**opts))
+        return KnnEstimator(load_dataset(db_path), KnnConfig(**opts))
     if kind == "model":
         if not rest:
             raise UsageError("model spec needs a file path: model:PATH")
@@ -335,7 +322,6 @@ def cmd_train(args) -> int:
         loss=args.loss,
     )
     dataset = load_dataset(args.dataset)
-    _check_capture("dataset", dataset, env)
     out = _out_dir(args)
     evals_seen = 0
 
@@ -373,7 +359,6 @@ def cmd_eval(args) -> int:
     env = _resolve_env(args)
     out = _out_dir(args)
     testset = load_dataset(args.testset)
-    _check_capture("test set", testset, env)
     with build_estimator(args.estimator, env) as estimator:
         if sizes:
             if not isinstance(estimator, KnnEstimator):
@@ -459,6 +444,7 @@ def cmd_plot(args) -> int:
         raise UsageError("plot needs exactly one of --dataset or --trace")
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
+        env.check_world("dataset", dataset.env_name, dataset.sensor)
         svg_coverage(env, dataset.poses_matrix(), out / "coverage.svg", comments=args.comments)
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:

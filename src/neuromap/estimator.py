@@ -1,7 +1,8 @@
 """Pose estimators: noisy oracle, k-NN over a capture database, trained
 regressor inference, and an adapter for external estimator processes.
 
-Every estimator is an ``Estimator``: it has a ``sensor``, answers
+Every estimator is an ``Estimator``: it names the world its poses belong
+to (``env_name``) and the ``sensor`` it reads, answers
 ``estimate(observation, true_pose=None) -> PoseEstimate`` and
 ``estimate_batch(ranges, true_poses) -> list[PoseEstimate]``, and is closed
 by ``close()`` or a ``with`` block. Callers that hold the true pose
@@ -83,8 +84,10 @@ class KnnConfig:
 
 
 class Estimator:
-    """The estimator protocol: a ``sensor``, ``estimate`` and ``close``."""
+    """The estimator protocol: an ``env_name``, a ``sensor``, ``estimate``
+    and ``close``."""
 
+    env_name: str
     sensor: SensorConfig
 
     def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
@@ -142,7 +145,7 @@ class OracleEstimator(Estimator):
     def __init__(self, cfg: OracleConfig, env: EnvironmentSpec):
         self.cfg = cfg
         self.env = env
-        self.sensor = env.sensor
+        self.env_name, self.sensor = env.name, env.sensor
         self._rng = np.random.default_rng(cfg.seed)
 
     def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
@@ -250,7 +253,7 @@ class KnnEstimator(Estimator):
             raise InputError(f"k={cfg.k} exceeds database size {len(db)}")
         self.db = db
         self.cfg = cfg
-        self.sensor = db.sensor
+        self.env_name, self.sensor = db.env_name, db.sensor
 
     def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
         _check_length(observation.ranges, self.sensor)
@@ -271,25 +274,17 @@ class KnnEstimator(Estimator):
 
 
 class RegressorEstimator(Estimator):
-    """Inference wrapper denormalising a trained regressor's outputs."""
+    """Inference wrapper denormalising a trained regressor's outputs; the
+    model must name ``env``'s world and sensor."""
 
     def __init__(self, model, env: EnvironmentSpec):
         # local import: training depends on capture, not the reverse
         from .training import forward  # noqa: PLC0415
 
-        if model.env_name and model.env_name != env.name:
-            raise InputError(
-                f"model was trained on {model.env_name!r}, environment is {env.name!r}"
-            )
-        if model.sensor is not None and model.sensor != env.sensor:
-            raise InputError("model sensor does not match environment sensor")
-        if model.input_dim != env.sensor.ray_count:
-            raise InputError(
-                f"model takes {model.input_dim} rays, the sensor casts {env.sensor.ray_count}"
-            )
+        env.check_world("model", model.env_name, model.sensor)
         self.model = model
         self.env = env
-        self.sensor = model.sensor if model.sensor is not None else env.sensor
+        self.env_name, self.sensor = model.env_name, model.sensor
         self._forward = forward
 
     def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
@@ -312,7 +307,7 @@ class ExternalEstimator(Estimator):
 
     def __init__(self, argv, env: EnvironmentSpec, timeout: float = DEFAULT_TIMEOUT_S):
         self.env = env
-        self.sensor = env.sensor
+        self.env_name, self.sensor = env.name, env.sensor
         self.timeout = timeout
         self._next_id = 0
         self._buf = b""

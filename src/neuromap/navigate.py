@@ -213,6 +213,7 @@ class _Episode:
 def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, start_pose: Pose2D,
                        cfg: NavConfig = NavConfig(), odo: OdometryConfig = OdometryConfig()):
     """Drive through waypoints in order; returns (RouteTrace, NavReport).
+    The estimator must belong to ``env``'s world and sensor.
 
     Aborts (success False, abort_reason set) on collision, estimator
     failure, or tick-budget exhaustion; the trace is retained up to and
@@ -223,8 +224,7 @@ def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, st
         raise InputError("need at least one waypoint")
     if not env.grid.footprint_free(start_pose.x, start_pose.y, cfg.footprint_radius):
         raise InputError("start pose is not footprint-free")
-    if estimator.sensor != env.sensor:
-        raise InputError("estimator sensor does not match environment sensor")
+    env.check_world("estimator", estimator.env_name, estimator.sensor)
 
     ep = _Episode(start_pose, estimator, env, cfg, odo)
     abort_reason = ""

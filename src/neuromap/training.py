@@ -43,6 +43,49 @@ ACTION_CONVERGED = "converged"
 YAW_TANH = "tanh"  # single normalised-yaw output, 3 outputs total
 YAW_SINCOS = "sincos"  # (sin, cos) yaw head, 4 outputs, dodges the +-180 seam
 
+DECAY_PER_ITERATION = "per_iteration"  # each stair multiplies by rate^interval
+DECAY_PER_INTERVAL = "per_interval"  # each stair multiplies by rate once
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training protocol parameters; defaults follow the reference recipe."""
+
+    batch_size: int = 32
+    weight_decay: float = 1e-6
+    seed: int = 0
+    eval_interval: int = 1000
+    max_iterations: int = 200_000
+    lr0: float = 1e-4
+    decay_mode: str = DECAY_PER_ITERATION
+    hidden_dims: tuple = (64, 64)
+    val_fraction: float = 0.1
+    yaw_mode: str = YAW_TANH
+    loss: str = "l1"
+
+    def __post_init__(self) -> None:
+        check_finite(self)
+        if self.batch_size < 1:
+            raise InputError("batch_size must be >= 1")
+        if self.max_iterations < 1:
+            raise InputError("max_iterations must be >= 1")
+        if self.eval_interval < 1:
+            raise InputError("eval_interval must be >= 1")
+        if not self.lr0 > 0.0:
+            raise InputError("lr0 must be positive")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise InputError("val_fraction must be in (0, 1)")
+        if self.weight_decay < 0.0:
+            raise InputError("weight_decay must be >= 0")
+        if min(self.hidden_dims, default=1) < 1:
+            raise InputError(f"hidden widths must be >= 1, got {self.hidden_dims}")
+        if self.decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):
+            raise InputError(f"unknown decay_mode {self.decay_mode!r}")
+        if self.loss not in ("l1", "l2"):
+            raise InputError(f"unknown loss {self.loss!r}")
+        if self.yaw_mode not in (YAW_TANH, YAW_SINCOS):
+            raise InputError(f"unknown yaw_mode {self.yaw_mode!r}")
+
 
 class ScheduleContractError(ValueError):
     """lr_tick was driven outside its contract (non-monotone iterations)."""
@@ -59,7 +102,10 @@ class RegressorModel:
     ``weights[i]`` (fan_out, fan_in) and ``biases[i]`` are views into it.
     Hidden activations are relu, the last layer is tanh. With the default
     yaw head the output dimension is exactly 3: (nx, ny, ntheta). The
-    optional sin/cos head uses 4.
+    optional sin/cos head uses 4. A model names the world its poses are
+    normalised against (``env_name``) and the ``sensor`` it reads, whose
+    ``ray_count`` is the input width; a model built in memory may leave
+    both unset, and then no estimator takes it.
     """
 
     def __init__(self, layer_dims, weights, biases, yaw_mode=YAW_TANH, env_name="", sensor=None):
@@ -75,6 +121,8 @@ class RegressorModel:
             raise ValueError(f"yaw_mode {yaw_mode} needs {out_dim} outputs, got {layer_dims[-1]}")
         if len(weights) != len(layer_dims) - 1 or len(biases) != len(weights):
             raise ValueError("one weight matrix and bias vector per layer required")
+        if sensor is not None and sensor.ray_count != layer_dims[0]:
+            raise ValueError(f"sensor casts {sensor.ray_count} rays, the model takes {layer_dims[0]}")
         self.layer_dims = layer_dims
         self.params = np.empty(sum(o * (i + 1) for i, o in zip(layer_dims, layer_dims[1:])))
         self.weights, self.biases = _layer_views(layer_dims, self.params)
@@ -167,7 +215,7 @@ def forward(model: RegressorModel, obs: Observation) -> NormalizedPose:
     return _head_to_normalized(model, out)
 
 
-def batch_loss(pred: np.ndarray, target: np.ndarray, kind: str = "l1") -> float:
+def batch_loss(pred: np.ndarray, target: np.ndarray, kind: str = TrainConfig.loss) -> float:
     """Mean over samples of the per-sample mean component loss."""
     d = pred - target
     if kind == "l1":
@@ -177,7 +225,7 @@ def batch_loss(pred: np.ndarray, target: np.ndarray, kind: str = "l1") -> float:
     raise ValueError(f"unknown loss {kind!r}")
 
 
-def backward(model: RegressorModel, X: np.ndarray, target: np.ndarray, kind: str = "l1"):
+def backward(model: RegressorModel, X: np.ndarray, target: np.ndarray, kind: str = TrainConfig.loss):
     """Gradient of the batch-mean loss with respect to ``model.params``.
 
     Returns (loss, grad), with grad a flat vector laid out like ``model.params``.
@@ -254,10 +302,6 @@ def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-DECAY_PER_ITERATION = "per_iteration"  # each stair multiplies by rate^interval
-DECAY_PER_INTERVAL = "per_interval"  # each stair multiplies by rate once
-
-
 # The reference recipe's schedule: the rate falls by DECAY_RATE per iteration
 # in DECAY_INTERVAL-iteration stairs, and PATIENCE iterations without a
 # better validation metric reset it, or end training after a reset.
@@ -278,7 +322,10 @@ class LrSchedule:
     """
 
     def __init__(
-        self, lr0: float = 1e-4, eval_interval: int = 1000, decay_mode: str = DECAY_PER_ITERATION
+        self,
+        lr0: float = TrainConfig.lr0,
+        eval_interval: int = TrainConfig.eval_interval,
+        decay_mode: str = TrainConfig.decay_mode,
     ) -> None:
         self.lr0 = lr0
         self.eval_interval = eval_interval
@@ -328,46 +375,6 @@ class LrSchedule:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Training protocol parameters; defaults follow the reference recipe."""
-
-    batch_size: int = 32
-    weight_decay: float = 1e-6
-    seed: int = 0
-    eval_interval: int = 1000
-    max_iterations: int = 200_000
-    lr0: float = 1e-4
-    decay_mode: str = DECAY_PER_ITERATION
-    hidden_dims: tuple = (64, 64)
-    val_fraction: float = 0.1
-    yaw_mode: str = YAW_TANH
-    loss: str = "l1"
-
-    def __post_init__(self) -> None:
-        check_finite(self)
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
-        if self.max_iterations < 1:
-            raise InputError("max_iterations must be >= 1")
-        if self.eval_interval < 1:
-            raise InputError("eval_interval must be >= 1")
-        if not self.lr0 > 0.0:
-            raise InputError("lr0 must be positive")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise InputError("val_fraction must be in (0, 1)")
-        if self.weight_decay < 0.0:
-            raise InputError("weight_decay must be >= 0")
-        if min(self.hidden_dims, default=1) < 1:
-            raise InputError(f"hidden widths must be >= 1, got {self.hidden_dims}")
-        if self.decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):
-            raise InputError(f"unknown decay_mode {self.decay_mode!r}")
-        if self.loss not in ("l1", "l2"):
-            raise InputError(f"unknown loss {self.loss!r}")
-        if self.yaw_mode not in (YAW_TANH, YAW_SINCOS):
-            raise InputError(f"unknown yaw_mode {self.yaw_mode!r}")
-
-
-@dataclass(frozen=True)
 class HistoryRow:
     iteration: int
     lr: float
@@ -413,10 +420,12 @@ def _val_errors(model: RegressorModel, X: np.ndarray, poses: np.ndarray, env: En
 def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None):
     """Train a regressor on the dataset; returns (best model, history).
 
-    A seeded ``val_fraction`` split is held out to drive the schedule; the
-    returned model is the snapshot with the best validation position error.
+    The dataset must belong to ``env``'s world and sensor. A seeded
+    ``val_fraction`` split is held out to drive the schedule; the returned
+    model is the snapshot with the best validation position error.
     ``on_eval(row, model)`` is called after each evaluation when given.
     """
+    env.check_world("dataset", dataset.env_name, dataset.sensor)
     n = len(dataset)
     if n < cfg.batch_size:
         raise InputError(f"dataset has {n} samples, need at least batch_size={cfg.batch_size}")
@@ -529,15 +538,14 @@ class Metrics:
 def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     """Per-sample position and yaw error of an estimator over a test set.
 
-    The whole test set goes to one ``estimate_batch`` call with the true
-    poses, which only the oracle reads.
+    The test set and the estimator must belong to ``env``'s world and
+    sensor. The whole test set goes to one ``estimate_batch`` call with the
+    true poses, which only the oracle reads.
     """
     if len(testset) == 0:
         raise InputError("test set is empty")
-    if testset.sensor != env.sensor:
-        raise InputError(f"test set sensor {testset.sensor} does not match {env.sensor}")
-    if estimator.sensor != env.sensor:
-        raise InputError(f"estimator sensor {estimator.sensor} does not match {env.sensor}")
+    env.check_world("test set", testset.env_name, testset.sensor)
+    env.check_world("estimator", estimator.env_name, estimator.sensor)
     errs = np.empty((len(testset), 2))
     truths = [Pose2D(*row) for row in testset.poses_matrix().tolist()]
     estimates = estimator.estimate_batch(testset.ranges_matrix(), truths)
@@ -570,9 +578,7 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
         "layer_dims": list(model.layer_dims),
         "activation": "relu",
         "env_name": model.env_name,
-        "sensor": None
-        if sensor is None
-        else {"fov": sensor.fov, "ray_count": sensor.ray_count, "max_range": sensor.max_range},
+        "sensor": {"fov": sensor.fov, "ray_count": sensor.ray_count, "max_range": sensor.max_range},
         "yaw_mode": model.yaw_mode,
     }
     if extra_header:
@@ -600,15 +606,17 @@ def load_model(path) -> RegressorModel:
         env_name = header["env_name"]
         sensor_h = header["sensor"]
         activation = header["activation"]
-        sensor = None
-        if sensor_h is not None:
-            sensor = SensorConfig(
-                fov=float(sensor_h["fov"]),
-                ray_count=int(sensor_h["ray_count"]),
-                max_range=float(sensor_h["max_range"]),
-            )
+        if not isinstance(sensor_h, dict):
+            raise TypeError(f"sensor must be an object, got {sensor_h!r}")
+        sensor = SensorConfig(
+            fov=float(sensor_h["fov"]),
+            ray_count=int(sensor_h["ray_count"]),
+            max_range=float(sensor_h["max_range"]),
+        )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(path, 2, f"bad header: {exc}") from None
+    if not (isinstance(env_name, str) and env_name):
+        raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
     if activation != "relu":
         raise FormatError(path, 2, f"unsupported activation {activation!r}")
     if min(layer_dims, default=0) < 1:

@@ -7,7 +7,7 @@ footprints may not poke outside.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -153,20 +153,19 @@ class OccupancyGrid:
             self.origin_y + self.height * self.resolution,
         )
 
-    def cell_index(self, x: float, y: float) -> tuple[int, int]:
-        """Cell containing a point: floor convention, so a point exactly on
-        a shared edge belongs to the higher-index cell. May be out of range.
-        """
-        ix = math.floor((x - self.origin_x) / self.resolution)
-        iy = math.floor((y - self.origin_y) / self.resolution)
-        return ix, iy
-
     def is_free(self, x: float, y: float) -> bool:
-        """True when the point falls in a free cell inside the grid."""
-        ix, iy = self.cell_index(x, y)
-        if ix < 0 or ix >= self.width or iy < 0 or iy >= self.height:
+        """True when the point falls in a free cell inside the grid.
+
+        Cells follow the floor convention, so a point exactly on a shared
+        edge belongs to the higher-index cell. The cell coordinates are
+        range-checked before they become indices: a point outside the grid,
+        however far, or a NaN is not free.
+        """
+        fx = (x - self.origin_x) / self.resolution
+        fy = (y - self.origin_y) / self.resolution
+        if not (0.0 <= fx < self.width and 0.0 <= fy < self.height):
             return False
-        return not self.cells[iy, ix]
+        return not self.cells[int(fy), int(fx)]  # int is floor for values >= 0
 
     def footprint_free(self, x: float, y: float, radius: float) -> bool:
         """True when a disc of ``radius`` centred at (x, y) fits in free space.
@@ -267,37 +266,33 @@ class OccupancyGrid:
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """A named world plus the sensor used to observe it."""
+    """A named world plus the sensor used to observe it; ``bounds`` are the
+    grid's, computed once."""
 
     name: str
-    bounds: EnvBounds
     grid: OccupancyGrid
     sensor: SensorConfig = DEFAULT_SENSOR
+    bounds: EnvBounds = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("environment name must be non-empty")
-        gb = self.grid.bounds()
-        if any(
-            abs(a - b) > 1e-9
-            for a, b in (
-                (gb.x_min, self.bounds.x_min),
-                (gb.x_max, self.bounds.x_max),
-                (gb.y_min, self.bounds.y_min),
-                (gb.y_max, self.bounds.y_max),
-            )
-        ):
-            raise ValueError(f"bounds {self.bounds} inconsistent with grid bounds {gb}")
+        object.__setattr__(self, "bounds", self.grid.bounds())
 
-
-def environment_from_grid(grid: OccupancyGrid, name: str, sensor: SensorConfig = DEFAULT_SENSOR) -> EnvironmentSpec:
-    return EnvironmentSpec(name=name, bounds=grid.bounds(), grid=grid, sensor=sensor)
+    def check_world(self, what: str, env_name: str, sensor: SensorConfig) -> None:
+        """Refuse an artefact (dataset, model, estimator) named for another
+        world or observed with another sensor: poses are normalised against
+        one world's bounds and ranges come from one sensor."""
+        if env_name != self.name:
+            raise InputError(f"{what} belongs to world {env_name!r}, not {self.name!r}")
+        if sensor != self.sensor:
+            raise InputError(f"{what} sensor {sensor} does not match {self.sensor}")
 
 
 def load_environment(path, sensor: SensorConfig = DEFAULT_SENSOR) -> EnvironmentSpec:
     """Load a grid file; the environment takes its name from the file stem."""
     grid = OccupancyGrid.from_lines(read_lines(path), path)
-    return environment_from_grid(grid, name=Path(path).stem, sensor=sensor)
+    return EnvironmentSpec(Path(path).stem, grid, sensor)
 
 
 def save_environment(env: EnvironmentSpec, path) -> None:
@@ -415,8 +410,6 @@ def raycast(grid: OccupancyGrid, pose: Pose2D, sensor: SensorConfig = DEFAULT_SE
         InvalidPoseError: when the pose is outside the world or inside an
             obstacle cell.
     """
-    if not grid.is_free(pose.x, pose.y):
-        raise InvalidPoseError(f"pose ({pose.x}, {pose.y}) is not in free space")
     bearings = pose.theta + sensor.bearing_offsets()
     n = bearings.size
     dists = ray_distances(

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .pose import Pose2D
-from .world import EnvironmentSpec, OccupancyGrid, SensorConfig, environment_from_grid
+from .world import EnvironmentSpec, OccupancyGrid, SensorConfig
 
 CELL = 0.05
 
@@ -67,11 +67,11 @@ def _build(width_m, height_m, boxes):
 
 
 def cabin() -> EnvironmentSpec:
-    return environment_from_grid(_build(7.0, 15.0, CABIN_BOXES), "cabin", CABIN_SENSOR)
+    return EnvironmentSpec("cabin", _build(7.0, 15.0, CABIN_BOXES), CABIN_SENSOR)
 
 
 def apartment() -> EnvironmentSpec:
-    return environment_from_grid(_build(8.0, 8.0, APARTMENT_BOXES), "apartment", APARTMENT_SENSOR)
+    return EnvironmentSpec("apartment", _build(8.0, 8.0, APARTMENT_BOXES), APARTMENT_SENSOR)
 
 
 BUILDERS = {"cabin": cabin, "apartment": apartment}

@@ -32,10 +32,10 @@ from neuromap.capture import (
 from neuromap.inputs import FormatError
 from neuromap.pose import Pose2D, ang_diff, distance
 from neuromap.world import (
+    EnvironmentSpec,
     InvalidPoseError,
     OccupancyGrid,
     SensorConfig,
-    environment_from_grid,
     ray_distances,
 )
 from worldgen import datasets_close
@@ -43,7 +43,7 @@ from worldgen import datasets_close
 
 def make_env(grid, name="test-env", ray_count=16, max_range=10.0):
     sensor = SensorConfig(fov=120.0, ray_count=ray_count, max_range=max_range)
-    return environment_from_grid(grid, name, sensor)
+    return EnvironmentSpec(name, grid, sensor)
 
 
 def empty_grid(width, height, resolution, ox=0.0, oy=0.0):

@@ -267,7 +267,7 @@ def test_knn_database_from_another_world_is_input_error(two_worlds, tmp_path, ca
                "--estimator", f"knn:{two_worlds / 'a' / 'dataset.csv'}", *argv,
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "knn database was captured in 'a', not 'b'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "neuromap: input error: estimator belongs to world 'a', not 'b'\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "bench", "navigate"])
@@ -284,7 +284,7 @@ def test_knn_database_with_another_sensor_is_input_error(workspace, tmp_path, ca
                "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "knn database sensor SensorConfig(fov=90.0" in err and err.count("\n") == 1
+    assert "estimator sensor SensorConfig(fov=90.0" in err and err.count("\n") == 1
 
 
 def test_eval_testset_from_another_world_is_input_error(two_worlds, tmp_path, capsys):
@@ -292,8 +292,38 @@ def test_eval_testset_from_another_world_is_input_error(two_worlds, tmp_path, ca
                "--estimator", f"knn:{two_worlds / 'b' / 'dataset.csv'}",
                "--testset", str(two_worlds / "a" / "dataset.csv"), "--out", str(tmp_path / "e")])
     assert rc == 2
-    assert "test set was captured in 'a', not 'b'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "neuromap: input error: test set belongs to world 'a', not 'b'\n"
     assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("key, value, why", [
+    ("env_name", "", "env_name must be a non-empty string, got ''"),
+    ("sensor", None, "bad header: sensor must be an object, got None"),
+    ("sensor", {"fov": 360.0, "ray_count": 8, "max_range": 12.0},
+     "sensor casts 8 rays, the model takes 16"),
+], ids=["empty-env-name", "null-sensor", "input-width"])
+def test_model_that_does_not_name_its_world_is_input_error(two_worlds, tmp_path, capsys,
+                                                           key, value, why):
+    # a model trained in 'a' whose header is edited; 'a' is the world it is scored in
+    path = tmp_path / "m.model"
+    sensor = SensorConfig(fov=360.0, ray_count=16, max_range=12.0)
+    save_model(RegressorModel.zeros((16, 4, 3), env_name="a", sensor=sensor), path)
+    magic, header, *tensors = path.read_text().splitlines()
+    path.write_text("\n".join([magic, json.dumps({**json.loads(header), key: value}), *tensors]) + "\n")
+    rc = main(["eval", "--env", str(two_worlds / "a.grid"), "--rays", "16",
+               "--estimator", f"model:{path}", "--testset", str(two_worlds / "a" / "dataset.csv"),
+               "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"neuromap: input error: {path}: line 2: {why}\n"
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_plot_dataset_from_another_world_is_input_error(two_worlds, tmp_path, capsys):
+    rc = main(["plot", "--env", str(two_worlds / "b.grid"), "--rays", "16",
+               "--dataset", str(two_worlds / "a" / "dataset.csv"), "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert capsys.readouterr().err == "neuromap: input error: dataset belongs to world 'a', not 'b'\n"
+    assert not (tmp_path / "p" / "coverage.svg").exists()
 
 
 def test_eval_external_estimator(workspace, tmp_path):
@@ -344,6 +374,31 @@ def test_navigate_abort_exit_code_and_trace(tmp_path):
     assert report["success"] is False
     assert report["abort_reason"] == "estimator-failure"
     assert (out / "trace.csv").exists()  # retained up to the abort
+
+
+NAVIGATE_LOOP = ["navigate", "--env", "apartment", "--estimator", "oracle",
+                 "--waypoints", "apartment_loop"]
+
+
+@pytest.mark.parametrize("argv, rc, line", [
+    (["walk", "--env", "apartment", "--step-len", "1e308", "--steps", "5"], 0,
+     "walk: 5 steps, 5 captures in apartment"),
+    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--linear-speed", "1e308"], 3,
+     "neuromap: runtime abort: collision"),
+    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--dt", "1e308"], 3,
+     "neuromap: runtime abort: collision"),
+    ([*NAVIGATE_LOOP, "--start", "1e308,1.5,0"], 2,
+     "neuromap: input error: start pose is not footprint-free"),
+], ids=["walk-step-len", "navigate-linear-speed", "navigate-dt", "navigate-start"])
+def test_positions_far_outside_the_world_are_not_free(tmp_path, capsys, argv, rc, line):
+    # each moves or starts the robot 1e307 m or more away, where the cell
+    # coordinate overflows to inf: the point is not free, so the step is
+    # blocked or the start refused
+    assert main([*argv, "--out", str(tmp_path / "o")]) == rc
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert (out if rc == 0 else err).splitlines()[-1:] == [line]
+    assert err.count("\n") == (rc != 0)
 
 
 def test_navigate_bad_start_usage_error(tmp_path):
@@ -421,8 +476,7 @@ def test_bench_knn_slows_with_database_size(workspace):
     from neuromap.capture import generate_dataset
 
     env = apartment()
-    env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid,
-                    sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
+    env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     frames = [Observation(r) for r in generate_dataset(env, 40, seed=2).ranges_matrix()]
 
     # best of 5 passes: with cheap queries one pass is mostly fixed
@@ -444,8 +498,7 @@ def test_bench_knn_slows_with_database_size(workspace):
 
 def test_build_estimator_specs(workspace):
     env = apartment()
-    env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid,
-                    sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
+    env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     oracle = build_estimator("oracle:sigma_pos=0.1,seed=3", env)
     assert isinstance(oracle, OracleEstimator)
     assert oracle.cfg.sigma_pos == 0.1 and oracle.cfg.seed == 3
@@ -457,8 +510,7 @@ def test_build_estimator_specs(workspace):
 @pytest.mark.parametrize("kind", ["oracle", "knn", "model", "external"])
 def test_every_estimator_spec_follows_the_protocol(workspace, tmp_path, kind):
     env = apartment()
-    env = type(env)(name=env.name, bounds=env.bounds, grid=env.grid,
-                    sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
+    env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     model = tmp_path / "m.model"
     save_model(RegressorModel.zeros((16, 3), env_name=env.name, sensor=env.sensor), model)
     spec = {
@@ -471,7 +523,7 @@ def test_every_estimator_spec_follows_the_protocol(workspace, tmp_path, kind):
     obs, truth = Observation(test.ranges_matrix()[0]), Pose2D(*test.poses_matrix()[0])
     with build_estimator(spec, env) as est:
         assert isinstance(est, Estimator)
-        assert est.sensor == env.sensor
+        assert (est.env_name, est.sensor) == (env.name, env.sensor)
         assert isinstance(est.estimate(obs, truth), PoseEstimate)
 
 
@@ -776,10 +828,10 @@ def test_command_defaults_are_the_library_defaults(workspace, tmp_path, monkeypa
 def test_world_without_room_fails_fast(tmp_path, capsys, argv, occupied, clearance):
     # a fully occupied grid, or a 4 m world too narrow for a 5 m footprint:
     # the first rejected pose ends the run, not 10^6 more draws
-    from neuromap.world import OccupancyGrid, environment_from_grid
+    from neuromap.world import EnvironmentSpec, OccupancyGrid
 
     grid = OccupancyGrid(4, 4, 1.0, 0.0, 0.0, np.full((4, 4), occupied))
-    save_environment(environment_from_grid(grid, "blocked"), tmp_path / "blocked.grid")
+    save_environment(EnvironmentSpec("blocked", grid), tmp_path / "blocked.grid")
     t0 = time.perf_counter()
     rc = main([*argv, "--env", str(tmp_path / "blocked.grid"), "--out", str(tmp_path / "o")])
     assert time.perf_counter() - t0 < 1.0

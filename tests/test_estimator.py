@@ -24,13 +24,14 @@ from neuromap.estimator import (
     knn_estimate,
     oracle_estimate,
 )
+from neuromap.inputs import InputError
 from neuromap.pose import Pose2D, ang_diff, circular_mean, denormalize, normalize
 from neuromap.training import RegressorModel, forward
 from neuromap.world import (
+    EnvironmentSpec,
     Observation,
     OccupancyGrid,
     SensorConfig,
-    environment_from_grid,
     save_environment,
 )
 
@@ -42,8 +43,8 @@ def asym_env(ray_count=8, fov=360.0, max_range=12.0):
     g = g.with_metric_box(1.0, 1.0, 2.0, 3.5)
     g = g.with_metric_box(5.0, 3.0, 7.0, 4.0)
     g = g.with_metric_box(3.5, 0.5, 4.5, 1.5)
-    return environment_from_grid(
-        g, "asym", SensorConfig(fov=fov, ray_count=ray_count, max_range=max_range)
+    return EnvironmentSpec(
+        "asym", g, SensorConfig(fov=fov, ray_count=ray_count, max_range=max_range)
     )
 
 
@@ -390,7 +391,13 @@ def test_regressor_validation():
     )
     with pytest.raises(ValueError, match="sensor"):
         RegressorEstimator(wrong_sensor, env)
-    est = RegressorEstimator(RegressorModel.zeros((8, 3)), env)
+    # a model built in memory names no world or sensor unless told
+    with pytest.raises(InputError, match="model belongs to world '', not 'asym'"):
+        RegressorEstimator(RegressorModel.zeros((8, 3), sensor=env.sensor), env)
+    with pytest.raises(InputError, match="model sensor None does not match"):
+        RegressorEstimator(RegressorModel.zeros((8, 3), env_name="asym"), env)
+    est = RegressorEstimator(RegressorModel.zeros((8, 3), env_name="asym", sensor=env.sensor), env)
+    assert (est.env_name, est.sensor) == ("asym", env.sensor)
     with pytest.raises(ValueError):
         est.estimate(Observation(np.full(4, 0.5)))
 

@@ -41,8 +41,9 @@ from neuromap.navigate import (
     simulate_move_tick,
     simulate_rotation_tick,
 )
+from neuromap.inputs import InputError
 from neuromap.pose import Pose2D
-from neuromap.world import OccupancyGrid, SensorConfig, environment_from_grid
+from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
 
 SENSOR = SensorConfig(fov=360.0, ray_count=16, max_range=15.0)
 
@@ -54,14 +55,14 @@ NO_NOISE = OdometryConfig(sigma_lin_frac=0.0, sigma_ang_per_step=0.0, seed=0)
 def empty_env(side=10.0, res=0.1):
     n = int(round(side / res))
     grid = OccupancyGrid(n, n, res, 0.0, 0.0, np.zeros((n, n), dtype=bool))
-    return environment_from_grid(grid, "empty", SENSOR)
+    return EnvironmentSpec("empty", grid, SENSOR)
 
 
 def walled_env():
     """10x10 m room bisected by a wall at x in [4.0, 4.2]."""
     grid = OccupancyGrid(100, 100, 0.1, 0.0, 0.0, np.zeros((100, 100), dtype=bool))
     grid = grid.with_metric_box(4.0, 0.0, 4.2, 10.0)
-    return environment_from_grid(grid, "walled", SENSOR)
+    return EnvironmentSpec("walled", grid, SENSOR)
 
 
 def perfect_oracle(env):
@@ -73,7 +74,7 @@ class FailingEstimator(Estimator):
 
     def __init__(self, env, good_calls):
         self.inner = perfect_oracle(env)
-        self.sensor = env.sensor
+        self.env_name, self.sensor = env.name, env.sensor
         self.remaining = good_calls
 
     def estimate(self, observation, true_pose=None):
@@ -387,6 +388,7 @@ def test_sensor_mismatch_rejected():
     env = empty_env()
 
     class WrongSensor(Estimator):
+        env_name = env.name
         sensor = SensorConfig(fov=180.0, ray_count=8, max_range=5.0)
 
         def estimate(self, observation, true_pose=None):  # pragma: no cover - never reached
@@ -394,6 +396,14 @@ def test_sensor_mismatch_rejected():
 
     with pytest.raises(ValueError, match="sensor"):
         navigate_waypoints([(8.0, 5.0)], WrongSensor(), env, Pose2D(1.0, 5.0, 0.0))
+
+
+def test_estimator_from_another_world_rejected():
+    # the same layout and sensor under another name: the world is refused, not scored
+    env = empty_env()
+    elsewhere = EnvironmentSpec("elsewhere", env.grid, env.sensor)
+    with pytest.raises(InputError, match="^estimator belongs to world 'elsewhere', not 'empty'$"):
+        navigate_waypoints([(8.0, 5.0)], perfect_oracle(elsewhere), env, Pose2D(1.0, 5.0, 0.0))
 
 
 # --- noisy episodes ----------------------------------------------------------------

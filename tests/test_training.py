@@ -1,6 +1,8 @@
 """Regressor, loss gradients, Adam, the LR state machine, and evaluation."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,13 +35,13 @@ from neuromap.training import (
     save_model,
     train,
 )
-from neuromap.world import Observation, OccupancyGrid, SensorConfig, environment_from_grid
+from neuromap.world import EnvironmentSpec, Observation, OccupancyGrid, SensorConfig
 
 
 def small_env(ray_count=16, size=10, res=0.5):
     grid = OccupancyGrid(size, size, res, 0.0, 0.0, np.zeros((size, size), bool))
     sensor = SensorConfig(fov=120.0, ray_count=ray_count, max_range=10.0)
-    return environment_from_grid(grid, "unit-env", sensor)
+    return EnvironmentSpec("unit-env", grid, sensor)
 
 
 def random_model(rng, dims=None, yaw_mode="tanh"):
@@ -94,6 +96,8 @@ def test_model_validation():
         RegressorModel((4, 3), [np.zeros((3, 5))], [np.zeros(3)])
     with pytest.raises(ValueError):
         RegressorModel((4, 3), [np.full((3, 4), np.nan)], [np.zeros(3)])
+    with pytest.raises(ValueError, match="sensor casts 4 rays, the model takes 8"):
+        RegressorModel.zeros((8, 3), sensor=SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
     RegressorModel.zeros((8, 4, 4), yaw_mode="sincos")
 
 
@@ -467,7 +471,7 @@ def test_schedule_validation():
 def _train_setup(n=800, seed=5, ray_count=16):
     env = small_env(ray_count=ray_count)
     grid = env.grid.with_metric_box(1.5, 1.5, 2.5, 3.5)
-    env = environment_from_grid(grid, env.name, env.sensor)
+    env = EnvironmentSpec(env.name, grid, env.sensor)
     data = generate_dataset(env, n, seed=seed)
     return env, data
 
@@ -492,7 +496,7 @@ def test_training_beats_untrained_baseline():
     grid = grid.with_metric_box(2.0, 0.0, 2.6, 0.8)
     grid = grid.with_metric_box(8.0, 1.4, 8.6, 2.0)
     sensor = SensorConfig(fov=120.0, ray_count=16, max_range=15.0)
-    env = environment_from_grid(grid, "corridor", sensor)
+    env = EnvironmentSpec("corridor", grid, sensor)
     rng = np.random.default_rng(7)
     poses, ranges = [], []
     while len(poses) < 1500:
@@ -576,6 +580,17 @@ def test_train_rejects_small_datasets():
         train(data, env, TrainConfig(batch_size=32, max_iterations=10))
 
 
+def test_train_refuses_a_dataset_from_another_world():
+    # the same layout and sensor under another name: refused before any step
+    env, data = _train_setup(n=60)
+    moved = Dataset("elsewhere", data.sensor, data.seed, data.poses_matrix(), data.ranges_matrix())
+    with pytest.raises(InputError, match="^dataset belongs to world 'elsewhere', not 'unit-env'$"):
+        train(moved, env, TrainConfig(max_iterations=10))
+    narrow = EnvironmentSpec(env.name, env.grid, SensorConfig(fov=90.0, ray_count=16, max_range=10.0))
+    with pytest.raises(InputError, match="^dataset sensor .* does not match"):
+        train(data, narrow, TrainConfig(max_iterations=10))
+
+
 # evaluate ------------------------------------------------------------------------
 
 
@@ -583,7 +598,7 @@ class _TruthEstimator(Estimator):
     """Echoes the true pose, optionally with fixed or noisy offset."""
 
     def __init__(self, env, offset=(0.0, 0.0, 0.0), noise_sigma=0.0, rng=None):
-        self.sensor = env.sensor
+        self.env_name, self.sensor = env.name, env.sensor
         self.offset = offset
         self.noise_sigma = noise_sigma
         self.rng = rng
@@ -634,7 +649,7 @@ def test_theta_error_is_wrap_aware():
     testset = Dataset(env.name, env.sensor, 0, [(2.0, 2.0, -175.0)], np.full((1, 16), 0.5))
 
     class Fixed(Estimator):
-        sensor = env.sensor
+        env_name, sensor = env.name, env.sensor
 
         def estimate(self, observation, true_pose=None):
             return PoseEstimate(Pose2D(2.0, 2.0, 175.0))
@@ -667,6 +682,16 @@ def test_evaluate_validates_sensors():
         evaluate(_TruthEstimator(env), _fake_testset(env, 0), env)
 
 
+def test_evaluate_refuses_inputs_from_another_world():
+    # the same layout and sensor under another name: refused, not scored
+    env = small_env()
+    elsewhere = EnvironmentSpec("elsewhere", env.grid, env.sensor)
+    with pytest.raises(InputError, match="^test set belongs to world 'elsewhere', not 'unit-env'$"):
+        evaluate(_TruthEstimator(env), _fake_testset(elsewhere, 5), env)
+    with pytest.raises(InputError, match="^estimator belongs to world 'elsewhere', not 'unit-env'$"):
+        evaluate(_TruthEstimator(elsewhere), _fake_testset(env, 5), env)
+
+
 def test_metrics_validation():
     with pytest.raises(ValueError):
         Metrics(1.0, 1.0, 1.0, 1.0, np.array([[1.0, 200.0]]))
@@ -693,7 +718,7 @@ def test_model_round_trip(tmp_path):
 
 def test_model_save_load_save_is_byte_identical(tmp_path):
     rng = np.random.default_rng(37)
-    m = RegressorModel.random((6, 10, 3), rng)
+    m = RegressorModel.random((6, 10, 3), rng, env_name="unit-env", sensor=small_env(6).sensor)
     p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
     save_model(m, p1)
     save_model(load_model(p1), p2)
@@ -702,7 +727,7 @@ def test_model_save_load_save_is_byte_identical(tmp_path):
 
 def test_model_file_errors(tmp_path):
     rng = np.random.default_rng(38)
-    m = RegressorModel.random((4, 3), rng)
+    m = RegressorModel.random((4, 3), rng, env_name="unit-env", sensor=small_env(4).sensor)
     path = tmp_path / "m.model"
     save_model(m, path)
     lines = path.read_text().splitlines()
@@ -728,8 +753,27 @@ def test_model_file_errors(tmp_path):
         load_model(bad)
 
 
+def test_model_header_names_its_world_and_sensor(tmp_path):
+    rng = np.random.default_rng(39)
+    m = RegressorModel.random((4, 3), rng, env_name="unit-env", sensor=small_env(4).sensor)
+    path = tmp_path / "m.model"
+    save_model(m, path)
+    magic, header, *tensors = path.read_text().splitlines()
+    for key, value, why in [
+        ("env_name", "", "env_name must be a non-empty string, got ''"),
+        ("env_name", 7, "env_name must be a non-empty string, got 7"),
+        ("sensor", None, "bad header: sensor must be an object, got None"),
+        ("sensor", {"fov": 120.0, "ray_count": 5, "max_range": 10.0},
+         "sensor casts 5 rays, the model takes 4"),
+    ]:
+        edited = {**json.loads(header), key: value}
+        path.write_text("\n".join([magic, json.dumps(edited), *tensors]) + "\n")
+        with pytest.raises(FormatError, match=f"m.model: line 2: {re.escape(why)}$"):
+            load_model(path)
+
+
 def test_model_extra_header(tmp_path):
-    m = RegressorModel.zeros((4, 3))
+    m = RegressorModel.zeros((4, 3), env_name="unit-env", sensor=small_env(4).sensor)
     path = tmp_path / "m.model"
     save_model(m, path, extra_header={"invocation": "train --x"})
     assert "invocation" in path.read_text().splitlines()[1]

@@ -1,13 +1,14 @@
 """Occupancy grids: parsing, collision queries, exact raycasting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neuromap.capture import STREAM_GEN, derived_rng, sample_random_pose
-from neuromap.inputs import FormatError
-from neuromap.pose import Pose2D
+from neuromap.inputs import FormatError, InputError
+from neuromap.pose import EnvBounds, Pose2D
 from neuromap.world import (
     DEFAULT_SENSOR,
     EnvironmentSpec,
@@ -15,7 +16,6 @@ from neuromap.world import (
     Observation,
     OccupancyGrid,
     SensorConfig,
-    environment_from_grid,
     load_environment,
     ray_distances,
     raycast,
@@ -155,7 +155,7 @@ def test_text_round_trip_is_stable():
 
 def test_load_and_save_environment(tmp_path):
     grid = empty_grid(4, 4, 0.5).with_metric_box(1.0, 1.0, 1.5, 1.5)
-    env = environment_from_grid(grid, "toy")
+    env = EnvironmentSpec("toy", grid)
     path = tmp_path / "toy.grid"
     save_environment(env, path)
     loaded = load_environment(path)
@@ -170,17 +170,29 @@ def test_load_and_save_environment(tmp_path):
         load_environment(bad)
 
 
-def test_environment_spec_rejects_inconsistent_bounds():
-    grid = empty_grid(4, 4, 0.5)
+def test_environment_spec_takes_its_bounds_from_the_grid():
+    grid = empty_grid(4, 6, 0.5, ox=1.0, oy=-2.0)
+    env = EnvironmentSpec("x", grid)
+    assert env.bounds == grid.bounds() == EnvBounds(1.0, 3.0, -2.0, 1.0)
+    narrow = replace(env, sensor=SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
+    assert narrow.bounds == env.bounds
+    with pytest.raises(TypeError):  # bounds are not passed
+        EnvironmentSpec("x", grid, DEFAULT_SENSOR, grid.bounds())
     with pytest.raises(ValueError):
-        EnvironmentSpec(name="x", bounds=grid.bounds(), grid=grid, sensor=DEFAULT_SENSOR).__class__(
-            name="x",
-            bounds=type(grid.bounds())(0.0, 3.0, 0.0, 2.0),
-            grid=grid,
-            sensor=DEFAULT_SENSOR,
-        )
-    with pytest.raises(ValueError):
-        environment_from_grid(grid, "")
+        EnvironmentSpec("", grid)
+
+
+def test_check_world_refuses_another_world_or_sensor():
+    env = EnvironmentSpec("x", empty_grid(4, 4, 0.5))
+    env.check_world("dataset", "x", DEFAULT_SENSOR)
+    with pytest.raises(InputError, match=r"^dataset belongs to world 'y', not 'x'$"):
+        env.check_world("dataset", "y", DEFAULT_SENSOR)
+    with pytest.raises(InputError, match="^model belongs to world '', not 'x'$"):
+        env.check_world("model", "", DEFAULT_SENSOR)
+    other = SensorConfig(fov=90.0, ray_count=4, max_range=5.0)
+    for sensor in (other, None):
+        with pytest.raises(InputError, match=r"^estimator sensor .* does not match SensorConfig"):
+            env.check_world("estimator", "x", sensor)
 
 
 # collision queries -------------------------------------------------------------
@@ -192,6 +204,42 @@ def test_is_free_basics():
     assert grid.is_free(1.5, 0.5)
     assert not grid.is_free(-0.1, 0.5)
     assert not grid.is_free(2.1, 0.5)
+
+
+def floor_is_free(grid, x, y):
+    """The lookup ``is_free`` replaced: floor to a cell index, then range-check
+    the index. Exact for any point whose cell coordinate is finite."""
+    ix = math.floor((x - grid.origin_x) / grid.resolution)
+    iy = math.floor((y - grid.origin_y) / grid.resolution)
+    return 0 <= ix < grid.width and 0 <= iy < grid.height and not grid.cells[iy, ix]
+
+
+def test_is_free_matches_the_floor_lookup():
+    rng = np.random.default_rng(40)
+    for _ in range(10):
+        grid = random_world(rng, max_boxes=8)
+        b = grid.bounds()
+        xs = list(rng.uniform(b.x_min - 1.0, b.x_max + 1.0, 400))
+        ys = list(rng.uniform(b.y_min - 1.0, b.y_max + 1.0, 400))
+        # every cell edge, the doubles either side of it, and far-out values
+        ex = grid.origin_x + np.arange(-1, grid.width + 2) * grid.resolution
+        ey = grid.origin_y + np.arange(-1, grid.height + 2) * grid.resolution
+        ex = np.concatenate([ex, np.nextafter(ex, -np.inf), np.nextafter(ex, np.inf), [-1e300, 1e300]])
+        ey = np.concatenate([ey, np.nextafter(ey, -np.inf), np.nextafter(ey, np.inf), [-1e300, 1e300]])
+        points = list(zip(xs, ys)) + [(float(x), float(y)) for x in ex for y in ey[::7]]
+        points += [(float(x), float(y)) for x in ex[::7] for y in ey]
+        for x, y in points:
+            assert grid.is_free(x, y) == floor_is_free(grid, x, y), (x, y)
+
+
+def test_is_free_refuses_points_whose_cell_index_overflows():
+    grid = grid_from_text("2 1 0.05 0.0 0.0\n..\n")
+    far = [(1e308, 0.025), (-1e308, 0.025), (0.025, 1e308), (0.025, -1e308),
+           (math.inf, 0.025), (0.025, -math.inf), (math.nan, 0.025), (0.025, math.nan)]
+    for x, y in far:
+        with pytest.raises((OverflowError, ValueError)):  # inf or NaN has no floor
+            floor_is_free(grid, x, y)
+        assert grid.is_free(x, y) is False, (x, y)
 
 
 def test_edge_point_resolves_to_higher_cell():

@@ -19,7 +19,7 @@ from neuromap.report import (
     svg_route,
 )
 from neuromap.training import Metrics
-from neuromap.world import OccupancyGrid, SensorConfig, environment_from_grid, save_environment
+from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig, save_environment
 from neuromap.worlds import (
     APARTMENT_LOOP,
     APARTMENT_START,
@@ -89,7 +89,7 @@ def tiny_env():
     cells = np.zeros((6, 8), dtype=bool)
     grid = OccupancyGrid(8, 6, 0.5, 0.0, 0.0, cells)
     grid = grid.with_metric_box(1.0, 1.0, 2.0, 2.0)
-    return environment_from_grid(grid, "tiny", SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
+    return EnvironmentSpec("tiny", grid, SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
 
 
 def test_coverage_svg_marker_per_sample():
@@ -162,7 +162,7 @@ def test_coverage_summary_counts_hand_case():
     # distinct cells
     cells = np.zeros((6, 8), dtype=bool)
     grid = OccupancyGrid(8, 6, 0.5, 0.0, 0.0, cells)
-    env = environment_from_grid(grid, "room", SensorConfig(fov=90, ray_count=4, max_range=5))
+    env = EnvironmentSpec("room", grid, SensorConfig(fov=90, ray_count=4, max_range=5))
     poses = np.array([(0.2, 0.2, 0.0), (0.8, 0.3, 0.0), (3.5, 2.5, 0.0)])
     cov = coverage_summary(env, poses, cell_m=1.0)
     assert cov.free_cells == 12
@@ -228,7 +228,7 @@ def test_coverage_summary_matches_the_loop_on_random_grids():
         cells = rng.random((h, w)) < rng.uniform(0.0, 1.0)
         origin = rng.uniform(-5.0, 5.0, 2)
         grid = OccupancyGrid(int(w), int(h), res, float(origin[0]), float(origin[1]), cells)
-        env = environment_from_grid(grid, "r", SensorConfig(fov=90, ray_count=4, max_range=5))
+        env = EnvironmentSpec("r", grid, SensorConfig(fov=90, ray_count=4, max_range=5))
         cell_m = float(rng.uniform(0.05, 3.0))
         positions = _positions(env, rng, 200)
         want = coverage_summary_loop(env, positions, cell_m)
