@@ -11,13 +11,10 @@ from .pose import (
     DegenerateHeadingError,
     EnvBounds,
     IndeterminateMeanError,
-    NormalizedPose,
-    OutOfBoundsError,
     Pose2D,
     ang_diff,
     circular_mean,
     denormalize,
-    distance,
     heading,
     normalize,
     wrap_angle,
@@ -28,13 +25,10 @@ __all__ = [
     "DegenerateHeadingError",
     "EnvBounds",
     "IndeterminateMeanError",
-    "NormalizedPose",
-    "OutOfBoundsError",
     "Pose2D",
     "ang_diff",
     "circular_mean",
     "denormalize",
-    "distance",
     "heading",
     "normalize",
     "wrap_angle",

@@ -237,7 +237,9 @@ def build_estimator(spec: str, env) -> Estimator:
         if not Path(db_path).is_file():
             raise InputError(f"knn database not found: {db_path}")
         opts = _parse_kv(tail, {"k": int, "weighting": str})
-        return KnnEstimator(load_dataset(db_path), KnnConfig(**opts))
+        db = load_dataset(db_path)
+        env.check_world("estimator", db.env_name, db.sensor, db.poses_matrix())
+        return KnnEstimator(db, KnnConfig(**opts))
     if kind == "model":
         if not rest:
             raise UsageError("model spec needs a file path: model:PATH")
@@ -444,7 +446,7 @@ def cmd_plot(args) -> int:
         raise UsageError("plot needs exactly one of --dataset or --trace")
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
-        env.check_world("dataset", dataset.env_name, dataset.sensor)
+        env.check_world("dataset", dataset.env_name, dataset.sensor, dataset.poses_matrix())
         svg_coverage(env, dataset.poses_matrix(), out / "coverage.svg", comments=args.comments)
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:

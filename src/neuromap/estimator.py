@@ -3,8 +3,8 @@ regressor inference, and an adapter for external estimator processes.
 
 Every estimator is an ``Estimator``: it names the world its poses belong
 to (``env_name``) and the ``sensor`` it reads, answers
-``estimate(observation, true_pose=None) -> PoseEstimate`` and
-``estimate_batch(ranges, true_poses) -> list[PoseEstimate]``, and is closed
+``estimate(observation, true_pose=None) -> Pose2D`` and
+``estimate_batch(ranges, true_poses) -> list[Pose2D]``, and is closed
 by ``close()`` or a ``with`` block. Callers that hold the true pose
 (evaluation, navigation) pass it to every estimator; only the oracle reads
 it.
@@ -27,7 +27,8 @@ import numpy as np
 
 from .capture import Dataset
 from .inputs import InputError, check_finite
-from .pose import NormalizedPose, Pose2D, circular_mean, denormalize, normalize
+from .pose import Pose2D, circular_mean, denormalize
+from .training import decode_head, forward_batch
 from .world import EnvironmentSpec, Observation, SensorConfig
 
 WEIGHT_UNIFORM = "uniform"
@@ -47,14 +48,6 @@ SCREEN_BLOCK_BYTES = 5 << 20
 
 class EstimatorUnavailableError(RuntimeError):
     """The external estimator process died, timed out, or broke protocol."""
-
-
-@dataclass(frozen=True)
-class PoseEstimate:
-    """An estimated pose; clamped marks outputs pulled back into [-1, 1]."""
-
-    pose: Pose2D
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -90,10 +83,10 @@ class Estimator:
     env_name: str
     sensor: SensorConfig
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
         raise NotImplementedError
 
-    def estimate_batch(self, ranges, true_poses) -> list[PoseEstimate]:
+    def estimate_batch(self, ranges, true_poses) -> list[Pose2D]:
         """``estimate`` of each row of ``ranges`` (m, ray_count) with its
         true pose from ``true_poses`` (m ``Pose2D``), in row order."""
         if len(ranges) != len(true_poses):
@@ -117,8 +110,8 @@ def _check_length(ranges, sensor: SensorConfig):
         )
 
 
-def oracle_estimate(true_pose: Pose2D, cfg: OracleConfig, rng, bounds=None) -> PoseEstimate:
-    """True pose plus zero-mean Gaussian noise; clamped into bounds if given.
+def oracle_estimate(true_pose: Pose2D, cfg: OracleConfig, rng, bounds) -> Pose2D:
+    """True pose plus zero-mean Gaussian noise, clamped into ``bounds``.
 
     Always draws exactly three normals so the stream position depends only
     on the call count, not on the sigma values.
@@ -126,14 +119,9 @@ def oracle_estimate(true_pose: Pose2D, cfg: OracleConfig, rng, bounds=None) -> P
     dx = rng.normal(0.0, cfg.sigma_pos)
     dy = rng.normal(0.0, cfg.sigma_pos)
     dt = rng.normal(0.0, cfg.sigma_theta)
-    x, y = true_pose.x + dx, true_pose.y + dy
-    clamped = False
-    if bounds is not None:
-        cx = min(max(x, bounds.x_min), bounds.x_max)
-        cy = min(max(y, bounds.y_min), bounds.y_max)
-        clamped = (cx != x) or (cy != y)
-        x, y = cx, cy
-    return PoseEstimate(Pose2D(x, y, true_pose.theta + dt), clamped)
+    x = min(max(true_pose.x + dx, bounds.x_min), bounds.x_max)
+    y = min(max(true_pose.y + dy, bounds.y_min), bounds.y_max)
+    return Pose2D(x, y, true_pose.theta + dt)
 
 
 class OracleEstimator(Estimator):
@@ -148,7 +136,7 @@ class OracleEstimator(Estimator):
         self.env_name, self.sensor = env.name, env.sensor
         self._rng = np.random.default_rng(cfg.seed)
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
         _check_length(observation.ranges, self.sensor)
         if true_pose is None:
             raise RuntimeError("oracle estimator needs the true_pose argument")
@@ -203,7 +191,7 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[np.ndarray]:
     return survivors
 
 
-def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig, survivors=None) -> PoseEstimate:
+def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig, survivors=None) -> Pose2D:
     """Nearest neighbours by Euclidean distance over range vectors.
 
     Position is the weighted mean of neighbour positions, orientation the
@@ -230,7 +218,7 @@ def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig, survivors=None) 
     best = np.argsort(d, kind="stable")[: cfg.k]  # distance first, then id
     sel = cand[best]
     if cfg.k == 1:  # Python floats, as save_trace writes them with repr
-        return PoseEstimate(Pose2D(*db.poses_matrix()[sel[0]].tolist()))
+        return Pose2D(*db.poses_matrix()[sel[0]].tolist())
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[best] + INVERSE_WEIGHT_EPS)
     else:
@@ -240,7 +228,7 @@ def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig, survivors=None) 
     x = float((w * poses[:, 0]).sum() / wsum)
     y = float((w * poses[:, 1]).sum() / wsum)
     theta = circular_mean(poses[:, 2], weights=w)
-    return PoseEstimate(Pose2D(x, y, theta))
+    return Pose2D(x, y, theta)
 
 
 class KnnEstimator(Estimator):
@@ -255,11 +243,11 @@ class KnnEstimator(Estimator):
         self.cfg = cfg
         self.env_name, self.sensor = db.env_name, db.sensor
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
         _check_length(observation.ranges, self.sensor)
         return knn_estimate(self.db, observation, self.cfg)
 
-    def estimate_batch(self, ranges, true_poses) -> list[PoseEstimate]:
+    def estimate_batch(self, ranges, true_poses) -> list[Pose2D]:
         """One screen per block of queries, then each query's exact re-rank."""
         observations = [Observation(r) for r in ranges]
         for obs in observations:
@@ -278,28 +266,23 @@ class RegressorEstimator(Estimator):
     model must name ``env``'s world and sensor."""
 
     def __init__(self, model, env: EnvironmentSpec):
-        # local import: training depends on capture, not the reverse
-        from .training import forward  # noqa: PLC0415
-
         env.check_world("model", model.env_name, model.sensor)
         self.model = model
         self.env = env
         self.env_name, self.sensor = model.env_name, model.sensor
-        self._forward = forward
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
         _check_length(observation.ranges, self.sensor)
-        npose = self._forward(self.model, observation)
-        # tanh outputs are strictly inside (-1, 1): never clamped
-        return PoseEstimate(denormalize(npose, self.env.bounds))
+        out = forward_batch(self.model, observation.ranges[None, :])
+        return Pose2D(*decode_head(self.model, out, self.env.bounds)[0].tolist())
 
 
 class ExternalEstimator(Estimator):
     """Line-protocol adapter around an external estimator process.
 
     Request: ``EST <id> r0 r1 ...``; response: ``POSE <id> nx ny ntheta``
-    (normalised values, denormalised here against the environment bounds,
-    clamping out-of-range values). Requests and responses strictly
+    (normalised values, clipped into [-1, 1] and denormalised here against
+    the environment bounds). Requests and responses strictly
     alternate; ``QUIT`` ends the session. Any protocol breach, process
     exit, or timeout raises EstimatorUnavailableError and poisons the
     channel.
@@ -340,7 +323,7 @@ class ExternalEstimator(Estimator):
         line, self._buf = self._buf.split(b"\n", 1)
         return line.decode("ascii", errors="replace")
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> PoseEstimate:
+    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
         if self._broken:
             raise EstimatorUnavailableError("estimator channel is poisoned")
         _check_length(observation.ranges, self.sensor)
@@ -367,8 +350,7 @@ class ExternalEstimator(Estimator):
             self._fail(f"response id {resp_id} does not match request {req_id}")
         if not all(math.isfinite(v) for v in raw):
             self._fail(f"non-finite response {line!r}")
-        npose, clamped = NormalizedPose.from_raw(*raw)
-        return PoseEstimate(denormalize(npose, self.env.bounds), clamped)
+        return Pose2D(*denormalize(np.clip(raw, -1.0, 1.0), self.env.bounds).tolist())
 
     def close(self) -> None:
         if self._proc.poll() is None:
@@ -385,9 +367,3 @@ class ExternalEstimator(Estimator):
                 self._proc.wait()
         if self._proc.stdout is not None:
             self._proc.stdout.close()
-
-
-def normalized_response(pose: Pose2D, env: EnvironmentSpec) -> str:
-    """The `nx ny ntheta` payload an external process should emit for pose."""
-    n = normalize(pose, env.bounds)
-    return f"{n.nx!r} {n.ny!r} {n.ntheta!r}"

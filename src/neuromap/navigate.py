@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import Estimator, EstimatorUnavailableError, PoseEstimate
+from .estimator import Estimator, EstimatorUnavailableError
 from .inputs import FormatError, InputError, check_finite, read_lines
 from .pose import Pose2D, ang_diff, heading
 from .world import EnvironmentSpec, raycast
@@ -81,7 +81,7 @@ class TraceTick:
     tick: int
     time: float
     true_pose: Pose2D
-    estimate: PoseEstimate
+    estimate: Pose2D | None  # None before the first estimate succeeded
     waypoint_idx: int
     event: str
 
@@ -183,7 +183,7 @@ class _Episode:
         except EstimatorUnavailableError:
             raise _Abort(ABORT_ESTIMATOR) from None
         self._append(EVENT_ESTIMATE)
-        return self.last_estimate.pose
+        return self.last_estimate
 
     def rotate_by(self, relative_deg: float) -> None:
         accumulated = 0.0
@@ -219,6 +219,21 @@ def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, st
     failure, or tick-budget exhaustion; the trace is retained up to and
     including the abort row.
     """
+    # Over max_ticks ticks the clock sums dt, and odometry its readings:
+    # each a step plus normal noise, taken here at 10 sigmas (a draw beyond
+    # that has probability below 2e-23). Refuse settings whose sums could
+    # overflow to inf.
+    lin, ang = cfg.linear_speed * cfg.dt, cfg.angular_speed * cfg.dt
+    for name, step, sigma in (
+        ("angular_speed * dt", ang, odo.sigma_ang_per_step),
+        ("linear_speed * dt", lin, odo.sigma_lin_frac * lin),
+        ("dt", cfg.dt, 0.0),
+    ):
+        if not math.isfinite(cfg.max_ticks * (step + 10.0 * sigma)):
+            raise InputError(
+                f"{name} = {step!r} per tick, noise sigma {sigma!r}: "
+                f"the sum over max_ticks={cfg.max_ticks} ticks overflows"
+            )
     waypoints = [(float(x), float(y)) for x, y in waypoints]
     if not waypoints:
         raise InputError("need at least one waypoint")
@@ -269,7 +284,7 @@ def closest_distance_metrics(trace: RouteTrace, waypoints, abort_reason: str = "
         if rows:
             closest_true = min(math.hypot(t.true_pose.x - wx, t.true_pose.y - wy) for t in rows)
             closest_est = min(
-                (math.hypot(t.estimate.pose.x - wx, t.estimate.pose.y - wy)
+                (math.hypot(t.estimate.x - wx, t.estimate.y - wy)
                  for t in rows if t.estimate is not None),
                 default=math.inf,
             )
@@ -298,7 +313,7 @@ def save_trace(trace: RouteTrace, path, comments=()) -> None:
         if t.estimate is None:  # abort before the first estimate succeeded
             est = ",,"
         else:
-            e = t.estimate.pose
+            e = t.estimate
             est = f"{e.x!r},{e.y!r},{e.theta!r}"
         lines.append(
             f"{t.tick},{t.time!r},{t.true_pose.x!r},{t.true_pose.y!r},"
@@ -325,13 +340,13 @@ def load_trace(path) -> RouteTrace:
             raise FormatError(path, line_no, f"malformed trace row {ln!r}")
         if parts[9] not in EVENTS:
             raise FormatError(path, line_no, f"unknown event {parts[9]!r}")
+        if any(parts[5:8]) and not all(parts[5:8]):
+            raise FormatError(path, line_no, "est_x, est_y, est_theta must be all empty or all set")
         try:
             time = float(parts[1])
             if not math.isfinite(time):
                 raise ValueError(f"time must be finite, got {parts[1]!r}")
-            est = None
-            if parts[5]:
-                est = PoseEstimate(Pose2D(float(parts[5]), float(parts[6]), float(parts[7])))
+            est = Pose2D(*map(float, parts[5:8])) if parts[5] else None
             pose = Pose2D(float(parts[2]), float(parts[3]), float(parts[4]))
             rows.append(TraceTick(int(parts[0]), time, pose, est, int(parts[8]), parts[9]))
             RouteTrace(tuple(rows[-2:]))  # this row continues the order of the last one

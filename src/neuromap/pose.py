@@ -6,9 +6,11 @@ is never returned. Positions are metres. Headings are measured
 counter-clockwise from the +x axis. Everything here is a pure function over
 immutable values, so concurrent use needs no locking.
 
-The normalisation contract maps an in-bounds pose linearly onto the cube
-[-1, +1]^3 (x, y against the environment bounds, yaw divided by 180), which
-is the output range of a tanh regression head.
+``normalize`` and ``denormalize`` are the one map between poses and the
+unit box: an in-bounds pose (x, y, theta) goes linearly onto [-1, +1]^3 (x,
+y against the environment bounds, yaw divided by 180), which is the output
+range of a tanh regression head. Both work on float64 arrays of shape
+(..., 3).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .inputs import InputError
 
@@ -27,10 +31,6 @@ class DegenerateHeadingError(ValueError):
 class IndeterminateMeanError(InputError):
     """Circular mean requested for angles whose mean vector vanishes; a
     k-NN database whose neighbours' headings cancel has no estimate."""
-
-
-class OutOfBoundsError(ValueError):
-    """Pose lies outside the environment bounds it is measured against."""
 
 
 def wrap_angle(a: float) -> float:
@@ -103,47 +103,6 @@ class EnvBounds:
     def height(self) -> float:
         return self.y_max - self.y_min
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
-
-
-@dataclass(frozen=True)
-class NormalizedPose:
-    """A pose mapped onto the unit cube: every component lies in [-1, +1]."""
-
-    nx: float
-    ny: float
-    ntheta: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("nx", self.nx), ("ny", self.ny), ("ntheta", self.ntheta)):
-            if not math.isfinite(v) or not -1.0 <= v <= 1.0:
-                raise ValueError(f"normalized component {name}={v!r} outside [-1, 1]")
-
-    @classmethod
-    def from_raw(cls, nx: float, ny: float, ntheta: float) -> tuple["NormalizedPose", bool]:
-        """Build from unchecked values, clamping into [-1, 1].
-
-        Returns the pose and a flag that is True when any component had to
-        be clamped. A tanh output head cannot produce out-of-range values,
-        but external estimators might; the flag lets callers surface that.
-        """
-        if not all(math.isfinite(v) for v in (nx, ny, ntheta)):
-            raise ValueError(f"normalized components must be finite, got {(nx, ny, ntheta)!r}")
-        cx = min(1.0, max(-1.0, nx))
-        cy = min(1.0, max(-1.0, ny))
-        ct = min(1.0, max(-1.0, ntheta))
-        clamped = (cx != nx) or (cy != ny) or (ct != ntheta)
-        return cls(cx, cy, ct), clamped
-
-
-def distance(p: Pose2D, q: Pose2D) -> float:
-    """Euclidean distance between the positions of two poses, in metres."""
-    return math.hypot(p.x - q.x, p.y - q.y)
-
 
 def heading(frm: Pose2D, to: Pose2D, eps: float = 1e-9) -> float:
     """Bearing in degrees of the vector from ``frm`` to ``to``.
@@ -164,26 +123,37 @@ def heading(frm: Pose2D, to: Pose2D, eps: float = 1e-9) -> float:
     return wrap_angle(math.degrees(math.atan2(dy, dx)))
 
 
-def normalize(p: Pose2D, b: EnvBounds) -> NormalizedPose:
-    """Map an in-bounds pose linearly onto [-1, +1]^3.
+def normalize(poses, b: EnvBounds) -> np.ndarray:
+    """Map poses (..., 3) of (x, y, theta) onto (nx, ny, ntheta).
 
     nx = 2(x - x_min)/(x_max - x_min) - 1, likewise ny; ntheta = theta/180.
-
-    Raises:
-        OutOfBoundsError: if the position lies outside ``b``.
+    An in-bounds pose with theta in [-180, 180] lands in [-1, +1]^3; no
+    bound is checked here (``EnvironmentSpec.check_world`` refuses poses
+    outside their world).
     """
-    if not b.contains(p.x, p.y):
-        raise OutOfBoundsError(f"pose ({p.x}, {p.y}) outside bounds {b}")
-    nx = 2.0 * (p.x - b.x_min) / b.width - 1.0
-    ny = 2.0 * (p.y - b.y_min) / b.height - 1.0
-    return NormalizedPose(nx, ny, p.theta / 180.0)
+    p = np.asarray(poses, dtype=np.float64)
+    return np.stack(
+        [
+            2.0 * (p[..., 0] - b.x_min) / b.width - 1.0,
+            2.0 * (p[..., 1] - b.y_min) / b.height - 1.0,
+            p[..., 2] / 180.0,
+        ],
+        axis=-1,
+    )
 
 
-def denormalize(n: NormalizedPose, b: EnvBounds) -> Pose2D:
-    """Inverse of :func:`normalize`; round-trips to within 1e-9 per component."""
-    x = b.x_min + (n.nx + 1.0) * 0.5 * b.width
-    y = b.y_min + (n.ny + 1.0) * 0.5 * b.height
-    return Pose2D(x, y, n.ntheta * 180.0)
+def denormalize(n, b: EnvBounds) -> np.ndarray:
+    """Inverse of :func:`normalize`, (..., 3) -> (..., 3); theta is not
+    wrapped. Round-trips to within 1e-9 per component."""
+    n = np.asarray(n, dtype=np.float64)
+    return np.stack(
+        [
+            b.x_min + (n[..., 0] + 1.0) * 0.5 * b.width,
+            b.y_min + (n[..., 1] + 1.0) * 0.5 * b.height,
+            n[..., 2] * 180.0,
+        ],
+        axis=-1,
+    )
 
 
 def circular_mean(angles: Sequence[float], weights: Sequence[float] | None = None) -> float:

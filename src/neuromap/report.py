@@ -120,7 +120,7 @@ def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) ->
     vp = _Viewport(env.bounds)
     body = _grid_rects(env, vp)
     truth = [(t.true_pose.x, t.true_pose.y) for t in trace.ticks]
-    est = [(t.estimate.pose.x, t.estimate.pose.y) for t in trace.ticks if t.estimate is not None]
+    est = [(t.estimate.x, t.estimate.y) for t in trace.ticks if t.estimate is not None]
     body += _polyline(truth, "truth", TRUTH_COLOR, vp)
     body += _polyline(est, "estimate", ESTIMATE_COLOR, vp)
     for wx, wy in waypoints:

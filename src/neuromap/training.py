@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .capture import Dataset, derived_rng
-from .estimator import Estimator
 from .inputs import FormatError, InputError, check_finite, read_lines
-from .pose import NormalizedPose, Pose2D, ang_diff, denormalize, normalize
-from .world import EnvironmentSpec, Observation, SensorConfig
+from .pose import EnvBounds, Pose2D, ang_diff, denormalize, normalize
+from .world import EnvironmentSpec, SensorConfig
 
 STREAM_INIT = 10
 STREAM_VAL_SPLIT = 11
@@ -202,17 +201,14 @@ def forward_batch(model: RegressorModel, X: np.ndarray) -> np.ndarray:
     return a
 
 
-def _head_to_normalized(model: RegressorModel, row: np.ndarray) -> NormalizedPose:
-    if model.yaw_mode == YAW_TANH:
-        return NormalizedPose(float(row[0]), float(row[1]), float(row[2]))
-    theta = math.degrees(math.atan2(float(row[2]), float(row[3])))
-    return NormalizedPose(float(row[0]), float(row[1]), theta / 180.0)
-
-
-def forward(model: RegressorModel, obs: Observation) -> NormalizedPose:
-    """Run one observation through the network."""
-    out = forward_batch(model, obs.ranges[None, :])[0]
-    return _head_to_normalized(model, out)
+def decode_head(model: RegressorModel, out: np.ndarray, bounds: EnvBounds) -> np.ndarray:
+    """The poses (n, 3) of (x, y, theta deg) that network output rows ``out``
+    stand for: the tanh head's rows are normalised poses; the sincos head's
+    yaw is the angle of its (sin, cos) pair."""
+    poses = denormalize(out[:, :3], bounds)
+    if model.yaw_mode == YAW_SINCOS:
+        poses[:, 2] = np.degrees(np.arctan2(out[:, 2], out[:, 3]))
+    return poses
 
 
 def batch_loss(pred: np.ndarray, target: np.ndarray, kind: str = TrainConfig.loss) -> float:
@@ -385,13 +381,11 @@ class HistoryRow:
 
 def _targets(dataset: Dataset, env: EnvironmentSpec, yaw_mode: str) -> np.ndarray:
     poses = dataset.poses_matrix()
-    b = env.bounds
-    nx = 2.0 * (poses[:, 0] - b.x_min) / b.width - 1.0
-    ny = 2.0 * (poses[:, 1] - b.y_min) / b.height - 1.0
+    normalized = normalize(poses, env.bounds)
     if yaw_mode == YAW_TANH:
-        return np.column_stack([nx, ny, poses[:, 2] / 180.0])
+        return normalized
     rad = np.radians(poses[:, 2])
-    return np.column_stack([nx, ny, np.sin(rad), np.cos(rad)])
+    return np.column_stack([normalized[:, :2], np.sin(rad), np.cos(rad)])
 
 
 def _val_errors(model: RegressorModel, X: np.ndarray, poses: np.ndarray, env: EnvironmentSpec):
@@ -399,16 +393,9 @@ def _val_errors(model: RegressorModel, X: np.ndarray, poses: np.ndarray, env: En
 
     Raises TrainingDivergedError when the model's outputs are not finite.
     """
-    out = forward_batch(model, X)
-    b = env.bounds
-    ex = b.x_min + (out[:, 0] + 1.0) * 0.5 * b.width
-    ey = b.y_min + (out[:, 1] + 1.0) * 0.5 * b.height
-    if model.yaw_mode == YAW_TANH:
-        et = out[:, 2] * 180.0
-    else:
-        et = np.degrees(np.arctan2(out[:, 2], out[:, 3]))
-    pos = np.hypot(ex - poses[:, 0], ey - poses[:, 1])
-    dt = np.abs((et - poses[:, 2] + 180.0) % 360.0 - 180.0)
+    est = decode_head(model, forward_batch(model, X), env.bounds)
+    pos = np.hypot(est[:, 0] - poses[:, 0], est[:, 1] - poses[:, 1])
+    dt = np.abs((est[:, 2] - poses[:, 2] + 180.0) % 360.0 - 180.0)
     pos_err, yaw_err = float(np.mean(pos)), float(np.mean(dt))
     if not (math.isfinite(pos_err) and math.isfinite(yaw_err)):
         raise TrainingDivergedError(f"non-finite validation error {pos_err!r} m, {yaw_err!r} deg")
@@ -425,7 +412,7 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
     model is the snapshot with the best validation position error.
     ``on_eval(row, model)`` is called after each evaluation when given.
     """
-    env.check_world("dataset", dataset.env_name, dataset.sensor)
+    env.check_world("dataset", dataset.env_name, dataset.sensor, dataset.poses_matrix())
     n = len(dataset)
     if n < cfg.batch_size:
         raise InputError(f"dataset has {n} samples, need at least batch_size={cfg.batch_size}")
@@ -535,8 +522,8 @@ class Metrics:
             raise ValueError("errors must be >= 0 and yaw errors <= 180")
 
 
-def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
-    """Per-sample position and yaw error of an estimator over a test set.
+def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
+    """Per-sample position and yaw error of an ``Estimator`` over a test set.
 
     The test set and the estimator must belong to ``env``'s world and
     sensor. The whole test set goes to one ``estimate_batch`` call with the
@@ -544,13 +531,12 @@ def evaluate(estimator: Estimator, testset: Dataset, env: EnvironmentSpec) -> Me
     """
     if len(testset) == 0:
         raise InputError("test set is empty")
-    env.check_world("test set", testset.env_name, testset.sensor)
+    env.check_world("test set", testset.env_name, testset.sensor, testset.poses_matrix())
     env.check_world("estimator", estimator.env_name, estimator.sensor)
     errs = np.empty((len(testset), 2))
     truths = [Pose2D(*row) for row in testset.poses_matrix().tolist()]
     estimates = estimator.estimate_batch(testset.ranges_matrix(), truths)
-    for i, (truth, estimate) in enumerate(zip(truths, estimates, strict=True)):
-        pose = estimate.pose
+    for i, (truth, pose) in enumerate(zip(truths, estimates, strict=True)):
         errs[i, 0] = math.hypot(pose.x - truth.x, pose.y - truth.y)
         errs[i, 1] = abs(ang_diff(pose.theta, truth.theta))
     return Metrics(

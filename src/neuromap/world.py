@@ -279,14 +279,26 @@ class EnvironmentSpec:
             raise ValueError("environment name must be non-empty")
         object.__setattr__(self, "bounds", self.grid.bounds())
 
-    def check_world(self, what: str, env_name: str, sensor: SensorConfig) -> None:
+    def check_world(self, what: str, env_name: str, sensor: SensorConfig, poses=None) -> None:
         """Refuse an artefact (dataset, model, estimator) named for another
-        world or observed with another sensor: poses are normalised against
-        one world's bounds and ranges come from one sensor."""
+        world or observed with another sensor, or whose ``poses`` (n, 3), when
+        given, do not all lie within the world's bounds: poses are normalised
+        against one world's bounds and ranges come from one sensor."""
         if env_name != self.name:
             raise InputError(f"{what} belongs to world {env_name!r}, not {self.name!r}")
         if sensor != self.sensor:
             raise InputError(f"{what} sensor {sensor} does not match {self.sensor}")
+        if poses is None:
+            return
+        b = self.bounds
+        x, y = poses[:, 0], poses[:, 1]
+        outside = ~((b.x_min <= x) & (x <= b.x_max) & (b.y_min <= y) & (y <= b.y_max))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise InputError(
+                f"{what} row {i} at ({x[i].item()!r}, {y[i].item()!r}) lies outside world "
+                f"{self.name!r}: x [{b.x_min}, {b.x_max}], y [{b.y_min}, {b.y_max}]"
+            )
 
 
 def load_environment(path, sensor: SensorConfig = DEFAULT_SENSOR) -> EnvironmentSpec:

@@ -1,13 +1,22 @@
 """External estimator test double speaking the EST/POSE line protocol.
 
 Modes: const (fixed reply), knn (k-NN over a database, replying with
-normalised values), garbage, badid, hang, partial, exit. ``--log FILE``
-appends each request's id to FILE, one per line.
+normalised values), replay (request i gets line i of ``--replies FILE``),
+garbage, badid, hang, partial, exit. ``--log FILE`` appends each request's
+id to FILE, one per line.
 """
 
 import argparse
 import sys
 import time
+
+
+def normalized_response(pose, env):
+    """The `nx ny ntheta` payload an external process should emit for pose."""
+    from neuromap.pose import normalize
+
+    nx, ny, ntheta = normalize([pose.x, pose.y, pose.theta], env.bounds).tolist()
+    return f"{nx!r} {ny!r} {ntheta!r}"
 
 
 def main():
@@ -20,6 +29,7 @@ def main():
     ap.add_argument("--env")
     ap.add_argument("--k", type=int, default=5)
     ap.add_argument("--log")
+    ap.add_argument("--replies")
     args = ap.parse_args()
 
     if args.mode == "exit":
@@ -28,13 +38,14 @@ def main():
     knn = env = None
     if args.mode == "knn":
         from neuromap.capture import load_dataset
-        from neuromap.estimator import KnnConfig, KnnEstimator, normalized_response
+        from neuromap.estimator import KnnConfig, KnnEstimator
         from neuromap.world import load_environment
 
         db = load_dataset(args.db)
         env = load_environment(args.env, sensor=db.sensor)
         knn = KnnEstimator(db, KnnConfig(k=args.k))
 
+    replies = open(args.replies).read().splitlines() if args.mode == "replay" else []
     for line in sys.stdin:
         parts = line.split()
         if not parts:
@@ -60,7 +71,9 @@ def main():
 
             ranges = [float(v) for v in parts[2:]]
             est = knn.estimate(Observation(ranges))
-            print(f"POSE {req_id} {normalized_response(est.pose, env)}", flush=True)
+            print(f"POSE {req_id} {normalized_response(est, env)}", flush=True)
+        elif args.mode == "replay":
+            print(f"POSE {req_id} {replies[int(req_id)]}", flush=True)
         else:
             print(f"POSE {req_id} {args.nx!r} {args.ny!r} {args.ntheta!r}", flush=True)
 

@@ -89,7 +89,7 @@ def test_criterion_01_pose_algebra_invariants():
     ths = rng.uniform(-180.0, 180.0, size=2000)
     for x, y, th in zip(xs, ys, ths):
         p = Pose2D(x, y, th)
-        q = denormalize(normalize(p, bounds), bounds)
+        q = Pose2D(*denormalize(normalize([p.x, p.y, p.theta], bounds), bounds).tolist())
         assert abs(q.x - p.x) < 1e-9 and abs(q.y - p.y) < 1e-9
         assert abs(ang_diff(q.theta, p.theta)) < 1e-9
         cases += 1
@@ -366,7 +366,7 @@ def test_criterion_09_error_does_not_compound():
     )
     assert report.success  # the loop must finish for the decile stats to mean anything
     errs = [
-        math.hypot(t.estimate.pose.x - t.true_pose.x, t.estimate.pose.y - t.true_pose.y)
+        math.hypot(t.estimate.x - t.true_pose.x, t.estimate.y - t.true_pose.y)
         for t in trace.ticks
         if t.event == EVENT_ESTIMATE
     ]

@@ -17,7 +17,7 @@ import pytest
 
 from neuromap.capture import Dataset, load_dataset, save_dataset
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
-from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator, PoseEstimate
+from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator
 from neuromap.pose import Pose2D
 from neuromap.inputs import read_lines
 from neuromap.training import RegressorModel, load_model, save_model
@@ -256,6 +256,19 @@ def test_eval_bad_ablate_is_usage_error_before_any_work(workspace, tmp_path, cap
     assert not (tmp_path / "e" / "metrics.json").exists()
 
 
+def _moved(dataset, out, field, value):
+    """A copy of ``dataset`` whose row 1 has its x (field 1) or y (field 2)
+    set to ``value``; the file stays well formed."""
+    out.write_text(_replace_field(Path(dataset).read_text(), 3, field, value))
+    return out
+
+
+def _outside(what, x, y, world="b"):
+    """The refusal of row 1 at (x, y), outside the 8 x 8 m apartment."""
+    return (f"neuromap: input error: {what} row 1 at ({x}, {y}) lies outside world "
+            f"'{world}': x [0.0, 8.0], y [0.0, 8.0]\n")
+
+
 @pytest.mark.parametrize("command", ["eval", "bench", "navigate"])
 def test_knn_database_from_another_world_is_input_error(two_worlds, tmp_path, capsys, command):
     argv = {
@@ -268,6 +281,13 @@ def test_knn_database_from_another_world_is_input_error(two_worlds, tmp_path, ca
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err == "neuromap: input error: estimator belongs to world 'a', not 'b'\n"
+    # b's own database with one pose moved out of the world
+    db = load_dataset(two_worlds / "b" / "dataset.csv")
+    far = _moved(two_worlds / "b" / "dataset.csv", tmp_path / "far.csv", 1, "-1000")
+    rc = main([command, "--env", str(two_worlds / "b.grid"), "--rays", "16",
+               "--estimator", f"knn:{far}", *argv, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == _outside("estimator", -1000.0, db.poses_matrix()[1, 1])
 
 
 @pytest.mark.parametrize("command", ["eval", "bench", "navigate"])
@@ -293,6 +313,15 @@ def test_eval_testset_from_another_world_is_input_error(two_worlds, tmp_path, ca
                "--testset", str(two_worlds / "a" / "dataset.csv"), "--out", str(tmp_path / "e")])
     assert rc == 2
     assert capsys.readouterr().err == "neuromap: input error: test set belongs to world 'a', not 'b'\n"
+    assert not (tmp_path / "e" / "metrics.json").exists()
+    # b's own test set with one pose moved out of the world
+    test = load_dataset(two_worlds / "b" / "dataset.csv")
+    far = _moved(two_worlds / "b" / "dataset.csv", tmp_path / "far.csv", 1, "-1000")
+    rc = main(["eval", "--env", str(two_worlds / "b.grid"), "--rays", "16",
+               "--estimator", "knn:" + str(two_worlds / "b" / "dataset.csv") + ",k=1",
+               "--testset", str(far), "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert capsys.readouterr().err == _outside("test set", -1000.0, test.poses_matrix()[1, 1])
     assert not (tmp_path / "e" / "metrics.json").exists()
 
 
@@ -323,6 +352,14 @@ def test_plot_dataset_from_another_world_is_input_error(two_worlds, tmp_path, ca
                "--dataset", str(two_worlds / "a" / "dataset.csv"), "--out", str(tmp_path / "p")])
     assert rc == 2
     assert capsys.readouterr().err == "neuromap: input error: dataset belongs to world 'a', not 'b'\n"
+    assert not (tmp_path / "p" / "coverage.svg").exists()
+    # b's own dataset with one pose moved out of the world
+    data = load_dataset(two_worlds / "b" / "dataset.csv")
+    far = _moved(two_worlds / "b" / "dataset.csv", tmp_path / "far.csv", 2, "1e6")
+    rc = main(["plot", "--env", str(two_worlds / "b.grid"), "--rays", "16",
+               "--dataset", str(far), "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert capsys.readouterr().err == _outside("dataset", data.poses_matrix()[1, 0], 1000000.0)
     assert not (tmp_path / "p" / "coverage.svg").exists()
 
 
@@ -380,20 +417,42 @@ NAVIGATE_LOOP = ["navigate", "--env", "apartment", "--estimator", "oracle",
                  "--waypoints", "apartment_loop"]
 
 
+NAVIGATE_TURN = [*NAVIGATE_LOOP, "--start", "1.5,1.5,180"]
+
+
+def _overflow(name, step, sigma):
+    return (f"neuromap: input error: {name} = {step} per tick, noise sigma {sigma}: "
+            "the sum over max_ticks=100000 ticks overflows")
+
+
 @pytest.mark.parametrize("argv, rc, line", [
     (["walk", "--env", "apartment", "--step-len", "1e308", "--steps", "5"], 0,
      "walk: 5 steps, 5 captures in apartment"),
-    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--linear-speed", "1e308"], 3,
+    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--linear-speed", "1e308", "--max-ticks", "2"], 3,
      "neuromap: runtime abort: collision"),
-    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--dt", "1e308"], 3,
+    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--dt", "5e307", "--angular-speed", "1",
+      "--max-ticks", "2"], 3,
      "neuromap: runtime abort: collision"),
     ([*NAVIGATE_LOOP, "--start", "1e308,1.5,0"], 2,
      "neuromap: input error: start pose is not footprint-free"),
-], ids=["walk-step-len", "navigate-linear-speed", "navigate-dt", "navigate-start"])
+    ([*NAVIGATE_TURN, "--dt", "1e307"], 2, _overflow("angular_speed * dt", "inf", "0.5")),
+    ([*NAVIGATE_TURN, "--angular-speed", "1e308", "--dt", "10"], 2,
+     _overflow("angular_speed * dt", "inf", "0.5")),
+    ([*NAVIGATE_TURN, "--odo-ang", "1e308"], 2, _overflow("angular_speed * dt", "3.0", "1e+308")),
+    ([*NAVIGATE_LOOP, "--start", "1.5,1.5,0", "--linear-speed", "1e308"], 2,
+     _overflow("linear_speed * dt", "1.0000000000000001e+307", "1.0000000000000001e+305")),
+    ([*NAVIGATE_TURN, "--dt", "1e300"], 3, "neuromap: runtime abort: tick-budget"),
+], ids=["walk-step-len", "navigate-linear-speed", "navigate-dt", "navigate-start",
+        "navigate-dt-overflow", "navigate-angular-speed-overflow", "navigate-odo-ang-overflow",
+        "navigate-linear-speed-overflow", "navigate-dt-1e300"])
 def test_positions_far_outside_the_world_are_not_free(tmp_path, capsys, argv, rc, line):
-    # each moves or starts the robot 1e307 m or more away, where the cell
-    # coordinate overflows to inf: the point is not free, so the step is
-    # blocked or the start refused
+    # finite but huge settings. The first four move or start the robot
+    # 1e307 m or more away, where the cell coordinate overflows to inf: the
+    # point is not free, so the step is blocked or the start refused (a
+    # two-tick budget keeps their summed steps finite). The next four sum
+    # per-tick steps or odometry noise to inf over the tick budget and are
+    # refused before the run; at dt = 1e300 the sums stay finite and the
+    # robot turns in place until the budget runs out.
     assert main([*argv, "--out", str(tmp_path / "o")]) == rc
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
@@ -524,7 +583,7 @@ def test_every_estimator_spec_follows_the_protocol(workspace, tmp_path, kind):
     with build_estimator(spec, env) as est:
         assert isinstance(est, Estimator)
         assert (est.env_name, est.sensor) == (env.name, env.sensor)
-        assert isinstance(est.estimate(obs, truth), PoseEstimate)
+        assert isinstance(est.estimate(obs, truth), Pose2D)
 
 
 def test_unknown_estimator_kind_is_usage_error(workspace, tmp_path):
@@ -728,34 +787,35 @@ def _replace_field(text, line, field, value, sep=","):
     return "\n".join(lines)
 
 
-# per format: (wrong magic or header, a non-finite value, a wrong column count),
-# each a function of the valid text
+# per format: a wrong magic or header, a non-finite value, a wrong column
+# count, and any refusal of that format alone, each a function of the valid text
 MALFORMED = {
-    "dataset": (
-        lambda t: t.replace("v1", "v2", 1),
-        lambda t: _replace_field(t, 4, 6, "nan"),
-        lambda t: _replace_field(t, 4, 6, None),
-    ),
-    "model": (
-        lambda t: t.replace("v1", "v0", 1),
-        lambda t: _replace_field(t, 2, 3, "nan", " "),
-        lambda t: _replace_field(t, 2, 3, None, " "),
-    ),
-    "grid": (
-        lambda t: _replace_field(t, 0, 4, None, " "),
-        lambda t: _replace_field(t, 0, 3, "nan", " "),
-        lambda t: t.replace("\n.", "\n", 1),  # the first row one cell short
-    ),
-    "trace": (
-        lambda t: t.replace("tick,time", "tick,times", 1),
-        lambda t: _replace_field(t, 3, 2, "nan"),
-        lambda t: _replace_field(t, 3, 9, None),
-    ),
-    "waypoints": (
-        lambda t: "x,y\n" + t,
-        lambda t: _replace_field(t, 2, 1, "nan"),
-        lambda t: _replace_field(t, 2, 1, "1.5,0.0"),
-    ),
+    "dataset": {
+        "header": lambda t: t.replace("v1", "v2", 1),
+        "nan": lambda t: _replace_field(t, 4, 6, "nan"),
+        "columns": lambda t: _replace_field(t, 4, 6, None),
+    },
+    "model": {
+        "header": lambda t: t.replace("v1", "v0", 1),
+        "nan": lambda t: _replace_field(t, 2, 3, "nan", " "),
+        "columns": lambda t: _replace_field(t, 2, 3, None, " "),
+    },
+    "grid": {
+        "header": lambda t: _replace_field(t, 0, 4, None, " "),
+        "nan": lambda t: _replace_field(t, 0, 3, "nan", " "),
+        "columns": lambda t: t.replace("\n.", "\n", 1),  # the first row one cell short
+    },
+    "trace": {
+        "header": lambda t: t.replace("tick,time", "tick,times", 1),
+        "nan": lambda t: _replace_field(t, 3, 2, "nan"),
+        "columns": lambda t: _replace_field(t, 3, 9, None),
+        "partial-estimate": lambda t: _replace_field(t, 2, 5, ""),  # est_x blank only
+    },
+    "waypoints": {
+        "header": lambda t: "x,y\n" + t,
+        "nan": lambda t: _replace_field(t, 2, 1, "nan"),
+        "columns": lambda t: _replace_field(t, 2, 1, "1.5,0.0"),
+    },
 }
 
 
@@ -771,7 +831,7 @@ def test_malformed_files_are_input_errors_naming_the_path(workspace, tmp_path, c
         "empty": b"",
         "truncated": good[: len(good) // 2],
         "0xff": good.replace(b"\n", b"\n\xff", 2),
-        **{name: make(text).encode() for name, make in zip(("header", "nan", "columns"), MALFORMED[kind])},
+        **{name: make(text).encode() for name, make in MALFORMED[kind].items()},
     }
     for name, data in cases.items():
         bad = tmp_path / f"{name}.{kind}"

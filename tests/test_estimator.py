@@ -19,14 +19,13 @@ from neuromap.estimator import (
     KnnEstimator,
     OracleConfig,
     OracleEstimator,
-    PoseEstimate,
     RegressorEstimator,
     knn_estimate,
     oracle_estimate,
 )
 from neuromap.inputs import InputError
-from neuromap.pose import Pose2D, ang_diff, circular_mean, denormalize, normalize
-from neuromap.training import RegressorModel, forward
+from neuromap.pose import EnvBounds, Pose2D, ang_diff, circular_mean, denormalize, normalize
+from neuromap.training import RegressorModel, forward_batch
 from neuromap.world import (
     EnvironmentSpec,
     Observation,
@@ -52,14 +51,24 @@ def stub_cmd(*args):
     return [sys.executable, str(STUB), *args]
 
 
+def inside(bounds, pose):
+    return bounds.x_min <= pose.x <= bounds.x_max and bounds.y_min <= pose.y <= bounds.y_max
+
+
+def centre(bounds):
+    return Pose2D(0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), 0.0)
+
+
+WIDE = EnvBounds(-100.0, 100.0, -100.0, 100.0)
+
+
 # oracle -------------------------------------------------------------------------
 
 
 def test_oracle_zero_sigma_is_identity():
     rng = np.random.default_rng(0)
     p = Pose2D(3.25, -1.5, 77.0)
-    est = oracle_estimate(p, OracleConfig(), rng)
-    assert est.pose == p and not est.clamped
+    assert oracle_estimate(p, OracleConfig(), rng, WIDE) == p
 
 
 def test_oracle_noise_statistics():
@@ -70,7 +79,7 @@ def test_oracle_noise_statistics():
     p = Pose2D(5.0, 5.0, 0.0)
     errs = np.empty(100_000)
     for i in range(errs.size):
-        errs[i] = oracle_estimate(p, cfg, rng).pose.x - p.x
+        errs[i] = oracle_estimate(p, cfg, rng, WIDE).x - p.x
     assert abs(errs.std() - 0.02) <= 0.03 * 0.02
     assert abs(errs.mean()) <= 3.0 * 0.02 / math.sqrt(errs.size)
 
@@ -80,7 +89,7 @@ def test_oracle_wraps_theta():
     rng = np.random.default_rng(cfg.seed)
     p = Pose2D(0.0, 0.0, 170.0)
     for _ in range(500):
-        t = oracle_estimate(p, cfg, rng).pose.theta
+        t = oracle_estimate(p, cfg, rng, WIDE).theta
         assert -180.0 < t <= 180.0
 
 
@@ -88,11 +97,12 @@ def test_oracle_estimator_clamps_to_bounds():
     env = asym_env()
     est = OracleEstimator(OracleConfig(sigma_pos=5.0, seed=1), env)
     obs = Observation(np.full(8, 0.5))
+    b = env.bounds
     clamped_seen = False
     for _ in range(200):
         r = est.estimate(obs, Pose2D(7.8, 4.8, 0.0))
-        assert env.bounds.contains(r.pose.x, r.pose.y)
-        clamped_seen = clamped_seen or r.clamped
+        assert inside(b, r)
+        clamped_seen = clamped_seen or r.x in (b.x_min, b.x_max) or r.y in (b.y_min, b.y_max)
     assert clamped_seen
 
 
@@ -104,7 +114,7 @@ def test_oracle_estimator_determinism_and_preconditions():
         e = OracleEstimator(OracleConfig(sigma_pos=0.1, sigma_theta=2.0, seed=4), env)
         out = []
         for i in range(10):
-            out.append(e.estimate(obs, Pose2D(4.0, 2.0, 30.0 * i)).pose)
+            out.append(e.estimate(obs, Pose2D(4.0, 2.0, 30.0 * i)))
         return out
 
     assert run() == run()
@@ -150,14 +160,14 @@ def test_knn_exact_match_k1():
     db = generate_dataset(env, 50, seed=2)
     q = Observation(db.ranges_matrix()[7])
     est = knn_estimate(db, q, KnnConfig(k=1))
-    assert est.pose == Pose2D(*db.poses_matrix()[7])  # verbatim, not a reconstruction
+    assert est == Pose2D(*db.poses_matrix()[7])  # verbatim, not a reconstruction
 
 
 def test_knn_equidistant_pair_hand_case():
     sensor = SensorConfig(fov=90.0, ray_count=4, max_range=10.0)
     db = Dataset("e", sensor, 0, [(0.0, 0.0, -10.0), (2.0, 0.0, 10.0)], [[0.4] * 4, [0.6] * 4])
     est = knn_estimate(db, Observation(np.full(4, 0.5)), KnnConfig(k=2, weighting="uniform"))
-    assert est.pose.x == 1.0 and est.pose.y == 0.0 and est.pose.theta == 0.0
+    assert est.x == 1.0 and est.y == 0.0 and est.theta == 0.0
 
 
 def test_knn_full_database_uniform_is_centroid():
@@ -166,9 +176,9 @@ def test_knn_full_database_uniform_is_centroid():
     q = Observation(np.full(8, 0.31))
     est = knn_estimate(db, q, KnnConfig(k=40, weighting="uniform"))
     poses = db.poses_matrix()
-    assert abs(est.pose.x - poses[:, 0].mean()) < 1e-12
-    assert abs(est.pose.y - poses[:, 1].mean()) < 1e-12
-    assert abs(ang_diff(est.pose.theta, circular_mean(poses[:, 2]))) < 1e-9
+    assert abs(est.x - poses[:, 0].mean()) < 1e-12
+    assert abs(est.y - poses[:, 1].mean()) < 1e-12
+    assert abs(ang_diff(est.theta, circular_mean(poses[:, 2]))) < 1e-9
 
 
 def test_knn_tie_breaks_toward_lower_id():
@@ -178,7 +188,7 @@ def test_knn_tie_breaks_toward_lower_id():
     # row 3 has row 1's observation and a higher id
     db = Dataset("e", sensor, 0, poses, [far, dup, far, dup])
     est = knn_estimate(db, Observation(dup), KnnConfig(k=1))
-    assert est.pose == Pose2D(3.0, 3.0, 90.0)
+    assert est == Pose2D(3.0, 3.0, 90.0)
 
 
 def test_knn_inverse_distance_weights():
@@ -188,7 +198,7 @@ def test_knn_inverse_distance_weights():
     w0 = 1.0 / (0.1 + 1e-9)
     w1 = 1.0 / (0.2 + 1e-9)
     expect = 4.0 * w1 / (w0 + w1)
-    assert abs(est.pose.x - expect) < 1e-9
+    assert abs(est.x - expect) < 1e-9
 
 
 def test_knn_exact_match_dominates_inverse_weighting():
@@ -197,7 +207,7 @@ def test_knn_exact_match_dominates_inverse_weighting():
     q = Observation(db.ranges_matrix()[11])
     est = knn_estimate(db, q, KnnConfig(k=3))
     truth = Pose2D(*db.poses_matrix()[11])
-    assert math.hypot(est.pose.x - truth.x, est.pose.y - truth.y) < 1e-6
+    assert math.hypot(est.x - truth.x, est.y - truth.y) < 1e-6
 
 
 def test_knn_validation():
@@ -238,8 +248,8 @@ def test_knn_error_decreases_with_database_density():
             est = KnnEstimator(db, KnnConfig(k=5))
             e = [
                 math.hypot(
-                    est.estimate(Observation(row)).pose.x - x,
-                    est.estimate(Observation(row)).pose.y - y,
+                    est.estimate(Observation(row)).x - x,
+                    est.estimate(Observation(row)).y - y,
                 )
                 for row, (x, y, _) in zip(queries.ranges_matrix(), queries.poses_matrix())
             ]
@@ -261,7 +271,7 @@ def knn_full_scan(db, obs, cfg):
     order = np.lexsort((ids, d))  # distance first, then id
     sel = order[: cfg.k]
     if cfg.k == 1:
-        return PoseEstimate(Pose2D(*db.poses_matrix()[sel[0]].tolist()))
+        return Pose2D(*db.poses_matrix()[sel[0]].tolist())
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[sel] + INVERSE_WEIGHT_EPS)
     else:
@@ -271,7 +281,7 @@ def knn_full_scan(db, obs, cfg):
     x = float((w * poses[:, 0]).sum() / wsum)
     y = float((w * poses[:, 1]).sum() / wsum)
     theta = circular_mean(poses[:, 2], weights=w)
-    return PoseEstimate(Pose2D(x, y, theta))
+    return Pose2D(x, y, theta)
 
 
 def random_db(rng, n, rays, rows=None):
@@ -282,7 +292,7 @@ def random_db(rng, n, rays, rows=None):
 
 
 def estimate_bits(est):
-    return est.clamped, np.array([est.pose.x, est.pose.y, est.pose.theta]).tobytes()
+    return np.array([est.x, est.y, est.theta]).tobytes()
 
 
 def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
@@ -363,9 +373,21 @@ def test_regressor_zero_model_predicts_centre():
     model = RegressorModel.zeros((8, 3), env_name="asym", sensor=env.sensor)
     est = RegressorEstimator(model, env)
     r = est.estimate(Observation(np.full(8, 0.5)))
-    cx, cy = env.bounds.center()
-    assert r.pose == Pose2D(cx, cy, 0.0)
-    assert not r.clamped
+    assert r == centre(env.bounds)
+
+
+def head_oracle(model, obs, b):
+    """The pose the old path gave: forward's one output row turned into a
+    NormalizedPose by _head_to_normalized, then the scalar denormalize."""
+    row = forward_batch(model, obs.ranges[None, :])[0]
+    if model.yaw_mode == "tanh":
+        nx, ny, ntheta = float(row[0]), float(row[1]), float(row[2])
+    else:
+        nx, ny = float(row[0]), float(row[1])
+        ntheta = math.degrees(math.atan2(float(row[2]), float(row[3]))) / 180.0
+    x = b.x_min + (nx + 1.0) * 0.5 * b.width
+    y = b.y_min + (ny + 1.0) * 0.5 * b.height
+    return Pose2D(x, y, ntheta * 180.0)
 
 
 def test_regressor_estimates_stay_in_bounds():
@@ -376,9 +398,31 @@ def test_regressor_estimates_stay_in_bounds():
         est = RegressorEstimator(model, env)
         obs = Observation(rng.uniform(0, 1, 8))
         r = est.estimate(obs)
-        assert env.bounds.contains(r.pose.x, r.pose.y)
-        n = forward(model, obs)
-        assert r.pose == denormalize(n, env.bounds)
+        assert inside(env.bounds, r)
+        assert r == head_oracle(model, obs, env.bounds)
+
+
+@pytest.mark.parametrize("yaw_mode", ["tanh", "sincos"])
+def test_regressor_matches_the_scalar_head_path(yaw_mode):
+    # tanh: the old path's bits; sincos: np.arctan2 for math.atan2 and no
+    # /180 *180 round trip, within 1e-12 degrees
+    rng = np.random.default_rng(41)
+    out_dim = 3 if yaw_mode == "tanh" else 4
+    for trial in range(40):
+        rays = int(rng.integers(1, 12))
+        dims = (rays, *rng.integers(1, 24, size=trial % 3), out_dim)
+        env = asym_env(ray_count=rays)
+        model = RegressorModel.random(dims, rng, yaw_mode, env_name="asym", sensor=env.sensor)
+        model.params *= rng.uniform(0.5, 8.0)  # reach the saturated head too
+        est = RegressorEstimator(model, env)
+        for ranges in rng.uniform(0.0, 1.0, (25, rays)):
+            obs = Observation(ranges)
+            got, want = est.estimate(obs), head_oracle(model, obs, env.bounds)
+            assert np.array([got.x, got.y]).tobytes() == np.array([want.x, want.y]).tobytes()
+            if yaw_mode == "tanh":
+                assert estimate_bits(got) == estimate_bits(want)
+            else:
+                assert abs(ang_diff(got.theta, want.theta)) <= 1e-12
 
 
 def test_regressor_validation():
@@ -409,9 +453,7 @@ def test_external_const_centre():
     env = asym_env()
     with ExternalEstimator(stub_cmd(), env) as est:
         r = est.estimate(Observation(np.full(8, 0.5)))
-    cx, cy = env.bounds.center()
-    assert r.pose == Pose2D(cx, cy, 0.0)
-    assert not r.clamped
+    assert r == centre(env.bounds)
 
 
 def test_external_batch_sends_request_ids_in_order(tmp_path):
@@ -429,8 +471,7 @@ def test_external_out_of_range_is_clamped():
     env = asym_env()
     with ExternalEstimator(stub_cmd("--nx", "2.0"), env) as est:
         r = est.estimate(Observation(np.full(8, 0.5)))
-    assert r.clamped
-    assert r.pose.x == env.bounds.x_max
+    assert r.x == env.bounds.x_max
 
 
 def test_external_knn_differential(tmp_path):
@@ -453,10 +494,11 @@ def test_external_knn_differential(tmp_path):
             # the channel transmits normalised values exactly (repr floats),
             # so the adapter output equals the internal pose pushed through
             # the same normalise/denormalise round trip, bit for bit
-            assert got.pose == denormalize(normalize(want.pose, env.bounds), env.bounds)
-            assert abs(got.pose.x - want.pose.x) < 1e-9
-            assert abs(got.pose.y - want.pose.y) < 1e-9
-            assert abs(ang_diff(got.pose.theta, want.pose.theta)) < 1e-9
+            n = normalize([want.x, want.y, want.theta], env.bounds)
+            assert got == Pose2D(*denormalize(n, env.bounds).tolist())
+            assert abs(got.x - want.x) < 1e-9
+            assert abs(got.y - want.y) < 1e-9
+            assert abs(ang_diff(got.theta, want.theta)) < 1e-9
 
 
 @pytest.mark.parametrize("mode", ["garbage", "badid"])
@@ -507,10 +549,3 @@ def test_external_is_reaped_when_its_with_block_raises():
             est.estimate(Observation(np.full(8, 0.5)))
             raise KeyError("body failed")
     assert est._proc.returncode == 0  # QUIT sent and the stub exited
-
-
-def test_pose_estimate_fields():
-    e = PoseEstimate(Pose2D(1.0, 2.0, 3.0))
-    assert not e.clamped
-    with pytest.raises(AttributeError):
-        e.clamped = True

@@ -17,7 +17,6 @@ from neuromap.estimator import (
     EstimatorUnavailableError,
     OracleConfig,
     OracleEstimator,
-    PoseEstimate,
 )
 from neuromap.navigate import (
     ABORT_BUDGET,
@@ -185,7 +184,7 @@ def test_move_tick_noise_hits_reading_not_pose():
 
 
 def row(tick, event=EVENT_MOVE, wp=0, pose=Pose2D(1.0, 1.0, 0.0)):
-    return TraceTick(tick, 0.25 * tick, pose, PoseEstimate(pose), wp, event)
+    return TraceTick(tick, 0.25 * tick, pose, pose, wp, event)
 
 
 def test_route_trace_rejects_non_increasing_ticks():
@@ -437,7 +436,7 @@ def test_estimate_error_does_not_compound():
     )
     assert report.success
     errs = [
-        math.hypot(t.estimate.pose.x - t.true_pose.x, t.estimate.pose.y - t.true_pose.y)
+        math.hypot(t.estimate.x - t.true_pose.x, t.estimate.y - t.true_pose.y)
         for t in trace.ticks
         if t.event == EVENT_ESTIMATE
     ]
@@ -455,7 +454,7 @@ def test_metrics_constant_offset_bounds_gap():
     ticks = []
     for i in range(30):
         true = Pose2D(1.0 + 0.25 * i, 5.0, 0.0)
-        est = PoseEstimate(Pose2D(true.x + 0.1, 5.0, 0.0))
+        est = Pose2D(true.x + 0.1, 5.0, 0.0)
         ticks.append(TraceTick(i, 0.25 * i, true, est, 0, EVENT_MOVE))
     report = closest_distance_metrics(RouteTrace(tuple(ticks)), [(8.0, 5.0)])
     wp = report.waypoints[0]

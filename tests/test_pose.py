@@ -1,25 +1,29 @@
 """Pose algebra: wrapping, bearings, normalisation, circular statistics."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from neuromap.estimator import EstimatorUnavailableError, ExternalEstimator
+from neuromap.inputs import InputError
 from neuromap.pose import (
     DegenerateHeadingError,
     EnvBounds,
     IndeterminateMeanError,
-    NormalizedPose,
-    OutOfBoundsError,
     Pose2D,
     ang_diff,
     circular_mean,
     denormalize,
-    distance,
     heading,
     normalize,
     wrap_angle,
 )
+from neuromap.world import EnvironmentSpec, OccupancyGrid
+
+STUB = Path(__file__).parent / "external_stub.py"
 
 
 def wrap_oracle(a):
@@ -154,11 +158,6 @@ def test_bounds_properties():
     b = EnvBounds(0.0, 10.0, -2.0, 18.0)
     assert b.width == 10.0
     assert b.height == 20.0
-    assert b.center() == (5.0, 8.0)
-    assert b.contains(0.0, -2.0)  # boundary counts as inside
-    assert b.contains(10.0, 18.0)
-    assert not b.contains(10.0 + 1e-9, 0.0)
-    assert not b.contains(5.0, -2.0 - 1e-9)
 
 
 def test_bounds_reject_degenerate():
@@ -168,22 +167,7 @@ def test_bounds_reject_degenerate():
         EnvBounds(0.0, 1.0, 2.0, 1.0)
 
 
-# distance and heading -------------------------------------------------------
-
-
-def test_distance_frozen():
-    assert distance(Pose2D(0.0, 0.0), Pose2D(3.0, 4.0)) == 5.0
-    assert distance(Pose2D(-1.0, -1.0), Pose2D(-1.0, -1.0, 90.0)) == 0.0
-
-
-def test_distance_metric_properties():
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(-50.0, 50.0, size=(3_000, 3, 2))
-    for (ax, ay), (bx, by), (cx, cy) in pts:
-        p, q, r = Pose2D(ax, ay), Pose2D(bx, by), Pose2D(cx, cy)
-        assert distance(p, q) >= 0.0
-        assert distance(p, q) == distance(q, p)
-        assert distance(p, r) <= distance(p, q) + distance(q, r) + 1e-12
+# heading --------------------------------------------------------------------
 
 
 def test_heading_quadrants():
@@ -206,7 +190,7 @@ def test_heading_reverse_points_back():
     rng = np.random.default_rng(10)
     for ax, ay, bx, by in rng.uniform(-20.0, 20.0, size=(10_000, 4)):
         p, q = Pose2D(ax, ay), Pose2D(bx, by)
-        if distance(p, q) < 1e-3:
+        if math.hypot(ax - bx, ay - by) < 1e-3:
             continue
         assert abs(abs(ang_diff(heading(p, q), heading(q, p))) - 180.0) < 1e-9
 
@@ -224,36 +208,67 @@ def test_heading_degenerate_raises():
 def test_degenerate_heading_is_a_value_error():
     assert issubclass(DegenerateHeadingError, ValueError)
     assert issubclass(IndeterminateMeanError, ValueError)
-    assert issubclass(OutOfBoundsError, ValueError)
 
 
 # normalisation --------------------------------------------------------------
 
 
+# The scalar formulas the array pair replaced, kept as oracles: pose.normalize
+# and pose.denormalize of a Pose2D and a NormalizedPose, and the clamp of
+# NormalizedPose.from_raw.
+
+
+def normalize_oracle(x, y, theta, b):
+    nx = 2.0 * (x - b.x_min) / b.width - 1.0
+    ny = 2.0 * (y - b.y_min) / b.height - 1.0
+    return nx, ny, theta / 180.0
+
+
+def denormalize_oracle(nx, ny, ntheta, b):
+    """The three values the old denormalize handed to Pose2D (theta unwrapped)."""
+    x = b.x_min + (nx + 1.0) * 0.5 * b.width
+    y = b.y_min + (ny + 1.0) * 0.5 * b.height
+    return x, y, ntheta * 180.0
+
+
+def from_raw_oracle(nx, ny, ntheta):
+    """Each component clamped into [-1, 1], and whether any had to be."""
+    raw = (nx, ny, ntheta)
+    clamped = tuple(min(1.0, max(-1.0, v)) for v in raw)
+    return clamped, clamped != raw
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def test_normalize_frozen_values():
     b = EnvBounds(0.0, 10.0, 0.0, 20.0)
-    n = normalize(Pose2D(2.5, 15.0, 90.0), b)
-    assert (n.nx, n.ny, n.ntheta) == (-0.5, 0.5, 0.5)
-    lo = normalize(Pose2D(0.0, 0.0, -180.0), b)
-    assert (lo.nx, lo.ny, lo.ntheta) == (-1.0, -1.0, 1.0)  # -180 wraps to +180
-    hi = normalize(Pose2D(10.0, 20.0, 180.0), b)
-    assert (hi.nx, hi.ny, hi.ntheta) == (1.0, 1.0, 1.0)
-
-
-def test_normalize_rejects_outside_bounds():
-    b = EnvBounds(0.0, 10.0, 0.0, 20.0)
-    with pytest.raises(OutOfBoundsError):
-        normalize(Pose2D(10.1, 5.0), b)
-    with pytest.raises(OutOfBoundsError):
-        normalize(Pose2D(5.0, -0.001), b)
+    assert normalize([2.5, 15.0, 90.0], b).tolist() == [-0.5, 0.5, 0.5]
+    assert normalize([0.0, 0.0, -180.0], b).tolist() == [-1.0, -1.0, -1.0]
+    assert normalize([10.0, 20.0, 180.0], b).tolist() == [1.0, 1.0, 1.0]
+    assert normalize(np.zeros((0, 3)), b).shape == (0, 3)
 
 
 def test_denormalize_frozen_values():
     b = EnvBounds(0.0, 10.0, 0.0, 20.0)
-    p = denormalize(NormalizedPose(-0.5, 0.5, 0.5), b)
-    assert (p.x, p.y, p.theta) == (2.5, 15.0, 90.0)
-    p = denormalize(NormalizedPose(-1.0, -1.0, -0.25), b)
-    assert (p.x, p.y, p.theta) == (0.0, 0.0, -45.0)
+    assert denormalize([-0.5, 0.5, 0.5], b).tolist() == [2.5, 15.0, 90.0]
+    assert denormalize([[-1.0, -1.0, -0.25], [1.0, 1.0, -1.0]], b).tolist() == [
+        [0.0, 0.0, -45.0],
+        [10.0, 20.0, -180.0],  # not wrapped; Pose2D wraps it to +180
+    ]
+
+
+def test_normalize_rejects_outside_bounds():
+    # normalize checks no bound; a pose outside its world is refused by
+    # check_world before it is normalised, so no pose lands outside [-1, 1]
+    env = EnvironmentSpec("b", OccupancyGrid(10, 20, 1.0, 0.0, 0.0, np.zeros((20, 10), bool)))
+    assert env.bounds == EnvBounds(0.0, 10.0, 0.0, 20.0)
+    for x, y in ((10.1, 5.0), (5.0, -0.001)):
+        assert np.abs(normalize([x, y, 0.0], env.bounds)).max() > 1.0
+        with pytest.raises(InputError, match="lies outside world 'b'"):
+            env.check_world("dataset", "b", env.sensor, np.array([[x, y, 0.0]]))
+    env.check_world("dataset", "b", env.sensor, np.array([[10.0, 5.0, 0.0], [5.0, 0.0, 0.0]]))
 
 
 def test_normalize_round_trip():
@@ -267,42 +282,78 @@ def test_normalize_round_trip():
             rng.uniform(y0 + 1e-3, y0 + h - 1e-3),
             rng.uniform(-179.9, 180.0),
         )
-        n = normalize(p, b)
-        assert -1.0 <= n.nx <= 1.0 and -1.0 <= n.ny <= 1.0 and -1.0 <= n.ntheta <= 1.0
-        q = denormalize(n, b)
+        n = normalize([p.x, p.y, p.theta], b)
+        assert np.all(np.abs(n) <= 1.0)
+        q = Pose2D(*denormalize(n, b).tolist())
         assert abs(q.x - p.x) < 1e-9
         assert abs(q.y - p.y) < 1e-9
         assert abs(ang_diff(q.theta, p.theta)) < 1e-9
 
 
-def test_normalized_pose_validates_range():
-    with pytest.raises(ValueError):
-        NormalizedPose(1.0000001, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        NormalizedPose(0.0, -1.1, 0.0)
-    with pytest.raises(ValueError):
-        NormalizedPose(0.0, 0.0, math.nan)
+def test_normalize_pair_matches_the_scalar_formulas_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        x0, y0 = rng.uniform(-30.0, 30.0, size=2)
+        w, h = rng.uniform(0.5, 40.0, size=2)
+        b = EnvBounds(x0, x0 + w, y0, y0 + h)
+        inside = np.column_stack([
+            rng.uniform(b.x_min, b.x_max, 50),
+            rng.uniform(b.y_min, b.y_max, 50),
+            rng.uniform(-180.0, 180.0, 50),
+        ])
+        edges = [(x, y, t) for x in (b.x_min, b.x_max) for y in (b.y_min, b.y_max)
+                 for t in (-180.0, 180.0, 0.0, -0.0)]
+        poses = np.vstack([inside, edges])
+        want = [normalize_oracle(*p, b) for p in poses.tolist()]
+        assert bits(normalize(poses, b)) == bits(want)
+        assert all(bits(normalize(p, b)) == bits(w) for p, w in zip(poses, want))
+        # the unit cube's faces, the ±1 yaw, and the normalised poses above
+        n = np.vstack([want, [(u, v, t) for u in (-1.0, 1.0) for v in (-1.0, 1.0)
+                              for t in (-1.0, 1.0, 0.0, -0.0)]])
+        assert bits(denormalize(n, b)) == bits([denormalize_oracle(*v, b) for v in n.tolist()])
 
 
-def test_from_raw_clamps_and_flags():
-    n, clamped = NormalizedPose.from_raw(0.25, -0.75, 1.0)
-    assert not clamped
-    assert (n.nx, n.ny, n.ntheta) == (0.25, -0.75, 1.0)
-    n, clamped = NormalizedPose.from_raw(1.2, -3.0, 0.0)
-    assert clamped
-    assert (n.nx, n.ny, n.ntheta) == (1.0, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        NormalizedPose.from_raw(math.inf, 0.0, 0.0)
+def test_from_raw_clamps_and_flags(tmp_path):
+    # the external adapter keeps a reply inside [-1, 1], clamps one outside
+    # it and refuses a non-finite one
+    env = EnvironmentSpec("b", OccupancyGrid(10, 20, 1.0, 0.0, 0.0, np.zeros((20, 10), bool)))
+    replies = tmp_path / "replies.txt"
+    replies.write_text("0.25 -0.75 1.0\n1.2 -3.0 0.0\ninf 0.0 0.0\n")
+    cmd = [sys.executable, str(STUB), "--mode", "replay", "--replies", str(replies)]
+    obs = np.zeros((1, env.sensor.ray_count))
+    with ExternalEstimator(cmd, env) as est:
+        p = est.estimate_batch(obs, [None])[0]
+        assert (p.x, p.y, p.theta) == (6.25, 2.5, 180.0)
+        p = est.estimate_batch(obs, [None])[0]
+        assert (p.x, p.y, p.theta) == (10.0, 0.0, 0.0)
+        with pytest.raises(EstimatorUnavailableError, match="non-finite response"):
+            est.estimate_batch(obs, [None])
 
 
-def test_from_raw_matches_clip():
+def test_from_raw_matches_clip(tmp_path):
+    # the external adapter clips each reply into [-1, 1] and denormalises
+    # it: the old from_raw clamp and scalar denormalize, bit for bit
     rng = np.random.default_rng(12)
-    for nx, ny, nt in rng.uniform(-3.0, 3.0, size=(5_000, 3)):
-        n, clamped = NormalizedPose.from_raw(float(nx), float(ny), float(nt))
-        assert n.nx == min(1.0, max(-1.0, float(nx)))
-        assert n.ny == min(1.0, max(-1.0, float(ny)))
-        assert n.ntheta == min(1.0, max(-1.0, float(nt)))
-        assert clamped == any(abs(v) > 1.0 for v in (nx, ny, nt))
+    grid = OccupancyGrid(6, 4, 0.5, -1.25, 0.75, np.zeros((4, 6), bool))
+    env = EnvironmentSpec("clip", grid)
+    b = env.bounds
+    one_up, one_down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    edges = [1.0, -1.0, one_up, -one_up, one_down, -one_down, 0.0, -0.0, 3.0, -1e300]
+    raw = [*rng.uniform(-3.0, 3.0, size=(500, 3)).tolist(),
+           *([e, -e, e] for e in edges), [0.25, -0.75, 1.0], [1.2, -3.0, 0.0]]
+    want, flags = [], []
+    for r in raw:
+        n, clamped = from_raw_oracle(*r)
+        want.append(Pose2D(*denormalize_oracle(*n, b)))
+        flags.append(clamped)
+    assert True in flags and False in flags  # replies inside and outside [-1, 1]
+    obs = np.zeros((len(raw), env.sensor.ray_count))
+    replies = tmp_path / "replies.txt"
+    replies.write_text("".join(" ".join(map(repr, r)) + "\n" for r in raw))
+    cmd = [sys.executable, str(STUB), "--mode", "replay", "--replies", str(replies)]
+    with ExternalEstimator(cmd, env) as est:
+        got = est.estimate_batch(obs, [None] * len(raw))
+    assert [bits([p.x, p.y, p.theta]) for p in got] == [bits([p.x, p.y, p.theta]) for p in want]
 
 
 # circular mean ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from neuromap.capture import Dataset, generate_dataset
-from neuromap.estimator import Estimator, PoseEstimate
+from neuromap.estimator import Estimator
 from neuromap.inputs import FormatError, InputError, read_lines
 from neuromap.pose import Pose2D
 from neuromap.training import (
@@ -27,15 +27,15 @@ from neuromap.training import (
     adam_step,
     backward,
     batch_loss,
+    decode_head,
     evaluate,
-    forward,
     forward_batch,
     load_model,
     save_history,
     save_model,
     train,
 )
-from neuromap.world import EnvironmentSpec, Observation, OccupancyGrid, SensorConfig
+from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
 
 
 def small_env(ray_count=16, size=10, res=0.5):
@@ -58,27 +58,24 @@ def random_model(rng, dims=None, yaw_mode="tanh"):
 
 def test_zero_model_outputs_origin():
     m = RegressorModel.zeros((8, 4, 3))
-    n = forward(m, Observation(np.full(8, 0.7)))
-    assert (n.nx, n.ny, n.ntheta) == (0.0, 0.0, 0.0)
+    assert forward_batch(m, np.full((1, 8), 0.7)).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_single_layer_sum_matches_tanh():
     w = np.zeros((3, 4))
     w[0, :] = 1.0
     m = RegressorModel((4, 3), [w], [np.zeros(3)])
-    obs = Observation(np.array([0.1, 0.2, 0.3, 0.4]))
-    n = forward(m, obs)
-    assert abs(n.nx - math.tanh(1.0)) < 1e-15
-    assert n.ny == 0.0 and n.ntheta == 0.0
+    nx, ny, ntheta = forward_batch(m, np.array([[0.1, 0.2, 0.3, 0.4]]))[0]
+    assert abs(nx - math.tanh(1.0)) < 1e-15
+    assert ny == 0.0 and ntheta == 0.0
 
 
 def test_outputs_strictly_inside_unit_interval():
     rng = np.random.default_rng(31)
     for _ in range(50):
         m = random_model(rng)
-        x = rng.uniform(0.0, 1.0, size=m.input_dim)
-        n = forward(m, Observation(x))
-        assert -1.0 < n.nx < 1.0 and -1.0 < n.ny < 1.0 and -1.0 < n.ntheta < 1.0
+        x = rng.uniform(0.0, 1.0, size=(1, m.input_dim))
+        assert np.all(np.abs(forward_batch(m, x)) < 1.0)
 
 
 def test_forward_rejects_dimension_mismatch():
@@ -104,8 +101,10 @@ def test_model_validation():
 def test_sincos_head_yields_valid_normalized_yaw():
     rng = np.random.default_rng(32)
     m = random_model(rng, dims=(6, 8, 4), yaw_mode="sincos")
-    n = forward(m, Observation(rng.uniform(0, 1, 6)))
-    assert -1.0 <= n.ntheta <= 1.0
+    out = forward_batch(m, rng.uniform(0, 1, (20, 6)))
+    theta = decode_head(m, out, small_env().bounds)[:, 2]
+    assert np.all(np.abs(theta / 180.0) <= 1.0)
+    assert theta.tolist() == np.degrees(np.arctan2(out[:, 2], out[:, 3])).tolist()
 
 
 # loss ---------------------------------------------------------------------------
@@ -589,6 +588,12 @@ def test_train_refuses_a_dataset_from_another_world():
     narrow = EnvironmentSpec(env.name, env.grid, SensorConfig(fov=90.0, ray_count=16, max_range=10.0))
     with pytest.raises(InputError, match="^dataset sensor .* does not match"):
         train(data, narrow, TrainConfig(max_iterations=10))
+    # the right name and sensor, one pose outside the 5 x 5 m world
+    poses = data.poses_matrix().copy()
+    poses[7, 1] = 1e6
+    far = Dataset(data.env_name, data.sensor, data.seed, poses, data.ranges_matrix())
+    with pytest.raises(InputError, match=r"^dataset row 7 at \(.*, 1000000.0\) lies outside world"):
+        train(far, env, TrainConfig(max_iterations=10))
 
 
 # evaluate ------------------------------------------------------------------------
@@ -608,7 +613,7 @@ class _TruthEstimator(Estimator):
         if self.noise_sigma:
             dx = dx + self.rng.normal(0.0, self.noise_sigma)
             dy = dy + self.rng.normal(0.0, self.noise_sigma)
-        return PoseEstimate(Pose2D(true_pose.x + dx, true_pose.y + dy, true_pose.theta + dt))
+        return Pose2D(true_pose.x + dx, true_pose.y + dy, true_pose.theta + dt)
 
 
 def _fake_testset(env, n, seed=0):
@@ -652,7 +657,7 @@ def test_theta_error_is_wrap_aware():
         env_name, sensor = env.name, env.sensor
 
         def estimate(self, observation, true_pose=None):
-            return PoseEstimate(Pose2D(2.0, 2.0, 175.0))
+            return Pose2D(2.0, 2.0, 175.0)
 
     m = evaluate(Fixed(), testset, env)
     assert abs(m.mean_theta_err - 10.0) < 1e-12
@@ -690,6 +695,12 @@ def test_evaluate_refuses_inputs_from_another_world():
         evaluate(_TruthEstimator(env), _fake_testset(elsewhere, 5), env)
     with pytest.raises(InputError, match="^estimator belongs to world 'elsewhere', not 'unit-env'$"):
         evaluate(_TruthEstimator(elsewhere), _fake_testset(env, 5), env)
+    testset = _fake_testset(env, 5)
+    poses = testset.poses_matrix().copy()
+    poses[3, 0] = -1000.0
+    far = Dataset(env.name, env.sensor, 0, poses, testset.ranges_matrix())
+    with pytest.raises(InputError, match=r"^test set row 3 at \(-1000.0, .*\) lies outside world"):
+        evaluate(_TruthEstimator(env), far, env)
 
 
 def test_metrics_validation():

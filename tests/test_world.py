@@ -193,6 +193,21 @@ def test_check_world_refuses_another_world_or_sensor():
     for sensor in (other, None):
         with pytest.raises(InputError, match=r"^estimator sensor .* does not match SensorConfig"):
             env.check_world("estimator", "x", sensor)
+    # poses on the 2 x 2 m bounds' edges pass; the first one outside is named
+    edges = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 180.0], [0.0, 2.0, -90.0], [1.0, 1.0, 0.0]])
+    env.check_world("dataset", "x", DEFAULT_SENSOR, edges)
+    env.check_world("dataset", "x", DEFAULT_SENSOR, np.zeros((0, 3)))
+    for row, x, y in ((3, -1000.0, 1.0), (1, 1.0, 1e6), (0, math.nextafter(2.0, 3.0), 1.0),
+                      (2, 1.0, -1e-300), (3, math.nan, 1.0)):
+        poses = edges.copy()
+        poses[row, :2] = x, y
+        poses[row + 1:, :2] = -5.0  # later rows outside too: the first is named
+        why = f"^test set row {row} at \\({x!r}, {y!r}\\) lies outside world 'x': x \\[0.0, 2.0\\], y \\[0.0, 2.0\\]$"
+        with pytest.raises(InputError, match=why):
+            env.check_world("test set", "x", DEFAULT_SENSOR, poses)
+    # the world and sensor are checked before the poses
+    with pytest.raises(InputError, match="belongs to world"):
+        env.check_world("dataset", "y", DEFAULT_SENSOR, poses)
 
 
 # collision queries -------------------------------------------------------------

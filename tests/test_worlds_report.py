@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from neuromap.estimator import PoseEstimate
 from neuromap.navigate import RouteTrace, TraceTick, load_waypoints
 from neuromap.pose import Pose2D
 from neuromap.report import (
@@ -127,7 +126,7 @@ def test_route_svg_colours_and_counts():
     ticks = []
     for i in range(4):
         true = Pose2D(0.5 + 0.5 * i, 0.5, 0.0)
-        est = PoseEstimate(Pose2D(0.5 + 0.5 * i, 0.6, 0.0))
+        est = Pose2D(0.5 + 0.5 * i, 0.6, 0.0)
         ticks.append(TraceTick(i, 0.1 * i, true, est, 0, "move"))
     trace = RouteTrace(tuple(ticks))
     text = svg_route(env, trace, [(3.0, 2.0), (0.5, 2.5)])
@@ -207,7 +206,8 @@ def _positions(env, rng, n):
     xy = rng.uniform((b.x_min, b.y_min), (b.x_max, b.y_max), (n, 2))
     edges = [(b.x_min, b.y_min), (b.x_max, b.y_max), (b.x_min, b.y_max), (b.x_max, b.y_min)]
     edges += [(b.x_min + k * 0.5, b.y_min + k * 0.7) for k in range(8)]
-    xy = np.vstack([xy, [e for e in edges if b.contains(*e)]])
+    inside = [(x, y) for x, y in edges if b.x_min <= x <= b.x_max and b.y_min <= y <= b.y_max]
+    xy = np.vstack([xy, inside])
     return np.column_stack([xy, np.zeros(len(xy))])
 
 
