@@ -17,6 +17,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 import numpy as np
 
 from .inputs import FormatError, InputError, check_finite, read_lines
@@ -33,7 +34,7 @@ REJECTION_BUDGET = 1_000_000
 CHUNK_RAYS = 512 * 96
 RAYS_IN_FLIGHT = 8 * CHUNK_RAYS
 
-# rows per formatted block in save_dataset
+# rows per block of text that save_dataset formats and load_dataset parses
 SAVE_BLOCK_ROWS = 1024
 
 # Random-walk policy knobs. At each step the walker keeps a target heading,
@@ -84,7 +85,8 @@ class Dataset:
             )
         if not np.isfinite(poses).all():
             raise ValueError("pose values must be finite")
-        if not ((ranges >= 0.0) & (ranges <= 1.0)).all():
+        # min and max allocate nothing, and a NaN makes both NaN
+        if ranges.size and not (ranges.min() >= 0.0 and ranges.max() <= 1.0):
             raise ValueError("ranges must all lie in [0, 1]")
         r = np.remainder(poses[:, 2], 360.0)  # Python's %: wrap_angle bit for bit
         poses[:, 2] = np.where(r > 180.0, r - 360.0, r)
@@ -390,17 +392,20 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; unknown JSON header keys are ignored.
 
-    The data rows are parsed by one ``np.loadtxt`` call: an integer id, then
-    floats, each as numpy reads them. Only when it refuses them are the rows
-    read one by one, to name the first bad line.
+    The rows are read SAVE_BLOCK_ROWS at a time, and each block is parsed
+    by one ``np.loadtxt`` call (an integer id, then floats, each as numpy
+    reads them) straight into the arrays the Dataset keeps, so no more than
+    one block of text is held at once. Only when np.loadtxt refuses a block
+    are its rows read one by one, to name the first bad line.
     """
     lines = read_lines(path)
-    if not lines or lines[0] != DATASET_MAGIC:
+    if next(lines, None) != DATASET_MAGIC:
         raise FormatError(path, None, f"not a '{DATASET_MAGIC}' file")
-    if len(lines) < 2:
+    head = next(lines, None)
+    if head is None:
         raise FormatError(path, None, "missing JSON header line")
     try:
-        header = json.loads(lines[1])
+        header = json.loads(head)
     except json.JSONDecodeError as exc:
         raise FormatError(path, 2, f"bad JSON header: {exc}") from None
     try:
@@ -416,45 +421,75 @@ def load_dataset(path) -> Dataset:
         raise FormatError(path, 2, f"bad header field: {exc}") from None
     if not (isinstance(env_name, str) and env_name):
         raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
-    del lines[:2]  # the data rows
-    if len(lines) != n:
-        raise FormatError(path, None, f"header says n={n} but file has {len(lines)} rows")
-    row = np.dtype(
-        [("id", np.int64), ("pose", np.float64, 3), ("ranges", np.float64, sensor.ray_count)]
-    )
-    want = 4 + sensor.ray_count
-    body = np.empty(0, row)
+    cols = 4 + sensor.ray_count
+    block = list(islice(lines, SAVE_BLOCK_ROWS))
+    # The first bad row is kept, not raised, until every row is counted: a
+    # byte that is not ASCII, or a row count other than n, is reported first.
+    # Nothing is sized by ray_count before the first row has its columns,
+    # nor by n unless the file could hold n rows of cols values and cols
+    # separators; when it cannot, the rows are read only to name the fault.
+    fault = _bad_columns(path, 3, block[0], cols) if block else None
+    fits = fault is None and 0 <= n * 2 * cols <= os.path.getsize(path)
+    if fits:
+        ids, poses, ranges = np.empty(n, np.int64), np.empty((n, 3)), np.empty((n, cols - 4))
+    lo = 0
+    while block:
+        hi = lo + len(block)
+        if fault is None and hi <= n:
+            try:
+                body = _parse_rows(path, block, lo + 3, cols)
+            except FormatError as exc:
+                fault = exc
+            else:
+                if fits:
+                    ids[lo:hi], poses[lo:hi] = body["id"], body["pose"]
+                    ranges[lo:hi] = body["ranges"]
+        lo, block = hi, list(islice(lines, SAVE_BLOCK_ROWS))
+    if lo != n:
+        raise FormatError(path, None, f"header says n={n} but file has {lo} rows")
+    if fault is not None:
+        raise fault
+    bad_id = ids != np.arange(n)
+    if bad_id.any():
+        i = int(np.argmax(bad_id))
+        raise FormatError(path, i + 3, f"ids must be dense, got {ids[i]}")
+    try:
+        return Dataset(env_name, sensor, seed, poses, ranges)
+    except ValueError:  # a value the arrays refuse: name the first row holding one
+        bad_ranges = ~((ranges >= 0.0) & (ranges <= 1.0)).all(axis=1)
+        i = int(np.argmax(bad_ranges | ~np.isfinite(poses).all(axis=1)))
+        what = "ranges must all lie in [0, 1]" if bad_ranges[i] else "pose values must be finite"
+        raise FormatError(path, i + 3, what) from None
+
+
+def _bad_columns(path, line_no: int, text: str, want: int) -> FormatError | None:
+    got = text.count(",") + 1
+    return None if got == want else FormatError(path, line_no, f"expected {want} columns, got {got}")
+
+
+def _parse_rows(path, rows: list, first_line: int, cols: int) -> np.ndarray:
+    """The (id, pose, ranges) records of data rows of ``cols`` columns, the
+    first on line ``first_line``."""
+    row = np.dtype([("id", np.int64), ("pose", np.float64, 3), ("ranges", np.float64, cols - 4)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # such as "no data" when every row is blank
-            if n:
-                body = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+            body = np.loadtxt(rows, dtype=row, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning) as exc:
-        raise _first_bad_row(path, lines, row, want) or FormatError(path, None, str(exc)) from None
-    if len(body) != n:  # np.loadtxt skips blank lines
-        raise _first_bad_row(path, lines, row, want) or FormatError(path, None, "blank rows")
-    del lines  # the text goes before the arrays are copied out of body
-    bad_id = body["id"] != np.arange(n)
-    if bad_id.any():
-        i = int(np.argmax(bad_id))
-        raise FormatError(path, i + 3, f"ids must be dense, got {body['id'][i]}")
-    poses, ranges = body["pose"], body["ranges"]
-    bad_pose = ~np.isfinite(poses).all(axis=1)
-    bad_ranges = ~((ranges >= 0.0) & (ranges <= 1.0)).all(axis=1)
-    if (bad_pose | bad_ranges).any():
-        i = int(np.argmax(bad_pose | bad_ranges))
-        what = "ranges must all lie in [0, 1]" if bad_ranges[i] else "pose values must be finite"
-        raise FormatError(path, i + 3, what)
-    return Dataset(env_name, sensor, seed, poses, ranges)
+        why = str(exc)
+    else:
+        if len(body) == len(rows):
+            return body
+        why = "blank rows"  # np.loadtxt skips blank lines
+    raise _first_bad_row(path, rows, row, cols, first_line) or FormatError(path, None, why)
 
 
-def _first_bad_row(path, rows, row_dtype, want: int) -> FormatError | None:
+def _first_bad_row(path, rows, row_dtype, want: int, first_line: int) -> FormatError | None:
     """The error of the first data row without ``want`` columns or that
     np.loadtxt refuses on its own."""
-    for line_no, text in enumerate(rows, start=3):
-        got = text.count(",") + 1
-        if got != want:
-            return FormatError(path, line_no, f"expected {want} columns, got {got}")
+    for line_no, text in enumerate(rows, start=first_line):
+        if exc := _bad_columns(path, line_no, text, want):
+            return exc
         try:
             np.loadtxt([text], dtype=row_dtype, delimiter=",", comments=None)
         except ValueError as exc:  # numpy's own "at row 0, column C" would mislead

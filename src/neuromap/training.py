@@ -186,8 +186,12 @@ def _layer_outputs(model: RegressorModel, X: np.ndarray):
     a = X
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = np.tanh(z) if i == last else np.maximum(z, 0.0)
+        a = a @ w.T
+        a += b  # the bias and the activation work in the product's own buffer
+        if i == last:
+            np.tanh(a, out=a)
+        else:
+            np.maximum(a, 0.0, out=a)
         yield a
 
 
@@ -427,7 +431,6 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
     perm = derived_rng(cfg.seed, STREAM_VAL_SPLIT).permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
-    Xt, Tt = X[train_idx], T[train_idx]
     Xv, Pv = X[val_idx], poses[val_idx]
 
     layer_dims = (dataset.sensor.ray_count, *cfg.hidden_dims, 3 if cfg.yaw_mode == YAW_TANH else 4)
@@ -445,7 +448,7 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
     history: list[HistoryRow] = []
     best_model = model.copy()
     best_metric = math.inf
-    n_train = Xt.shape[0]
+    n_train = len(train_idx)
     order = batch_rng.permutation(n_train)
     cursor = 0
 
@@ -454,9 +457,9 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
         if cursor + cfg.batch_size > n_train:
             order = batch_rng.permutation(n_train)
             cursor = 0
-        sel = order[cursor : cursor + cfg.batch_size]
+        rows = train_idx[order[cursor : cursor + cfg.batch_size]]
         cursor += cfg.batch_size
-        return Xt[sel], Tt[sel]
+        return X[rows], T[rows]
 
     stop = False
     for i in range(cfg.max_iterations):
@@ -522,6 +525,17 @@ class Metrics:
             raise ValueError("errors must be >= 0 and yaw errors <= 180")
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` bit for bit, without the numpy.ma import that
+    its first call costs: the middle of the sorted values, or the mean of
+    the middle pair. np.median's mean adds to 0.0, so -0.0 comes out 0.0."""
+    s = np.sort(values)
+    m = len(s) // 2
+    if np.isnan(s[-1]):  # NaNs sort last, and any NaN is the median
+        return float(s[-1])
+    return float((0.0 + s[m - 1] + s[m]) / 2 if len(s) % 2 == 0 else 0.0 + s[m])
+
+
 def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     """Per-sample position and yaw error of an ``Estimator`` over a test set.
 
@@ -542,8 +556,8 @@ def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     return Metrics(
         mean_pos_err=float(np.mean(errs[:, 0])),
         mean_theta_err=float(np.mean(errs[:, 1])),
-        median_pos_err=float(np.median(errs[:, 0])),
-        median_theta_err=float(np.median(errs[:, 1])),
+        median_pos_err=_median(errs[:, 0]),
+        median_theta_err=_median(errs[:, 1]),
         per_sample_errors=errs,
     )
 
@@ -580,7 +594,7 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
 
 
 def load_model(path) -> RegressorModel:
-    lines = read_lines(path)
+    lines = list(read_lines(path))
     if not lines or lines[0] != MODEL_MAGIC:
         raise FormatError(path, None, f"not a '{MODEL_MAGIC}' file")
     if len(lines) < 2:

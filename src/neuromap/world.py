@@ -303,7 +303,7 @@ class EnvironmentSpec:
 
 def load_environment(path, sensor: SensorConfig = DEFAULT_SENSOR) -> EnvironmentSpec:
     """Load a grid file; the environment takes its name from the file stem."""
-    grid = OccupancyGrid.from_lines(read_lines(path), path)
+    grid = OccupancyGrid.from_lines(list(read_lines(path)), path)
     return EnvironmentSpec(Path(path).stem, grid, sensor)
 
 

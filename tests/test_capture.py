@@ -7,13 +7,14 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from neuromap import capture
+from neuromap import capture, inputs
 from neuromap.capture import (
     DATASET_MAGIC,
     SAVE_BLOCK_ROWS,
@@ -39,6 +40,7 @@ from neuromap.world import (
     SensorConfig,
     ray_distances,
 )
+import whole_file_loader
 from worldgen import datasets_close
 
 
@@ -598,6 +600,165 @@ def test_load_reads_each_value_as_float_does(tmp_path):
     values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
     assert d.poses_matrix().tobytes() == values[:, :3].tobytes()
     assert d.ranges_matrix().tobytes() == values[:, 3:].tobytes()
+
+
+@pytest.fixture(scope="module")
+def two_blocks_and_five():
+    return _toy_dataset(2 * SAVE_BLOCK_ROWS + 5, seed=7)
+
+
+def _dataset_faults(lines, block):
+    """Files that differ from the dataset file ``lines`` by one fault, by
+    name; faults sit at the boundary between the first two row blocks."""
+    head, rows = lines[:2], lines[2:]
+    n = len(rows)
+
+    def text(ls, newline="\n"):
+        return (newline.join(ls) + newline).encode()
+
+    def row(i, value):
+        return text([*head, *rows[:i], value, *rows[i + 1 :]])
+
+    def field(i, column, value):
+        parts = rows[i].split(",")
+        parts[column : column + 1] = [] if value is None else [value]
+        return row(i, ",".join(parts))
+
+    def header(**changes):
+        return text([head[0], json.dumps({**json.loads(head[1]), **changes}, sort_keys=True), *rows])
+
+    good = text(lines)
+    return {
+        "valid": good,
+        "crlf": text(lines, "\r\n"),
+        "cr": text(lines, "\r"),
+        "no final newline": good[:-1],
+        "empty": b"",
+        "truncated": good[: len(good) // 2],
+        "0xff in the header": good.replace(b"\n", b"\n\xff", 2),
+        "0xff in the last row": good[:-3] + b"\xff" + good[-2:],
+        "wrong magic": good.replace(b"v1", b"v2", 1),
+        "magic only": text(head[:1]),
+        "bad json": text([head[0], head[1][:-1], *rows]),
+        "no ray_count": text([head[0], head[1].replace('"ray_count"', '"rays"'), *rows]),
+        "empty env_name": header(env_name=""),
+        "ray_count one short": header(ray_count=json.loads(head[1])["ray_count"] - 1),
+        "n + 1": header(n=n + 1),
+        "n - 1": header(n=n - 1),
+        "n = 0": header(n=0),
+        "n = -1": header(n=-1),
+        "n = 10**15": header(n=10**15),
+        "extra row": text([*lines, f"{n}," + rows[-1].partition(",")[2]]),
+        "nan in the first row": field(0, 6, "nan"),
+        "column dropped in the first row": field(0, 6, None),
+        "bad value opening block 2": field(block, 5, "abc"),
+        "bad value closing block 1": field(block - 1, 5, "1e"),
+        "column dropped opening block 2": field(block, 6, None),
+        "blank line opening block 2": row(block, ""),
+        "blank line closing block 1": row(block - 1, ""),
+        "cr-only line opening block 2": row(block, "\r"),
+        "every row blank": text([*head, *[""] * n]),
+        "bad id opening block 2": field(block, 0, str(block + 1)),
+        "float id opening block 2": field(block, 0, f"{block}.0"),
+        "inf pose opening block 2": field(block, 1, "inf"),
+        "range above 1 in the last row": field(n - 1, 7, "1.5"),
+        "negative range opening block 2": field(block, 4, "-0.01"),
+    }
+
+
+def _load_outcome(load, path):
+    try:
+        return load(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [3, SAVE_BLOCK_ROWS])
+def test_streamed_load_equals_whole_file_loader(tmp_path, monkeypatch, two_blocks_and_five, block):
+    if block != SAVE_BLOCK_ROWS:
+        monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", block)
+        monkeypatch.setattr(inputs, "READ_BYTES", 7)  # lines span reads too
+    d = two_blocks_and_five
+    n = 2 * block + 5
+    path = tmp_path / "good.csv"
+    save_dataset(Dataset(d.env_name, d.sensor, d.seed, d.poses_matrix()[:n], d.ranges_matrix()[:n]),
+                 path)
+    for name, data in _dataset_faults(path.read_text().split("\n")[:-1], block).items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_bytes(data)
+        want = _load_outcome(whole_file_loader.load_dataset, bad)
+        got = _load_outcome(load_dataset, bad)
+        assert isinstance(got, str) == (name not in ("valid", "crlf", "cr", "no final newline")), name
+        assert got == want, name
+
+
+def _traced_load(path):
+    """What ``load_dataset(path)`` returns or raises, and the peak of the
+    memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            out = load_dataset(path)
+        except FormatError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("key, value, why", [
+    ("ray_count", 10**9, "line 3: expected 1000000004 columns, got 12"),
+    ("ray_count", 10**30, f"line 3: expected {10**30 + 4} columns, got 12"),
+    ("n", 10**7, "header says n=10000000 but file has 5 rows"),
+    ("n", 10**15, "header says n=1000000000000000 but file has 5 rows"),
+])
+def test_a_header_size_the_file_cannot_hold_is_refused_before_it_sizes_anything(
+    tmp_path, key, value, why
+):
+    lines = _saved_rows(tmp_path)
+    header = json.dumps({**json.loads(lines[1]), key: value}, sort_keys=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], header, *lines[2:]]) + "\n")
+    error, peak = _traced_load(bad)
+    assert str(error) == f"{bad}: {why}"
+    assert peak < 2**20
+
+
+def test_load_reports_a_later_byte_or_row_count_before_a_bad_row(tmp_path, monkeypatch):
+    # as the whole-file loader did; only a fault in the header lines now
+    # comes before a byte that is not ASCII in a later read of the file
+    monkeypatch.setattr(inputs, "READ_BYTES", 64)
+    lines = _saved_rows(tmp_path)
+    parts = lines[3].split(",")
+    parts[4] = "abc"
+    bad_row = lines[:3] + [",".join(parts)] + lines[4:]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(("\n".join(bad_row) + "\n").encode()[:-2] + b"\xff\n")
+    with pytest.raises(FormatError, match="line 7: byte 0xff is not ASCII"):
+        load_dataset(bad)
+    bad.write_text("\n".join([lines[0], lines[1].replace('"n": 5', '"n": 6'), *bad_row[2:]]) + "\n")
+    with pytest.raises(FormatError, match="header says n=6 but file has 5 rows"):
+        load_dataset(bad)
+    bad.write_bytes(("\n".join([lines[0], lines[1][:-1], *lines[2:]]) + "\n").encode()[:-2] + b"\xff\n")
+    with pytest.raises(FormatError, match="line 2: bad JSON header"):
+        load_dataset(bad)
+
+
+def test_load_holds_the_arrays_and_one_block_of_text(tmp_path):
+    # The peak grows with the file by little more than the arrays it returns;
+    # the whole-file loader's grew by 3.6 times theirs.
+    rng = np.random.default_rng(5)
+    sensor = SensorConfig(ray_count=96)
+    growth = []
+    for n in (5_000, 20_000):
+        poses = np.column_stack([rng.uniform(0, 9, n), rng.uniform(0, 9, n), rng.uniform(-180, 180, n)])
+        path = tmp_path / f"{n}.csv"
+        save_dataset(Dataset("e", sensor, 1, poses, rng.uniform(0, 1, (n, 96))), path)
+        d, peak = _traced_load(path)
+        growth.append((peak, d.poses_matrix().nbytes + d.ranges_matrix().nbytes))
+    (peak5, arrays5), (peak20, arrays20) = growth
+    assert peak20 - peak5 <= 1.25 * (arrays20 - arrays5)
 
 
 def whole_text_save(d, path, extra_header=None):

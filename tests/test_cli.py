@@ -149,7 +149,7 @@ def test_train_outputs_and_checkpoint(workspace, tmp_path):
     assert main(argv) == 0
     model = load_model(out / "model.model")
     assert model.layer_dims == (16, 16, 3)
-    history = read_lines(out / "history.csv")
+    history = list(read_lines(out / "history.csv"))
     assert history[-1].split(",")[0] == "1000"
     assert (out / "checkpoint.model").exists()  # written on the 10th eval
     first = {p.name: read(p) for p in out.iterdir()}
@@ -794,6 +794,7 @@ MALFORMED = {
         "header": lambda t: t.replace("v1", "v2", 1),
         "nan": lambda t: _replace_field(t, 4, 6, "nan"),
         "columns": lambda t: _replace_field(t, 4, 6, None),
+        "ray-count": lambda t: t.replace('"ray_count": 16', '"ray_count": 1000000000', 1),
     },
     "model": {
         "header": lambda t: t.replace("v1", "v0", 1),
@@ -917,3 +918,16 @@ def test_console_script_version():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("neuromap ")
+
+
+def test_eval_leaves_numpy_ma_unimported(workspace, tmp_path):
+    # np.median's first call imports numpy.ma, which nothing else in eval needs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'}",
+            "--testset", str(workspace / "test" / "dataset.csv"), "--out", str(tmp_path / "e")]
+    script = ("import sys; from neuromap.cli import main; rc = main(sys.argv[1:]); "
+              "print(rc, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr

@@ -3,8 +3,10 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
+from neuromap import inputs
 from neuromap.inputs import FormatError, InputError, check_finite, read_lines
 
 
@@ -19,16 +21,41 @@ from neuromap.inputs import FormatError, InputError, check_finite, read_lines
 def test_read_lines_drops_only_the_tail_after_the_final_newline(tmp_path, data, lines):
     path = tmp_path / "f.txt"
     path.write_bytes(data)
-    assert read_lines(path) == lines
+    assert list(read_lines(path)) == lines
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 7, 1 << 16])
+def test_read_lines_splits_as_the_whole_text_does(tmp_path, monkeypatch, read_bytes):
+    # "\r\n" may straddle two reads, and a line may span many
+    monkeypatch.setattr(inputs, "READ_BYTES", read_bytes)
+    rng = np.random.default_rng(read_bytes)
+    path = tmp_path / "f.txt"
+    for _ in range(300):
+        path.write_bytes(bytes(rng.choice(list(b"a,\r\n"), int(rng.integers(0, 40)))))
+        want = path.read_text(encoding="ascii").split("\n")
+        if want[-1] == "":
+            want.pop()
+        assert list(read_lines(path)) == want
 
 
 def test_a_byte_that_is_not_ascii_names_the_path_and_its_line(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"ok\nstill ok\nbad \xe9 here\nok\n")
     with pytest.raises(FormatError) as info:
-        read_lines(path)
+        list(read_lines(path))
     assert str(info.value) == f"{path}: line 3: byte 0xe9 is not ASCII"
     assert (info.value.path, info.value.line) == (path, 3)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_the_line_of_a_byte_that_is_not_ascii_counts_every_newline(tmp_path, monkeypatch, newline):
+    monkeypatch.setattr(inputs, "READ_BYTES", 4)
+    path = tmp_path / "f.txt"
+    path.write_bytes(newline.join(["ok", "still ok", "", "bad \xff"]).encode("latin-1"))
+    lines = read_lines(path)
+    assert [next(lines) for _ in range(3)] == ["ok", "still ok", ""]
+    with pytest.raises(FormatError, match="line 4: byte 0xff is not ASCII"):
+        next(lines)
 
 
 def test_read_lines_leaves_os_errors_alone(tmp_path):

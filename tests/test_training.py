@@ -24,6 +24,7 @@ from neuromap.training import (
     RegressorModel,
     ScheduleContractError,
     TrainConfig,
+    _median,
     adam_step,
     backward,
     batch_loss,
@@ -802,10 +803,23 @@ def test_history_round_trip(tmp_path):
     save_history(rows, path, comments=("invocation: train --seed 1",))
     text = path.read_text()
     assert text.startswith("# invocation")
-    lines = read_lines(path)
+    lines = list(read_lines(path))
     assert lines[:2] == ["# invocation: train --seed 1", "iteration,lr,val_pos_err,val_theta_err,event"]
     loaded = []
     for line in lines[2:]:
         it, lr, vp, vt, event = line.split(",")
         loaded.append(HistoryRow(int(it), float(lr), float(vp), float(vt), event))
     assert loaded == rows  # repr serialisation reparses bit-exactly
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 500])
+@np.errstate(over="ignore")  # 1e308 + 1e308, in both
+def test_median_is_np_median_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    pools = ([-0.0, 0.0], [-0.0, 0.0, 0.5, 2.0, -1.5], [0.0, 1e308, -0.0, np.nan], [0.1, 0.2, 0.3])
+    for pool in pools:
+        for _ in range(50):
+            values = rng.choice(pool, n)
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes(), values
+    values = rng.standard_normal(n)
+    assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
