@@ -28,13 +28,15 @@ REJECTION_BUDGET = 1_000_000
 
 # _observe_poses hands ray_distances chunks of about CHUNK_RAYS rays (512
 # poses of a 96-ray sensor), one chunk per worker thread; larger chunks
-# spread numpy's per-call overhead over more rays. Each ray in flight holds
-# ~200 bytes of traversal state, so RAYS_IN_FLIGHT caps the chunks running
-# at once, and peak memory does not grow with the core count.
+# spread numpy's per-call overhead over more rays. Each ray in flight peaks
+# at ~106 bytes of traversal state, ~130 with its origin and bearing (~6.4 MB
+# per chunk), so RAYS_IN_FLIGHT caps the chunks running at once, and peak
+# memory does not grow with the core count.
 CHUNK_RAYS = 512 * 96
 RAYS_IN_FLIGHT = 8 * CHUNK_RAYS
 
-# rows per block of text that save_dataset formats and load_dataset parses
+# rows per block of text that save_dataset formats and load_dataset parses,
+# and poses per block that generate_dataset draws
 SAVE_BLOCK_ROWS = 1024
 
 # Random-walk policy knobs. At each step the walker keeps a target heading,
@@ -252,7 +254,7 @@ def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
         ys = np.repeat(batch[:, 1], k)
         bearings = (batch[:, 2, None] + offsets[None, :]).ravel()
         d = ray_distances(env.grid, xs, ys, bearings, sensor.max_range)
-        out[lo : lo + len(batch)] = d.reshape(len(batch), k) / sensor.max_range
+        np.divide(d.reshape(len(batch), k), sensor.max_range, out=out[lo : lo + len(batch)])
 
     # imported here, so the commands that raycast no dataset load no threads
     from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -286,8 +288,12 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    drawn = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i)) for i in range(n)]
-    poses = np.array([(p.x, p.y, p.theta) for p in drawn])
+    # a block of poses at a time, so no list of all n poses is held
+    poses = np.empty((n, 3))
+    for lo in range(0, n, SAVE_BLOCK_ROWS):
+        hi = min(lo + SAVE_BLOCK_ROWS, n)
+        drawn = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i)) for i in range(lo, hi)]
+        poses[lo:hi] = [(p.x, p.y, p.theta) for p in drawn]
     return Dataset(env.name, env.sensor, seed, poses, _observe_poses(env, poses))
 
 

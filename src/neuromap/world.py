@@ -48,6 +48,8 @@ class SensorConfig:
         min_rays = 1 if self.fov == 360.0 else 2
         if self.ray_count < min_rays:
             raise InputError(f"ray_count must be >= {min_rays} for fov {self.fov}")
+        if self.ray_count > np.iinfo(np.intp).max:  # numpy could size no array of rays
+            raise InputError(f"ray_count must be <= {np.iinfo(np.intp).max}, got {self.ray_count}")
         if not self.max_range > 0.0:
             raise InputError(f"max_range must be positive, got {self.max_range!r}")
 
@@ -329,6 +331,11 @@ def ray_distances(
     cell edge to cell edge (Amanatides & Woo 1987), so there is no marching
     step size to tune.
 
+    Only the traversal state lives through the loop: per ray in flight, a
+    flat cell index, four crossing distances and two flat steps, plus the
+    ray's id, its result and its stop flag. The set-up arrays are freed
+    before the first step, and a call peaks at ~106 bytes per ray.
+
     Raises:
         ValueError: when the inputs differ in length, an origin or bearing
             is not finite, or max_range is not positive.
@@ -345,50 +352,14 @@ def ray_distances(
         raise ValueError("ray origins and bearings must be finite")
     if not max_range > 0.0:
         raise ValueError(f"max_range must be positive, got {max_range!r}")
-    bearings = np.radians(bearings_deg)
-
-    res = grid.resolution
-    w, h = grid.width, grid.height
-    # The grid sits inside a ring of occupied cells, so leaving the world is
-    # an ordinary hit and every ray stops by the time it enters the ring. A
-    # start outside the world is clipped onto the ring, where it is blocked.
-    padded = grid._padded
-    stride = w + 2 * RAY_RING
-    ix = np.clip(np.floor((xs - grid.origin_x) / res), -1, w).astype(np.int64)
-    iy = np.clip(np.floor((ys - grid.origin_y) / res), -1, h).astype(np.int64)
-    cell = (iy + RAY_RING) * stride + (ix + RAY_RING)
-    blocked = padded[cell]
-    if np.any(blocked):
-        k = int(np.flatnonzero(blocked)[0])
-        raise InvalidPoseError(f"ray origin ({xs[k]}, {ys[k]}) is not in free space")
-
-    ux = np.cos(bearings)
-    uy = np.sin(bearings)
-    step_x = np.sign(ux).astype(np.int64)
-    step_y = np.sign(uy).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tdx = np.where(ux != 0.0, res / np.abs(ux), np.inf)
-        tdy = np.where(uy != 0.0, res / np.abs(uy), np.inf)
-        # distance to the first vertical / horizontal cell edge ahead
-        edge_x = grid.origin_x + (ix + (step_x > 0)) * res
-        edge_y = grid.origin_y + (iy + (step_y > 0)) * res
-        tx = np.where(ux != 0.0, (edge_x - xs) / ux, np.inf)
-        ty = np.where(uy != 0.0, (edge_y - ys) / uy, np.inf)
-    # A start on a cell edge gives t = -0.0 on that axis. Stored ranges carry
-    # -0.0 only from a ray's first crossing and +0.0 from any later one, so
-    # the axis not crossed first gets x + 0.0, which changes no other value;
-    # the masked adds below never touch an axis that is not crossed.
-    first_x = tx <= ty
-    tx[~first_x] += 0.0
-    ty[first_x] += 0.0
+    cell, tx, ty, tdx, tdy, d_y, d_xy = _traversal_start(grid, xs, ys, bearings_deg)
 
     # Ray state is updated in place and compacted every RAY_RING steps, not
     # on every step where a ray stops: compaction costs as much as a step.
     # A stopped ray coasts on until then, at most RAY_RING - 1 cells past
     # the cell it stopped in, which the ring's depth keeps inside the padded
     # grid; only its first stop is recorded.
-    d_y = step_y * stride  # flat-index step across a horizontal edge
-    d_xy = step_x - d_y  # ... added on top of d_y for a vertical edge
+    padded = grid._padded
     ray = np.arange(n)
     stopped = np.zeros(n, dtype=bool)
     out = np.full(n, float(max_range))
@@ -407,12 +378,71 @@ def ray_distances(
             stopped |= stop
         step += 1
         if step % RAY_RING == 0 and stopped.any():
+            # one array at a time, so one old/new pair is held at once
             live = np.flatnonzero(~stopped)
-            ray, cell, tx, ty, tdx, tdy, d_y, d_xy = (
-                a[live] for a in (ray, cell, tx, ty, tdx, tdy, d_y, d_xy)
-            )
+            ray = ray[live]
+            cell = cell[live]
+            tx = tx[live]
+            ty = ty[live]
+            tdx = tdx[live]
+            tdy = tdy[live]
+            d_y = d_y[live]
+            d_xy = d_xy[live]
             stopped = np.zeros(live.size, dtype=bool)
     return out
+
+
+def _traversal_start(grid: OccupancyGrid, xs, ys, bearings_deg) -> tuple:
+    """The state ray_distances steps, for rays from free (xs, ys) along
+    bearings_deg: each ray's flat cell index in the padded grid, the
+    distances to its first vertical and horizontal edge crossings (tx, ty)
+    and between crossings (tdx, tdy), and its flat-index steps across a
+    horizontal edge (d_y) and, added on top, a vertical one (d_xy).
+
+    Only this state is returned, so every set-up array is freed before the
+    first step.
+    """
+    res = grid.resolution
+    w, h = grid.width, grid.height
+    # The grid sits inside a ring of occupied cells, so leaving the world is
+    # an ordinary hit and every ray stops by the time it enters the ring. A
+    # start outside the world is clipped onto the ring, where it is blocked.
+    stride = w + 2 * RAY_RING
+    ix = np.clip(np.floor((xs - grid.origin_x) / res), -1, w).astype(np.int64)
+    iy = np.clip(np.floor((ys - grid.origin_y) / res), -1, h).astype(np.int64)
+    cell = (iy + RAY_RING) * stride + (ix + RAY_RING)
+    blocked = grid._padded[cell]
+    if np.any(blocked):
+        k = int(np.flatnonzero(blocked)[0])
+        raise InvalidPoseError(f"ray origin ({xs[k]}, {ys[k]}) is not in free space")
+
+    bearings = np.radians(bearings_deg)
+    tx, tdx, step_x = _axis_start(grid.origin_x, xs, ix, np.cos(bearings), res)
+    ty, tdy, step_y = _axis_start(grid.origin_y, ys, iy, np.sin(bearings), res)
+    # A start on a cell edge gives t = -0.0 on that axis. Stored ranges carry
+    # -0.0 only from a ray's first crossing and +0.0 from any later one, so
+    # the axis not crossed first gets x + 0.0, which changes no other value;
+    # the masked adds in ray_distances never touch an axis that is not crossed.
+    first_x = tx <= ty
+    tx[~first_x] += 0.0
+    ty[first_x] += 0.0
+    d_y = step_y * stride  # flat-index step across a horizontal edge
+    d_xy = step_x - d_y  # ... added on top of d_y for a vertical edge
+    return cell, tx, ty, tdx, tdy, d_y, d_xy
+
+
+def _axis_start(origin: float, start, index, u, res: float) -> tuple:
+    """One axis of the start state, for rays from coordinate ``start`` in
+    cell ``index`` with direction component ``u``: the distance to the first
+    cell edge crossed on this axis, the distance between crossings, and the
+    cell step (-1, 0 or 1). Computing one axis at a time holds one axis's
+    temporaries at once."""
+    step = np.sign(u).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_delta = np.where(u != 0.0, res / np.abs(u), np.inf)
+        edge = origin + (index + (step > 0)) * res  # the first cell edge ahead
+        t = np.where(u != 0.0, (edge - start) / u, np.inf)
+    return t, t_delta, step
 
 
 def raycast(grid: OccupancyGrid, pose: Pose2D, sensor: SensorConfig = DEFAULT_SENSOR) -> Observation:

@@ -40,6 +40,7 @@ from neuromap.world import (
     SensorConfig,
     ray_distances,
 )
+from neuromap.worlds import cabin
 import whole_file_loader
 from worldgen import datasets_close
 
@@ -204,6 +205,37 @@ def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
     drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(500)]
     rows = np.array([(p.x, p.y, p.theta) for p in drawn])
     assert d.poses_matrix().tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
+def test_generate_draws_by_blocks_bit_for_bit(monkeypatch, n):
+    # 7-pose blocks: one short block, one full, one full plus one, and several
+    monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", 7)
+    env = make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 3.0, 4.0))
+    d = generate_dataset(env, n, seed=404)
+    drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(n)]
+    rows = np.array([(p.x, p.y, p.theta) for p in drawn])
+    assert d.poses_matrix().tobytes() == rows.tobytes()
+    assert d.ranges_matrix().tobytes() == one_call(env, rows).tobytes()
+
+
+def test_generate_holds_its_arrays_and_one_chunk_in_flight(monkeypatch):
+    # One worker, so one chunk is in flight whatever the CPU count. A chunk's
+    # traversal peaks at <= 128 bytes per ray (test_world.py); the draws add
+    # one block of poses, not n. With a traversal that held 223 bytes per ray
+    # and all n poses drawn at once, the peak was 5.2 MB above this bound.
+    monkeypatch.setattr(capture, "RAYS_IN_FLIGHT", capture.CHUNK_RAYS)
+    env, n = cabin(), 2000
+    generate_dataset(env, 16, 101)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = generate_dataset(env, n, 101)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    arrays = d.poses_matrix().nbytes + d.ranges_matrix().nbytes
+    assert peak <= arrays + 128 * capture.CHUNK_RAYS + 2**20
 
 
 def test_generate_covers_coarse_free_cells():
@@ -709,7 +741,8 @@ def _traced_load(path):
 
 @pytest.mark.parametrize("key, value, why", [
     ("ray_count", 10**9, "line 3: expected 1000000004 columns, got 12"),
-    ("ray_count", 10**30, f"line 3: expected {10**30 + 4} columns, got 12"),
+    ("ray_count", 10**30,
+     f"line 2: bad header field: ray_count must be <= {np.iinfo(np.intp).max}, got {10**30}"),
     ("n", 10**7, "header says n=10000000 but file has 5 rows"),
     ("n", 10**15, "header says n=1000000000000000 but file has 5 rows"),
 ])

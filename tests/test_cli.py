@@ -902,6 +902,20 @@ def test_world_without_room_fails_fast(tmp_path, capsys, argv, occupied, clearan
     )
 
 
+def test_a_ray_count_numpy_cannot_size_is_input_error(tmp_path, capsys):
+    # a bearing per ray, or an empty (0, ray_count) ranges array, would end
+    # in numpy's own ValueError; the sensor refuses the count first
+    huge = 10**30
+    why = f"ray_count must be <= {np.iinfo(np.intp).max}, got {huge}"
+    err = _refused(capsys, ["gen", "--env", "cabin", "--n", "5", "--rays", str(huge)], tmp_path / "g")
+    assert err == f"neuromap: input error: {why}\n"
+    dataset = tmp_path / "header-only.csv"
+    header = {"env_name": "cabin", "fov": 120.0, "max_range": 20.0, "n": 0, "ray_count": huge, "seed": 1}
+    dataset.write_text(f"#neuromap-dataset v1\n{json.dumps(header, sort_keys=True)}\n")
+    err = _refused(capsys, ["plot", "--env", "cabin", "--dataset", str(dataset)], tmp_path / "p")
+    assert err == f"neuromap: input error: {dataset}: line 2: bad header field: {why}\n"
+
+
 def test_env_file_path_and_unknown_name(tmp_path):
     from neuromap.world import save_environment
 

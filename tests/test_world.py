@@ -1,12 +1,13 @@
 """Occupancy grids: parsing, collision queries, exact raycasting."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neuromap.capture import STREAM_GEN, derived_rng, sample_random_pose
+from neuromap.capture import STREAM_GEN, derived_rng, generate_dataset, sample_random_pose
 from neuromap.inputs import FormatError, InputError
 from neuromap.pose import EnvBounds, Pose2D
 from neuromap.world import (
@@ -69,6 +70,12 @@ def test_sensor_validation():
     with pytest.raises(ValueError):
         SensorConfig(max_range=0.0)
     SensorConfig(fov=360.0, ray_count=1)  # a full circle may be a single ray
+    # more rays than numpy can index: refused before any array is sized
+    limit = int(np.iinfo(np.intp).max)
+    assert SensorConfig(ray_count=limit).ray_count == limit
+    for huge in (limit + 1, 10**30):
+        with pytest.raises(InputError, match=f"ray_count must be <= {limit}, got {huge}"):
+            SensorConfig(ray_count=huge)
 
 
 def test_observation_validation():
@@ -646,3 +653,22 @@ def test_fast_traversal_matches_reference_on_cabin_dataset_poses():
     ys = np.array([p.y for p in poses])[:, None]
     bearings = np.array([p.theta for p in poses])[:, None] + offsets[None, :]
     assert_same_bytes(env.grid, xs, ys, bearings, env.sensor.max_range)
+
+
+def test_one_batched_call_holds_only_the_traversal_state():
+    # One gen chunk: the first 512 cabin dataset poses x 96 rays. The set-up
+    # arrays are freed before the first step, so the call peaks at ~106 bytes
+    # per ray; with them alive through the loop it peaked at 223.
+    env = cabin()
+    poses = generate_dataset(env, 512, 101).poses_matrix()
+    k = env.sensor.ray_count
+    xs, ys = np.repeat(poses[:, 0], k), np.repeat(poses[:, 1], k)
+    bearings = (poses[:, 2, None] + env.sensor.bearing_offsets()[None, :]).ravel()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ray_distances(env.grid, xs, ys, bearings, env.sensor.max_range)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * xs.size
