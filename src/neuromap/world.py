@@ -19,8 +19,13 @@ FREE_CHAR = "."
 OCCUPIED_CHAR = "#"
 
 # Depth of the ring of occupied cells around the raycaster's copy of a grid,
-# and the number of traversal steps between compactions of its ray state.
+# and the number of one-cell steps between compactions of its ray state in
+# the bulk phase. Once a compaction leaves TAIL_RAYS rays or fewer, the tail
+# phase steps each of them TAIL_CELLS // rays cells per numpy pass (8 to 64);
+# ray_distances says why both phases give the same bits.
 RAY_RING = 8
+TAIL_RAYS = 1024
+TAIL_CELLS = 8192
 
 
 class InvalidPoseError(ValueError):
@@ -331,10 +336,22 @@ def ray_distances(
     cell edge to cell edge (Amanatides & Woo 1987), so there is no marching
     step size to tune.
 
-    Only the traversal state lives through the loop: per ray in flight, a
-    flat cell index, four crossing distances and two flat steps, plus the
+    The traversal runs in two phases. While more than TAIL_RAYS rays are
+    live, each numpy pass steps every ray one cell, where the per-call cost
+    of numpy is small beside the work. The last TAIL_RAYS or fewer, and so
+    every ray of a call that small (a single-pose scan), take 8 to 64 cells
+    per pass. Both phases give the same bits: a tail pass adds each axis's
+    crossings in order with np.add.accumulate, as the one-cell loop's +=
+    does; merges the two runs with a stable sort, which puts an x crossing
+    before an equal y one, as tx <= ty does; and records each ray's first
+    stop, found by argmax.
+
+    Only the traversal state lives through the bulk loop: per ray in flight,
+    a flat cell index, four crossing distances and two flat steps, plus the
     ray's id, its result and its stop flag. The set-up arrays are freed
-    before the first step, and a call peaks at ~106 bytes per ray.
+    before the first step, and a call peaks at ~106 bytes per ray. A tail
+    pass holds a few arrays of rays x (2b + 2) values: a 96-ray call peaks at
+    ~0.4 MB, and one of TAIL_RAYS at ~0.7 MB.
 
     Raises:
         ValueError: when the inputs differ in length, an origin or bearing
@@ -354,17 +371,17 @@ def ray_distances(
         raise ValueError(f"max_range must be positive, got {max_range!r}")
     cell, tx, ty, tdx, tdy, d_y, d_xy = _traversal_start(grid, xs, ys, bearings_deg)
 
-    # Ray state is updated in place and compacted every RAY_RING steps, not
-    # on every step where a ray stops: compaction costs as much as a step.
-    # A stopped ray coasts on until then, at most RAY_RING - 1 cells past
-    # the cell it stopped in, which the ring's depth keeps inside the padded
-    # grid; only its first stop is recorded.
+    # Bulk phase: ray state is updated in place and compacted every RAY_RING
+    # steps, not on every step where a ray stops: compaction costs as much as
+    # a step. A stopped ray coasts on until then, at most RAY_RING - 1 cells
+    # past the cell it stopped in, which the ring's depth keeps inside the
+    # padded grid; only its first stop is recorded.
     padded = grid._padded
     ray = np.arange(n)
     stopped = np.zeros(n, dtype=bool)
     out = np.full(n, float(max_range))
     step = 0
-    while ray.size:
+    while ray.size > TAIL_RAYS:
         take_x = tx <= ty  # ties step in x
         # np.minimum returns its second argument on a tie, so a signed-zero
         # tie reports tx, as the <= rule does
@@ -389,6 +406,43 @@ def ray_distances(
             d_y = d_y[live]
             d_xy = d_xy[live]
             stopped = np.zeros(live.size, dtype=bool)
+
+    # Tail phase: b steps per ray per pass.
+    while ray.size:
+        n_live = ray.size
+        b = min(max(TAIL_CELLS // n_live, 8), 64)
+        # the next b + 1 crossings on each axis, a row per ray and axis
+        both = np.empty((n_live, 2, b + 1))
+        both[:, 0, 0] = tx
+        both[:, 0, 1:] = tdx[:, None]
+        both[:, 1, 0] = ty
+        both[:, 1, 1:] = tdy[:, None]
+        np.add.accumulate(both, axis=2, out=both)
+        both = both.reshape(n_live, 2 * b + 2)
+        # The next b steps. -0.0 sorts equal to +0.0, so a signed-zero tie
+        # reports the x crossing, as np.minimum(ty, tx) does. A run's last
+        # crossing sorts after its other b, so it is never among the first b.
+        order = np.argsort(both, axis=1, kind="stable")[:, :b]
+        t_cross = both.take(order + (2 * b + 2) * np.arange(n_live)[:, None])
+        take_x = order <= b
+        cells = np.cumsum(np.where(take_x, (d_y + d_xy)[:, None], d_y[:, None]), axis=1)
+        cells += cell[:, None]
+        # Cells past a ray's first stop may run beyond the ring; they are
+        # clipped into the array, and argmax reads only the first stop.
+        stop = padded.take(cells, mode="clip") | (t_cross >= max_range)
+        hit = stop.any(axis=1)
+        first = stop[hit].argmax(axis=1)
+        out[ray[hit]] = np.minimum(t_cross[hit, first], max_range)
+        keep = np.flatnonzero(~hit)
+        nx = np.count_nonzero(take_x[keep], axis=1)  # x steps taken
+        ray = ray[keep]
+        cell = cells[keep, -1]
+        tx = both[keep, nx]
+        ty = both[keep, 2 * b + 1 - nx]
+        tdx = tdx[keep]
+        tdy = tdy[keep]
+        d_y = d_y[keep]
+        d_xy = d_xy[keep]
     return out
 
 

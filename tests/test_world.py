@@ -12,6 +12,7 @@ from neuromap.inputs import FormatError, InputError
 from neuromap.pose import EnvBounds, Pose2D
 from neuromap.world import (
     DEFAULT_SENSOR,
+    TAIL_RAYS,
     EnvironmentSpec,
     InvalidPoseError,
     Observation,
@@ -22,7 +23,7 @@ from neuromap.world import (
     raycast,
     save_environment,
 )
-from neuromap.worlds import cabin
+from neuromap.worlds import apartment, cabin
 from worldgen import marching_ray, random_free_pose, random_world
 
 
@@ -457,18 +458,18 @@ def test_axis_aligned_rays_on_cell_edges():
 
 
 def test_batch_matches_single_rays():
+    # the batch starts in the bulk phase; each single ray runs in the tail
     rng = np.random.default_rng(27)
     grid = random_world(rng)
-    poses = [random_free_pose(rng, grid) for _ in range(50)]
-    bearings = rng.uniform(-180.0, 180.0, size=50)
+    n = TAIL_RAYS + 200
+    poses = [random_free_pose(rng, grid) for _ in range(n)]
+    bearings = rng.uniform(-180.0, 180.0, size=n)
     xs = np.array([p.x for p in poses])
     ys = np.array([p.y for p in poses])
     batch = ray_distances(grid, xs, ys, bearings, 12.0)
-    for i in range(50):
-        single = ray_distances(
-            grid, xs[i : i + 1], ys[i : i + 1], bearings[i : i + 1], 12.0
-        )[0]
-        assert batch[i] == single
+    for i in range(n):
+        single = ray_distances(grid, xs[i : i + 1], ys[i : i + 1], bearings[i : i + 1], 12.0)
+        assert single.tobytes() == batch[i : i + 1].tobytes()
 
 
 @pytest.mark.parametrize("arg", [1, 2, 3])
@@ -672,3 +673,93 @@ def test_one_batched_call_holds_only_the_traversal_state():
     finally:
         tracemalloc.stop()
     assert peak <= 128 * xs.size
+
+
+def test_one_single_pose_call_stays_small():
+    # a navigate estimate: one pose x 96 rays, all in the tail phase
+    env = apartment()
+    pose = sample_random_pose(env, derived_rng(101, STREAM_GEN, 0))
+    bearings = pose.theta + env.sensor.bearing_offsets()
+    xs, ys = np.full(bearings.size, pose.x), np.full(bearings.size, pose.y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ray_distances(env.grid, xs, ys, bearings, env.sensor.max_range)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# the two traversal phases: bulk (one cell per pass) and tail (many) -----------
+
+
+@pytest.mark.parametrize("n", [1, TAIL_RAYS - 1, TAIL_RAYS, TAIL_RAYS + 1])
+def test_fast_traversal_matches_reference_across_the_phase_hand_over(n):
+    # up to TAIL_RAYS rays run in the tail from the first step; one more
+    # starts in the bulk phase and hands over at its first compaction
+    env = cabin()
+    poses = [sample_random_pose(env, derived_rng(11, STREAM_GEN, i)) for i in range(n // 96 + 1)]
+    offsets = env.sensor.bearing_offsets()
+    xs = np.repeat([p.x for p in poses], offsets.size)[:n]
+    ys = np.repeat([p.y for p in poses], offsets.size)[:n]
+    bearings = (np.array([p.theta for p in poses])[:, None] + offsets[None, :]).ravel()[:n]
+    assert_same_bytes(env.grid, xs, ys, bearings, env.sensor.max_range)
+
+
+@pytest.mark.parametrize("rays", [1, 96, TAIL_RAYS])
+def test_fast_traversal_matches_reference_on_long_rays_across_passes(rays):
+    # A ray along a one-row empty grid of width w stops at step w, entering
+    # the ring. Every width up to 140 puts the stop on every step of the
+    # first passes, so on the last step of one pass and the first of the
+    # next whatever cells a pass takes; off-axis rays step both axes.
+    bearings = np.resize(np.array([0.0, 180.0, 0.25, 179.75, -0.4]), rays)
+    for w in range(1, 141):
+        grid = empty_grid(w, 1, 1.0)
+        xs = np.where(np.cos(np.radians(bearings)) > 0, 0.5, w - 0.5)
+        assert_same_bytes(grid, xs, 0.5, bearings, 1000.0)
+    # a wide open grid: long diagonal-ish rays, many passes each
+    grid = empty_grid(300, 200, 0.05)
+    rng = np.random.default_rng(35)
+    xs, ys = rng.uniform(0.0, 15.0, rays), rng.uniform(0.0, 10.0, rays)
+    assert_same_bytes(grid, xs, ys, rng.uniform(-180.0, 180.0, rays), 100.0)
+
+
+def test_fast_traversal_matches_reference_on_axis_rays_at_exact_max_range():
+    # axis-aligned rays (an infinite crossing step on one axis) capped
+    # exactly at a crossing, in the tail: crossings from a cell centre fall
+    # at 0.5, 1.5, ... m, on both sides of a pass boundary
+    grid = empty_grid(200, 200, 1.0)
+    xs = np.array([100.5, 100.5, 100.0, 100.5])
+    ys = np.array([100.5, 100.0, 100.5, 100.5])
+    for max_range in (0.5, 7.5, 8.5, 31.5, 63.5, 64.5, 65.5, 99.5):
+        for bearing in (0.0, 90.0, 180.0, 270.0, -90.0):
+            capped = assert_same_bytes(grid, xs, ys, np.full(4, bearing), max_range)
+            assert capped[0] == max_range
+
+
+def test_fast_traversal_matches_reference_from_the_world_corners():
+    # Rays from the corner cells heading outward stop within a step or two,
+    # and the rest of a tail pass's cells run off either end of _padded.
+    for w, h in ((1, 1), (3, 2), (40, 30)):
+        grid = empty_grid(w, h, 0.5, ox=-1.0, oy=2.0)
+        corners = [(0, 0, 225.0), (w - 1, 0, 315.0), (0, h - 1, 135.0), (w - 1, h - 1, 45.0)]
+        for ix, iy, heading in corners:
+            x = grid.origin_x + (ix + 0.5) * grid.resolution
+            y = grid.origin_y + (iy + 0.5) * grid.resolution
+            bearings = heading + np.linspace(-44.0, 44.0, 9)
+            assert_same_bytes(grid, x, y, bearings, 100.0)
+            # from the cell's lower-left corner, on two cell edges at once
+            x0, y0 = grid.origin_x + ix * grid.resolution, grid.origin_y + iy * grid.resolution
+            assert_same_bytes(grid, x0, y0, bearings, 100.0)
+
+
+@pytest.mark.parametrize("world", [apartment, cabin])
+def test_fast_traversal_matches_reference_one_pose_at_a_time(world):
+    # the navigate regime: one pose x 96 rays per call
+    env = world()
+    offsets = env.sensor.bearing_offsets()
+    for i in range(300):
+        pose = sample_random_pose(env, derived_rng(17, STREAM_GEN, i))
+        bearings = pose.theta + offsets
+        assert_same_bytes(env.grid, pose.x, pose.y, bearings, env.sensor.max_range)
