@@ -2,12 +2,11 @@
 regressor inference, and an adapter for external estimator processes.
 
 Every estimator is an ``Estimator``: it names the world its poses belong
-to (``env_name``) and the ``sensor`` it reads, answers
-``estimate(observation, true_pose=None) -> Pose2D`` and
-``estimate_batch(ranges, true_poses) -> list[Pose2D]``, and is closed
-by ``close()`` or a ``with`` block. Callers that hold the true pose
-(evaluation, navigation) pass it to every estimator; only the oracle reads
-it.
+to (``env_name``) and the ``sensor`` it reads, answers one call,
+``estimate(ranges (m, ray_count), true_poses (m, 3) | None) -> (m, 3)``
+poses of (x, y, theta degrees), and is closed by ``close()`` or a ``with``
+block. Navigation passes one row, evaluation a whole test set; both pass
+the true poses, which only the oracle reads.
 
 k-NN is an exact brute-force search: a screen over cached row norms (the
 GEMM identity of Faiss' exact search, one matrix product per block of
@@ -22,14 +21,15 @@ import select
 import subprocess
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .capture import Dataset
 from .inputs import InputError, check_finite
-from .pose import Pose2D, circular_mean, denormalize
+from .pose import circular_mean, denormalize
 from .training import decode_head, forward_batch
-from .world import EnvironmentSpec, Observation, SensorConfig
+from .world import EnvironmentSpec, SensorConfig
 
 WEIGHT_UNIFORM = "uniform"
 WEIGHT_INVERSE = "inverse-distance"
@@ -47,7 +47,8 @@ SCREEN_BLOCK_BYTES = 5 << 20
 
 
 class EstimatorUnavailableError(RuntimeError):
-    """The external estimator process died, timed out, or broke protocol."""
+    """An estimator gave no usable pose: its estimate was not finite, or the
+    external estimator process died, timed out, or broke protocol."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,10 @@ class OracleConfig:
         check_finite(self)
         if self.sigma_pos < 0 or self.sigma_theta < 0:
             raise InputError("sigmas must be non-negative")
+        # refuse a sigma whose 10-sigma draw (probability < 2e-23) overflows
+        for name, sigma in (("sigma_pos", self.sigma_pos), ("sigma_theta", self.sigma_theta)):
+            if not math.isfinite(10.0 * sigma):
+                raise InputError(f"{name} = {sigma!r}: a 10-sigma draw overflows")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
@@ -78,20 +83,39 @@ class KnnConfig:
 
 class Estimator:
     """The estimator protocol: an ``env_name``, a ``sensor``, ``estimate``
-    and ``close``."""
+    and ``close``. A subclass implements ``_estimate``."""
 
     env_name: str
     sensor: SensorConfig
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
-        raise NotImplementedError
+    def estimate(self, ranges, true_poses=None) -> np.ndarray:
+        """Poses (m, 3) for the m rows of normalised ``ranges`` (m, ray_count),
+        given their true poses (m, 3) or None; theta is wrapped as
+        ``wrap_angle`` wraps it. A misshaped array or a range outside [0, 1]
+        raises ValueError, a pose that is not finite EstimatorUnavailableError."""
+        ranges = np.asarray(ranges, dtype=np.float64)
+        if ranges.ndim != 2 or ranges.shape[1] != self.sensor.ray_count:
+            raise ValueError(f"ranges must be (m, {self.sensor.ray_count}), got {ranges.shape}")
+        if ranges.size and not (ranges.min() >= 0.0 and ranges.max() <= 1.0):  # NaN fails too
+            raise ValueError("ranges must all lie in [0, 1]")
+        m = len(ranges)
+        if true_poses is not None:
+            true_poses = np.asarray(true_poses, dtype=np.float64)
+            if true_poses.shape != (m, 3):
+                raise ValueError(f"{m} observations need true poses of shape ({m}, 3), "
+                                 f"got {true_poses.shape}")
+        poses = self._estimate(ranges, true_poses)
+        bad = np.flatnonzero(~np.isfinite(poses).all(axis=1))
+        if bad.size:
+            raise EstimatorUnavailableError(
+                f"estimate for observation {bad[0]} is not finite: {poses[bad[0]].tolist()}")
+        r = np.remainder(poses[:, 2], 360.0)  # Python's %: wrap_angle bit for bit
+        poses[:, 2] = np.where(r > 180.0, r - 360.0, r)
+        return poses
 
-    def estimate_batch(self, ranges, true_poses) -> list[Pose2D]:
-        """``estimate`` of each row of ``ranges`` (m, ray_count) with its
-        true pose from ``true_poses`` (m ``Pose2D``), in row order."""
-        if len(ranges) != len(true_poses):
-            raise ValueError(f"{len(ranges)} observations but {len(true_poses)} true poses")
-        return [self.estimate(Observation(r), truth) for r, truth in zip(ranges, true_poses)]
+    def _estimate(self, ranges: np.ndarray, true_poses: np.ndarray | None) -> np.ndarray:
+        """A new (m, 3) array of poses for checked arguments."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release what the estimator holds; nothing by default."""
@@ -103,29 +127,10 @@ class Estimator:
         self.close()
 
 
-def _check_length(ranges, sensor: SensorConfig):
-    if len(ranges) != sensor.ray_count:
-        raise ValueError(
-            f"observation has {len(ranges)} rays, estimator expects {sensor.ray_count}"
-        )
-
-
-def oracle_estimate(true_pose: Pose2D, cfg: OracleConfig, rng, bounds) -> Pose2D:
-    """True pose plus zero-mean Gaussian noise, clamped into ``bounds``.
-
-    Always draws exactly three normals so the stream position depends only
-    on the call count, not on the sigma values.
-    """
-    dx = rng.normal(0.0, cfg.sigma_pos)
-    dy = rng.normal(0.0, cfg.sigma_pos)
-    dt = rng.normal(0.0, cfg.sigma_theta)
-    x = min(max(true_pose.x + dx, bounds.x_min), bounds.x_max)
-    y = min(max(true_pose.y + dy, bounds.y_min), bounds.y_max)
-    return Pose2D(x, y, true_pose.theta + dt)
-
-
 class OracleEstimator(Estimator):
-    """Test double: returns the true pose perturbed by Gaussian noise.
+    """Test double: the true pose plus zero-mean Gaussian noise, the position
+    clamped into the environment bounds. Each row draws three normals (x, y,
+    theta), so the stream position depends only on the rows estimated.
 
     Stateful (consumes its RNG stream); confine to a single caller.
     """
@@ -136,16 +141,29 @@ class OracleEstimator(Estimator):
         self.env_name, self.sensor = env.name, env.sensor
         self._rng = np.random.default_rng(cfg.seed)
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
-        _check_length(observation.ranges, self.sensor)
-        if true_pose is None:
-            raise RuntimeError("oracle estimator needs the true_pose argument")
-        return oracle_estimate(true_pose, self.cfg, self._rng, self.env.bounds)
+    def _estimate(self, ranges, true_poses):
+        if true_poses is None:
+            raise RuntimeError("oracle estimator needs the true_poses argument")
+        cfg, b = self.cfg, self.env.bounds
+        sigmas = [cfg.sigma_pos, cfg.sigma_pos, cfg.sigma_theta]
+        poses = true_poses + self._rng.normal(0.0, sigmas, size=(len(true_poses), 3))
+        poses[:, 0] = np.minimum(np.maximum(poses[:, 0], b.x_min), b.x_max)
+        poses[:, 1] = np.minimum(np.maximum(poses[:, 1], b.y_min), b.y_max)
+        return poses
 
 
-def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[np.ndarray]:
-    """For each row q of ``queries`` (m, ray_count), the ascending ids of
-    every database row that rounding could place among q's k nearest.
+class KnnQuery(NamedTuple):
+    """A query row and the ascending ids of the database rows ``knn_screen``
+    kept for it. perfbench's ``_knn_bytes`` reads ``.ranges`` by name."""
+
+    ranges: np.ndarray
+    ids: np.ndarray
+
+
+def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
+    """For each row q of ``queries`` (m, ray_count), a ``KnnQuery`` of q and
+    the ascending ids of every database row that rounding could place among
+    q's k nearest.
 
     Each block of queries Q is scored against every row r by ``||r||^2 -
     2 Q r`` in one matrix product over the database's cached row norms (the
@@ -187,48 +205,40 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[np.ndarray]:
         p.partition(k - 1, axis=1)
         np.less_equal(a, (p[:, k - 1] + tol[start:stop])[:, None], out=mask)
         rows, ids = np.divmod(np.flatnonzero(mask), n)  # ids ascend within each query
-        survivors += np.split(ids, np.searchsorted(rows, np.arange(1, stop - start)))
+        split = np.split(ids, np.searchsorted(rows, np.arange(1, stop - start)))
+        survivors += map(KnnQuery, queries[start:stop], split)
     return survivors
 
 
-def knn_estimate(db: Dataset, obs: Observation, cfg: KnnConfig, survivors=None) -> Pose2D:
-    """Nearest neighbours by Euclidean distance over range vectors.
+def knn_estimate(db: Dataset, query: KnnQuery, cfg: KnnConfig):
+    """The pose (x, y, theta degrees) of a screened query's k nearest
+    neighbours by Euclidean distance over range vectors.
 
     Position is the weighted mean of neighbour positions, orientation the
     circular mean with the same weights; distance ties break toward the
     lower sample id. k=1 returns the neighbour's pose verbatim.
 
     The search is exact in two passes. ``knn_screen`` keeps every row that
-    rounding could place among the k nearest; ``survivors`` is its output
-    for this query when the caller has screened a block of queries at once.
-    Only the survivors get the direct distance ``sqrt(sum((r - q)^2))`` and
-    the (distance, id) ordering, so the neighbours, weights and output bits
-    are those of a full scan with the direct formula.
+    rounding could place among the k nearest. Only those get the direct
+    distance ``sqrt(sum((r - q)^2))`` and the (distance, id) ordering, so
+    the neighbours, weights and output bits are those of a full scan with
+    the direct formula.
     """
-    if len(db) == 0:
-        raise ValueError("empty database")
-    if cfg.k > len(db):
-        raise ValueError(f"k={cfg.k} exceeds database size {len(db)}")
-    R = db.ranges_matrix()
-    q = np.asarray(obs.ranges, dtype=np.float64)
-    if q.shape != (R.shape[1],):
-        raise ValueError(f"query has {q.size} rays, database has {R.shape[1]}")
-    cand = knn_screen(db, q[None, :], cfg.k)[0] if survivors is None else survivors
-    d = np.sqrt(((R[cand] - q) ** 2).sum(axis=1))
+    cand = query.ids
+    d = np.sqrt(((db.ranges_matrix()[cand] - query.ranges) ** 2).sum(axis=1))
     best = np.argsort(d, kind="stable")[: cfg.k]  # distance first, then id
     sel = cand[best]
-    if cfg.k == 1:  # Python floats, as save_trace writes them with repr
-        return Pose2D(*db.poses_matrix()[sel[0]].tolist())
+    if cfg.k == 1:
+        return tuple(db.poses_matrix()[sel[0]])
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[best] + INVERSE_WEIGHT_EPS)
     else:
         w = np.ones(cfg.k)
     poses = db.poses_matrix()[sel]
     wsum = w.sum()
-    x = float((w * poses[:, 0]).sum() / wsum)
-    y = float((w * poses[:, 1]).sum() / wsum)
-    theta = circular_mean(poses[:, 2], weights=w)
-    return Pose2D(x, y, theta)
+    x = (w * poses[:, 0]).sum() / wsum
+    y = (w * poses[:, 1]).sum() / wsum
+    return x, y, circular_mean(poses[:, 2], weights=w)
 
 
 class KnnEstimator(Estimator):
@@ -243,22 +253,10 @@ class KnnEstimator(Estimator):
         self.cfg = cfg
         self.env_name, self.sensor = db.env_name, db.sensor
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
-        _check_length(observation.ranges, self.sensor)
-        return knn_estimate(self.db, observation, self.cfg)
-
-    def estimate_batch(self, ranges, true_poses) -> list[Pose2D]:
+    def _estimate(self, ranges, true_poses):
         """One screen per block of queries, then each query's exact re-rank."""
-        observations = [Observation(r) for r in ranges]
-        for obs in observations:
-            _check_length(obs.ranges, self.sensor)
-        if not observations:
-            return []
-        survivors = knn_screen(self.db, np.stack([obs.ranges for obs in observations]), self.cfg.k)
-        return [
-            knn_estimate(self.db, obs, self.cfg, cand)
-            for obs, cand in zip(observations, survivors)
-        ]
+        queries = knn_screen(self.db, ranges, self.cfg.k)
+        return np.array([knn_estimate(self.db, q, self.cfg) for q in queries]).reshape(-1, 3)
 
 
 class RegressorEstimator(Estimator):
@@ -271,10 +269,13 @@ class RegressorEstimator(Estimator):
         self.env = env
         self.env_name, self.sensor = model.env_name, model.sensor
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
-        _check_length(observation.ranges, self.sensor)
-        out = forward_batch(self.model, observation.ranges[None, :])
-        return Pose2D(*decode_head(self.model, out, self.env.bounds)[0].tolist())
+    def _estimate(self, ranges, true_poses):
+        # one product per row: a batched product's rows can differ in the last
+        # bits. An overflowing model gives NaN poses, which ``estimate`` refuses.
+        model, bounds = self.model, self.env.bounds
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = [decode_head(model, forward_batch(model, r[None, :]), bounds) for r in ranges]
+        return np.array(rows).reshape(-1, 3)
 
 
 class ExternalEstimator(Estimator):
@@ -323,15 +324,17 @@ class ExternalEstimator(Estimator):
         line, self._buf = self._buf.split(b"\n", 1)
         return line.decode("ascii", errors="replace")
 
-    def estimate(self, observation: Observation, true_pose: Pose2D | None = None) -> Pose2D:
+    def _estimate(self, ranges, true_poses):
+        return np.array([self._request(r) for r in ranges]).reshape(-1, 3)
+
+    def _request(self, ranges) -> np.ndarray:
         if self._broken:
             raise EstimatorUnavailableError("estimator channel is poisoned")
-        _check_length(observation.ranges, self.sensor)
         if self._proc.poll() is not None:
             self._fail(f"estimator process exited with {self._proc.returncode}")
         req_id = self._next_id
         self._next_id += 1
-        payload = " ".join(repr(float(r)) for r in observation.ranges)
+        payload = " ".join(repr(float(r)) for r in ranges)
         try:
             self._proc.stdin.write(f"EST {req_id} {payload}\n".encode("ascii"))
             self._proc.stdin.flush()
@@ -350,7 +353,7 @@ class ExternalEstimator(Estimator):
             self._fail(f"response id {resp_id} does not match request {req_id}")
         if not all(math.isfinite(v) for v in raw):
             self._fail(f"non-finite response {line!r}")
-        return Pose2D(*denormalize(np.clip(raw, -1.0, 1.0), self.env.bounds).tolist())
+        return denormalize(np.clip(raw, -1.0, 1.0), self.env.bounds)
 
     def close(self) -> None:
         if self._proc.poll() is None:

@@ -4,8 +4,8 @@ The controller follows the estimate / rotate / move loop verbatim: estimate
 the pose, and while the estimated distance to the waypoint exceeds T_d,
 either rotate until the heading error accumulated from odometry is within
 T_a, or drive a leg of at most ``max_step`` metres, re-estimating after
-every subloop. Observations are always synthesised at the TRUE pose; the
-controller only ever sees the estimator's output and its noisy odometry.
+every subloop. Scans are always raycast at the TRUE pose; the controller
+only ever sees the estimator's output and its noisy odometry.
 """
 
 import math
@@ -177,11 +177,13 @@ class _Episode:
         )
 
     def estimate(self) -> Pose2D:
-        obs = raycast(self.env.grid, self.true_pose, self.env.sensor)
+        p = self.true_pose
+        ranges = raycast(self.env.grid, p, self.env.sensor)
         try:
-            self.last_estimate = self.estimator.estimate(obs, self.true_pose)
+            row = self.estimator.estimate(ranges[None, :], [(p.x, p.y, p.theta)])[0]
         except EstimatorUnavailableError:
             raise _Abort(ABORT_ESTIMATOR) from None
+        self.last_estimate = Pose2D(*row.tolist())
         self._append(EVENT_ESTIMATE)
         return self.last_estimate
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .capture import Dataset, derived_rng
 from .inputs import FormatError, InputError, check_finite, read_lines
-from .pose import EnvBounds, Pose2D, ang_diff, denormalize, normalize
+from .pose import EnvBounds, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, SensorConfig
 
 STREAM_INIT = 10
@@ -540,19 +540,20 @@ def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
     """Per-sample position and yaw error of an ``Estimator`` over a test set.
 
     The test set and the estimator must belong to ``env``'s world and
-    sensor. The whole test set goes to one ``estimate_batch`` call with the
-    true poses, which only the oracle reads.
+    sensor. The whole test set goes to one ``estimate`` call with the true
+    poses, which only the oracle reads.
     """
     if len(testset) == 0:
         raise InputError("test set is empty")
     env.check_world("test set", testset.env_name, testset.sensor, testset.poses_matrix())
     env.check_world("estimator", estimator.env_name, estimator.sensor)
     errs = np.empty((len(testset), 2))
-    truths = [Pose2D(*row) for row in testset.poses_matrix().tolist()]
-    estimates = estimator.estimate_batch(testset.ranges_matrix(), truths)
-    for i, (truth, pose) in enumerate(zip(truths, estimates, strict=True)):
-        errs[i, 0] = math.hypot(pose.x - truth.x, pose.y - truth.y)
-        errs[i, 1] = abs(ang_diff(pose.theta, truth.theta))
+    truths = testset.poses_matrix()
+    estimates = estimator.estimate(testset.ranges_matrix(), truths)
+    # math.hypot, not np.hypot: the two differ in the last bit on some pairs
+    for i, ((x, y, theta), (tx, ty, ttheta)) in enumerate(zip(estimates.tolist(), truths.tolist())):
+        errs[i, 0] = math.hypot(x - tx, y - ty)
+        errs[i, 1] = abs(ang_diff(theta, ttheta))
     return Metrics(
         mean_pos_err=float(np.mean(errs[:, 0])),
         mean_theta_err=float(np.mean(errs[:, 1])),

@@ -68,26 +68,6 @@ class SensorConfig:
 DEFAULT_SENSOR = SensorConfig()
 
 
-@dataclass(frozen=True, eq=False)
-class Observation:
-    """One sensor sweep: ``ranges[i]`` is ray i's hit distance / max_range."""
-
-    ranges: np.ndarray
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.ranges, dtype=np.float64)
-        if r.ndim != 1 or r.size == 0:
-            raise ValueError(f"ranges must be a non-empty vector, got shape {r.shape}")
-        if not ((r >= 0.0) & (r <= 1.0)).all():  # also false for nan and +-inf
-            raise ValueError("ranges must all lie in [0, 1]")
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "ranges", r)
-
-    def __len__(self) -> int:
-        return self.ranges.size
-
-
 class OccupancyGrid:
     """Row-major boolean occupancy over a metric rectangle.
 
@@ -499,8 +479,9 @@ def _axis_start(origin: float, start, index, u, res: float) -> tuple:
     return t, t_delta, step
 
 
-def raycast(grid: OccupancyGrid, pose: Pose2D, sensor: SensorConfig = DEFAULT_SENSOR) -> Observation:
-    """Observe the world from a pose: normalised ranges, ray 0 at -fov/2.
+def raycast(grid: OccupancyGrid, pose: Pose2D, sensor: SensorConfig = DEFAULT_SENSOR) -> np.ndarray:
+    """Observe the world from a pose: the (ray_count,) hit distances over
+    ``max_range``, each in [0, 1], ray 0 at -fov/2.
 
     Raises:
         InvalidPoseError: when the pose is outside the world or inside an
@@ -515,4 +496,4 @@ def raycast(grid: OccupancyGrid, pose: Pose2D, sensor: SensorConfig = DEFAULT_SE
         bearings,
         sensor.max_range,
     )
-    return Observation(dists / sensor.max_range)
+    return dists / sensor.max_range

@@ -12,10 +12,11 @@ import time
 
 
 def normalized_response(pose, env):
-    """The `nx ny ntheta` payload an external process should emit for pose."""
+    """The `nx ny ntheta` payload an external process should emit for pose
+    (x, y, theta)."""
     from neuromap.pose import normalize
 
-    nx, ny, ntheta = normalize([pose.x, pose.y, pose.theta], env.bounds).tolist()
+    nx, ny, ntheta = normalize(pose, env.bounds).tolist()
     return f"{nx!r} {ny!r} {ntheta!r}"
 
 
@@ -67,10 +68,7 @@ def main():
         elif args.mode == "badid":
             print(f"POSE {int(req_id) + 1} 0.0 0.0 0.0", flush=True)
         elif args.mode == "knn":
-            from neuromap.world import Observation
-
-            ranges = [float(v) for v in parts[2:]]
-            est = knn.estimate(Observation(ranges))
+            est = knn.estimate([[float(v) for v in parts[2:]]])[0]
             print(f"POSE {req_id} {normalized_response(est, env)}", flush=True)
         elif args.mode == "replay":
             print(f"POSE {req_id} {replies[int(req_id)]}", flush=True)

@@ -18,10 +18,9 @@ import pytest
 from neuromap.capture import Dataset, load_dataset, save_dataset
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator
-from neuromap.pose import Pose2D
 from neuromap.inputs import read_lines
 from neuromap.training import RegressorModel, load_model, save_model
-from neuromap.world import Observation, SensorConfig, save_environment
+from neuromap.world import SensorConfig, save_environment
 from neuromap.worlds import apartment
 from worldgen import near_obstacle_fraction
 
@@ -413,6 +412,56 @@ def test_navigate_abort_exit_code_and_trace(tmp_path):
     assert (out / "trace.csv").exists()  # retained up to the abort
 
 
+def _nan_model(path):
+    """A 16-ray apartment model file with finite parameters whose every
+    output is NaN: the hidden layer overflows to inf, and the head
+    subtracts inf from inf."""
+    sensor = SensorConfig(fov=360.0, ray_count=16, max_range=12.0)
+    model = RegressorModel.zeros((16, 2, 3), env_name="apartment", sensor=sensor)
+    model.weights[0][:] = 1e308
+    model.weights[1][:] = [1e300, -1e300]
+    save_model(model, path)
+    return f"model:{path}"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow warns nothing
+def test_eval_non_finite_model_output_is_runtime_abort(workspace, tmp_path, capsys):
+    out = tmp_path / "e"
+    rc = main(["eval", *ENV_FLAGS, "--estimator", _nan_model(tmp_path / "nan.model"),
+               "--testset", str(workspace / "test" / "dataset.csv"), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "neuromap: runtime abort: estimate for observation 0 is not finite: [nan, nan, nan]\n"
+    assert not (out / "metrics.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_navigate_non_finite_model_output_aborts_estimator_failure(tmp_path, capsys):
+    out = tmp_path / "n"
+    rc = main(["navigate", *ENV_FLAGS, "--estimator", _nan_model(tmp_path / "nan.model"),
+               "--waypoints", "apartment_loop", "--start", "1.5,1.5,0", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "neuromap: runtime abort: estimator-failure\n"
+    assert json.loads((out / "report.json").read_text())["abort_reason"] == "estimator-failure"
+    assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "navigate"])
+@pytest.mark.parametrize("name", ["sigma_pos", "sigma_theta"])
+def test_oracle_sigma_whose_ten_sigma_draw_overflows_is_input_error(
+    workspace, tmp_path, capsys, command, name
+):
+    spec = f"oracle:{name}=1e308,seed=3"
+    argv = {
+        "eval": ["eval", *ENV_FLAGS, "--estimator", spec,
+                 "--testset", str(workspace / "test" / "dataset.csv")],
+        "navigate": ["navigate", "--env", "apartment", "--estimator", spec,
+                     "--waypoints", "apartment_loop", "--start", "1.5,1.5,0"],
+    }[command]
+    err = _refused(capsys, argv, tmp_path / "o")
+    assert err == f"neuromap: input error: {name} = 1e+308: a 10-sigma draw overflows\n"
+
+
 NAVIGATE_LOOP = ["navigate", "--env", "apartment", "--estimator", "oracle",
                  "--waypoints", "apartment_loop"]
 
@@ -536,7 +585,7 @@ def test_bench_knn_slows_with_database_size(workspace):
 
     env = apartment()
     env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
-    frames = [Observation(r) for r in generate_dataset(env, 40, seed=2).ranges_matrix()]
+    frames = generate_dataset(env, 40, seed=2).ranges_matrix()
 
     # best of 5 passes: with cheap queries one pass is mostly fixed
     # per-call overhead, so a single timing is at the mercy of noise
@@ -545,8 +594,8 @@ def test_bench_knn_slows_with_database_size(workspace):
     for _ in range(5):
         for name, est in estimators.items():
             t0 = time.perf_counter()
-            for obs in frames:
-                est.estimate(obs)
+            for i in range(len(frames)):  # one query per call
+                est.estimate(frames[i : i + 1])
             best[name] = min(best[name], time.perf_counter() - t0)
     fast, slow = (len(frames) / best[name] for name in ("fast", "slow"))
     assert slow < fast
@@ -579,11 +628,12 @@ def test_every_estimator_spec_follows_the_protocol(workspace, tmp_path, kind):
         "external": f"external:{sys.executable} {STUB}",
     }[kind]
     test = load_dataset(workspace / "test" / "dataset.csv")
-    obs, truth = Observation(test.ranges_matrix()[0]), Pose2D(*test.poses_matrix()[0])
     with build_estimator(spec, env) as est:
         assert isinstance(est, Estimator)
         assert (est.env_name, est.sensor) == (env.name, env.sensor)
-        assert isinstance(est.estimate(obs, truth), Pose2D)
+        poses = est.estimate(test.ranges_matrix()[:3], test.poses_matrix()[:3])
+        assert poses.dtype == np.float64 and poses.shape == (3, 3)
+        assert np.isfinite(poses).all() and np.all((-180.0 < poses[:, 2]) & (poses[:, 2] <= 180.0))
 
 
 def test_unknown_estimator_kind_is_usage_error(workspace, tmp_path):

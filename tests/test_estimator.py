@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,20 @@ from neuromap.estimator import (
     OracleEstimator,
     RegressorEstimator,
     knn_estimate,
-    oracle_estimate,
+    knn_screen,
 )
 from neuromap.inputs import InputError
-from neuromap.pose import EnvBounds, Pose2D, ang_diff, circular_mean, denormalize, normalize
+from neuromap.pose import (
+    Pose2D,
+    ang_diff,
+    circular_mean,
+    denormalize,
+    normalize,
+    wrap_angle,
+)
 from neuromap.training import RegressorModel, forward_batch
 from neuromap.world import (
     EnvironmentSpec,
-    Observation,
     OccupancyGrid,
     SensorConfig,
     save_environment,
@@ -51,78 +58,119 @@ def stub_cmd(*args):
     return [sys.executable, str(STUB), *args]
 
 
-def inside(bounds, pose):
-    return bounds.x_min <= pose.x <= bounds.x_max and bounds.y_min <= pose.y <= bounds.y_max
+def inside(bounds, poses):
+    x, y = poses[:, 0], poses[:, 1]
+    return bool(np.all((bounds.x_min <= x) & (x <= bounds.x_max)
+                       & (bounds.y_min <= y) & (y <= bounds.y_max)))
 
 
 def centre(bounds):
-    return Pose2D(0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), 0.0)
+    return [0.5 * (bounds.x_min + bounds.x_max), 0.5 * (bounds.y_min + bounds.y_max), 0.0]
 
 
-WIDE = EnvBounds(-100.0, 100.0, -100.0, 100.0)
+def bits(poses):
+    return np.asarray(poses, dtype=np.float64).tobytes()
+
+
+def rows(ranges):
+    """One-row ``estimate`` arguments, one per row of ``ranges``."""
+    return [r[None, :] for r in np.asarray(ranges, dtype=np.float64)]
+
+
+HALF = np.full((1, 8), 0.5)  # one 8-ray observation
 
 
 # oracle -------------------------------------------------------------------------
 
 
+def oracle_estimate(true_pose: Pose2D, cfg: OracleConfig, rng, bounds) -> Pose2D:
+    """Reference oracle, one pose at a time: the true pose plus three scalar
+    normal draws (x, y, theta), the position clamped into ``bounds`` with
+    Python's min and max, theta wrapped by ``Pose2D``."""
+    dx = rng.normal(0.0, cfg.sigma_pos)
+    dy = rng.normal(0.0, cfg.sigma_pos)
+    dt = rng.normal(0.0, cfg.sigma_theta)
+    x = min(max(true_pose.x + dx, bounds.x_min), bounds.x_max)
+    y = min(max(true_pose.y + dy, bounds.y_min), bounds.y_max)
+    return Pose2D(x, y, true_pose.theta + dt)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 2.0])
+def test_oracle_block_draw_matches_the_scalar_oracle(sigma):
+    # one (m, 3) normal draw per call gives the scalar oracle's bits and
+    # leaves the generator where three scalar draws per row leave it
+    env = asym_env()
+    b = env.bounds
+    cfg = OracleConfig(sigma_pos=sigma, sigma_theta=40.0 * sigma, seed=31)
+    rng = np.random.default_rng(77)
+    truths = np.column_stack([
+        rng.uniform(b.x_min, b.x_max, 5000),
+        rng.uniform(b.y_min, b.y_max, 5000),
+        rng.choice([-179.99, 180.0, 0.0, 179.99, 90.0], 5000) + rng.uniform(-0.01, 0.01, 5000),
+    ])
+    truths[:, 2] = [wrap_angle(t) for t in truths[:, 2]]  # as a Dataset holds them
+    ref_rng = np.random.default_rng(cfg.seed)
+    want = [oracle_estimate(Pose2D(*t), cfg, ref_rng, b) for t in truths.tolist()]
+    est = OracleEstimator(cfg, env)
+    got = est.estimate(np.zeros((5000, 8)), truths)
+    assert bits(got) == bits([[p.x, p.y, p.theta] for p in want])
+    assert est._rng.bit_generator.state == ref_rng.bit_generator.state
+    if sigma == 2.0:  # the clamp and the wrap both ran
+        assert np.isin(got[:, 0], [b.x_min, b.x_max]).any()
+        assert (np.abs(got[:, 2] - truths[:, 2]) > 180.0).any()
+
+
 def test_oracle_zero_sigma_is_identity():
-    rng = np.random.default_rng(0)
-    p = Pose2D(3.25, -1.5, 77.0)
-    assert oracle_estimate(p, OracleConfig(), rng, WIDE) == p
+    env = asym_env()
+    truths = np.array([[3.25, 1.5, 77.0], [0.0, 5.0, 180.0], [8.0, 0.0, -179.5]])
+    got = OracleEstimator(OracleConfig(), env).estimate(np.zeros((3, 8)), truths)
+    assert bits(got) == bits(truths)
 
 
 def test_oracle_noise_statistics():
-    # sample std of the x-error over 1e5 calls within 3% of sigma; sample
-    # mean within 3 standard errors of zero
-    cfg = OracleConfig(sigma_pos=0.02, sigma_theta=1.0, seed=9)
-    rng = np.random.default_rng(cfg.seed)
-    p = Pose2D(5.0, 5.0, 0.0)
-    errs = np.empty(100_000)
-    for i in range(errs.size):
-        errs[i] = oracle_estimate(p, cfg, rng, WIDE).x - p.x
+    # sample std of the x-error over 1e5 estimates within 3% of sigma;
+    # sample mean within 3 standard errors of zero
+    env = asym_env()
+    est = OracleEstimator(OracleConfig(sigma_pos=0.02, sigma_theta=1.0, seed=9), env)
+    truths = np.tile([4.0, 2.5, 0.0], (100_000, 1))
+    errs = est.estimate(np.zeros((len(truths), 8)), truths)[:, 0] - 4.0
     assert abs(errs.std() - 0.02) <= 0.03 * 0.02
     assert abs(errs.mean()) <= 3.0 * 0.02 / math.sqrt(errs.size)
 
 
 def test_oracle_wraps_theta():
-    cfg = OracleConfig(sigma_theta=180.0, seed=3)
-    rng = np.random.default_rng(cfg.seed)
-    p = Pose2D(0.0, 0.0, 170.0)
-    for _ in range(500):
-        t = oracle_estimate(p, cfg, rng, WIDE).theta
-        assert -180.0 < t <= 180.0
+    env = asym_env()
+    est = OracleEstimator(OracleConfig(sigma_theta=180.0, seed=3), env)
+    t = est.estimate(np.zeros((500, 8)), np.tile([4.0, 2.5, 170.0], (500, 1)))[:, 2]
+    assert np.all((-180.0 < t) & (t <= 180.0))
 
 
 def test_oracle_estimator_clamps_to_bounds():
     env = asym_env()
     est = OracleEstimator(OracleConfig(sigma_pos=5.0, seed=1), env)
-    obs = Observation(np.full(8, 0.5))
     b = env.bounds
-    clamped_seen = False
-    for _ in range(200):
-        r = est.estimate(obs, Pose2D(7.8, 4.8, 0.0))
-        assert inside(b, r)
-        clamped_seen = clamped_seen or r.x in (b.x_min, b.x_max) or r.y in (b.y_min, b.y_max)
-    assert clamped_seen
+    r = est.estimate(np.full((200, 8), 0.5), np.tile([7.8, 4.8, 0.0], (200, 1)))
+    assert inside(b, r)
+    assert np.isin(r[:, 0], [b.x_min, b.x_max]).any() or np.isin(r[:, 1], [b.y_min, b.y_max]).any()
 
 
 def test_oracle_estimator_determinism_and_preconditions():
     env = asym_env()
-    obs = Observation(np.full(8, 0.5))
 
     def run():
         e = OracleEstimator(OracleConfig(sigma_pos=0.1, sigma_theta=2.0, seed=4), env)
-        out = []
-        for i in range(10):
-            out.append(e.estimate(obs, Pose2D(4.0, 2.0, 30.0 * i)))
-        return out
+        return [e.estimate(HALF, [[4.0, 2.0, 30.0 * i]]) for i in range(10)]
 
-    assert run() == run()
+    assert bits(run()) == bits(run())
     e = OracleEstimator(OracleConfig(), env)
-    with pytest.raises(RuntimeError, match="true_pose"):
-        e.estimate(obs)
-    with pytest.raises(ValueError):
-        e.estimate(Observation(np.full(5, 0.5)), Pose2D(1.0, 1.0, 0.0))
+    with pytest.raises(RuntimeError, match="true_poses"):
+        e.estimate(HALF)
+    with pytest.raises(ValueError, match=r"ranges must be \(m, 8\)"):
+        e.estimate(np.full((1, 5), 0.5), [[1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"ranges must be \(m, 8\)"):
+        e.estimate(np.full(8, 0.5), [[1.0, 1.0, 0.0]])  # a row, not a block of rows
+    with pytest.raises(ValueError, match="true poses"):
+        e.estimate(HALF, [1.0, 1.0, 0.0])
 
 
 def test_oracle_batch_draws_what_a_loop_of_estimate_calls_draws():
@@ -130,22 +178,27 @@ def test_oracle_batch_draws_what_a_loop_of_estimate_calls_draws():
     cfg = OracleConfig(sigma_pos=0.3, sigma_theta=4.0, seed=21)
     rng = np.random.default_rng(5)
     ranges = rng.uniform(0.0, 1.0, (12, 8))
-    truths = [Pose2D(*rng.uniform(0.5, 4.5, 2), rng.uniform(-180, 180)) for _ in range(12)]
+    truths = np.column_stack([rng.uniform(0.5, 4.5, (12, 2)), rng.uniform(-180, 180, 12)])
     looped = OracleEstimator(cfg, env)
-    want = [looped.estimate(Observation(r), t) for r, t in zip(ranges, truths)]
+    want = [looped.estimate(r, t[None, :]) for r, t in zip(rows(ranges), truths)]
     batched = OracleEstimator(cfg, env)
-    assert batched.estimate_batch(ranges, truths) == want
-    # the stream continues where the batch left it, as after the loop
-    assert batched.estimate(Observation(ranges[0]), truths[0]) == looped.estimate(
-        Observation(ranges[0]), truths[0]
+    assert bits(batched.estimate(ranges, truths)) == bits(want)
+    # the stream continues where the block left it, as after the loop
+    assert bits(batched.estimate(ranges[:1], truths[:1])) == bits(
+        looped.estimate(ranges[:1], truths[:1])
     )
-    with pytest.raises(ValueError, match="12 observations but 11 true poses"):
-        batched.estimate_batch(ranges, truths[:-1])
+    with pytest.raises(ValueError, match=r"12 observations need true poses of shape \(12, 3\)"):
+        batched.estimate(ranges, truths[:-1])
 
 
 def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(sigma_pos=-0.1)
+    # 10-sigma draws must stay finite, as navigation's odometry noise must
+    assert OracleConfig(sigma_pos=1e307, sigma_theta=1e307).sigma_pos == 1e307
+    for field in ("sigma_pos", "sigma_theta"):
+        with pytest.raises(InputError, match=f"{field} = 1e\\+308: a 10-sigma draw overflows"):
+            OracleConfig(**{field: 1e308})
     with pytest.raises(ValueError):
         KnnConfig(k=0)
     with pytest.raises(ValueError):
@@ -155,30 +208,33 @@ def test_oracle_config_validation():
 # k-NN ---------------------------------------------------------------------------
 
 
+def knn(db, q, cfg):
+    """The k-NN estimate for one query row ``q``."""
+    return KnnEstimator(db, cfg).estimate(np.asarray(q, dtype=np.float64)[None, :])[0]
+
+
 def test_knn_exact_match_k1():
     env = asym_env()
     db = generate_dataset(env, 50, seed=2)
-    q = Observation(db.ranges_matrix()[7])
-    est = knn_estimate(db, q, KnnConfig(k=1))
-    assert est == Pose2D(*db.poses_matrix()[7])  # verbatim, not a reconstruction
+    est = knn(db, db.ranges_matrix()[7], KnnConfig(k=1))
+    assert bits(est) == bits(db.poses_matrix()[7])  # verbatim, not a reconstruction
 
 
 def test_knn_equidistant_pair_hand_case():
     sensor = SensorConfig(fov=90.0, ray_count=4, max_range=10.0)
     db = Dataset("e", sensor, 0, [(0.0, 0.0, -10.0), (2.0, 0.0, 10.0)], [[0.4] * 4, [0.6] * 4])
-    est = knn_estimate(db, Observation(np.full(4, 0.5)), KnnConfig(k=2, weighting="uniform"))
-    assert est.x == 1.0 and est.y == 0.0 and est.theta == 0.0
+    est = knn(db, np.full(4, 0.5), KnnConfig(k=2, weighting="uniform"))
+    assert est.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_knn_full_database_uniform_is_centroid():
     env = asym_env()
     db = generate_dataset(env, 40, seed=3)
-    q = Observation(np.full(8, 0.31))
-    est = knn_estimate(db, q, KnnConfig(k=40, weighting="uniform"))
+    x, y, theta = knn(db, np.full(8, 0.31), KnnConfig(k=40, weighting="uniform"))
     poses = db.poses_matrix()
-    assert abs(est.x - poses[:, 0].mean()) < 1e-12
-    assert abs(est.y - poses[:, 1].mean()) < 1e-12
-    assert abs(ang_diff(est.theta, circular_mean(poses[:, 2]))) < 1e-9
+    assert abs(x - poses[:, 0].mean()) < 1e-12
+    assert abs(y - poses[:, 1].mean()) < 1e-12
+    assert abs(ang_diff(theta, circular_mean(poses[:, 2]))) < 1e-9
 
 
 def test_knn_tie_breaks_toward_lower_id():
@@ -187,53 +243,87 @@ def test_knn_tie_breaks_toward_lower_id():
     poses = [(5.0, 5.0, 0.0), (3.0, 3.0, 90.0), (6.0, 6.0, 0.0), (1.0, 1.0, 0.0)]
     # row 3 has row 1's observation and a higher id
     db = Dataset("e", sensor, 0, poses, [far, dup, far, dup])
-    est = knn_estimate(db, Observation(dup), KnnConfig(k=1))
-    assert est == Pose2D(3.0, 3.0, 90.0)
+    assert knn(db, dup, KnnConfig(k=1)).tolist() == [3.0, 3.0, 90.0]
 
 
 def test_knn_inverse_distance_weights():
     sensor = SensorConfig(fov=90.0, ray_count=2, max_range=10.0)
     db = Dataset("e", sensor, 0, [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0)], [[0.5, 0.5], [0.5, 0.8]])
-    est = knn_estimate(db, Observation([0.5, 0.6]), KnnConfig(k=2))
+    est = knn(db, [0.5, 0.6], KnnConfig(k=2))
     w0 = 1.0 / (0.1 + 1e-9)
     w1 = 1.0 / (0.2 + 1e-9)
     expect = 4.0 * w1 / (w0 + w1)
-    assert abs(est.x - expect) < 1e-9
+    assert abs(est[0] - expect) < 1e-9
 
 
 def test_knn_exact_match_dominates_inverse_weighting():
     env = asym_env()
     db = generate_dataset(env, 30, seed=4)
-    q = Observation(db.ranges_matrix()[11])
-    est = knn_estimate(db, q, KnnConfig(k=3))
-    truth = Pose2D(*db.poses_matrix()[11])
-    assert math.hypot(est.x - truth.x, est.y - truth.y) < 1e-6
+    x, y, _ = knn(db, db.ranges_matrix()[11], KnnConfig(k=3))
+    tx, ty, _ = db.poses_matrix()[11]
+    assert math.hypot(x - tx, y - ty) < 1e-6
 
 
 def test_knn_validation():
     env = asym_env()
     db = generate_dataset(env, 5, seed=5)
-    q = Observation(db.ranges_matrix()[0])
-    with pytest.raises(ValueError):
-        knn_estimate(db, q, KnnConfig(k=6))
-    empty = Dataset("e", env.sensor, 0, np.zeros((0, 3)), np.zeros((0, env.sensor.ray_count)))
-    with pytest.raises(ValueError):
-        knn_estimate(empty, q, KnnConfig())
-    with pytest.raises(ValueError):
-        knn_estimate(db, Observation(np.full(3, 0.5)), KnnConfig(k=2))
     with pytest.raises(ValueError):
         KnnEstimator(db, KnnConfig(k=6))
+    empty = Dataset("e", env.sensor, 0, np.zeros((0, 3)), np.zeros((0, env.sensor.ray_count)))
+    with pytest.raises(ValueError):
+        KnnEstimator(empty, KnnConfig())
+    est = KnnEstimator(db, KnnConfig(k=2))
+    with pytest.raises(ValueError):
+        est.estimate(np.full((1, 3), 0.5))
+    with pytest.raises(ValueError):
+        est.estimate(db.ranges_matrix()[0])  # a row, not a block of rows
+    assert est.estimate(np.zeros((0, 8))).shape == (0, 3)
+    for bad in (1.0001, -0.001, np.nan, np.inf, -np.inf):
+        q = np.full((2, 8), 0.5)
+        q[1, 3] = bad
+        with pytest.raises(ValueError, match=r"ranges must all lie in \[0, 1\]"):
+            est.estimate(q)
+    assert est.estimate(np.array([[0.0] * 4 + [1.0] * 4])).shape == (1, 3)  # both ends allowed
 
 
 def test_knn_estimator_matches_function():
     env = asym_env()
     db = generate_dataset(env, 60, seed=6)
-    est = KnnEstimator(db, KnnConfig(k=5))
-    queries = generate_dataset(env, 10, seed=7)
-    for row in queries.ranges_matrix():
-        a = est.estimate(Observation(row))
-        b = knn_estimate(db, Observation(row), KnnConfig(k=5))
-        assert a == b
+    cfg = KnnConfig(k=5)
+    est = KnnEstimator(db, cfg)
+    queries = generate_dataset(env, 10, seed=7).ranges_matrix()
+    got = est.estimate(queries)
+    want = [knn_estimate(db, q, cfg) for q in knn_screen(db, queries, cfg.k)]
+    assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
+def test_knn_block_estimate_matches_row_by_row(k, weighting, monkeypatch):
+    # blocks of 7 screened queries: the 40 rows span several screen blocks
+    env = asym_env()
+    db = generate_dataset(env, 200, seed=14)
+    monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", 7 * 8 * len(db))
+    queries = np.vstack([generate_dataset(env, 37, seed=15).ranges_matrix(),
+                         db.ranges_matrix()[[3, 3, 150]]])
+    est = KnnEstimator(db, KnnConfig(k=k, weighting=weighting))
+    block = est.estimate(queries)
+    assert bits(block) == bits([est.estimate(r) for r in rows(queries)])
+    if k == 1:  # the stored rows themselves
+        assert bits(block[-3:]) == bits(db.poses_matrix()[[3, 3, 150]])
+
+
+def test_knn_screen_records_carry_their_query_rows():
+    # perfbench's _knn_bytes reads .ranges.size from the query that each
+    # knn_estimate call gets, so each record carries its own query row
+    env = asym_env()
+    db = generate_dataset(env, 80, seed=16)
+    queries = generate_dataset(env, 9, seed=17).ranges_matrix()
+    records = knn_screen(db, queries, 3)
+    assert len(records) == len(queries)
+    for q, record in zip(queries, records):
+        assert bits(record.ranges) == bits(q) and record.ranges.shape == (8,)
+        assert np.all(np.diff(record.ids) > 0) and len(record.ids) >= 3
 
 
 def test_knn_error_decreases_with_database_density():
@@ -241,18 +331,13 @@ def test_knn_error_decreases_with_database_density():
     # strictly decreasing across database sizes 1e2, 1e3, 1e4
     env = asym_env()
     queries = generate_dataset(env, 200, seed=999)
+    truths = queries.poses_matrix()
     errs = {n: [] for n in (100, 1000, 10_000)}
     for n in errs:
         for seed in (11, 22, 33):
             db = generate_dataset(env, n, seed=seed)
-            est = KnnEstimator(db, KnnConfig(k=5))
-            e = [
-                math.hypot(
-                    est.estimate(Observation(row)).x - x,
-                    est.estimate(Observation(row)).y - y,
-                )
-                for row, (x, y, _) in zip(queries.ranges_matrix(), queries.poses_matrix())
-            ]
+            est = KnnEstimator(db, KnnConfig(k=5)).estimate(queries.ranges_matrix())
+            e = np.hypot(est[:, 0] - truths[:, 0], est[:, 1] - truths[:, 1])
             errs[n].append(float(np.mean(e)))
     med = {n: sorted(v)[1] for n, v in errs.items()}
     assert med[100] > med[1000] > med[10_000], med
@@ -261,17 +346,17 @@ def test_knn_error_decreases_with_database_density():
 # k-NN exactness against the full scan --------------------------------------------
 
 
-def knn_full_scan(db, obs, cfg):
+def knn_full_scan(db, q, cfg):
     """Reference k-NN: the direct distance to every row, then a (distance, id)
-    lexsort. knn_estimate must match it bit for bit."""
+    lexsort. The k-NN estimator must match it bit for bit."""
     R = db.ranges_matrix()
-    q = np.asarray(obs.ranges, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     d = np.sqrt(((R - q) ** 2).sum(axis=1))
     ids = np.arange(len(db))  # a sample's id is its row number
     order = np.lexsort((ids, d))  # distance first, then id
     sel = order[: cfg.k]
     if cfg.k == 1:
-        return Pose2D(*db.poses_matrix()[sel[0]].tolist())
+        return db.poses_matrix()[sel[0]]
     if cfg.weighting == WEIGHT_INVERSE:
         w = 1.0 / (d[sel] + INVERSE_WEIGHT_EPS)
     else:
@@ -281,7 +366,7 @@ def knn_full_scan(db, obs, cfg):
     x = float((w * poses[:, 0]).sum() / wsum)
     y = float((w * poses[:, 1]).sum() / wsum)
     theta = circular_mean(poses[:, 2], weights=w)
-    return Pose2D(x, y, theta)
+    return [x, y, theta]
 
 
 def random_db(rng, n, rays, rows=None):
@@ -291,27 +376,23 @@ def random_db(rng, n, rays, rows=None):
     return Dataset("e", sensor, 0, poses, rows)
 
 
-def estimate_bits(est):
-    return np.array([est.x, est.y, est.theta]).tobytes()
-
-
 def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
-    """Per-query knn_estimate and KnnEstimator.estimate_batch against the
-    full scan, bit for bit. The batches screen blocks of len(queries) - 1
-    queries, so they cover 1, block - 1, block and block + 1 queries."""
+    """One-row and block ``estimate`` calls of the k-NN estimator against the
+    full scan, bit for bit. The blocks screen len(queries) - 1 queries at a
+    time, so they cover 1, block - 1, block and block + 1 queries."""
     block = max(1, len(queries) - 1)
     monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", block * 8 * len(db))
-    truths = [Pose2D(0.0, 0.0, 0.0)] * len(queries)
+    queries = np.array(queries)
     for k in ks:
         for weighting in ("uniform", "inverse-distance"):
             cfg = KnnConfig(k=k, weighting=weighting)
-            want = [estimate_bits(knn_full_scan(db, Observation(q), cfg)) for q in queries]
-            got = [estimate_bits(knn_estimate(db, Observation(q), cfg)) for q in queries]
-            assert got == want, (k, weighting)
             est = KnnEstimator(db, cfg)
+            want = [bits(knn_full_scan(db, q, cfg)) for q in queries]
+            got = [bits(est.estimate(r)) for r in rows(queries)]
+            assert got == want, (k, weighting)
             for count in sorted({1, block - 1, block, block + 1} - {0}):
-                batch = est.estimate_batch(np.array(queries[:count]), truths[:count])
-                assert [estimate_bits(e) for e in batch] == want[:count], (k, weighting, count)
+                got = [bits(e) for e in est.estimate(queries[:count])]
+                assert got == want[:count], (k, weighting, count)
 
 
 @pytest.mark.parametrize("n,rays", [(1, 1), (7, 3), (64, 16), (500, 96), (3000, 8)])
@@ -372,14 +453,13 @@ def test_regressor_zero_model_predicts_centre():
     env = asym_env(ray_count=8)
     model = RegressorModel.zeros((8, 3), env_name="asym", sensor=env.sensor)
     est = RegressorEstimator(model, env)
-    r = est.estimate(Observation(np.full(8, 0.5)))
-    assert r == centre(env.bounds)
+    assert est.estimate(HALF)[0].tolist() == centre(env.bounds)
 
 
-def head_oracle(model, obs, b):
+def head_oracle(model, ranges, b):
     """The pose the old path gave: forward's one output row turned into a
     NormalizedPose by _head_to_normalized, then the scalar denormalize."""
-    row = forward_batch(model, obs.ranges[None, :])[0]
+    row = forward_batch(model, ranges[None, :])[0]
     if model.yaw_mode == "tanh":
         nx, ny, ntheta = float(row[0]), float(row[1]), float(row[2])
     else:
@@ -387,7 +467,7 @@ def head_oracle(model, obs, b):
         ntheta = math.degrees(math.atan2(float(row[2]), float(row[3]))) / 180.0
     x = b.x_min + (nx + 1.0) * 0.5 * b.width
     y = b.y_min + (ny + 1.0) * 0.5 * b.height
-    return Pose2D(x, y, ntheta * 180.0)
+    return [x, y, wrap_angle(ntheta * 180.0)]
 
 
 def test_regressor_estimates_stay_in_bounds():
@@ -396,10 +476,10 @@ def test_regressor_estimates_stay_in_bounds():
     for _ in range(20):
         model = RegressorModel.random((8, 16, 3), rng, env_name="asym", sensor=env.sensor)
         est = RegressorEstimator(model, env)
-        obs = Observation(rng.uniform(0, 1, 8))
-        r = est.estimate(obs)
+        ranges = rng.uniform(0, 1, 8)
+        r = est.estimate(ranges[None, :])
         assert inside(env.bounds, r)
-        assert r == head_oracle(model, obs, env.bounds)
+        assert bits(r[0]) == bits(head_oracle(model, ranges, env.bounds))
 
 
 @pytest.mark.parametrize("yaw_mode", ["tanh", "sincos"])
@@ -415,14 +495,17 @@ def test_regressor_matches_the_scalar_head_path(yaw_mode):
         model = RegressorModel.random(dims, rng, yaw_mode, env_name="asym", sensor=env.sensor)
         model.params *= rng.uniform(0.5, 8.0)  # reach the saturated head too
         est = RegressorEstimator(model, env)
-        for ranges in rng.uniform(0.0, 1.0, (25, rays)):
-            obs = Observation(ranges)
-            got, want = est.estimate(obs), head_oracle(model, obs, env.bounds)
-            assert np.array([got.x, got.y]).tobytes() == np.array([want.x, want.y]).tobytes()
+        block = rng.uniform(0.0, 1.0, (25, rays))
+        got = est.estimate(block)
+        # a block is inferred one row per product, so it has each row's bits
+        assert bits(got) == bits([est.estimate(r) for r in rows(block)])
+        for ranges, pose in zip(block, got):
+            want = head_oracle(model, ranges, env.bounds)
+            assert bits(pose[:2]) == bits(want[:2])
             if yaw_mode == "tanh":
-                assert estimate_bits(got) == estimate_bits(want)
+                assert bits(pose) == bits(want)
             else:
-                assert abs(ang_diff(got.theta, want.theta)) <= 1e-12
+                assert abs(ang_diff(pose[2], want[2])) <= 1e-12
 
 
 def test_regressor_validation():
@@ -443,7 +526,25 @@ def test_regressor_validation():
     est = RegressorEstimator(RegressorModel.zeros((8, 3), env_name="asym", sensor=env.sensor), env)
     assert (est.env_name, est.sensor) == ("asym", env.sensor)
     with pytest.raises(ValueError):
-        est.estimate(Observation(np.full(4, 0.5)))
+        est.estimate(np.full((1, 4), 0.5))
+
+
+def overflowing_model(env):
+    """A model with finite parameters whose outputs are NaN: the hidden
+    layer overflows to inf, and the head subtracts inf from inf."""
+    model = RegressorModel.zeros((8, 2, 3), env_name=env.name, sensor=env.sensor)
+    model.weights[0][:] = 1e308
+    model.weights[1][:] = [1e300, -1e300]
+    return model
+
+
+def test_regressor_non_finite_output_is_estimator_failure():
+    env = asym_env(ray_count=8)
+    est = RegressorEstimator(overflowing_model(env), env)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow warns nothing
+        with pytest.raises(EstimatorUnavailableError, match="estimate for observation 0 is not"):
+            est.estimate(np.full((3, 8), 0.5))
 
 
 # external -----------------------------------------------------------------------
@@ -452,8 +553,8 @@ def test_regressor_validation():
 def test_external_const_centre():
     env = asym_env()
     with ExternalEstimator(stub_cmd(), env) as est:
-        r = est.estimate(Observation(np.full(8, 0.5)))
-    assert r == centre(env.bounds)
+        r = est.estimate(HALF)
+    assert r.tolist() == [centre(env.bounds)]
 
 
 def test_external_batch_sends_request_ids_in_order(tmp_path):
@@ -461,17 +562,17 @@ def test_external_batch_sends_request_ids_in_order(tmp_path):
     log = tmp_path / "ids.txt"
     ranges = np.random.default_rng(6).uniform(0.0, 1.0, (7, 8))
     with ExternalEstimator(stub_cmd("--log", str(log)), env) as est:
-        got = est.estimate_batch(ranges, [None] * len(ranges))
-        one = est.estimate(Observation(ranges[0]))
-    assert got == [one] * len(ranges)
+        got = est.estimate(ranges)
+        one = est.estimate(ranges[:1])
+    assert got.tolist() == one.tolist() * len(ranges)
     assert log.read_text().split() == [str(i) for i in range(len(ranges) + 1)]
 
 
 def test_external_out_of_range_is_clamped():
     env = asym_env()
     with ExternalEstimator(stub_cmd("--nx", "2.0"), env) as est:
-        r = est.estimate(Observation(np.full(8, 0.5)))
-    assert r.x == env.bounds.x_max
+        r = est.estimate(HALF)
+    assert r[0, 0] == env.bounds.x_max
 
 
 def test_external_knn_differential(tmp_path):
@@ -488,17 +589,15 @@ def test_external_knn_differential(tmp_path):
     internal = KnnEstimator(load_dataset(db_path), KnnConfig(k=5))
     cmd = stub_cmd("--mode", "knn", "--db", str(db_path), "--env", str(env_path), "--k", "5")
     with ExternalEstimator(cmd, env) as est:
-        for row in queries.ranges_matrix():
-            got = est.estimate(Observation(row))
-            want = internal.estimate(Observation(row))
-            # the channel transmits normalised values exactly (repr floats),
-            # so the adapter output equals the internal pose pushed through
-            # the same normalise/denormalise round trip, bit for bit
-            n = normalize([want.x, want.y, want.theta], env.bounds)
-            assert got == Pose2D(*denormalize(n, env.bounds).tolist())
-            assert abs(got.x - want.x) < 1e-9
-            assert abs(got.y - want.y) < 1e-9
-            assert abs(ang_diff(got.theta, want.theta)) < 1e-9
+        got = est.estimate(queries.ranges_matrix())
+    want = internal.estimate(queries.ranges_matrix())
+    # the channel transmits normalised values exactly (repr floats), so the
+    # adapter output equals the internal pose pushed through the same
+    # normalise/denormalise round trip, bit for bit
+    round_trip = denormalize(normalize(want, env.bounds), env.bounds)
+    assert [Pose2D(*p) for p in got.tolist()] == [Pose2D(*p) for p in round_trip.tolist()]
+    assert np.all(np.abs(got[:, :2] - want[:, :2]) < 1e-9)
+    assert all(abs(ang_diff(g, w)) < 1e-9 for g, w in zip(got[:, 2], want[:, 2]))
 
 
 @pytest.mark.parametrize("mode", ["garbage", "badid"])
@@ -506,10 +605,10 @@ def test_external_protocol_errors(mode):
     env = asym_env()
     with ExternalEstimator(stub_cmd("--mode", mode), env) as est:
         with pytest.raises(EstimatorUnavailableError):
-            est.estimate(Observation(np.full(8, 0.5)))
+            est.estimate(HALF)
         # channel poisoned after the first failure
         with pytest.raises(EstimatorUnavailableError, match="poisoned"):
-            est.estimate(Observation(np.full(8, 0.5)))
+            est.estimate(HALF)
 
 
 @pytest.mark.parametrize("mode", ["hang", "partial"])
@@ -517,14 +616,14 @@ def test_external_timeout(mode):
     env = asym_env()
     with ExternalEstimator(stub_cmd("--mode", mode), env, timeout=0.3) as est:
         with pytest.raises(EstimatorUnavailableError, match="0.3"):
-            est.estimate(Observation(np.full(8, 0.5)))
+            est.estimate(HALF)
 
 
 def test_external_process_exit():
     env = asym_env()
     with ExternalEstimator(stub_cmd("--mode", "exit"), env) as est:
         with pytest.raises(EstimatorUnavailableError):
-            est.estimate(Observation(np.full(8, 0.5)))
+            est.estimate(HALF)
 
 
 def test_external_missing_binary():
@@ -536,7 +635,7 @@ def test_external_missing_binary():
 def test_external_quit_on_close():
     env = asym_env()
     est = ExternalEstimator(stub_cmd(), env)
-    est.estimate(Observation(np.full(8, 0.5)))
+    est.estimate(HALF)
     est.close()
     assert est._proc.returncode == 0  # stub honoured QUIT
     est.close()  # idempotent
@@ -546,6 +645,6 @@ def test_external_is_reaped_when_its_with_block_raises():
     env = asym_env()
     with pytest.raises(KeyError):
         with ExternalEstimator(stub_cmd(), env) as est:
-            est.estimate(Observation(np.full(8, 0.5)))
+            est.estimate(HALF)
             raise KeyError("body failed")
     assert est._proc.returncode == 0  # QUIT sent and the stub exited

@@ -76,11 +76,11 @@ class FailingEstimator(Estimator):
         self.env_name, self.sensor = env.name, env.sensor
         self.remaining = good_calls
 
-    def estimate(self, observation, true_pose=None):
+    def _estimate(self, ranges, true_poses):
         if self.remaining <= 0:
             raise EstimatorUnavailableError("simulated outage")
         self.remaining -= 1
-        return self.inner.estimate(observation, true_pose)
+        return self.inner.estimate(ranges, true_poses)
 
 
 def events(trace):
@@ -390,7 +390,7 @@ def test_sensor_mismatch_rejected():
         env_name = env.name
         sensor = SensorConfig(fov=180.0, ray_count=8, max_range=5.0)
 
-        def estimate(self, observation, true_pose=None):  # pragma: no cover - never reached
+        def _estimate(self, ranges, true_poses):  # pragma: no cover - never reached
             raise AssertionError
 
     with pytest.raises(ValueError, match="sensor"):

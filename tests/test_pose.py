@@ -322,12 +322,10 @@ def test_from_raw_clamps_and_flags(tmp_path):
     cmd = [sys.executable, str(STUB), "--mode", "replay", "--replies", str(replies)]
     obs = np.zeros((1, env.sensor.ray_count))
     with ExternalEstimator(cmd, env) as est:
-        p = est.estimate_batch(obs, [None])[0]
-        assert (p.x, p.y, p.theta) == (6.25, 2.5, 180.0)
-        p = est.estimate_batch(obs, [None])[0]
-        assert (p.x, p.y, p.theta) == (10.0, 0.0, 0.0)
+        assert est.estimate(obs).tolist() == [[6.25, 2.5, 180.0]]
+        assert est.estimate(obs).tolist() == [[10.0, 0.0, 0.0]]
         with pytest.raises(EstimatorUnavailableError, match="non-finite response"):
-            est.estimate_batch(obs, [None])
+            est.estimate(obs)
 
 
 def test_from_raw_matches_clip(tmp_path):
@@ -352,8 +350,8 @@ def test_from_raw_matches_clip(tmp_path):
     replies.write_text("".join(" ".join(map(repr, r)) + "\n" for r in raw))
     cmd = [sys.executable, str(STUB), "--mode", "replay", "--replies", str(replies)]
     with ExternalEstimator(cmd, env) as est:
-        got = est.estimate_batch(obs, [None] * len(raw))
-    assert [bits([p.x, p.y, p.theta]) for p in got] == [bits([p.x, p.y, p.theta]) for p in want]
+        got = est.estimate(obs)
+    assert bits(got) == bits([[p.x, p.y, p.theta] for p in want])
 
 
 # circular mean ---------------------------------------------------------------

@@ -505,7 +505,7 @@ def test_training_beats_untrained_baseline():
         if not env.grid.is_free(x, y):
             continue
         poses.append((x, y, 0.0))
-        ranges.append(raycast(env.grid, Pose2D(x, y, 0.0), sensor).ranges)
+        ranges.append(raycast(env.grid, Pose2D(x, y, 0.0), sensor))
     data = Dataset(env.name, sensor, 7, poses, ranges)
 
     cfg = TrainConfig(seed=3, max_iterations=6000, eval_interval=1000, hidden_dims=(32,), lr0=1e-3)
@@ -609,12 +609,11 @@ class _TruthEstimator(Estimator):
         self.noise_sigma = noise_sigma
         self.rng = rng
 
-    def estimate(self, observation, true_pose=None):
-        dx, dy, dt = self.offset
+    def _estimate(self, ranges, true_poses):
+        poses = true_poses + self.offset
         if self.noise_sigma:
-            dx = dx + self.rng.normal(0.0, self.noise_sigma)
-            dy = dy + self.rng.normal(0.0, self.noise_sigma)
-        return Pose2D(true_pose.x + dx, true_pose.y + dy, true_pose.theta + dt)
+            poses[:, :2] += self.rng.normal(0.0, self.noise_sigma, (len(poses), 2))
+        return poses
 
 
 def _fake_testset(env, n, seed=0):
@@ -657,8 +656,8 @@ def test_theta_error_is_wrap_aware():
     class Fixed(Estimator):
         env_name, sensor = env.name, env.sensor
 
-        def estimate(self, observation, true_pose=None):
-            return Pose2D(2.0, 2.0, 175.0)
+        def _estimate(self, ranges, true_poses):
+            return np.tile([2.0, 2.0, 175.0], (len(ranges), 1))
 
     m = evaluate(Fixed(), testset, env)
     assert abs(m.mean_theta_err - 10.0) < 1e-12

@@ -15,7 +15,6 @@ from neuromap.world import (
     TAIL_RAYS,
     EnvironmentSpec,
     InvalidPoseError,
-    Observation,
     OccupancyGrid,
     SensorConfig,
     load_environment,
@@ -77,29 +76,6 @@ def test_sensor_validation():
     for huge in (limit + 1, 10**30):
         with pytest.raises(InputError, match=f"ray_count must be <= {limit}, got {huge}"):
             SensorConfig(ray_count=huge)
-
-
-def test_observation_validation():
-    Observation(np.array([0.0, 0.5, 1.0]))
-    with pytest.raises(ValueError):
-        Observation(np.array([0.0, 1.0001]))
-    with pytest.raises(ValueError):
-        Observation(np.array([-0.001]))
-    with pytest.raises(ValueError):
-        Observation(np.array([np.nan]))
-    with pytest.raises(ValueError):
-        Observation(np.array([0.5, np.inf]))
-    with pytest.raises(ValueError):
-        Observation(np.array([-np.inf, 0.5]))
-    with pytest.raises(ValueError):
-        Observation(np.zeros((2, 2)))
-
-
-def test_observation_is_read_only():
-    obs = Observation(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        obs.ranges[0] = 0.0
-    assert len(obs) == 2
 
 
 # grid text format -------------------------------------------------------------
@@ -369,11 +345,11 @@ def test_boundary_hit_analytic():
     # crosses 5 m of free space and stops at the wall; 5/20 = 0.25
     grid = empty_grid(10, 10, 1.0)
     sensor = SensorConfig(fov=120.0, ray_count=97, max_range=20.0)
-    obs = raycast(grid, Pose2D(5.0, 5.0, 0.0), sensor)
-    assert obs.ranges[48] == 0.25
+    ranges = raycast(grid, Pose2D(5.0, 5.0, 0.0), sensor)
+    assert ranges.shape == (97,) and ranges[48] == 0.25
     # facing the far corner: distance 5*sqrt(2)
-    obs = raycast(grid, Pose2D(5.0, 5.0, 45.0), sensor)
-    assert abs(obs.ranges[48] - 5.0 * math.sqrt(2.0) / 20.0) < 1e-12
+    ranges = raycast(grid, Pose2D(5.0, 5.0, 45.0), sensor)
+    assert abs(ranges[48] - 5.0 * math.sqrt(2.0) / 20.0) < 1e-12
 
 
 def test_wall_hit_analytic():
@@ -381,14 +357,14 @@ def test_wall_hit_analytic():
     grid = empty_grid(20, 6, 0.5).with_metric_box(7.0, 0.0, 7.5, 3.0)
     d = ray_distances(grid, np.array([5.0]), np.array([1.5]), np.array([0.0]), 10.0)
     assert d[0] == 2.0
-    obs = raycast(grid, Pose2D(5.0, 1.5, 0.0), SensorConfig(fov=360.0, ray_count=4, max_range=10.0))
-    assert obs.ranges[2] == 0.2  # offsets -180,-90,0,90: index 2 faces +x
+    ranges = raycast(grid, Pose2D(5.0, 1.5, 0.0), SensorConfig(fov=360.0, ray_count=4, max_range=10.0))
+    assert ranges[2] == 0.2  # offsets -180,-90,0,90: index 2 faces +x
 
 
 def test_no_hit_within_range_reports_one():
     grid = empty_grid(100, 100, 0.5)
-    obs = raycast(grid, Pose2D(25.0, 25.0, 13.0), SensorConfig(fov=120.0, ray_count=8, max_range=2.0))
-    assert np.all(obs.ranges == 1.0)
+    ranges = raycast(grid, Pose2D(25.0, 25.0, 13.0), SensorConfig(fov=120.0, ray_count=8, max_range=2.0))
+    assert np.all(ranges == 1.0)
 
 
 def test_raycast_rejects_bad_poses():
@@ -407,7 +383,7 @@ def test_raycast_deterministic():
     pose = random_free_pose(rng, grid)
     a = raycast(grid, pose)
     b = raycast(grid, pose)
-    assert a.ranges.tobytes() == b.ranges.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_obstacle_insertion_never_increases_range():
@@ -423,8 +399,8 @@ def test_obstacle_insertion_never_increases_range():
         denser = grid.with_metric_box(x0, y0, x0 + float(bw), y0 + float(bh))
         if not denser.is_free(pose.x, pose.y):
             continue
-        r_before = raycast(grid, pose).ranges
-        r_after = raycast(denser, pose).ranges
+        r_before = raycast(grid, pose)
+        r_after = raycast(denser, pose)
         assert np.all(r_after <= r_before + 1e-12)
         checked += 1
 
