@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .inputs import FormatError, InputError, check_finite, read_lines
-from .pose import Pose2D, ang_diff, wrap_angle
+from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
 from .world import EnvironmentSpec, SensorConfig, ray_distances
 
 REJECTION_BUDGET = 1_000_000
@@ -90,8 +90,7 @@ class Dataset:
         # min and max allocate nothing, and a NaN makes both NaN
         if ranges.size and not (ranges.min() >= 0.0 and ranges.max() <= 1.0):
             raise ValueError("ranges must all lie in [0, 1]")
-        r = np.remainder(poses[:, 2], 360.0)  # Python's %: wrap_angle bit for bit
-        poses[:, 2] = np.where(r > 180.0, r - 360.0, r)
+        poses[:, 2] = wrap_angles(poses[:, 2])
         poses.flags.writeable = False
         ranges.flags.writeable = False
         self.env_name = env_name

@@ -22,7 +22,6 @@ import math
 import shlex
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +71,8 @@ from .training import (
     save_model,
     train,
 )
-from .world import DEFAULT_SENSOR, SensorConfig, load_environment
-from .worlds import APARTMENT_LOOP, BUILDERS, bundled_environment
+from .world import SensorConfig, load_environment
+from .worlds import route_file, world_file, world_sensor
 
 
 class UsageError(Exception):
@@ -91,18 +90,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-BUNDLED_WAYPOINTS = {"apartment_loop": APARTMENT_LOOP}
-
-
 # --- config plumbing ---------------------------------------------------------------
 
 
 def _merge_options(args, argv) -> None:
     """Resolve every option of ``args.command`` onto ``args``: flags > config
-    file > defaults. Unknown config keys are rejected, and referenced files
-    are checked here, so missing inputs fail before any work starts. Adds
+    file > defaults. Unknown config keys are rejected, a required option
+    that neither gives is a usage error, a bundled world (``--env``) or route
+    (``--waypoints``) name becomes its shipped file, and every input file is
+    checked here, so missing inputs fail before any work starts. Adds
     ``args.provenance`` and its comment-line form ``args.comments``."""
-    _, defaults, file_keys = COMMANDS[args.command]
+    _, defaults, required, file_keys = COMMANDS[args.command]
     loaded = {}
     if args.config:
         path = Path(args.config)
@@ -123,13 +121,20 @@ def _merge_options(args, argv) -> None:
     for key, default in defaults.items():
         if getattr(args, key) is None:
             setattr(args, key, loaded.get(key, default))
+    for key in required:
+        if getattr(args, key) is None:
+            raise UsageError(f"--{key.replace('_', '-')} is required")
     if args.seed < 0:
         raise InputError(f"seed must be >= 0, got {args.seed}")
     for key in file_keys:
         value = getattr(args, key)
-        if value is not None and value not in BUNDLED_WAYPOINTS and value not in BUILDERS:
-            if not Path(value).is_file():
-                raise InputError(f"{key}: no such file: {value}")
+        if value is None:
+            continue
+        if key in _SHIPPED:
+            value = _SHIPPED[key](value)
+            setattr(args, key, value)
+        if not Path(value).is_file():
+            raise InputError(f"{key}: no such file: {value}")
     args.provenance = {
         "tool": f"neuromap {__version__}",
         "invocation": shlex.join(["neuromap", *argv]),
@@ -156,25 +161,18 @@ def _config_value(path, key, value, default):
 
 
 def _resolve_env(args):
-    """--env is either a bundled name or a grid file path; --fov, --rays and
-    --max-range override the bundled world's sensor or the default one."""
-    if args.env is None:
-        raise UsageError("--env is required")
-    env = bundled_environment(args.env) if args.env in BUILDERS else None
-    base = DEFAULT_SENSOR if env is None else env.sensor
+    """The world in the --env grid file; --fov, --rays and --max-range
+    override its sensor (a bundled world's own, else the default one)."""
+    base = world_sensor(args.env)
     sensor = SensorConfig(
         fov=base.fov if args.fov is None else args.fov,
         ray_count=base.ray_count if args.rays is None else args.rays,
         max_range=base.max_range if args.max_range is None else args.max_range,
     )
-    if env is None:
-        return load_environment(args.env, sensor=sensor)
-    return replace(env, sensor=sensor)
+    return load_environment(args.env, sensor=sensor)
 
 
 def _out_dir(args) -> Path:
-    if args.out is None:
-        raise UsageError("--out is required")
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -194,13 +192,6 @@ def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None  # strict JSON has no Infinity
     return value
-
-
-def _waypoints(name) -> list:
-    """A bundled route name or a waypoint file."""
-    if name in BUNDLED_WAYPOINTS:
-        return list(BUNDLED_WAYPOINTS[name])
-    return load_waypoints(name)
 
 
 # --- estimator spec strings --------------------------------------------------------
@@ -396,7 +387,7 @@ def _parse_start(text) -> Pose2D:
 def cmd_navigate(args) -> int:
     env = _resolve_env(args)
     start = _parse_start(args.start)
-    waypoints = _waypoints(args.waypoints)
+    waypoints = load_waypoints(args.waypoints)
     nav_cfg = NavConfig(
         T_d=args.td, T_a=args.ta, max_step=args.max_step,
         linear_speed=args.linear_speed, angular_speed=args.angular_speed,
@@ -440,10 +431,10 @@ def cmd_navigate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    env = _resolve_env(args)
-    out = _out_dir(args)
     if (args.dataset is None) == (args.trace is None):
         raise UsageError("plot needs exactly one of --dataset or --trace")
+    env = _resolve_env(args)
+    out = _out_dir(args)
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
         env.check_world("dataset", dataset.env_name, dataset.sensor, dataset.poses_matrix())
@@ -451,7 +442,7 @@ def cmd_plot(args) -> int:
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:
         trace = load_trace(args.trace)
-        waypoints = _waypoints(args.waypoints) if args.waypoints else []
+        waypoints = load_waypoints(args.waypoints) if args.waypoints else []
         svg_route(env, trace, waypoints, out / "route.svg", comments=args.comments)
         print(f"plot: route.svg with {len(trace)} trace rows")
     return 0
@@ -485,19 +476,24 @@ def cmd_bench(args) -> int:
 # --- parser ------------------------------------------------------------------------
 
 
-# Every command's options and their defaults, each stated once: a default a
-# library config defines is read from it. An option takes its default's type,
-# a string where the default is unset (None), or its _FLAG_TYPES entry.
+# Each command: its function, its options and their defaults, the options it
+# requires, and the options that name an input file, each stated once. A
+# default a library config defines is read from it. An option takes its
+# default's type, a string where the default is unset (None), or its
+# _FLAG_TYPES entry.
 COMMON = {"env": None, "out": None, "seed": 0, "fov": None, "rays": None, "max_range": None}
 _FLAG_TYPES = {"rays": int, "fov": float, "max_range": float, "leg_tolerance": float, "hidden": str}
+# the file options that also take a bundled name, and the map to its file
+_SHIPPED = {"env": world_file, "waypoints": route_file}
 
 COMMANDS = {
-    "gen": (cmd_gen, {**COMMON, "n": 1000}, ("env",)),
+    "gen": (cmd_gen, {**COMMON, "n": 1000}, ("env", "out"), ("env",)),
     "walk": (
         cmd_walk,
         {**COMMON, "steps": WalkConfig.max_steps, "capture_dist": WalkConfig.capture_dist,
          "capture_rot": WalkConfig.capture_rot, "step_len": WalkConfig.step_len,
          "clearance": WalkConfig.clearance_radius},
+        ("env", "out"),
         ("env",),
     ),
     "train": (
@@ -508,11 +504,13 @@ COMMANDS = {
          "decay_mode": TrainConfig.decay_mode, "hidden": TrainConfig.hidden_dims,
          "val_fraction": TrainConfig.val_fraction, "yaw_mode": TrainConfig.yaw_mode,
          "loss": TrainConfig.loss},
+        ("env", "out", "dataset"),
         ("env", "dataset"),
     ),
     "eval": (
         cmd_eval,
         {**COMMON, "estimator": None, "testset": None, "ablate": None},
+        ("env", "out", "estimator", "testset"),
         ("env", "testset"),
     ),
     "navigate": (
@@ -523,14 +521,17 @@ COMMANDS = {
          "dt": NavConfig.dt, "max_ticks": NavConfig.max_ticks,
          "footprint": NavConfig.footprint_radius, "leg_tolerance": NavConfig.leg_tolerance,
          "odo_lin": OdometryConfig.sigma_lin_frac, "odo_ang": OdometryConfig.sigma_ang_per_step},
+        ("env", "out", "estimator", "waypoints", "start"),
         ("env", "waypoints"),
     ),
     "plot": (
         cmd_plot,
         {**COMMON, "dataset": None, "trace": None, "waypoints": None},
+        ("env", "out"),
         ("env", "dataset", "trace", "waypoints"),
     ),
-    "bench": (cmd_bench, {**COMMON, "estimator": None, "frames": 100, "repeats": 5}, ("env",)),
+    "bench": (cmd_bench, {**COMMON, "estimator": None, "frames": 100, "repeats": 5},
+              ("env", "estimator"), ("env",)),
 }
 
 
@@ -542,7 +543,7 @@ def _build_parser():
     parser = _Parser(prog="neuromap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"neuromap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, defaults, _) in COMMANDS.items():
+    for name, (func, defaults, _, _) in COMMANDS.items():
         p = sub.add_parser(name, prog=f"neuromap {name}")
         p.add_argument("--config", help="JSON file with option defaults")
         for key, default in defaults.items():

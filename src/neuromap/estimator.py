@@ -27,7 +27,7 @@ import numpy as np
 
 from .capture import Dataset
 from .inputs import InputError, check_finite
-from .pose import circular_mean, denormalize
+from .pose import circular_mean, denormalize, wrap_angles
 from .training import decode_head, forward_batch
 from .world import EnvironmentSpec, SensorConfig
 
@@ -109,8 +109,7 @@ class Estimator:
         if bad.size:
             raise EstimatorUnavailableError(
                 f"estimate for observation {bad[0]} is not finite: {poses[bad[0]].tolist()}")
-        r = np.remainder(poses[:, 2], 360.0)  # Python's %: wrap_angle bit for bit
-        poses[:, 2] = np.where(r > 180.0, r - 360.0, r)
+        poses[:, 2] = wrap_angles(poses[:, 2])
         return poses
 
     def _estimate(self, ranges: np.ndarray, true_poses: np.ndarray | None) -> np.ndarray:

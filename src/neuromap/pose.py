@@ -52,6 +52,13 @@ def wrap_angle(a: float) -> float:
     return r
 
 
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` over an array of finite angles, bit for bit:
+    ``np.remainder`` is Python's ``%``, and it maps -0.0 to 0.0."""
+    r = np.remainder(a, 360.0)
+    return np.where(r > 180.0, r - 360.0, r)
+
+
 def ang_diff(a: float, b: float) -> float:
     """Signed smallest rotation, in degrees, that takes heading ``b`` to ``a``.
 

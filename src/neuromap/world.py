@@ -187,21 +187,6 @@ class OccupancyGrid:
         dy = np.clip(y, lo_y, lo_y + res) - y
         return not bool(np.any(dx * dx + dy * dy < radius * radius))
 
-    def with_metric_box(self, x0: float, y0: float, x1: float, y1: float) -> "OccupancyGrid":
-        """A copy with every cell overlapping the box interior marked occupied."""
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"degenerate box ({x0}, {y0}) .. ({x1}, {y1})")
-        res = self.resolution
-        ix0 = max(0, math.floor((x0 - self.origin_x) / res))
-        ix1 = min(self.width, math.ceil((x1 - self.origin_x) / res))
-        iy0 = max(0, math.floor((y0 - self.origin_y) / res))
-        iy1 = min(self.height, math.ceil((y1 - self.origin_y) / res))
-        cells = self.cells.copy()
-        cells[iy0:iy1, ix0:ix1] = True
-        return OccupancyGrid(
-            self.width, self.height, self.resolution, self.origin_x, self.origin_y, cells
-        )
-
     # --- text format -------------------------------------------------------
 
     @classmethod

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from worldgen import marching_ray, random_free_pose, random_world
+from worldgen import APARTMENT_START, marching_ray, random_free_pose, random_world
 
 from neuromap.capture import (
     Dataset,
@@ -31,6 +31,7 @@ from neuromap.navigate import (
     EVENT_ESTIMATE,
     NavConfig,
     OdometryConfig,
+    load_waypoints,
     navigate_waypoints,
 )
 from neuromap.pose import (
@@ -60,7 +61,7 @@ from neuromap.training import (
     train,
 )
 from neuromap.world import SensorConfig, ray_distances
-from neuromap.worlds import APARTMENT_LOOP, APARTMENT_START, apartment, cabin
+from neuromap.worlds import bundled_environment, route_file
 
 # ------------------------------------------------------------------------------
 # 1. pose algebra invariants over >= 10^4 randomised cases, < 10 s
@@ -256,7 +257,7 @@ KNN_MEDIAN_POS_LIMIT = 0.25
 
 def test_criterion_06_training_efficacy():
     t0 = time.monotonic()
-    env = cabin()
+    env = bundled_environment("cabin")
     dataset = generate_dataset(env, 20_000, seed=101)
     testset = generate_dataset(env, 500, seed=202)
 
@@ -300,7 +301,7 @@ def test_criterion_06_training_efficacy():
 
 
 def test_criterion_07_database_size_trend():
-    env = cabin()
+    env = bundled_environment("cabin")
     queries = generate_dataset(env, 200, seed=303)
     sizes = (1000, 5000, 20000)
     errs = {size: [] for size in sizes}
@@ -325,12 +326,13 @@ def test_criterion_07_database_size_trend():
 
 
 def test_criterion_08_apartment_loop():
-    env = apartment()
+    env = bundled_environment("apartment")
+    route = load_waypoints(route_file("apartment_loop"))
     cfg = NavConfig()  # T_d 0.5, T_a 5
 
     t0 = time.monotonic()
     _, clean = navigate_waypoints(
-        APARTMENT_LOOP, OracleEstimator(OracleConfig(), env), env,
+        route, OracleEstimator(OracleConfig(), env), env,
         APARTMENT_START, cfg, OdometryConfig(0.0, 0.0, 0),
     )
     t_clean = time.monotonic() - t0
@@ -341,7 +343,7 @@ def test_criterion_08_apartment_loop():
 
     t0 = time.monotonic()
     _, noisy = navigate_waypoints(
-        APARTMENT_LOOP, OracleEstimator(OracleConfig(sigma_pos=0.05, seed=1), env), env,
+        route, OracleEstimator(OracleConfig(sigma_pos=0.05, seed=1), env), env,
         APARTMENT_START, cfg, OdometryConfig(seed=101),
     )
     t_noisy = time.monotonic() - t0
@@ -359,9 +361,10 @@ def test_criterion_08_apartment_loop():
 
 
 def test_criterion_09_error_does_not_compound():
-    env = apartment()
+    env = bundled_environment("apartment")
+    route = load_waypoints(route_file("apartment_loop"))
     trace, report = navigate_waypoints(
-        APARTMENT_LOOP, OracleEstimator(OracleConfig(sigma_pos=0.1, seed=1), env), env,
+        route, OracleEstimator(OracleConfig(sigma_pos=0.1, seed=1), env), env,
         APARTMENT_START, NavConfig(), OdometryConfig(seed=101),
     )
     assert report.success  # the loop must finish for the decile stats to mean anything
@@ -394,7 +397,8 @@ def test_criterion_10_capture_fidelity(tmp_path):
     # replay the identical walk to recover the step log; the thresholds are
     # on path length and total turning, which net pose deltas understate
     # when the walker is blocked and oscillates in place
-    env = replace(apartment(), sensor=replace(apartment().sensor, ray_count=4))
+    env = bundled_environment("apartment")
+    env = replace(env, sensor=replace(env.sensor, ray_count=4))
     result = random_walk_capture(env, WalkConfig(max_steps=5000), seed=40)
     assert result.steps == 5000 and not result.wedged
     assert len(result.dataset) == len(walked)
@@ -416,7 +420,7 @@ def test_criterion_10_capture_fidelity(tmp_path):
                    "--seed", "43", "--out", str(tmp_path / "gen")])
     assert rc == 0
     generated = load_dataset(tmp_path / "gen" / "dataset.csv")
-    env = apartment()
+    env = bundled_environment("apartment")
     assert len(generated) == 100_000
     for x, y, _ in generated.poses_matrix().tolist():
         assert env.grid.is_free(x, y)
@@ -469,7 +473,8 @@ def test_criterion_11_command_determinism(tmp_path):
 
 
 def test_criterion_12_serialisation_round_trips(tmp_path):
-    env = replace(apartment(), sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
+    env = replace(bundled_environment("apartment"),
+                  sensor=SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     dataset = generate_dataset(env, 80, seed=21)
     p1, p2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
     save_dataset(dataset, p1)

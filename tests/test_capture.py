@@ -40,9 +40,9 @@ from neuromap.world import (
     SensorConfig,
     ray_distances,
 )
-from neuromap.worlds import cabin
+from neuromap.worlds import bundled_environment
 import whole_file_loader
-from worldgen import datasets_close
+from worldgen import datasets_close, with_metric_box
 
 
 def make_env(grid, name="test-env", ray_count=16, max_range=10.0):
@@ -129,7 +129,7 @@ def test_fully_blocked_world_is_infeasible():
 
 
 def test_clearance_keeps_the_disc_free_and_a_too_wide_disc_fails_at_once():
-    env = make_env(empty_grid(10, 10, 0.5).with_metric_box(2.0, 2.0, 3.0, 3.0))
+    env = make_env(with_metric_box(empty_grid(10, 10, 0.5), 2.0, 2.0, 3.0, 3.0))
     for i in range(200):
         p = sample_random_pose(env, derived_rng(7, STREAM_GEN, i), clearance=0.4)
         assert env.grid.footprint_free(p.x, p.y, 0.4)
@@ -141,7 +141,7 @@ def test_clearance_keeps_the_disc_free_and_a_too_wide_disc_fails_at_once():
 
 def test_acceptance_rate_tracks_free_fraction():
     # left half blocked: acceptance probability = free-cell fraction
-    grid = empty_grid(10, 10, 0.5).with_metric_box(0.0, 0.0, 2.5, 5.0)
+    grid = with_metric_box(empty_grid(10, 10, 0.5), 0.0, 0.0, 2.5, 5.0)
     env = make_env(grid)
     rng = derived_rng(17, STREAM_GEN, 0)
     b = env.bounds
@@ -171,7 +171,7 @@ def test_uniformity_chi_squared_over_free_space():
 
 
 def test_generate_is_deterministic():
-    env = make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 3.0, 4.0))
+    env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
     a = generate_dataset(env, 50, seed=404)
     b = generate_dataset(env, 50, seed=404)
     assert a == b
@@ -180,7 +180,7 @@ def test_generate_is_deterministic():
 
 
 def test_generate_all_poses_free_and_ids_dense():
-    grid = empty_grid(12, 12, 0.5).with_metric_box(1.0, 1.0, 5.0, 2.0)
+    grid = with_metric_box(empty_grid(12, 12, 0.5), 1.0, 1.0, 5.0, 2.0)
     env = make_env(grid)
     d = generate_dataset(env, 300, seed=7)
     assert len(d) == 300  # a sample's id is its row
@@ -200,7 +200,7 @@ def test_generate_sharding_by_index_stream():
 
 
 def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
-    env = make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 3.0, 4.0))
+    env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
     d = generate_dataset(env, 500, seed=404)
     drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(500)]
     rows = np.array([(p.x, p.y, p.theta) for p in drawn])
@@ -211,7 +211,7 @@ def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
 def test_generate_draws_by_blocks_bit_for_bit(monkeypatch, n):
     # 7-pose blocks: one short block, one full, one full plus one, and several
     monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", 7)
-    env = make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 3.0, 4.0))
+    env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
     d = generate_dataset(env, n, seed=404)
     drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(n)]
     rows = np.array([(p.x, p.y, p.theta) for p in drawn])
@@ -225,7 +225,7 @@ def test_generate_holds_its_arrays_and_one_chunk_in_flight(monkeypatch):
     # one block of poses, not n. With a traversal that held 223 bytes per ray
     # and all n poses drawn at once, the peak was 5.2 MB above this bound.
     monkeypatch.setattr(capture, "RAYS_IN_FLIGHT", capture.CHUNK_RAYS)
-    env, n = cabin(), 2000
+    env, n = bundled_environment("cabin"), 2000
     generate_dataset(env, 16, 101)
     tracemalloc.start()
     try:
@@ -241,12 +241,9 @@ def test_generate_holds_its_arrays_and_one_chunk_in_flight(monkeypatch):
 def test_generate_covers_coarse_free_cells():
     # 7m x 15m interior with aligned obstacles: 10^4 samples reach every
     # 1m x 1m coarse cell that has any free area
-    grid = (
-        empty_grid(70, 150, 0.1)
-        .with_metric_box(2.0, 3.0, 3.0, 6.0)
-        .with_metric_box(0.0, 10.0, 4.0, 11.0)
-        .with_metric_box(5.0, 7.0, 7.0, 8.0)
-    )
+    grid = empty_grid(70, 150, 0.1)
+    for box in ((2.0, 3.0, 3.0, 6.0), (0.0, 10.0, 4.0, 11.0), (5.0, 7.0, 7.0, 8.0)):
+        grid = with_metric_box(grid, *box)
     env = make_env(grid, ray_count=8)
     d = generate_dataset(env, 10_000, seed=11)
     seen = set()
@@ -271,7 +268,7 @@ CHUNK = 7  # poses per _observe_poses chunk in these tests
 
 
 def box_env():
-    return make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 4.0, 3.0), ray_count=16)
+    return make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 4.0, 3.0), ray_count=16)
 
 
 def observe_with(monkeypatch, env, poses, cpus, chunk=CHUNK):
@@ -391,9 +388,8 @@ def test_walk_corridor_spacing():
     # straight corridor traversal with 10.5 cm steps: every step crosses the
     # strict 10 cm threshold, giving ~10 captures over the first metre.
     # seed 3 draws no heading change for the first 14 steps.
-    grid = empty_grid(60, 25, 0.1).with_metric_box(0.0, 0.0, 6.0, 1.0).with_metric_box(
-        0.0, 1.5, 6.0, 2.5
-    )
+    grid = with_metric_box(empty_grid(60, 25, 0.1), 0.0, 0.0, 6.0, 1.0)
+    grid = with_metric_box(grid, 0.0, 1.5, 6.0, 2.5)
     env = make_env(grid, ray_count=4)
     cfg = WalkConfig(
         capture_dist=0.10, capture_rot=60.0, step_len=0.105, clearance_radius=0.2, max_steps=14
@@ -410,7 +406,7 @@ def test_walk_corridor_spacing():
 
 def test_walk_capture_thresholds_hold_on_step_log():
     env = make_env(
-        empty_grid(16, 16, 0.25).with_metric_box(2.0, 2.0, 2.6, 3.4), ray_count=8
+        with_metric_box(empty_grid(16, 16, 0.25), 2.0, 2.0, 2.6, 3.4), ray_count=8
     )
     cfg = WalkConfig(max_steps=800)
     res = random_walk_capture(env, cfg, seed=12345)
@@ -430,7 +426,7 @@ def test_walk_capture_thresholds_hold_on_step_log():
 
 
 def test_walk_keeps_clearance():
-    grid = empty_grid(16, 16, 0.25).with_metric_box(1.0, 1.0, 3.0, 1.5)
+    grid = with_metric_box(empty_grid(16, 16, 0.25), 1.0, 1.0, 3.0, 1.5)
     env = make_env(grid, ray_count=8)
     cfg = WalkConfig(max_steps=400)
     res = random_walk_capture(env, cfg, seed=77)
@@ -462,7 +458,7 @@ def test_walk_wedged_in_a_tight_box():
 
 
 def test_walk_rejects_start_without_clearance():
-    grid = empty_grid(8, 8, 0.5).with_metric_box(2.0, 2.0, 2.5, 2.5)
+    grid = with_metric_box(empty_grid(8, 8, 0.5), 2.0, 2.0, 2.5, 2.5)
     env = make_env(grid)
     with pytest.raises(InfeasibleEnvironmentError):
         random_walk_capture(env, WalkConfig(), seed=1, start=Pose2D(1.8, 2.2, 0.0))
@@ -491,7 +487,7 @@ def _toy_dataset(n, seed=1):
 
 
 def test_save_load_round_trip(tmp_path):
-    env = make_env(empty_grid(12, 12, 0.5).with_metric_box(2.0, 2.0, 4.0, 3.0), ray_count=16)
+    env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 4.0, 3.0), ray_count=16)
     d = generate_dataset(env, 1000, seed=2024)
     path = tmp_path / "d.csv"
     save_dataset(d, path)

@@ -21,7 +21,7 @@ from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator
 from neuromap.inputs import read_lines
 from neuromap.training import RegressorModel, load_model, save_model
 from neuromap.world import SensorConfig, save_environment
-from neuromap.worlds import apartment
+from neuromap.worlds import bundled_environment
 from worldgen import near_obstacle_fraction
 
 STUB = str(Path(__file__).parent / "external_stub.py")
@@ -44,7 +44,7 @@ def two_worlds(tmp_path_factory):
     each has a 20-sample dataset captured in it."""
     root = tmp_path_factory.mktemp("worlds")
     for world in ("a", "b"):
-        save_environment(apartment(), root / f"{world}.grid")
+        save_environment(bundled_environment("apartment"), root / f"{world}.grid")
         assert main(["gen", "--env", str(root / f"{world}.grid"), "--rays", "16",
                      "--n", "20", "--out", str(root / world)]) == 0
     return root
@@ -128,7 +128,7 @@ def test_walk_avoids_obstacles_more_than_gen(workspace, tmp_path):
     # walk's samples must sit further from obstacles
     out = tmp_path / "w"
     assert main(["walk", *ENV_FLAGS, "--steps", "2000", "--seed", "8", "--out", str(out)]) == 0
-    env = apartment()
+    env = bundled_environment("apartment")
     walk_near = near_obstacle_fraction(env, load_dataset(out / "dataset.csv").poses_matrix(), 0.3)
     gen_db = load_dataset(workspace / "db" / "dataset.csv")
     gen_near = near_obstacle_fraction(env, gen_db.poses_matrix(), 0.3)
@@ -551,6 +551,7 @@ def test_plot_trace_route(tmp_path):
 def test_plot_requires_exactly_one_source(workspace, tmp_path):
     rc = main(["plot", *ENV_FLAGS, "--out", str(tmp_path / "p")])
     assert rc == 1
+    assert not (tmp_path / "p").exists()
     rc = main(["plot", *ENV_FLAGS, "--dataset", str(workspace / "test" / "dataset.csv"),
                "--trace", str(workspace / "test" / "dataset.csv"), "--out", str(tmp_path / "p")])
     assert rc == 1
@@ -583,7 +584,7 @@ def test_bench_knn_slows_with_database_size(workspace):
 
     from neuromap.capture import generate_dataset
 
-    env = apartment()
+    env = bundled_environment("apartment")
     env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     frames = generate_dataset(env, 40, seed=2).ranges_matrix()
 
@@ -605,7 +606,7 @@ def test_bench_knn_slows_with_database_size(workspace):
 
 
 def test_build_estimator_specs(workspace):
-    env = apartment()
+    env = bundled_environment("apartment")
     env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     oracle = build_estimator("oracle:sigma_pos=0.1,seed=3", env)
     assert isinstance(oracle, OracleEstimator)
@@ -617,7 +618,7 @@ def test_build_estimator_specs(workspace):
 
 @pytest.mark.parametrize("kind", ["oracle", "knn", "model", "external"])
 def test_every_estimator_spec_follows_the_protocol(workspace, tmp_path, kind):
-    env = apartment()
+    env = bundled_environment("apartment")
     env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
     model = tmp_path / "m.model"
     save_model(RegressorModel.zeros((16, 3), env_name=env.name, sensor=env.sensor), model)
@@ -801,6 +802,53 @@ def test_every_numeric_option_refuses_its_invalid_values(workspace, tmp_path, ca
             _refused(capsys, [command, *base, flag, value], tmp_path / f"{key}{value}")
 
 
+# every option a command cannot run without, stated apart from the CLI
+REQUIRED = [
+    ("gen", "env"), ("gen", "out"), ("walk", "env"), ("walk", "out"),
+    ("train", "env"), ("train", "out"), ("train", "dataset"),
+    ("eval", "env"), ("eval", "out"), ("eval", "estimator"), ("eval", "testset"),
+    ("navigate", "env"), ("navigate", "out"), ("navigate", "estimator"),
+    ("navigate", "waypoints"), ("navigate", "start"),
+    ("plot", "env"), ("plot", "out"), ("bench", "env"), ("bench", "estimator"),
+]
+
+
+@pytest.mark.parametrize("command, key", REQUIRED)
+def test_missing_required_option_is_one_usage_line(workspace, tmp_path, capsys, command, key):
+    flag = "--" + key
+    argv = [command, *_valid_runs(workspace)[command], "--out", str(tmp_path / "o")]
+    i = argv.index(flag)
+    del argv[i:i + 2]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"neuromap: usage error: {flag} is required\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_can_supply_a_required_option(workspace, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"estimator": "oracle"}))
+    out = tmp_path / "e"
+    assert main(["eval", *ENV_FLAGS, "--config", str(cfg),
+                 "--testset", str(workspace / "test" / "dataset.csv"), "--out", str(out)]) == 0
+    assert (out / "metrics.json").is_file()
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("testset", ["eval", "--env", "cabin", "--estimator", "oracle", "--testset", "cabin"]),
+    ("waypoints", ["navigate", "--env", "apartment", "--estimator", "oracle",
+                   "--waypoints", "cabin", "--start", "1.5,1.5,0"]),
+    ("env", ["gen", "--env", "apartment_loop"]),
+], ids=["testset-cabin", "waypoints-cabin", "env-apartment_loop"])
+def test_bundled_name_is_a_file_only_for_its_own_option(tmp_path, capsys, key, argv):
+    # a world name is a grid file only for --env, a route name a waypoint
+    # file only for --waypoints; anywhere else it is a path like any other
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    value = argv[argv.index("--" + key) + 1]
+    assert capsys.readouterr().err == f"neuromap: input error: {key}: no such file: {value}\n"
+    assert not out.exists()
+
+
 def _good_files(workspace, tmp_path):
     """One valid file of each format, and the command line that reads it."""
     rng = np.random.default_rng(3)
@@ -818,7 +866,8 @@ def _good_files(workspace, tmp_path):
         "dataset": (read(test), lambda p: ["plot", *ENV_FLAGS, "--dataset", p]),
         "model": (read(tmp_path / "good.model"),
                   lambda p: ["eval", *ENV_FLAGS, "--estimator", f"model:{p}", "--testset", test]),
-        "grid": (apartment().grid.to_text().encode(), lambda p: ["gen", "--env", p, "--n", "5"]),
+        "grid": (bundled_environment("apartment").grid.to_text().encode(),
+                 lambda p: ["gen", "--env", p, "--n", "5"]),
         "trace": (trace.encode(), lambda p: ["plot", "--env", "apartment", "--trace", p]),
         "waypoints": (b"# loop\n4.0,1.3\n6.5,1.5\n",
                       lambda p: ["navigate", "--env", "apartment", "--estimator", "oracle",
@@ -969,7 +1018,7 @@ def test_a_ray_count_numpy_cannot_size_is_input_error(tmp_path, capsys):
 def test_env_file_path_and_unknown_name(tmp_path):
     from neuromap.world import save_environment
 
-    save_environment(apartment(), tmp_path / "flat.grid")
+    save_environment(bundled_environment("apartment"), tmp_path / "flat.grid")
     out = tmp_path / "o"
     assert main(["gen", "--env", str(tmp_path / "flat.grid"), "--rays", "8",
                  "--n", "5", "--out", str(out)]) == 0

@@ -40,15 +40,16 @@ from neuromap.world import (
     SensorConfig,
     save_environment,
 )
+from worldgen import with_metric_box
 
 STUB = Path(__file__).parent / "external_stub.py"
 
 
 def asym_env(ray_count=8, fov=360.0, max_range=12.0):
     g = OccupancyGrid(16, 10, 0.5, 0.0, 0.0, np.zeros((10, 16), bool))
-    g = g.with_metric_box(1.0, 1.0, 2.0, 3.5)
-    g = g.with_metric_box(5.0, 3.0, 7.0, 4.0)
-    g = g.with_metric_box(3.5, 0.5, 4.5, 1.5)
+    g = with_metric_box(g, 1.0, 1.0, 2.0, 3.5)
+    g = with_metric_box(g, 5.0, 3.0, 7.0, 4.0)
+    g = with_metric_box(g, 3.5, 0.5, 4.5, 1.5)
     return EnvironmentSpec(
         "asym", g, SensorConfig(fov=fov, ray_count=ray_count, max_range=max_range)
     )

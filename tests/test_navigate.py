@@ -43,6 +43,7 @@ from neuromap.navigate import (
 from neuromap.inputs import InputError
 from neuromap.pose import Pose2D
 from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
+from worldgen import with_metric_box
 
 SENSOR = SensorConfig(fov=360.0, ray_count=16, max_range=15.0)
 
@@ -60,7 +61,7 @@ def empty_env(side=10.0, res=0.1):
 def walled_env():
     """10x10 m room bisected by a wall at x in [4.0, 4.2]."""
     grid = OccupancyGrid(100, 100, 0.1, 0.0, 0.0, np.zeros((100, 100), dtype=bool))
-    grid = grid.with_metric_box(4.0, 0.0, 4.2, 10.0)
+    grid = with_metric_box(grid, 4.0, 0.0, 4.2, 10.0)
     return EnvironmentSpec("walled", grid, SENSOR)
 
 

@@ -20,6 +20,7 @@ from neuromap.pose import (
     heading,
     normalize,
     wrap_angle,
+    wrap_angles,
 )
 from neuromap.world import EnvironmentSpec, OccupancyGrid
 
@@ -79,6 +80,17 @@ def test_wrap_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             wrap_angle(bad)
+
+
+def test_wrap_angles_is_wrap_angle_bit_for_bit():
+    # Dataset and Estimator.estimate wrap whole arrays; a stored or returned
+    # heading must be the bits wrap_angle gives, -0.0 folded to 0.0 included
+    edges = [180.0, -180.0, 360.0, -360.0, 0.0, -0.0, 540.0, -540.0,
+             1e-300, -1e-300, 1e300, -1e300]
+    rng = np.random.default_rng(19)
+    angles = np.concatenate([edges, rng.uniform(-1e4, 1e4, size=10_000)])
+    want = np.array([wrap_angle(a) for a in angles.tolist()])
+    assert wrap_angles(angles).tobytes() == want.tobytes()
 
 
 def test_wrap_matches_oracle_and_is_idempotent():

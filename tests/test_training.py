@@ -37,6 +37,7 @@ from neuromap.training import (
     train,
 )
 from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
+from worldgen import with_metric_box
 
 
 def small_env(ray_count=16, size=10, res=0.5):
@@ -470,7 +471,7 @@ def test_schedule_validation():
 
 def _train_setup(n=800, seed=5, ray_count=16):
     env = small_env(ray_count=ray_count)
-    grid = env.grid.with_metric_box(1.5, 1.5, 2.5, 3.5)
+    grid = with_metric_box(env.grid, 1.5, 1.5, 2.5, 3.5)
     env = EnvironmentSpec(env.name, grid, env.sensor)
     data = generate_dataset(env, n, seed=seed)
     return env, data
@@ -493,8 +494,8 @@ def test_training_beats_untrained_baseline():
     from neuromap.world import raycast
 
     grid = OccupancyGrid(60, 10, 0.2, 0.0, 0.0, np.zeros((10, 60), bool))
-    grid = grid.with_metric_box(2.0, 0.0, 2.6, 0.8)
-    grid = grid.with_metric_box(8.0, 1.4, 8.6, 2.0)
+    grid = with_metric_box(grid, 2.0, 0.0, 2.6, 0.8)
+    grid = with_metric_box(grid, 8.0, 1.4, 8.6, 2.0)
     sensor = SensorConfig(fov=120.0, ray_count=16, max_range=15.0)
     env = EnvironmentSpec("corridor", grid, sensor)
     rng = np.random.default_rng(7)

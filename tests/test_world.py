@@ -22,8 +22,8 @@ from neuromap.world import (
     raycast,
     save_environment,
 )
-from neuromap.worlds import apartment, cabin
-from worldgen import marching_ray, random_free_pose, random_world
+from neuromap.worlds import bundled_environment
+from worldgen import marching_ray, random_free_pose, random_world, with_metric_box
 
 
 def empty_grid(width, height, resolution, ox=0.0, oy=0.0):
@@ -138,7 +138,7 @@ def test_text_round_trip_is_stable():
 
 
 def test_load_and_save_environment(tmp_path):
-    grid = empty_grid(4, 4, 0.5).with_metric_box(1.0, 1.0, 1.5, 1.5)
+    grid = with_metric_box(empty_grid(4, 4, 0.5), 1.0, 1.0, 1.5, 1.5)
     env = EnvironmentSpec("toy", grid)
     path = tmp_path / "toy.grid"
     save_environment(env, path)
@@ -264,7 +264,7 @@ def test_footprint_zero_radius_equals_is_free():
 def test_footprint_blocked_by_nearby_wall():
     # wall cells occupy x in [3.0, 3.5]; a 0.5 m disc centred 0.4 m away
     # (x = 2.6) penetrates, one centred 0.6 m away does not
-    grid = empty_grid(12, 12, 0.5).with_metric_box(3.0, 0.0, 3.5, 6.0)
+    grid = with_metric_box(empty_grid(12, 12, 0.5), 3.0, 0.0, 3.5, 6.0)
     assert not grid.footprint_free(2.6, 3.0, 0.5)
     assert grid.footprint_free(2.4, 3.0, 0.5)
     # touching exactly (distance 0.5) is tolerated
@@ -319,13 +319,13 @@ def test_footprint_matches_exhaustive_oracle():
 
 def test_with_metric_box_cell_coverage():
     grid = empty_grid(4, 4, 0.5)
-    boxed = grid.with_metric_box(0.5, 0.5, 1.0, 1.0)
+    boxed = with_metric_box(grid, 0.5, 0.5, 1.0, 1.0)
     # only the cell [0.5, 1.0) x [0.5, 1.0) overlaps the box interior
     assert int(boxed.cells.sum()) == 1
     assert bool(boxed.cells[1, 1])
-    partial = grid.with_metric_box(0.6, 0.6, 0.9, 0.9)
+    partial = with_metric_box(grid, 0.6, 0.6, 0.9, 0.9)
     assert int(partial.cells.sum()) == 1  # strictly interior box still fills its cell
-    spanning = grid.with_metric_box(0.4, 0.4, 1.1, 1.1)
+    spanning = with_metric_box(grid, 0.4, 0.4, 1.1, 1.1)
     assert int(spanning.cells.sum()) == 9
 
 
@@ -354,7 +354,7 @@ def test_boundary_hit_analytic():
 
 def test_wall_hit_analytic():
     # wall at x in [7.0, 7.5), robot at x = 5: 2 m to the wall face
-    grid = empty_grid(20, 6, 0.5).with_metric_box(7.0, 0.0, 7.5, 3.0)
+    grid = with_metric_box(empty_grid(20, 6, 0.5), 7.0, 0.0, 7.5, 3.0)
     d = ray_distances(grid, np.array([5.0]), np.array([1.5]), np.array([0.0]), 10.0)
     assert d[0] == 2.0
     ranges = raycast(grid, Pose2D(5.0, 1.5, 0.0), SensorConfig(fov=360.0, ray_count=4, max_range=10.0))
@@ -368,7 +368,7 @@ def test_no_hit_within_range_reports_one():
 
 
 def test_raycast_rejects_bad_poses():
-    grid = empty_grid(4, 4, 1.0).with_metric_box(1.0, 1.0, 2.0, 2.0)
+    grid = with_metric_box(empty_grid(4, 4, 1.0), 1.0, 1.0, 2.0, 2.0)
     with pytest.raises(InvalidPoseError):
         raycast(grid, Pose2D(1.5, 1.5, 0.0))
     with pytest.raises(InvalidPoseError):
@@ -396,7 +396,7 @@ def test_obstacle_insertion_never_increases_range():
         bw, bh = rng.uniform(0.2, 1.2, size=2)
         x0 = float(rng.uniform(b.x_min, b.x_max - bw))
         y0 = float(rng.uniform(b.y_min, b.y_max - bh))
-        denser = grid.with_metric_box(x0, y0, x0 + float(bw), y0 + float(bh))
+        denser = with_metric_box(grid, x0, y0, x0 + float(bw), y0 + float(bh))
         if not denser.is_free(pose.x, pose.y):
             continue
         r_before = raycast(grid, pose)
@@ -425,7 +425,7 @@ def test_traversal_agrees_with_marching_oracle():
 
 def test_axis_aligned_rays_on_cell_edges():
     # a ray running exactly along a cell edge stays in the higher-index row
-    grid = empty_grid(6, 2, 1.0).with_metric_box(3.0, 0.0, 4.0, 1.0)
+    grid = with_metric_box(empty_grid(6, 2, 1.0), 3.0, 0.0, 4.0, 1.0)
     # y = 1.0 is the edge between the occupied row (below) and free row (above)
     d = ray_distances(grid, np.array([0.5]), np.array([1.0]), np.array([0.0]), 10.0)
     assert d[0] == 5.5  # passes over the box, hits the east wall
@@ -623,7 +623,7 @@ def test_fast_traversal_matches_reference_in_one_cell_world():
 
 def test_fast_traversal_matches_reference_on_cabin_dataset_poses():
     # the first 2000 poses of `generate_dataset` on the bundled cabin
-    env = cabin()
+    env = bundled_environment("cabin")
     poses = [sample_random_pose(env, derived_rng(101, STREAM_GEN, i)) for i in range(2000)]
     offsets = env.sensor.bearing_offsets()
     xs = np.array([p.x for p in poses])[:, None]
@@ -636,7 +636,7 @@ def test_one_batched_call_holds_only_the_traversal_state():
     # One gen chunk: the first 512 cabin dataset poses x 96 rays. The set-up
     # arrays are freed before the first step, so the call peaks at ~106 bytes
     # per ray; with them alive through the loop it peaked at 223.
-    env = cabin()
+    env = bundled_environment("cabin")
     poses = generate_dataset(env, 512, 101).poses_matrix()
     k = env.sensor.ray_count
     xs, ys = np.repeat(poses[:, 0], k), np.repeat(poses[:, 1], k)
@@ -653,7 +653,7 @@ def test_one_batched_call_holds_only_the_traversal_state():
 
 def test_one_single_pose_call_stays_small():
     # a navigate estimate: one pose x 96 rays, all in the tail phase
-    env = apartment()
+    env = bundled_environment("apartment")
     pose = sample_random_pose(env, derived_rng(101, STREAM_GEN, 0))
     bearings = pose.theta + env.sensor.bearing_offsets()
     xs, ys = np.full(bearings.size, pose.x), np.full(bearings.size, pose.y)
@@ -674,7 +674,7 @@ def test_one_single_pose_call_stays_small():
 def test_fast_traversal_matches_reference_across_the_phase_hand_over(n):
     # up to TAIL_RAYS rays run in the tail from the first step; one more
     # starts in the bulk phase and hands over at its first compaction
-    env = cabin()
+    env = bundled_environment("cabin")
     poses = [sample_random_pose(env, derived_rng(11, STREAM_GEN, i)) for i in range(n // 96 + 1)]
     offsets = env.sensor.bearing_offsets()
     xs = np.repeat([p.x for p in poses], offsets.size)[:n]
@@ -730,10 +730,10 @@ def test_fast_traversal_matches_reference_from_the_world_corners():
             assert_same_bytes(grid, x0, y0, bearings, 100.0)
 
 
-@pytest.mark.parametrize("world", [apartment, cabin])
+@pytest.mark.parametrize("world", ["apartment", "cabin"])
 def test_fast_traversal_matches_reference_one_pose_at_a_time(world):
     # the navigate regime: one pose x 96 rays per call
-    env = world()
+    env = bundled_environment(world)
     offsets = env.sensor.bearing_offsets()
     for i in range(300):
         pose = sample_random_pose(env, derived_rng(17, STREAM_GEN, i))

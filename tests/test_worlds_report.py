@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neuromap
 from neuromap.navigate import RouteTrace, TraceTick, load_waypoints
 from neuromap.pose import Pose2D
 from neuromap.report import (
@@ -18,22 +22,36 @@ from neuromap.report import (
     svg_route,
 )
 from neuromap.training import Metrics
-from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig, save_environment
+from neuromap.world import (
+    DEFAULT_SENSOR,
+    EnvironmentSpec,
+    OccupancyGrid,
+    SensorConfig,
+    save_environment,
+)
 from neuromap.worlds import (
+    ROUTES,
+    SENSORS,
+    bundled_environment,
+    data_path,
+    route_file,
+    world_file,
+    world_sensor,
+)
+from worldgen import (
     APARTMENT_LOOP,
     APARTMENT_START,
     apartment,
-    bundled_environment,
     cabin,
-    data_path,
+    near_obstacle_fraction,
+    with_metric_box,
 )
-from worldgen import near_obstacle_fraction
 
 # --- bundled worlds ----------------------------------------------------------------
 
 
 def test_cabin_dimensions_and_sensor():
-    env = cabin()
+    env = bundled_environment("cabin")
     b = env.bounds
     assert (b.x_max - b.x_min, b.y_max - b.y_min) == (7.0, 15.0)
     assert env.sensor == SensorConfig(fov=360.0, ray_count=96, max_range=16.0)
@@ -41,7 +59,7 @@ def test_cabin_dimensions_and_sensor():
 
 
 def test_apartment_dimensions():
-    env = apartment()
+    env = bundled_environment("apartment")
     b = env.bounds
     assert (b.x_max - b.x_min, b.y_max - b.y_min) == (8.0, 8.0)
     assert env.name == "apartment"
@@ -66,16 +84,45 @@ def test_shipped_waypoints_match_constant():
     assert tuple(load_waypoints(str(data_path("apartment_loop.waypoints")))) == APARTMENT_LOOP
 
 
+def test_bundled_worlds_load_as_built():
+    # grid, bounds, name and sensor: loading the file is the builder's world
+    assert bundled_environment("cabin") == cabin()
+    assert bundled_environment("apartment") == apartment()
+
+
+def test_world_sensor_is_the_shipped_files_own(tmp_path):
+    assert world_sensor(world_file("cabin")) == SENSORS["cabin"]
+    assert world_sensor(world_file("apartment")) == SENSORS["apartment"]
+    assert world_sensor(os.path.relpath(world_file("cabin"))) == SENSORS["cabin"]
+    # a file of the same name elsewhere is a user's world, with the default sensor
+    save_environment(bundled_environment("cabin"), tmp_path / "cabin.grid")
+    assert world_sensor(tmp_path / "cabin.grid") == DEFAULT_SENSOR
+    assert world_file("cabin.grid") == "cabin.grid" and route_file("cabin") == "cabin"
+
+
+def test_every_bundled_name_is_a_packaged_file():
+    # production reads neuromap/data; a file no package-data glob matches
+    # would be missing from an installed package
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["neuromap"]
+    package = Path(neuromap.__file__).parent
+    files = [world_file(name) for name in SENSORS] + [route_file(name) for name in ROUTES]
+    for file in map(Path, files):
+        assert file.is_file(), file
+        assert any(file.relative_to(package).match(glob) for glob in globs), (file, globs)
+
+
 def test_apartment_loop_is_drivable():
     # every waypoint and the start pose leave room for the 0.5 m footprint
-    env = apartment()
+    env = bundled_environment("apartment")
     assert env.grid.footprint_free(APARTMENT_START.x, APARTMENT_START.y, 0.5)
-    for wx, wy in APARTMENT_LOOP:
+    for wx, wy in load_waypoints(route_file("apartment_loop")):
         assert env.grid.footprint_free(wx, wy, 0.5), (wx, wy)
 
 
 def test_loop_closes_at_start():
-    assert APARTMENT_LOOP[-1] == (APARTMENT_START.x, APARTMENT_START.y)
+    route = load_waypoints(route_file("apartment_loop"))
+    assert route[-1] == (APARTMENT_START.x, APARTMENT_START.y)
 
 
 # --- SVG renderers -----------------------------------------------------------------
@@ -87,7 +134,7 @@ NO_POSITIONS = np.zeros((0, 3))
 def tiny_env():
     cells = np.zeros((6, 8), dtype=bool)
     grid = OccupancyGrid(8, 6, 0.5, 0.0, 0.0, cells)
-    grid = grid.with_metric_box(1.0, 1.0, 2.0, 2.0)
+    grid = with_metric_box(grid, 1.0, 1.0, 2.0, 2.0)
     return EnvironmentSpec("tiny", grid, SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
 
 
@@ -214,7 +261,7 @@ def _positions(env, rng, n):
 @pytest.mark.parametrize("cell_m", [0.3, 0.37, 0.5, 0.7, 1.0, 2.3])
 def test_coverage_summary_matches_the_loop_on_bundled_worlds(cell_m):
     rng = np.random.default_rng(int(cell_m * 100))
-    for env in (cabin(), apartment()):
+    for env in (bundled_environment("cabin"), bundled_environment("apartment")):
         for positions in (NO_POSITIONS, _positions(env, rng, 3000)):
             want = coverage_summary_loop(env, positions, cell_m)
             assert coverage_summary(env, positions, cell_m) == want

@@ -1,10 +1,87 @@
-"""Shared helpers: random worlds and free poses for property tests, and
+"""Shared helpers: the box layouts and route the bundled world files were
+generated from, random worlds and free poses for property tests, and
 comparisons of datasets and sample positions."""
+
+import math
 
 import numpy as np
 
 from neuromap.pose import Pose2D, ang_diff
-from neuromap.world import OccupancyGrid
+from neuromap.world import EnvironmentSpec, OccupancyGrid
+from neuromap.worlds import APARTMENT_SENSOR, CABIN_SENSOR
+
+# --- the bundled worlds' sources ---------------------------------------------------
+# The shipped grid and waypoint files are pinned to these byte for byte.
+
+CELL = 0.05
+
+# Interior walls first, then furniture. The cabin is deliberately
+# asymmetric so range signatures differ between the three rooms.
+CABIN_BOXES = (
+    (0.0, 4.95, 4.5, 5.05),   # south/middle wall, doorway on the east side
+    (2.5, 9.95, 7.0, 10.05),  # middle/north wall, doorway on the west side
+    (2.95, 0.0, 3.05, 2.0),   # partial partition in the south room
+    (5.2, 2.0, 6.4, 3.2),
+    (1.0, 1.0, 1.8, 1.6),
+    (0.8, 7.2, 1.6, 8.8),
+    (4.0, 12.0, 5.5, 12.8),
+)
+
+APARTMENT_BOXES = (
+    (3.0, 3.0, 5.0, 5.0),     # central island
+    (5.0, 3.4, 5.6, 4.2),     # notch breaking the island's symmetry
+    (0.0, 5.3, 0.5, 5.6),     # wall stubs, west and east
+    (7.5, 5.8, 8.0, 6.1),
+)
+
+# Counter-clockwise tour around the island; the last waypoint closes the
+# loop at the start pose.
+APARTMENT_LOOP = (
+    (4.0, 1.3),
+    (6.5, 1.5),
+    (6.7, 4.0),
+    (6.5, 6.5),
+    (4.0, 6.7),
+    (1.5, 6.5),
+    (1.3, 4.0),
+    (1.5, 1.5),
+)
+APARTMENT_START = Pose2D(1.5, 1.5, 0.0)
+
+
+def with_metric_box(grid, x0: float, y0: float, x1: float, y1: float) -> OccupancyGrid:
+    """A copy of ``grid`` with every cell overlapping the box interior marked
+    occupied."""
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"degenerate box ({x0}, {y0}) .. ({x1}, {y1})")
+    res = grid.resolution
+    ix0 = max(0, math.floor((x0 - grid.origin_x) / res))
+    ix1 = min(grid.width, math.ceil((x1 - grid.origin_x) / res))
+    iy0 = max(0, math.floor((y0 - grid.origin_y) / res))
+    iy1 = min(grid.height, math.ceil((y1 - grid.origin_y) / res))
+    cells = grid.cells.copy()
+    cells[iy0:iy1, ix0:ix1] = True
+    return OccupancyGrid(grid.width, grid.height, res, grid.origin_x, grid.origin_y, cells)
+
+
+def _build(width_m, height_m, boxes):
+    nx = int(round(width_m / CELL))
+    ny = int(round(height_m / CELL))
+    grid = OccupancyGrid(nx, ny, CELL, 0.0, 0.0, np.zeros((ny, nx), dtype=bool))
+    for box in boxes:
+        grid = with_metric_box(grid, *box)
+    return grid
+
+
+def cabin() -> EnvironmentSpec:
+    return EnvironmentSpec("cabin", _build(7.0, 15.0, CABIN_BOXES), CABIN_SENSOR)
+
+
+def apartment() -> EnvironmentSpec:
+    return EnvironmentSpec("apartment", _build(8.0, 8.0, APARTMENT_BOXES), APARTMENT_SENSOR)
+
+
+# --- property-test worlds and comparisons ------------------------------------------
 
 
 def random_world(rng, min_size=4.0, max_size=9.0, max_boxes=6):
@@ -21,7 +98,7 @@ def random_world(rng, min_size=4.0, max_size=9.0, max_boxes=6):
         bh = float(rng.uniform(0.2, 1.5))
         x0 = float(rng.uniform(b.x_min, b.x_max - bw))
         y0 = float(rng.uniform(b.y_min, b.y_max - bh))
-        grid = grid.with_metric_box(x0, y0, x0 + bw, y0 + bh)
+        grid = with_metric_box(grid, x0, y0, x0 + bw, y0 + bh)
     return grid
 
 
