@@ -433,6 +433,8 @@ def cmd_navigate(args) -> int:
 def cmd_plot(args) -> int:
     if (args.dataset is None) == (args.trace is None):
         raise UsageError("plot needs exactly one of --dataset or --trace")
+    if args.waypoints is not None and args.trace is None:
+        raise UsageError("plot draws --waypoints only with --trace")
     env = _resolve_env(args)
     out = _out_dir(args)
     if args.dataset is not None:

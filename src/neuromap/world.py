@@ -154,6 +154,18 @@ class OccupancyGrid:
             return False
         return not self.cells[int(fy), int(fx)]  # int is floor for values >= 0
 
+    def free_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``is_free`` over float64 arrays of points, with the same floor
+        rule and the same arithmetic, so each entry equals ``is_free(x, y)``."""
+        with np.errstate(over="ignore"):  # a far point's inf is outside, as in is_free
+            fx = (xs - self.origin_x) / self.resolution
+            fy = (ys - self.origin_y) / self.resolution
+        inside = (0.0 <= fx) & (fx < self.width) & (0.0 <= fy) & (fy < self.height)
+        free = np.zeros(inside.shape, bool)
+        # astype truncates, which is floor for values >= 0
+        free[inside] = ~self.cells[fy[inside].astype(np.intp), fx[inside].astype(np.intp)]
+        return free
+
     def footprint_free(self, x: float, y: float, radius: float) -> bool:
         """True when a disc of ``radius`` centred at (x, y) fits in free space.
 

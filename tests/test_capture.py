@@ -32,7 +32,7 @@ from neuromap.capture import (
     save_dataset,
 )
 from neuromap.inputs import FormatError
-from neuromap.pose import Pose2D, ang_diff
+from neuromap.pose import Pose2D, ang_diff, wrap_angles
 from neuromap.world import (
     EnvironmentSpec,
     InvalidPoseError,
@@ -199,12 +199,16 @@ def test_generate_sharding_by_index_stream():
         assert Pose2D(*d.poses_matrix()[i].tolist()) == lone
 
 
+def scalar_oracle(env, n, seed):
+    """generate_dataset's poses as the one-row-at-a-time sampler draws them."""
+    drawn = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i)) for i in range(n)]
+    return np.array([(p.x, p.y, p.theta) for p in drawn])
+
+
 def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
     env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
     d = generate_dataset(env, 500, seed=404)
-    drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(500)]
-    rows = np.array([(p.x, p.y, p.theta) for p in drawn])
-    assert d.poses_matrix().tobytes() == rows.tobytes()
+    assert d.poses_matrix().tobytes() == scalar_oracle(env, 500, 404).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
@@ -213,10 +217,97 @@ def test_generate_draws_by_blocks_bit_for_bit(monkeypatch, n):
     monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", 7)
     env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
     d = generate_dataset(env, n, seed=404)
-    drawn = [sample_random_pose(env, derived_rng(404, STREAM_GEN, i)) for i in range(n)]
-    rows = np.array([(p.x, p.y, p.theta) for p in drawn])
+    rows = scalar_oracle(env, n, 404)
     assert d.poses_matrix().tobytes() == rows.tobytes()
     assert d.ranges_matrix().tobytes() == one_call(env, rows).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("stream", [STREAM_GEN, STREAM_WALK])
+def test_array_generators_equal_derived_rng_bit_for_bit(seed, stream):
+    # 2**64 + 5 is three entropy words, five with stream and index, so
+    # SeedSequence mixes in words past its 4-word pool
+    index = np.arange(SAVE_BLOCK_ROWS - 20, 2 * SAVE_BLOCK_ROWS + 20, 37)  # across block edges
+    rows = capture._PCG64Rows(seed, stream, index)
+    raw = np.stack([rows.random_raw() for _ in range(3)], axis=1)
+    states = zip(rows.hi.tolist(), rows.lo.tolist(), rows.inc_hi.tolist(), rows.inc_lo.tolist())
+    fourth = rows.random_raw()
+    for i, row, fourth_raw, (hi, lo, inc_hi, inc_lo) in zip(index.tolist(), raw, fourth, states):
+        bits = derived_rng(seed, stream, i).bit_generator
+        assert bits.random_raw(4).tolist() == [*row.tolist(), int(fourth_raw)], i
+        advanced = derived_rng(seed, stream, i).bit_generator.advance(3).state["state"]
+        assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (advanced["state"], advanced["inc"]), i
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 + 5])
+def test_array_first_attempts_equal_the_samplers_first_draw(seed):
+    # an empty world accepts every first draw; with a non-zero origin and
+    # 0.3 m cells, low + (high - low) * u rounds, so numpy's order of
+    # operations is tested too
+    env = make_env(empty_grid(9, 7, 0.3, ox=-1.7, oy=2.35))
+    b, index = env.bounds, np.arange(300)
+    rows = capture._PCG64Rows(seed, STREAM_GEN, index)
+    got = np.stack([rows.uniform(b.x_min, b.x_max), rows.uniform(b.y_min, b.y_max),
+                    wrap_angles(rows.uniform(-180.0, 180.0))], axis=1)
+    assert got.tobytes() == scalar_oracle(env, len(index), seed).tobytes()
+
+
+def test_array_generators_refuse_what_seed_sequence_refuses():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        derived_rng(-1, STREAM_GEN, 0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        capture._PCG64Rows(-1, STREAM_GEN, np.arange(3))
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        capture._PCG64Rows(1, STREAM_GEN, np.array([2**32]))
+
+
+def count_is_free(monkeypatch):
+    """A list that grows by one at each OccupancyGrid.is_free call."""
+    calls, is_free = [], OccupancyGrid.is_free
+    monkeypatch.setattr(OccupancyGrid, "is_free", lambda g, x, y: calls.append(1) or is_free(g, x, y))
+    return calls
+
+
+def test_generate_with_many_retries_equals_the_scalar_oracle(monkeypatch):
+    # ~90% occupied, so the average row needs more than two retries, and
+    # 7-row blocks, so the retried rows fall in every block
+    monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(5)
+    cells = rng.random((12, 16)) < 0.9
+    env = make_env(OccupancyGrid(16, 12, 0.3, -1.7, 2.35, cells))
+    calls = count_is_free(monkeypatch)
+    d = generate_dataset(env, 60, seed=9)
+    gen_calls = len(calls)
+    want = scalar_oracle(env, 60, 9)
+    assert d.poses_matrix().tobytes() == want.tobytes()
+    assert d.ranges_matrix().tobytes() == one_call(env, want).tobytes()
+    # the scalar loop tests every attempt with is_free, gen every attempt
+    # but the first; here the average row needs more than two retries
+    assert len(calls) - gen_calls == gen_calls + 60
+    assert gen_calls > 2 * 60
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_generate_spends_the_same_budget_per_row_as_the_scalar_sampler(monkeypatch, budget):
+    # the array draw is attempt 1 of ``budget``: the rows before the first
+    # that exhausts it come out bit for bit, some on their last attempt, and
+    # that row fails as it does in the scalar loop
+    monkeypatch.setattr(capture, "REJECTION_BUDGET", budget)
+    env = make_env(OccupancyGrid(8, 8, 0.5, 0.0, 0.0, np.random.default_rng(7).random((8, 8)) < 0.5))
+    calls = count_is_free(monkeypatch)
+    rows, attempts = [], []
+    with pytest.raises(InfeasibleEnvironmentError) as want:
+        while True:
+            before = len(calls)
+            rows.append(sample_random_pose(env, derived_rng(3, STREAM_GEN, len(rows))))
+            attempts.append(len(calls) - before)
+    assert rows and budget in attempts
+    want_rows = np.array([(p.x, p.y, p.theta) for p in rows])
+    assert generate_dataset(env, len(rows), seed=3).poses_matrix().tobytes() == want_rows.tobytes()
+    with pytest.raises(InfeasibleEnvironmentError) as got:
+        generate_dataset(env, len(rows) + 1, seed=3)
+    assert str(got.value) == str(want.value) == (
+        f"no free pose with clearance 0.0 in 'test-env' after {budget} attempts")
 
 
 def test_generate_holds_its_arrays_and_one_chunk_in_flight(monkeypatch):

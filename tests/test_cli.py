@@ -557,6 +557,15 @@ def test_plot_requires_exactly_one_source(workspace, tmp_path):
     assert rc == 1
 
 
+def test_plot_refuses_waypoints_without_a_trace(workspace, tmp_path, capsys):
+    # a coverage plot draws no route, so the option would be ignored
+    rc = main(["plot", *ENV_FLAGS, "--dataset", str(workspace / "test" / "dataset.csv"),
+               "--waypoints", "apartment_loop", "--out", str(tmp_path / "p")])
+    assert rc == 1
+    assert capsys.readouterr().err == "neuromap: usage error: plot draws --waypoints only with --trace\n"
+    assert not (tmp_path / "p").exists()
+
+
 # --- bench -------------------------------------------------------------------------
 
 

@@ -241,6 +241,26 @@ def test_is_free_refuses_points_whose_cell_index_overflows():
         assert grid.is_free(x, y) is False, (x, y)
 
 
+@pytest.mark.parametrize("origin, resolution", [((0.0, 0.0), 1.0), ((-1.7, 2.35), 0.3)])
+def test_free_mask_equals_is_free(origin, resolution):
+    rng = np.random.default_rng(41)
+    cells = rng.random((6, 9)) < 0.4
+    grid = OccupancyGrid(9, 6, resolution, *origin, cells)
+    # every cell edge, the doubles either side of it (so just outside each
+    # bound too), far-out values, inf and NaN
+    ex = grid.origin_x + np.arange(-1, grid.width + 2) * grid.resolution
+    ey = grid.origin_y + np.arange(-1, grid.height + 2) * grid.resolution
+    far = [-1e308, 1e308, -math.inf, math.inf, math.nan]
+    ex = np.concatenate([ex, np.nextafter(ex, -np.inf), np.nextafter(ex, np.inf), far])
+    ey = np.concatenate([ey, np.nextafter(ey, -np.inf), np.nextafter(ey, np.inf), far])
+    b = grid.bounds()
+    xs = np.concatenate([np.repeat(ex, len(ey)), rng.uniform(b.x_min - 1.0, b.x_max + 1.0, 2000)])
+    ys = np.concatenate([np.tile(ey, len(ex)), rng.uniform(b.y_min - 1.0, b.y_max + 1.0, 2000)])
+    want = [grid.is_free(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert grid.free_mask(xs, ys).tolist() == want
+    assert any(want) and not all(want)
+
+
 def test_edge_point_resolves_to_higher_cell():
     left_occupied = grid_from_text("2 1 1.0 0.0 0.0\n#.\n")
     right_occupied = grid_from_text("2 1 1.0 0.0 0.0\n.#\n")
