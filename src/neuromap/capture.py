@@ -12,8 +12,8 @@ All randomness flows through numpy's PCG64 seeded from explicit
 isolation and sharded generation equals serial generation bit for bit.
 ``gen`` draws a block of samples' first attempts at once, on arrays that
 step those generators with numpy's own arithmetic (``_PCG64Rows``), and
-each rejected sample goes on in ``sample_random_pose`` from its own
-generator.
+each sample whose first attempt is rejected is drawn again in
+``sample_random_pose`` from its own generator.
 """
 
 import json
@@ -310,21 +310,14 @@ class WalkResult:
 
 
 def sample_random_pose(
-    env: EnvironmentSpec,
-    rng: np.random.Generator,
-    clearance: float = 0.0,
-    _first_rejected: bool = False,
+    env: EnvironmentSpec, rng: np.random.Generator, clearance: float = 0.0
 ) -> Pose2D:
     """A uniform pose whose disc of radius ``clearance`` is free: positions
     over the bounds rectangle, headings over the full circle, resampled
     until the disc fits (clearance 0 tests the point alone).
 
     Each attempt draws x, y, theta in that order, so the draw sequence is
-    part of the reproducibility contract. ``_first_rejected`` says that the
-    caller has drawn the first attempt from this fresh ``rng``'s stream and
-    rejected it (generate_dataset draws a block's first attempts on
-    arrays): sampling goes on from the second attempt, within the same
-    budget.
+    part of the reproducibility contract.
 
     Raises:
         InfeasibleEnvironmentError: at the first rejection when no cell is
@@ -333,36 +326,25 @@ def sample_random_pose(
     """
     b = env.bounds
     grid = env.grid
-    attempts = range(REJECTION_BUDGET)
-    if _first_rejected:
-        rng.bit_generator.advance(3)  # each uniform draw takes one 64-bit output
-        _refuse_without_room(env, clearance)
-        attempts = attempts[1:]
-    for attempt in attempts:
+    for attempt in range(REJECTION_BUDGET):
         x = rng.uniform(b.x_min, b.x_max)
         y = rng.uniform(b.y_min, b.y_max)
         theta = rng.uniform(-180.0, 180.0)
         # footprint_free at radius 0 is is_free; testing the point here keeps a
-        # draw to one is_free call, the one perfbench's capture.pose_accept_ratio
-        # counts (in gen, only the attempts after a rejected first one)
+        # draw to one call, the one perfbench's capture.pose_accept_ratio counts
+        # (in gen, only the attempts of rows whose array first attempt failed)
         if grid.is_free(x, y) and (clearance == 0.0 or grid.footprint_free(x, y, clearance)):
             return Pose2D(x, y, theta)
+        # checked only once a draw is rejected, so accepted draws cost nothing
         if attempt == 0:
-            _refuse_without_room(env, clearance)
+            gb = grid.bounds()
+            if grid.cells.all() or 2.0 * clearance > min(gb.width, gb.height):
+                raise InfeasibleEnvironmentError(
+                    f"no free pose with clearance {clearance} in {env.name!r}: no room"
+                )
     raise InfeasibleEnvironmentError(
         f"no free pose with clearance {clearance} in {env.name!r} after {REJECTION_BUDGET} attempts"
     )
-
-
-def _refuse_without_room(env: EnvironmentSpec, clearance: float) -> None:
-    """Raise when no cell is free or the disc is wider than the grid;
-    checked only once a draw is rejected, so accepted draws cost nothing."""
-    grid = env.grid
-    gb = grid.bounds()
-    if grid.cells.all() or 2.0 * clearance > min(gb.width, gb.height):
-        raise InfeasibleEnvironmentError(
-            f"no free pose with clearance {clearance} in {env.name!r}: no room"
-        )
 
 
 def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
@@ -437,7 +419,9 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
         block[:, 1] = rows.uniform(b.y_min, b.y_max)
         block[:, 2] = wrap_angles(rows.uniform(-180.0, 180.0))  # as Pose2D wraps it
         rejected = lo + np.flatnonzero(~env.grid.free_mask(block[:, 0], block[:, 1]))
-        retried = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i), _first_rejected=True)
+        # each rejected row is drawn again from its own generator, which
+        # repeats the rejected first attempt and goes on within the budget
+        retried = [sample_random_pose(env, derived_rng(seed, STREAM_GEN, i))
                    for i in rejected.tolist()]
         if retried:
             poses[rejected] = [(p.x, p.y, p.theta) for p in retried]

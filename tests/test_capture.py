@@ -281,10 +281,18 @@ def test_generate_with_many_retries_equals_the_scalar_oracle(monkeypatch):
     want = scalar_oracle(env, 60, 9)
     assert d.poses_matrix().tobytes() == want.tobytes()
     assert d.ranges_matrix().tobytes() == one_call(env, want).tobytes()
-    # the scalar loop tests every attempt with is_free, gen every attempt
-    # but the first; here the average row needs more than two retries
-    assert len(calls) - gen_calls == gen_calls + 60
-    assert gen_calls > 2 * 60
+    # the scalar loop tests every attempt with is_free, gen every attempt of
+    # the rows whose first attempt the array draw rejected; here the average
+    # row needs more than two retries
+    oracle_calls = len(calls) - gen_calls
+    first_free = 0
+    for i in range(60):
+        rng = derived_rng(9, STREAM_GEN, i)
+        first_free += env.grid.is_free(rng.uniform(env.bounds.x_min, env.bounds.x_max),
+                                       rng.uniform(env.bounds.y_min, env.bounds.y_max))
+    assert 0 < first_free < 60
+    assert gen_calls == oracle_calls - first_free
+    assert gen_calls > 3 * (60 - first_free)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5])
