@@ -25,6 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .inputs import FormatError, InputError, check_finite, read_lines
+from .pool import map_in_order
 from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
 from .world import EnvironmentSpec, SensorConfig, ray_distances
 
@@ -350,11 +351,10 @@ def sample_random_pose(
 def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
     """Raycast (n, 3) poses at once; returns (n, ray_count) normalised ranges.
 
-    Chunks of poses run on a thread pool as wide as the process's CPU
-    affinity mask (numpy releases the GIL inside its loops), each writing
-    only its own rows, so the result does not depend on the CPU count. A
-    failure raises what a serial loop over the chunks would raise first,
-    and no chunk starts after it.
+    Chunks of poses run on ``map_in_order``'s threads (numpy releases the
+    GIL inside its loops), each writing only its own rows, so the result
+    does not depend on the CPU count. A failure raises what a serial loop
+    over the chunks would raise first, and no chunk starts after it.
     """
     sensor = env.sensor
     offsets = sensor.bearing_offsets()
@@ -362,8 +362,6 @@ def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
     out = np.empty((len(poses), k))
     chunk = max(1, CHUNK_RAYS // k)
     starts = range(0, len(poses), chunk)
-    if not starts:
-        return out
 
     def observe(lo: int) -> None:
         batch = poses[lo : lo + chunk]
@@ -373,27 +371,7 @@ def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
         d = ray_distances(env.grid, xs, ys, bearings, sensor.max_range)
         np.divide(d.reshape(len(batch), k), sensor.max_range, out=out[lo : lo + len(batch)])
 
-    # imported here, so the commands that raycast no dataset load no threads
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(starts), max(1, RAYS_IN_FLIGHT // (chunk * k)))
-    # Chunks are handed out as workers free up, so none waits in a queue,
-    # and none starts once a failure is seen.
-    futures, running = [], set()
-    with ThreadPoolExecutor(workers) as pool:
-        for lo in starts:
-            if len(running) == workers:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                if any(f.exception() for f in done):
-                    break
-            futures.append(pool.submit(observe, lo))
-            running.add(futures[-1])
-    for f in futures:  # in chunk order, so a serial loop's first failure is raised
-        f.result()
+    map_in_order(observe, starts, max(1, RAYS_IN_FLIGHT // (chunk * k)))
     return out
 
 

@@ -350,7 +350,6 @@ def _parse_ablate(text) -> list:
 def cmd_eval(args) -> int:
     sizes = _parse_ablate(args.ablate)
     env = _resolve_env(args)
-    out = _out_dir(args)
     testset = load_dataset(args.testset)
     with build_estimator(args.estimator, env) as estimator:
         if sizes:
@@ -360,6 +359,7 @@ def cmd_eval(args) -> int:
                 raise InputError(
                     f"ablation size {max(sizes)} exceeds database size {len(estimator.db)}"
                 )
+        out = _out_dir(args)
         results = {args.estimator: evaluate(estimator, testset, env)}
         for size in sizes:  # k-NN over the database's first `size` rows
             db = estimator.db
@@ -397,8 +397,8 @@ def cmd_navigate(args) -> int:
     odo = OdometryConfig(
         sigma_lin_frac=args.odo_lin, sigma_ang_per_step=args.odo_ang, seed=args.seed,
     )
-    out = _out_dir(args)
     with build_estimator(args.estimator, env) as estimator:
+        out = _out_dir(args)
         trace, report = navigate_waypoints(waypoints, estimator, env, start, nav_cfg, odo)
 
     save_trace(trace, out / "trace.csv", comments=args.comments)

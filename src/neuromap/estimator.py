@@ -19,6 +19,7 @@ import math
 import os
 import select
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,6 +28,7 @@ import numpy as np
 
 from .capture import Dataset
 from .inputs import InputError, check_finite
+from .pool import map_in_order
 from .pose import circular_mean, denormalize, wrap_angles
 from .training import decode_head, forward_batch
 from .world import EnvironmentSpec, SensorConfig
@@ -41,9 +43,14 @@ DEFAULT_TIMEOUT_S = 5.0
 
 # Size of one (queries, database rows) float64 score block of the k-NN
 # screen. It sets how many queries share one pass over the database: 32
-# against a 20k-row database, with the screen's three block temporaries
-# together ~11 MB.
+# against a 20k-row database. Each of the screen's threads holds one block
+# and its boolean mask (~5.8 MB there), so SCREEN_BYTES_IN_FLIGHT caps the
+# threads, and peak memory does not grow with the core count.
 SCREEN_BLOCK_BYTES = 5 << 20
+SCREEN_BYTES_IN_FLIGHT = 2 * SCREEN_BLOCK_BYTES
+
+# database rows per group whose minimum score bounds a query's k-th from above
+SCREEN_GROUP = 64
 
 
 class EstimatorUnavailableError(RuntimeError):
@@ -61,6 +68,9 @@ class OracleConfig:
         check_finite(self)
         if self.sigma_pos < 0 or self.sigma_theta < 0:
             raise InputError("sigmas must be non-negative")
+        # -0.0 becomes 0.0: numpy's normal refuses a scale whose sign bit is set
+        object.__setattr__(self, "sigma_pos", self.sigma_pos + 0.0)
+        object.__setattr__(self, "sigma_theta", self.sigma_theta + 0.0)
         # refuse a sigma whose 10-sigma draw (probability < 2e-23) overflows
         for name, sigma in (("sigma_pos", self.sigma_pos), ("sigma_theta", self.sigma_theta)):
             if not math.isfinite(10.0 * sigma):
@@ -168,7 +178,8 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
     2 Q r`` in one matrix product over the database's cached row norms (the
     score differs from the squared distance only by the constant
     ``||q||^2``); a row survives when its score is within a floating-point
-    rounding bound of its query's k-th smallest.
+    rounding bound of its query's k-th smallest. The blocks run on
+    ``map_in_order``'s threads, each thread with its own score buffer.
     """
     R = db.ranges_matrix()
     norms_sq = db.range_norms_sq()
@@ -190,23 +201,44 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
     c = math.sqrt(norms_sq.max()) + np.sqrt(np.einsum("ij,ij->i", queries, queries))
     tol = 8.0 * (m + 2) * np.finfo(np.float64).eps * c * c
     block = max(1, min(len(queries), SCREEN_BLOCK_BYTES // (8 * n)))
-    scores = np.empty((block, n))
-    kth = np.empty((block, n))
-    keep = np.empty((block, n), dtype=bool)
-    survivors = []
-    for start in range(0, len(queries), block):
+    groups = n // SCREEN_GROUP
+    full = groups * SCREEN_GROUP  # columns in whole groups; a shorter tail follows
+    buffers = threading.local()
+
+    def screen(start: int) -> list[KnnQuery]:
         stop = min(start + block, len(queries))
-        a, p, mask = scores[: stop - start], kth[: stop - start], keep[: stop - start]
+        if not hasattr(buffers, "scores"):
+            buffers.scores, buffers.keep = np.empty((block, n)), np.empty((block, n), dtype=bool)
+        a, mask, t = buffers.scores[: stop - start], buffers.keep[: stop - start], tol[start:stop]
         np.matmul(queries[start:stop], R.T, out=a)
         a *= -2.0
         a += norms_sq
-        np.copyto(p, a)
-        p.partition(k - 1, axis=1)
-        np.less_equal(a, (p[:, k - 1] + tol[start:stop])[:, None], out=mask)
-        rows, ids = np.divmod(np.flatnonzero(mask), n)  # ids ascend within each query
-        split = np.split(ids, np.searchsorted(rows, np.arange(1, stop - start)))
-        survivors += map(KnnQuery, queries[start:stop], split)
-    return survivors
+        # The columns fall into groups: column g + j * groups for j < SCREEN_GROUP
+        # is in group g, and the tail past the whole groups is one more. The
+        # k smallest group minima are k distinct rows' scores, so the k-th
+        # of them, tau, is at or above the k-th score: every row within tol
+        # of the k-th score is a candidate (tau is inf below k groups).
+        mins = np.empty((len(a), groups + (full < n)))
+        np.minimum.reduce(a[:, :full].reshape(len(a), SCREEN_GROUP, groups), axis=1,
+                          out=mins[:, :groups])
+        if full < n:
+            np.minimum.reduce(a[:, full:], axis=1, out=mins[:, groups])
+        tau = np.partition(mins, k - 1, axis=1)[:, k - 1] if mins.shape[1] >= k else np.inf
+        np.less_equal(a, (tau + t)[:, None], out=mask)
+        flat = np.flatnonzero(mask)
+        rows, ids = np.divmod(flat, n)  # ids ascend within each query
+        scores = a.ravel()[flat]
+        # each query's k-th score, exactly, from its sorted candidates
+        first = np.searchsorted(rows, np.arange(len(a)))
+        kth = scores[np.lexsort((scores, rows))[first + k - 1]]
+        keep = scores <= (kth + t)[rows]
+        rows, ids = rows[keep], ids[keep]
+        split = np.split(ids, np.searchsorted(rows, np.arange(1, len(a))))
+        return list(map(KnnQuery, queries[start:stop], split))
+
+    most = max(1, SCREEN_BYTES_IN_FLIGHT // (8 * block * n))
+    parts = map_in_order(screen, range(0, len(queries), block), most)
+    return [q for part in parts for q in part]
 
 
 def knn_estimate(db: Dataset, query: KnnQuery, cfg: KnnConfig):

@@ -24,46 +24,23 @@ class FormatError(InputError):
         super().__init__(where + why)
 
 
-# bytes per read in read_lines; a line may span any number of reads
-READ_BYTES = 1 << 16
-
-
 def read_lines(path) -> Iterator[str]:
     """The lines of an ASCII text file, read lazily: split at "\n" once
     "\r\n" and "\r" are read as "\n"; the empty tail after a final newline
     is not a line. The file is opened here, so an ``OSError`` is raised by
-    the call; a byte that is not ASCII is refused when the lines before it
-    have been yielded. Only one read's worth of text is held at a time."""
-    return _lines(open(path, "rb"), path)
+    the call; a line holding a byte that is not ASCII is refused when the
+    lines before it have been yielded."""
+    # each byte above 0x7f decodes to the lone surrogate U+DC00 + byte
+    return _lines(open(path, encoding="ascii", errors="surrogateescape", newline=None), path)
 
 
 def _lines(f, path) -> Iterator[str]:
     with f:
-        line_no, pieces, cr = 1, [], b""  # pieces: the text so far of line line_no
-        while True:
-            chunk = f.read(READ_BYTES)
-            data, cr = cr + chunk, b""
-            if chunk and data.endswith(b"\r"):  # its "\n" may open the next read
-                data, cr = data[:-1], b"\r"
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            try:
-                text = data.decode("ascii")
-            except UnicodeDecodeError as exc:
-                line = line_no + data.count(b"\n", 0, exc.start)
-                why = f"byte 0x{data[exc.start]:02x} is not ASCII"
-                raise FormatError(path, line, why) from None
-            lines = text.split("\n")
-            pieces.append(lines[0])
-            if len(lines) > 1:
-                lines[0] = "".join(pieces)
-                pieces = [lines.pop()]
-                line_no += len(lines)
-                yield from lines
-            if not chunk:
-                break
-        tail = "".join(pieces)
-        if tail:
-            yield tail
+        for line_no, line in enumerate(f, start=1):
+            if not line.isascii():
+                byte = ord(next(ch for ch in line if not ch.isascii())) - 0xDC00
+                raise FormatError(path, line_no, f"byte 0x{byte:02x} is not ASCII")
+            yield line.rstrip("\n")  # a line holds no "\n" but its last character
 
 
 def check_finite(config) -> None:

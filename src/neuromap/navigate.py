@@ -74,6 +74,9 @@ class OdometryConfig:
         check_finite(self)
         if self.sigma_lin_frac < 0 or self.sigma_ang_per_step < 0:
             raise InputError("odometry sigmas must be non-negative")
+        # -0.0 becomes 0.0: numpy's normal refuses a scale whose sign bit is set
+        object.__setattr__(self, "sigma_lin_frac", self.sigma_lin_frac + 0.0)
+        object.__setattr__(self, "sigma_ang_per_step", self.sigma_ang_per_step + 0.0)
 
 
 @dataclass(frozen=True)

@@ -469,7 +469,7 @@ def _axis_start(origin: float, start, index, u, res: float) -> tuple:
     cell step (-1, 0 or 1). Computing one axis at a time holds one axis's
     temporaries at once."""
     step = np.sign(u).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_delta = np.where(u != 0.0, res / np.abs(u), np.inf)
         edge = origin + (index + (step > 0)) * res  # the first cell edge ahead
         t = np.where(u != 0.0, (edge - start) / u, np.inf)

@@ -1,6 +1,5 @@
 """Dataset capture: rejection sampling, random walks, the dataset file."""
 
-import concurrent.futures
 import json
 import math
 import os
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from neuromap import capture, inputs
+from neuromap import capture, pool
 from neuromap.capture import (
     DATASET_MAGIC,
     SAVE_BLOCK_ROWS,
@@ -409,10 +408,10 @@ def test_observe_poses_under_frequent_thread_switches(monkeypatch):
 
 
 def test_observe_no_poses_makes_no_pool(monkeypatch):
-    def no_pool(workers):
-        raise AssertionError(f"pool of {workers} created")
+    def no_thread(*args, **kwargs):
+        raise AssertionError("thread created")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(pool.threading, "Thread", no_thread)
     got = capture._observe_poses(box_env(), np.empty((0, 3)))
     assert got.shape == (0, 16)
 
@@ -804,7 +803,6 @@ def _load_outcome(load, path):
 def test_streamed_load_equals_whole_file_loader(tmp_path, monkeypatch, two_blocks_and_five, block):
     if block != SAVE_BLOCK_ROWS:
         monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", block)
-        monkeypatch.setattr(inputs, "READ_BYTES", 7)  # lines span reads too
     d = two_blocks_and_five
     n = 2 * block + 5
     path = tmp_path / "good.csv"
@@ -853,10 +851,9 @@ def test_a_header_size_the_file_cannot_hold_is_refused_before_it_sizes_anything(
     assert peak < 2**20
 
 
-def test_load_reports_a_later_byte_or_row_count_before_a_bad_row(tmp_path, monkeypatch):
+def test_load_reports_a_later_byte_or_row_count_before_a_bad_row(tmp_path):
     # as the whole-file loader did; only a fault in the header lines now
-    # comes before a byte that is not ASCII in a later read of the file
-    monkeypatch.setattr(inputs, "READ_BYTES", 64)
+    # comes before a byte that is not ASCII on a later line
     lines = _saved_rows(tmp_path)
     parts = lines[3].split(",")
     parts[4] = "abc"

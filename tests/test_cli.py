@@ -10,11 +10,13 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from neuromap import estimator as estimator_module
 from neuromap.capture import Dataset, load_dataset, save_dataset
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator
@@ -95,6 +97,21 @@ def test_gen_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
     rows = (tmp_path / "o" / "dataset.csv").read_text().splitlines()[2:]
     assert len(rows) == 50
     assert rows == runs[0]["dataset.csv"].decode().splitlines()[2:52]
+
+
+def test_eval_bytes_do_not_depend_on_cpu_count(workspace, tmp_path, monkeypatch):
+    # k-NN screen blocks of 7 of the 60 queries run on one or two threads,
+    # and one block of all 60 gives the same bytes
+    argv = ["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'},k=5",
+            "--testset", str(workspace / "test" / "dataset.csv"), "--out", str(tmp_path / "o")]
+    runs = []
+    for cpus, block in ((1, 7), (2, 7), (2, 60)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)), raising=False)
+        monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", block * 8 * 800)
+        assert main(argv) == 0
+        runs.append({p.name: read(p) for p in (tmp_path / "o").iterdir()})
+    assert runs[0] == runs[1] == runs[2]
+    assert set(runs[0]) == {"metrics.json", "table.txt"}
 
 
 def test_gen_dense_sampling_covers_map(tmp_path):
@@ -401,6 +418,17 @@ def test_navigate_rerun_is_byte_identical(tmp_path):
     assert {p.name: read(p) for p in out.iterdir()} == first
 
 
+def test_a_tiny_fov_prints_no_warning(tmp_path, capsys):
+    # rays whose direction component is subnormal overflow to the inf that
+    # the raycast wants; no RuntimeWarning may reach stderr on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["navigate", "--env", "apartment", "--estimator", "oracle",
+                     "--waypoints", "apartment_loop", "--start", "1.5,1.5,0",
+                     "--fov", "1e-320", "--out", str(tmp_path / "n")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_navigate_abort_exit_code_and_trace(tmp_path):
     out = tmp_path / "n"
     rc = main(["navigate", "--env", "apartment", "--estimator", "external:/bin/false",
@@ -460,6 +488,45 @@ def test_oracle_sigma_whose_ten_sigma_draw_overflows_is_input_error(
     }[command]
     err = _refused(capsys, argv, tmp_path / "o")
     assert err == f"neuromap: input error: {name} = 1e+308: a 10-sigma draw overflows\n"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "estimator", "oracle:sigma_pos=%s,seed=3"),
+    ("eval", "estimator", "oracle:sigma_theta=%s,seed=3"),
+    ("navigate", "estimator", "oracle:sigma_pos=%s,seed=3"),
+    ("navigate", "estimator", "oracle:sigma_theta=%s,seed=3"),
+    ("navigate", "odo_lin", "%s"),
+    ("navigate", "odo_ang", "%s"),
+])
+def test_a_noise_setting_of_negative_zero_runs_as_zero(workspace, tmp_path, command, key, value):
+    # numpy's normal refuses a scale whose sign bit is set. One config file
+    # path keeps the invocation, and so the provenance, the same; eval's
+    # outputs also name the estimator by its spec
+    base = {"eval": ["--testset", str(workspace / "test" / "dataset.csv")],
+            "navigate": ["--waypoints", "apartment_loop", "--start", "1.5,1.5,0"]}[command]
+    cfg, out = tmp_path / "run.json", tmp_path / "o"
+    runs = []
+    for zero in ("-0", "0"):
+        setting = value % zero
+        config = {"estimator": setting} if key == "estimator" else {"estimator": "oracle",
+                                                                    key: float(setting)}
+        cfg.write_text(json.dumps(config))
+        assert main([command, *ENV_FLAGS, *base, "--config", str(cfg), "--out", str(out)]) == 0
+        name = setting.encode() if key == "estimator" else b"\0"
+        runs.append({p.name: read(p).replace(name, b"SPEC") for p in out.iterdir()})
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("eval", "knn:{db},k=1e400"),
+    ("navigate", "oracle:seed=x"),
+])
+def test_a_bad_estimator_spec_creates_no_out(workspace, tmp_path, capsys, command, spec):
+    base = {"eval": ["--testset", str(workspace / "test" / "dataset.csv")],
+            "navigate": ["--waypoints", "apartment_loop", "--start", "1.5,1.5,0"]}[command]
+    estimator = spec.format(db=workspace / "db" / "dataset.csv")
+    err = _refused(capsys, [command, *ENV_FLAGS, *base, "--estimator", estimator], tmp_path / "o")
+    assert err.startswith("neuromap: usage error: bad value for estimator option")
 
 
 NAVIGATE_LOOP = ["navigate", "--env", "apartment", "--estimator", "oracle",
@@ -789,11 +856,12 @@ ZERO_ALLOWED = {"seed", "steps", "weight_decay", "footprint", "odo_lin", "odo_an
 
 
 def _refused(capsys, argv, out):
-    """main(argv) refuses: exit 1 or 2, one stderr line, no file under ``out``."""
+    """main(argv) refuses: exit 1 or 2, one stderr line, no file under ``out``,
+    and no ``out`` at all after a usage error (exit 1)."""
     rc = main([*argv, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc in (1, 2) and len(err.splitlines()) == 1 and "Traceback" not in err, (argv, rc, err)
-    assert not out.exists() or not any(out.iterdir()), argv
+    assert not out.exists() or (rc == 2 and not any(out.iterdir())), (argv, rc)
     return err
 
 

@@ -1,6 +1,7 @@
 """Oracle, k-NN, regressor inference, and the external process adapter."""
 
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -377,13 +378,54 @@ def random_db(rng, n, rays, rows=None):
     return Dataset("e", sensor, 0, poses, rows)
 
 
+def screen_by_partition(db, queries, k):
+    """The survivor ids of the screen that partitions a copy of each block's
+    scores to read each query's k-th: the blocks, scores and threshold of
+    ``knn_screen``, which must keep the same rows, id for id."""
+    R = db.ranges_matrix()
+    norms_sq = db.range_norms_sq()
+    n, m = R.shape
+    c = math.sqrt(norms_sq.max()) + np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    tol = 8.0 * (m + 2) * np.finfo(np.float64).eps * c * c
+    block = max(1, min(len(queries), estimator_module.SCREEN_BLOCK_BYTES // (8 * n)))
+    survivors = []
+    for start in range(0, len(queries), block):
+        stop = min(start + block, len(queries))
+        a = np.empty((stop - start, n))
+        np.matmul(queries[start:stop], R.T, out=a)
+        a *= -2.0
+        a += norms_sq
+        p = np.partition(a, k - 1, axis=1)
+        rows, ids = np.divmod(np.flatnonzero(a <= (p[:, k - 1] + tol[start:stop])[:, None]), n)
+        survivors += np.split(ids, np.searchsorted(rows, np.arange(1, stop - start)))
+    return survivors
+
+
+def assert_screen_matches_partition(db, queries, ks, counts):
+    """``knn_screen``'s survivors equal ``screen_by_partition``'s for the
+    first ``count`` queries, with 1 and 2 CPUs in the affinity mask."""
+    for cpus in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            for k in ks:
+                for count in counts:
+                    got = [q.ids for q in knn_screen(db, queries[:count], k)]
+                    want = screen_by_partition(db, queries[:count], k)
+                    assert len(got) == len(want) == count, (cpus, k, count)
+                    for i, (g, w) in enumerate(zip(got, want)):
+                        assert g.dtype == w.dtype and np.array_equal(g, w), (cpus, k, count, i)
+
+
 def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
     """One-row and block ``estimate`` calls of the k-NN estimator against the
-    full scan, bit for bit. The blocks screen len(queries) - 1 queries at a
-    time, so they cover 1, block - 1, block and block + 1 queries."""
+    full scan, bit for bit, and the screen against the partition screen. The
+    blocks screen len(queries) - 1 queries at a time, so they cover 1,
+    block - 1, block and block + 1 queries."""
     block = max(1, len(queries) - 1)
     monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", block * 8 * len(db))
     queries = np.array(queries)
+    counts = sorted({1, block - 1, block, block + 1} - {0})
+    assert_screen_matches_partition(db, queries, ks, counts)
     for k in ks:
         for weighting in ("uniform", "inverse-distance"):
             cfg = KnnConfig(k=k, weighting=weighting)
@@ -391,7 +433,7 @@ def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
             want = [bits(knn_full_scan(db, q, cfg)) for q in queries]
             got = [bits(est.estimate(r)) for r in rows(queries)]
             assert got == want, (k, weighting)
-            for count in sorted({1, block - 1, block, block + 1} - {0}):
+            for count in counts:
                 got = [bits(e) for e in est.estimate(queries[:count])]
                 assert got == want[:count], (k, weighting, count)
 
@@ -415,6 +457,24 @@ def test_knn_batch_of_one_real_screen_block_matches_full_scan(monkeypatch):
     assert_knn_matches_full_scan(db, queries, [1, 5, len(db)], monkeypatch)
 
 
+def test_knn_screen_under_frequent_thread_switches(monkeypatch):
+    # one query per block on 8 threads, more than a small host has cores, each
+    # thread with its own score buffer
+    rng = np.random.default_rng(31)
+    db = random_db(rng, 700, 16)
+    queries = np.vstack([rng.uniform(0.0, 1.0, (40, 16)), db.ranges_matrix()[:8]])
+    monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", 8 * len(db))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [q.ids for q in knn_screen(db, queries, 5)]
+    finally:
+        sys.setswitchinterval(interval)
+    want = screen_by_partition(db, queries, 5)
+    assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_knn_matches_full_scan_on_duplicate_rows(monkeypatch):
     # each distinct row appears several times under scattered ids, so every
     # k cuts through a group of exact distance ties
@@ -424,6 +484,16 @@ def test_knn_matches_full_scan_on_duplicate_rows(monkeypatch):
     db = random_db(rng, 60, 12, rows=rows)
     queries = [*distinct, (distinct[0] + distinct[1]) / 2, rng.uniform(0.0, 1.0, 12)]
     assert_knn_matches_full_scan(db, queries, [1, 2, 3, 5, 11, 12, 13, 29, 60], monkeypatch)
+
+
+def test_knn_matches_full_scan_on_duplicate_rows_across_groups(monkeypatch):
+    # 300 rows (4 whole groups of 64 and a tail) drawn from 5 distinct rows:
+    # each group minimum ties with rows in every other group
+    rng = np.random.default_rng(19)
+    distinct = rng.uniform(0.0, 1.0, (5, 12))
+    db = random_db(rng, 300, 12, rows=distinct[rng.integers(0, 5, 300)])
+    queries = [*distinct, (distinct[0] + distinct[1]) / 2, rng.uniform(0.0, 1.0, 12)]
+    assert_knn_matches_full_scan(db, queries, [1, 2, 3, 5, 6, 59, 60, 61, 300], monkeypatch)
 
 
 def test_knn_matches_full_scan_on_one_ulp_near_ties(monkeypatch):

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from neuromap import inputs
 from neuromap.inputs import FormatError, InputError, check_finite, read_lines
 
 
@@ -24,18 +23,27 @@ def test_read_lines_drops_only_the_tail_after_the_final_newline(tmp_path, data, 
     assert list(read_lines(path)) == lines
 
 
-@pytest.mark.parametrize("read_bytes", [1, 2, 3, 7, 1 << 16])
-def test_read_lines_splits_as_the_whole_text_does(tmp_path, monkeypatch, read_bytes):
+# bytes per read of Python's text reader: files below are large enough to
+# cross several reads, with "\r\n" and non-ASCII bytes at the boundaries
+READ = 8192
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 1 << 16])
+def test_read_lines_splits_as_the_whole_text_does(tmp_path, seed):
     # "\r\n" may straddle two reads, and a line may span many
-    monkeypatch.setattr(inputs, "READ_BYTES", read_bytes)
-    rng = np.random.default_rng(read_bytes)
+    rng = np.random.default_rng(seed)
     path = tmp_path / "f.txt"
-    for _ in range(300):
-        path.write_bytes(bytes(rng.choice(list(b"a,\r\n"), int(rng.integers(0, 40)))))
-        want = path.read_text(encoding="ascii").split("\n")
-        if want[-1] == "":
-            want.pop()
-        assert list(read_lines(path)) == want
+    for piece in (b"", b"\r\n", b"\r", b"\n", b"\r\r\n", b"a" * (3 * READ)):
+        for _ in range(20):
+            data = bytearray(rng.choice(list(b"a,\r\n"), int(rng.integers(0, 4 * READ))))
+            for boundary in range(READ, len(data), READ):
+                at = boundary - int(rng.integers(0, len(piece) + 1))
+                data[at : at + len(piece)] = piece
+            path.write_bytes(bytes(data))
+            want = path.read_text(encoding="ascii").split("\n")
+            if want[-1] == "":
+                want.pop()
+            assert list(read_lines(path)) == want
 
 
 def test_a_byte_that_is_not_ascii_names_the_path_and_its_line(tmp_path):
@@ -47,15 +55,27 @@ def test_a_byte_that_is_not_ascii_names_the_path_and_its_line(tmp_path):
     assert (info.value.path, info.value.line) == (path, 3)
 
 
+def _lines_filling(size, newline):
+    """Lines that, each followed by ``newline``, fill exactly ``size`` bytes."""
+    lines = []
+    while size > 40:
+        lines.append("ok" * 10)
+        size -= 20 + len(newline)
+    return [*lines, "o" * (size - len(newline))]
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-def test_the_line_of_a_byte_that_is_not_ascii_counts_every_newline(tmp_path, monkeypatch, newline):
-    monkeypatch.setattr(inputs, "READ_BYTES", 4)
+def test_the_line_of_a_byte_that_is_not_ascii_counts_every_newline(tmp_path, newline):
+    # the byte sits at offset ``at``, on either side of a read boundary
     path = tmp_path / "f.txt"
-    path.write_bytes(newline.join(["ok", "still ok", "", "bad \xff"]).encode("latin-1"))
-    lines = read_lines(path)
-    assert [next(lines) for _ in range(3)] == ["ok", "still ok", ""]
-    with pytest.raises(FormatError, match="line 4: byte 0xff is not ASCII"):
-        next(lines)
+    for at in (READ - 1, READ, READ + 1, 3 * READ):
+        good = _lines_filling(at, newline)
+        path.write_bytes(newline.join([*good, "\xff bad", "ok"]).encode("latin-1"))
+        assert path.read_bytes().index(b"\xff") == at
+        lines = read_lines(path)
+        assert [next(lines) for _ in good] == good
+        with pytest.raises(FormatError, match=f"line {len(good) + 1}: byte 0xff is not ASCII"):
+            next(lines)
 
 
 def test_read_lines_leaves_os_errors_alone(tmp_path):
