@@ -16,7 +16,6 @@ each sample whose first attempt is rejected is drawn again in
 ``sample_random_pose`` from its own generator.
 """
 
-import json
 import math
 import os
 import warnings
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 import numpy as np
 
-from .inputs import FormatError, InputError, check_finite, read_lines
+from .inputs import FormatError, InputError, check_finite, header_line, read_header, read_lines
 from .pool import map_in_order
 from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
 from .world import EnvironmentSpec, SensorConfig, ray_distances
@@ -477,21 +476,9 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
     """Write the dataset file: magic line, one-line JSON header, CSV rows
     of ``id,x,y,theta,r0..`` at 9 significant digits.
     """
-    header = {
-        "env_name": d.env_name,
-        "seed": d.seed,
-        "fov": d.sensor.fov,
-        "ray_count": d.sensor.ray_count,
-        "max_range": d.sensor.max_range,
-        "n": len(d),
-    }
-    if extra_header:
-        for k, v in extra_header.items():
-            if k in header:
-                raise ValueError(f"extra header key {k!r} collides with a core field")
-            header[k] = v
+    header = {"env_name": d.env_name, "seed": d.seed, **d.sensor.header(), "n": len(d)}
     # json.dumps may refuse a value, so it runs before the file is truncated
-    head = f"{DATASET_MAGIC}\n{json.dumps(header, sort_keys=True)}\n"
+    head = f"{DATASET_MAGIC}\n{header_line(header, extra_header)}\n"
     row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count)) + "\n"
     poses, ranges = d.poses_matrix(), d.ranges_matrix()
     with open(path, "w", encoding="ascii") as f:
@@ -514,23 +501,11 @@ def load_dataset(path) -> Dataset:
     are its rows read one by one, to name the first bad line.
     """
     lines = read_lines(path)
-    if next(lines, None) != DATASET_MAGIC:
-        raise FormatError(path, None, f"not a '{DATASET_MAGIC}' file")
-    head = next(lines, None)
-    if head is None:
-        raise FormatError(path, None, "missing JSON header line")
-    try:
-        header = json.loads(head)
-    except json.JSONDecodeError as exc:
-        raise FormatError(path, 2, f"bad JSON header: {exc}") from None
+    header = read_header(lines, path, DATASET_MAGIC)
     try:
         env_name = header["env_name"]
         seed = int(header["seed"])
-        sensor = SensorConfig(
-            fov=float(header["fov"]),
-            ray_count=int(header["ray_count"]),
-            max_range=float(header["max_range"]),
-        )
+        sensor = SensorConfig.from_header(header)
         n = int(header["n"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(path, 2, f"bad header field: {exc}") from None

@@ -18,10 +18,10 @@ OdometryConfig) defines is read from it.
 
 import argparse
 import json
-import math
 import shlex
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +55,7 @@ from .navigate import (
     save_trace,
 )
 from .pose import Pose2D
-from .report import (
-    coverage_summary,
-    metrics_table,
-    save_metrics,
-    svg_coverage,
-    svg_route,
-)
+from .report import CoverageSummary, coverage_summary, metrics_table, save_json, svg_coverage, svg_route
 from .training import (
     TrainConfig,
     TrainingDivergedError,
@@ -173,25 +167,23 @@ def _resolve_env(args):
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, created once the work that could refuse the run
+    has run: a refused run leaves no --out."""
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_json(path, payload: dict, args) -> None:
-    payload = dict(payload)
-    payload["provenance"] = args.provenance
-    path.write_text(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None  # strict JSON has no Infinity
-    return value
+def _save_capture(args, env, dataset, **extra) -> CoverageSummary:
+    """Write a captured dataset, its coverage.json (with ``extra`` keys) and
+    coverage.svg into --out."""
+    out = _out_dir(args)
+    save_dataset(dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
+    poses = dataset.poses_matrix()
+    cov = coverage_summary(env, poses)
+    save_json(out / "coverage.json", {"coverage": asdict(cov), **extra}, args.provenance)
+    svg_coverage(env, poses, out / "coverage.svg", comments=args.comments)
+    return cov
 
 
 # --- estimator spec strings --------------------------------------------------------
@@ -253,13 +245,8 @@ def build_estimator(spec: str, env) -> Estimator:
 
 def cmd_gen(args) -> int:
     env = _resolve_env(args)
-    out = _out_dir(args)
     dataset = generate_dataset(env, args.n, args.seed)
-    save_dataset(dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
-    poses = dataset.poses_matrix()
-    cov = coverage_summary(env, poses)
-    _write_json(out / "coverage.json", {"coverage": cov.to_dict()}, args)
-    svg_coverage(env, poses, out / "coverage.svg", comments=args.comments)
+    cov = _save_capture(args, env, dataset)
     print(f"gen: {len(dataset)} samples in {env.name}; coverage {cov.fraction:.1%} "
           f"of {cov.free_cells} free cells")
     return 0
@@ -274,17 +261,8 @@ def cmd_walk(args) -> int:
         clearance_radius=args.clearance,
         max_steps=args.steps,
     )
-    out = _out_dir(args)
     result = random_walk_capture(env, walk_cfg, args.seed)
-    save_dataset(result.dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
-    poses = result.dataset.poses_matrix()
-    cov = coverage_summary(env, poses)
-    _write_json(
-        out / "coverage.json",
-        {"coverage": cov.to_dict(), "wedged": result.wedged, "steps": result.steps},
-        args,
-    )
-    svg_coverage(env, poses, out / "coverage.svg", comments=args.comments)
+    _save_capture(args, env, result.dataset, wedged=result.wedged, steps=result.steps)
     print(f"walk: {result.steps} steps, {len(result.dataset)} captures in {env.name}"
           + (" (wedged)" if result.wedged else ""))
     return 0
@@ -315,17 +293,17 @@ def cmd_train(args) -> int:
         loss=args.loss,
     )
     dataset = load_dataset(args.dataset)
-    out = _out_dir(args)
     evals_seen = 0
 
     def checkpoint(row, model):
         nonlocal evals_seen
         evals_seen += 1
         if evals_seen % 10 == 0:
-            save_model(model, out / "checkpoint.model",
+            save_model(model, _out_dir(args) / "checkpoint.model",
                        extra_header={"provenance": args.provenance, "iteration": row.iteration})
 
     model, history = train(dataset, env, train_cfg, on_eval=checkpoint)
+    out = _out_dir(args)
     save_model(model, out / "model.model", extra_header={"provenance": args.provenance})
     save_history(history, out / "history.csv", comments=args.comments)
     best = min((r.val_pos_err for r in history), default=float("nan"))
@@ -359,7 +337,6 @@ def cmd_eval(args) -> int:
                 raise InputError(
                     f"ablation size {max(sizes)} exceeds database size {len(estimator.db)}"
                 )
-        out = _out_dir(args)
         results = {args.estimator: evaluate(estimator, testset, env)}
         for size in sizes:  # k-NN over the database's first `size` rows
             db = estimator.db
@@ -367,7 +344,9 @@ def cmd_eval(args) -> int:
                 db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]
             )
             results[f"knn@{size}"] = evaluate(KnnEstimator(subset, estimator.cfg), testset, env)
-    save_metrics(results, out / "metrics.json", provenance=args.provenance)
+    out = _out_dir(args)
+    metrics = {name: asdict(m) for name, m in results.items()}
+    save_json(out / "metrics.json", {"metrics": metrics}, args.provenance)
     table = metrics_table(results, comments=args.comments)
     (out / "table.txt").write_text(table)
     print(table, end="")
@@ -398,29 +377,10 @@ def cmd_navigate(args) -> int:
         sigma_lin_frac=args.odo_lin, sigma_ang_per_step=args.odo_ang, seed=args.seed,
     )
     with build_estimator(args.estimator, env) as estimator:
-        out = _out_dir(args)
         trace, report = navigate_waypoints(waypoints, estimator, env, start, nav_cfg, odo)
-
+    out = _out_dir(args)
     save_trace(trace, out / "trace.csv", comments=args.comments)
-    _write_json(
-        out / "report.json",
-        {
-            "success": report.success,
-            "abort_reason": report.abort_reason,
-            "tick_count": report.tick_count,
-            "mean_closest_true": report.mean_closest_true,
-            "mean_closest_est": report.mean_closest_est,
-            "waypoints": [
-                {
-                    "x": wx, "y": wy, "reached": r.reached,
-                    "closest_true_dist": r.closest_true_dist,
-                    "closest_est_dist": r.closest_est_dist,
-                }
-                for (wx, wy), r in zip(waypoints, report.waypoints)
-            ],
-        },
-        args,
-    )
+    save_json(out / "report.json", asdict(report), args.provenance)
     svg_route(env, trace, waypoints, out / "route.svg", comments=args.comments)
     status = "ok" if report.success else f"abort: {report.abort_reason}"
     print(f"navigate: {status}; {report.tick_count} ticks, "
@@ -436,16 +396,16 @@ def cmd_plot(args) -> int:
     if args.waypoints is not None and args.trace is None:
         raise UsageError("plot draws --waypoints only with --trace")
     env = _resolve_env(args)
-    out = _out_dir(args)
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
         env.check_world("dataset", dataset.env_name, dataset.sensor, dataset.poses_matrix())
-        svg_coverage(env, dataset.poses_matrix(), out / "coverage.svg", comments=args.comments)
+        svg_coverage(env, dataset.poses_matrix(), _out_dir(args) / "coverage.svg",
+                     comments=args.comments)
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:
         trace = load_trace(args.trace)
         waypoints = load_waypoints(args.waypoints) if args.waypoints else []
-        svg_route(env, trace, waypoints, out / "route.svg", comments=args.comments)
+        svg_route(env, trace, waypoints, _out_dir(args) / "route.svg", comments=args.comments)
         print(f"plot: route.svg with {len(trace)} trace rows")
     return 0
 
@@ -466,11 +426,11 @@ def cmd_bench(args) -> int:
     print(f"bench: {args.estimator}: {mean:.1f} +/- {std:.1f} estimates/s "
           f"({args.frames} frames x {args.repeats} repeats)")
     if args.out:
-        _write_json(
+        save_json(
             _out_dir(args) / "bench.json",
             {"estimator": args.estimator, "frames": args.frames, "repeats": args.repeats,
              "rate_mean": mean, "rate_std": std, "rates": rates},
-            args,
+            args.provenance,
         )
     return 0
 

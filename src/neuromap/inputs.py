@@ -1,4 +1,5 @@
-"""Refusals of outside input, and the one reader of the text files.
+"""Refusals of outside input, the one reader of the text files, and the
+header of dataset and model files.
 
 Every refusal of a caller's values or files is an ``InputError``; a file
 that breaks its format is a ``FormatError`` naming the path and, where one
@@ -7,6 +8,7 @@ Any other exception marks a bug.
 """
 
 import dataclasses
+import json
 import math
 from collections.abc import Iterator
 
@@ -41,6 +43,29 @@ def _lines(f, path) -> Iterator[str]:
                 byte = ord(next(ch for ch in line if not ch.isascii())) - 0xDC00
                 raise FormatError(path, line_no, f"byte 0x{byte:02x} is not ASCII")
             yield line.rstrip("\n")  # a line holds no "\n" but its last character
+
+
+def read_header(lines: Iterator[str], path, magic: str) -> dict:
+    """The JSON header of a dataset or model file, whose ``lines`` must open
+    with the ``magic`` line and then one line of JSON; both are consumed."""
+    if next(lines, None) != magic:
+        raise FormatError(path, None, f"not a '{magic}' file")
+    head = next(lines, None)
+    if head is None:
+        raise FormatError(path, None, "missing JSON header line")
+    try:
+        return json.loads(head)
+    except json.JSONDecodeError as exc:
+        raise FormatError(path, 2, f"bad JSON header: {exc}") from None
+
+
+def header_line(header: dict, extra: dict | None) -> str:
+    """The JSON header line of ``header`` and the caller's ``extra`` keys,
+    which may not name a core field (``ValueError``); keys are sorted."""
+    for key in extra or {}:
+        if key in header:
+            raise ValueError(f"extra header key {key!r} collides with a core field")
+    return json.dumps({**header, **(extra or {})}, sort_keys=True)
 
 
 def check_finite(config) -> None:

@@ -108,6 +108,8 @@ class RouteTrace:
 
 @dataclass(frozen=True)
 class WaypointResult:
+    x: float
+    y: float
     reached: bool
     closest_true_dist: float
     closest_est_dist: float
@@ -295,7 +297,7 @@ def closest_distance_metrics(trace: RouteTrace, waypoints, abort_reason: str = "
             )
         else:
             closest_true = closest_est = math.inf
-        results.append(WaypointResult(reached, closest_true, closest_est))
+        results.append(WaypointResult(wx, wy, reached, closest_true, closest_est))
     return NavReport(
         waypoints=tuple(results),
         mean_closest_true=float(np.mean([r.closest_true_dist for r in results])),

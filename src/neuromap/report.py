@@ -1,4 +1,5 @@
-"""Result rendering: SVG plots, coverage summaries, metrics tables.
+"""Result rendering: SVG plots, coverage summaries, metrics tables, and the
+one writer of the JSON reports.
 
 All emitters are pure functions of their inputs (no timestamps, no
 randomness), so rerunning a command reproduces its report files byte for
@@ -11,12 +12,11 @@ poses in blue, waypoints and dataset samples in red.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .training import Metrics
 from .world import EnvironmentSpec
 
 SCALE = 50.0  # px per metre
@@ -149,24 +149,15 @@ class CoverageSummary:
     cell_m: float
     free_cells: int
     covered_cells: int
+    fraction: float = field(init=False)
 
     def __post_init__(self):
         if self.cell_m <= 0:
             raise ValueError("cell_m must be positive")
         if not 0 <= self.covered_cells <= self.free_cells:
             raise ValueError("covered_cells must be within [0, free_cells]")
-
-    @property
-    def fraction(self) -> float:
-        return self.covered_cells / self.free_cells if self.free_cells else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "cell_m": self.cell_m,
-            "free_cells": self.free_cells,
-            "covered_cells": self.covered_cells,
-            "fraction": self.fraction,
-        }
+        fraction = self.covered_cells / self.free_cells if self.free_cells else 0.0
+        object.__setattr__(self, "fraction", fraction)
 
 
 def coverage_summary(env: EnvironmentSpec, positions, cell_m: float = 0.5) -> CoverageSummary:
@@ -192,24 +183,27 @@ def coverage_summary(env: EnvironmentSpec, positions, cell_m: float = 0.5) -> Co
     return CoverageSummary(cell_m, int(free.sum()), int(covered.sum()))
 
 
-# --- metrics serialisation ---------------------------------------------------------
+# --- JSON reports ------------------------------------------------------------------
 
 
-def metrics_to_dict(m: Metrics) -> dict:
-    return {
-        "mean_pos_err": m.mean_pos_err,
-        "mean_theta_err": m.mean_theta_err,
-        "median_pos_err": m.median_pos_err,
-        "median_theta_err": m.median_theta_err,
-        "per_sample_errors": [[float(a), float(b)] for a, b in m.per_sample_errors],
-    }
+def save_json(path, doc: dict, provenance: dict) -> None:
+    """Write ``doc`` and its ``provenance`` as indented JSON with sorted keys.
+    Arrays and tuples are written as lists, and a float that is not finite
+    as null: strict JSON has no Infinity."""
+    text = json.dumps(_plain({**doc, "provenance": provenance}), indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
-def save_metrics(metrics_by_name: dict, path, provenance: dict | None = None) -> None:
-    doc = {"metrics": {name: metrics_to_dict(m) for name, m in metrics_by_name.items()}}
-    if provenance:
-        doc["provenance"] = provenance
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def metrics_table(metrics_by_name: dict, comments=()) -> str:

@@ -11,7 +11,6 @@ validation metric resets the rate to its initial value; a second plateau
 after the reset ends training as converged.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .capture import Dataset, derived_rng
-from .inputs import FormatError, InputError, check_finite, read_lines
+from .inputs import FormatError, InputError, check_finite, header_line, read_header, read_lines
 from .pose import EnvBounds, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, SensorConfig
 
@@ -574,20 +573,14 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
     """Write the model file: magic, JSON header, one line per tensor at
     12 significant digits (enough that save -> load -> save is stable).
     """
-    sensor = model.sensor
     header = {
         "layer_dims": list(model.layer_dims),
         "activation": "relu",
         "env_name": model.env_name,
-        "sensor": {"fov": sensor.fov, "ray_count": sensor.ray_count, "max_range": sensor.max_range},
+        "sensor": model.sensor.header(),
         "yaw_mode": model.yaw_mode,
     }
-    if extra_header:
-        for k, v in extra_header.items():
-            if k in header:
-                raise ValueError(f"extra header key {k!r} collides with a core field")
-            header[k] = v
-    lines = [MODEL_MAGIC, json.dumps(header, sort_keys=True)]
+    lines = [MODEL_MAGIC, header_line(header, extra_header)]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         lines.append(f"W{i} " + " ".join(_fmt12(v) for v in w.ravel()))
         lines.append(f"b{i} " + " ".join(_fmt12(v) for v in b))
@@ -595,27 +588,17 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
 
 
 def load_model(path) -> RegressorModel:
-    lines = list(read_lines(path))
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise FormatError(path, None, f"not a '{MODEL_MAGIC}' file")
-    if len(lines) < 2:
-        raise FormatError(path, None, "missing JSON header")
+    lines = list(read_lines(path))  # a byte that is not ASCII is refused first
+    header = read_header(iter(lines), path, MODEL_MAGIC)
     try:
-        header = json.loads(lines[1])
         layer_dims = tuple(int(d) for d in header["layer_dims"])
         yaw_mode = header["yaw_mode"]
         env_name = header["env_name"]
         sensor_h = header["sensor"]
         activation = header["activation"]
-        if not isinstance(sensor_h, dict):
-            raise TypeError(f"sensor must be an object, got {sensor_h!r}")
-        sensor = SensorConfig(
-            fov=float(sensor_h["fov"]),
-            ray_count=int(sensor_h["ray_count"]),
-            max_range=float(sensor_h["max_range"]),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(path, 2, f"bad header: {exc}") from None
+        sensor = SensorConfig.from_header(sensor_h)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(path, 2, f"bad header field: {exc}") from None
     if not (isinstance(env_name, str) and env_name):
         raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
     if activation != "relu":

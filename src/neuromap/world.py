@@ -58,6 +58,18 @@ class SensorConfig:
         if not self.max_range > 0.0:
             raise InputError(f"max_range must be positive, got {self.max_range!r}")
 
+    def header(self) -> dict:
+        """The sensor as dataset and model file headers state it."""
+        return {"fov": self.fov, "ray_count": self.ray_count, "max_range": self.max_range}
+
+    @classmethod
+    def from_header(cls, h) -> "SensorConfig":
+        """The sensor a file header ``h`` states; a missing key raises
+        ``KeyError``, a value of the wrong type ``TypeError`` or ``ValueError``."""
+        if not isinstance(h, dict):
+            raise TypeError(f"sensor must be an object, got {h!r}")
+        return cls(fov=float(h["fov"]), ray_count=int(h["ray_count"]), max_range=float(h["max_range"]))
+
     def bearing_offsets(self) -> np.ndarray:
         """Ray bearings relative to the heading, in degrees, ray 0 first."""
         if self.fov == 360.0:
@@ -239,14 +251,6 @@ class OccupancyGrid:
         except ValueError as exc:
             raise FormatError(path, 1, str(exc)) from None
 
-    def to_text(self) -> str:
-        header = f"{self.width} {self.height} {self.resolution!r} {self.origin_x!r} {self.origin_y!r}"
-        rows = [
-            "".join(OCCUPIED_CHAR if c else FREE_CHAR for c in self.cells[iy])
-            for iy in range(self.height - 1, -1, -1)
-        ]
-        return "\n".join([header] + rows) + "\n"
-
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
@@ -289,10 +293,6 @@ def load_environment(path, sensor: SensorConfig = DEFAULT_SENSOR) -> Environment
     """Load a grid file; the environment takes its name from the file stem."""
     grid = OccupancyGrid.from_lines(list(read_lines(path)), path)
     return EnvironmentSpec(Path(path).stem, grid, sensor)
-
-
-def save_environment(env: EnvironmentSpec, path) -> None:
-    Path(path).write_text(env.grid.to_text(), encoding="ascii")
 
 
 # --- raycasting -------------------------------------------------------------

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from neuromap import estimator as estimator_module
-from neuromap.capture import Dataset, load_dataset, save_dataset
+from neuromap.capture import Dataset, WalkConfig, load_dataset, save_dataset
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator
 from neuromap.inputs import read_lines
 from neuromap.training import RegressorModel, load_model, save_model
-from neuromap.world import SensorConfig, save_environment
+from neuromap.world import SensorConfig
 from neuromap.worlds import bundled_environment
-from worldgen import near_obstacle_fraction
+from worldgen import grid_text, near_obstacle_fraction, save_environment
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 
@@ -343,7 +343,7 @@ def test_eval_testset_from_another_world_is_input_error(two_worlds, tmp_path, ca
 
 @pytest.mark.parametrize("key, value, why", [
     ("env_name", "", "env_name must be a non-empty string, got ''"),
-    ("sensor", None, "bad header: sensor must be an object, got None"),
+    ("sensor", None, "bad header field: sensor must be an object, got None"),
     ("sensor", {"fov": 360.0, "ray_count": 8, "max_range": 12.0},
      "sensor casts 8 rays, the model takes 16"),
 ], ids=["empty-env-name", "null-sensor", "input-width"])
@@ -856,12 +856,11 @@ ZERO_ALLOWED = {"seed", "steps", "weight_decay", "footprint", "odo_lin", "odo_an
 
 
 def _refused(capsys, argv, out):
-    """main(argv) refuses: exit 1 or 2, one stderr line, no file under ``out``,
-    and no ``out`` at all after a usage error (exit 1)."""
+    """main(argv) refuses: exit 1 or 2, one stderr line, and no ``out``."""
     rc = main([*argv, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc in (1, 2) and len(err.splitlines()) == 1 and "Traceback" not in err, (argv, rc, err)
-    assert not out.exists() or (rc == 2 and not any(out.iterdir())), (argv, rc)
+    assert not out.exists(), (argv, rc)
     return err
 
 
@@ -877,6 +876,30 @@ def test_every_numeric_option_refuses_its_invalid_values(workspace, tmp_path, ca
         for value in values:
             flag = "--" + key.replace("_", "-")
             _refused(capsys, [command, *base, flag, value], tmp_path / f"{key}{value}")
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["gen", "--env", "{tmp}/full.grid", "--n", "5"],
+     "no free pose with clearance 0.0 in 'full': no room"),
+    (["walk", "--env", "{tmp}/full.grid", "--steps", "5"],
+     f"no free pose with clearance {WalkConfig.clearance_radius} in 'full': no room"),
+    (["train", "--env", "{b}", "--rays", "16", "--dataset", "{a_data}", "--iterations", "2"],
+     "dataset belongs to world 'a', not 'b'"),
+    (["eval", "--env", "{b}", "--rays", "16", "--estimator", "oracle", "--testset", "{a_data}"],
+     "test set belongs to world 'a', not 'b'"),
+    (["plot", "--env", "{b}", "--rays", "16", "--dataset", "{a_data}"],
+     "dataset belongs to world 'a', not 'b'"),
+    (["navigate", "--env", "apartment", "--estimator", "oracle", "--waypoints", "apartment_loop",
+      "--start", "4,4,0"],  # on the central island
+     "start pose is not footprint-free"),
+], ids=["gen-full-grid", "walk-full-grid", "train-other-world", "eval-other-world",
+        "plot-other-world", "navigate-blocked-start"])
+def test_a_run_refused_while_working_creates_no_out(two_worlds, tmp_path, capsys, argv, why):
+    # each refusal is found by the command's work, not by the options
+    (tmp_path / "full.grid").write_text("4 4 1.0 0.0 0.0\n" + "####\n" * 4)
+    paths = {"tmp": tmp_path, "b": two_worlds / "b.grid", "a_data": two_worlds / "a" / "dataset.csv"}
+    err = _refused(capsys, [a.format(**paths) for a in argv], tmp_path / "o")
+    assert err == f"neuromap: input error: {why}\n"
 
 
 # every option a command cannot run without, stated apart from the CLI
@@ -943,7 +966,7 @@ def _good_files(workspace, tmp_path):
         "dataset": (read(test), lambda p: ["plot", *ENV_FLAGS, "--dataset", p]),
         "model": (read(tmp_path / "good.model"),
                   lambda p: ["eval", *ENV_FLAGS, "--estimator", f"model:{p}", "--testset", test]),
-        "grid": (bundled_environment("apartment").grid.to_text().encode(),
+        "grid": (grid_text(bundled_environment("apartment").grid).encode(),
                  lambda p: ["gen", "--env", p, "--n", "5"]),
         "trace": (trace.encode(), lambda p: ["plot", "--env", "apartment", "--trace", p]),
         "waypoints": (b"# loop\n4.0,1.3\n6.5,1.5\n",
@@ -1037,7 +1060,6 @@ def _capture_call(monkeypatch, name):
 
 
 def test_command_defaults_are_the_library_defaults(workspace, tmp_path, monkeypatch):
-    from neuromap.capture import WalkConfig
     from neuromap.navigate import NavConfig, OdometryConfig
     from neuromap.training import TrainConfig
 
@@ -1093,8 +1115,6 @@ def test_a_ray_count_numpy_cannot_size_is_input_error(tmp_path, capsys):
 
 
 def test_env_file_path_and_unknown_name(tmp_path):
-    from neuromap.world import save_environment
-
     save_environment(bundled_environment("apartment"), tmp_path / "flat.grid")
     out = tmp_path / "o"
     assert main(["gen", "--env", str(tmp_path / "flat.grid"), "--rays", "8",

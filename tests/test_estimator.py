@@ -35,13 +35,8 @@ from neuromap.pose import (
     wrap_angle,
 )
 from neuromap.training import RegressorModel, forward_batch
-from neuromap.world import (
-    EnvironmentSpec,
-    OccupancyGrid,
-    SensorConfig,
-    save_environment,
-)
-from worldgen import with_metric_box
+from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
+from worldgen import save_environment, with_metric_box
 
 STUB = Path(__file__).parent / "external_stub.py"
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from neuromap.capture import Dataset, generate_dataset
+from neuromap.capture import DATASET_MAGIC, Dataset, generate_dataset, load_dataset, save_dataset
 from neuromap.estimator import Estimator
 from neuromap.inputs import FormatError, InputError, read_lines
 from neuromap.pose import Pose2D
@@ -18,6 +18,7 @@ from neuromap.training import (
     ADAM_BLOCK,
     DECAY_PER_INTERVAL,
     AdamState,
+    MODEL_MAGIC,
     HistoryRow,
     LrSchedule,
     Metrics,
@@ -774,7 +775,7 @@ def test_model_header_names_its_world_and_sensor(tmp_path):
     for key, value, why in [
         ("env_name", "", "env_name must be a non-empty string, got ''"),
         ("env_name", 7, "env_name must be a non-empty string, got 7"),
-        ("sensor", None, "bad header: sensor must be an object, got None"),
+        ("sensor", None, "bad header field: sensor must be an object, got None"),
         ("sensor", {"fov": 120.0, "ray_count": 5, "max_range": 10.0},
          "sensor casts 5 rays, the model takes 4"),
     ]:
@@ -782,6 +783,35 @@ def test_model_header_names_its_world_and_sensor(tmp_path):
         path.write_text("\n".join([magic, json.dumps(edited), *tensors]) + "\n")
         with pytest.raises(FormatError, match=f"m.model: line 2: {re.escape(why)}$"):
             load_model(path)
+
+
+@pytest.mark.parametrize("fault, line, why", [
+    ("magic", None, "not a 'MAGIC' file"),
+    ("no-line-2", None, "missing JSON header line"),
+    ("bad-json", 2, "bad JSON header: Expecting property name enclosed in double quotes"),
+    ("empty-env-name", 2, "env_name must be a non-empty string, got ''"),
+], ids=["magic", "no-line-2", "bad-json", "empty-env-name"])
+def test_a_header_fault_reads_the_same_in_dataset_and_model_files(tmp_path, fault, line, why):
+    sensor = small_env(4).sensor
+    files = {
+        "dataset": (tmp_path / "d.csv", DATASET_MAGIC, load_dataset),
+        "model": (tmp_path / "m.model", MODEL_MAGIC, load_model),
+    }
+    save_dataset(Dataset("unit-env", sensor, 0, np.zeros((1, 3)), np.ones((1, 4))), files["dataset"][0])
+    save_model(RegressorModel.zeros((4, 3), env_name="unit-env", sensor=sensor), files["model"][0])
+    for kind, (path, magic, load) in files.items():
+        _, header, *body = path.read_text().splitlines()
+        lines = {
+            "magic": ["#neuromap-other v1", header, *body],
+            "no-line-2": [magic],
+            "bad-json": [magic, "{not json", *body],
+            "empty-env-name": [magic, json.dumps({**json.loads(header), "env_name": ""}), *body],
+        }[fault]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            load(path)
+        assert exc.value.line == line, kind
+        assert exc.value.why.replace(magic, "MAGIC").startswith(why), kind
 
 
 def test_model_extra_header(tmp_path):

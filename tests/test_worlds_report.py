@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tomllib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,7 @@ from neuromap.report import (
     CoverageSummary,
     coverage_summary,
     metrics_table,
-    metrics_to_dict,
-    save_metrics,
+    save_json,
     svg_coverage,
     svg_route,
 )
@@ -27,7 +27,6 @@ from neuromap.world import (
     EnvironmentSpec,
     OccupancyGrid,
     SensorConfig,
-    save_environment,
 )
 from neuromap.worlds import (
     ROUTES,
@@ -44,6 +43,7 @@ from worldgen import (
     apartment,
     cabin,
     near_obstacle_fraction,
+    save_environment,
     with_metric_box,
 )
 
@@ -309,9 +309,10 @@ def sample_metrics():
     )
 
 
-def test_metrics_dict_round_trip():
+def test_metrics_dict_round_trip(tmp_path):
     m = sample_metrics()
-    back = Metrics(**metrics_to_dict(m))
+    save_json(tmp_path / "metrics.json", {"knn": asdict(m)}, provenance={})
+    back = Metrics(**json.loads((tmp_path / "metrics.json").read_text())["knn"])
     assert back.mean_pos_err == m.mean_pos_err
     assert back.median_theta_err == m.median_theta_err
     assert np.array_equal(back.per_sample_errors, m.per_sample_errors)
@@ -319,11 +320,21 @@ def test_metrics_dict_round_trip():
 
 def test_metrics_file_round_trip(tmp_path):
     path = tmp_path / "metrics.json"
-    save_metrics({"knn": sample_metrics()}, path, provenance={"seed": 1})
+    save_json(path, {"metrics": {"knn": asdict(sample_metrics())}}, provenance={"seed": 1})
     doc = json.loads(path.read_text())
     assert set(doc["metrics"]) == {"knn"}
-    assert doc["metrics"]["knn"] == metrics_to_dict(sample_metrics())
+    assert doc["metrics"]["knn"] == {
+        "mean_pos_err": 0.2, "mean_theta_err": 3.0, "median_pos_err": 0.2,
+        "median_theta_err": 2.0, "per_sample_errors": [[0.1, 1.0], [0.3, 2.0], [0.2, 6.0]],
+    }
     assert doc["provenance"] == {"seed": 1}
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_report_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "report.json"
+    save_json(path, {"d": (math.inf, -math.inf, math.nan, 1.5)}, provenance={"seed": 2})
+    assert json.loads(path.read_text()) == {"d": [None, None, None, 1.5], "provenance": {"seed": 2}}
 
 
 def test_metrics_table_renders_one_row_per_estimator():

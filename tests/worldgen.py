@@ -1,13 +1,14 @@
 """Shared helpers: the box layouts and route the bundled world files were
-generated from, random worlds and free poses for property tests, and
-comparisons of datasets and sample positions."""
+generated from, the grid file writer, random worlds and free poses for
+property tests, and comparisons of datasets and sample positions."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from neuromap.pose import Pose2D, ang_diff
-from neuromap.world import EnvironmentSpec, OccupancyGrid
+from neuromap.world import FREE_CHAR, OCCUPIED_CHAR, EnvironmentSpec, OccupancyGrid
 from neuromap.worlds import APARTMENT_SENSOR, CABIN_SENSOR
 
 # --- the bundled worlds' sources ---------------------------------------------------
@@ -79,6 +80,23 @@ def cabin() -> EnvironmentSpec:
 
 def apartment() -> EnvironmentSpec:
     return EnvironmentSpec("apartment", _build(8.0, 8.0, APARTMENT_BOXES), APARTMENT_SENSOR)
+
+
+# --- grid files ---------------------------------------------------------------------
+
+
+def grid_text(grid: OccupancyGrid) -> str:
+    """The grid file that ``load_environment`` reads back as ``grid``."""
+    header = f"{grid.width} {grid.height} {grid.resolution!r} {grid.origin_x!r} {grid.origin_y!r}"
+    rows = [
+        "".join(OCCUPIED_CHAR if c else FREE_CHAR for c in grid.cells[iy])
+        for iy in range(grid.height - 1, -1, -1)  # the top row (maximum y) first
+    ]
+    return "\n".join([header] + rows) + "\n"
+
+
+def save_environment(env: EnvironmentSpec, path) -> None:
+    Path(path).write_text(grid_text(env.grid), encoding="ascii")
 
 
 # --- property-test worlds and comparisons ------------------------------------------
