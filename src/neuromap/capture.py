@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 import numpy as np
 
-from .inputs import FormatError, InputError, check_finite, header_line, read_header, read_lines
+from .inputs import FormatError, InputError, check_finite, check_size, header_line, read_header, read_lines
 from .pool import map_in_order
 from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
 from .world import EnvironmentSpec, SensorConfig, ray_distances
@@ -385,6 +385,7 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
+    check_size(f"n = {n} samples", n, 3 + env.sensor.ray_count)  # poses and ranges
     b = env.bounds
     # a block of poses at a time, so no per-row state for all n is held
     poses = np.empty((n, 3))

@@ -8,12 +8,12 @@ flags, so rerunning an invocation reproduces its outputs byte for byte.
 Exit codes: 0 success, 1 usage error, 2 input validation error (an
 ``InputError`` or ``OSError``: refused values and files, inputs captured in
 another world, worlds with no room to sample), 3 runtime abort (collision,
-estimator failure, tick budget, diverged training). Any other exception is
-a bug and ends in a traceback.
+estimator failure, tick budget, diverged training, out of memory). Any
+other exception is a bug and ends in a traceback.
 
 Option values resolve as flags > JSON config file (--config) > defaults;
-a default that a library config (WalkConfig, TrainConfig, NavConfig,
-OdometryConfig) defines is read from it.
+the options and estimator spec keys that set a library config are its
+fields, read with their defaults from it.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import json
 import shlex
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,16 +154,32 @@ def _config_value(path, key, value, default):
     raise InputError(f"{path}: option {key!r} must be of type {kind.__name__}, got {value!r}")
 
 
+# the config fields whose option has another name; any other field's option
+# is the field's own name
+_FLAG_NAMES = {"max_steps": "steps", "clearance_radius": "clearance", "max_iterations": "iterations",
+               "hidden_dims": "hidden", "T_d": "td", "T_a": "ta", "footprint_radius": "footprint",
+               "sigma_lin_frac": "odo_lin", "sigma_ang_per_step": "odo_ang", "ray_count": "rays"}
+
+
+def _flag(field) -> str:
+    return _FLAG_NAMES.get(field.name, field.name)
+
+
+def _settings(cls) -> dict:
+    """The options that set library config ``cls``, each with its field's default."""
+    return {_flag(f): f.default for f in fields(cls)}
+
+
+def _config(cls, args, **given):
+    """Library config ``cls`` from the options on ``args``, but ``given`` fields as given."""
+    return cls(**{f.name: getattr(args, _flag(f)) for f in fields(cls)} | given)
+
+
 def _resolve_env(args):
     """The world in the --env grid file; --fov, --rays and --max-range
     override its sensor (a bundled world's own, else the default one)."""
-    base = world_sensor(args.env)
-    sensor = SensorConfig(
-        fov=base.fov if args.fov is None else args.fov,
-        ray_count=base.ray_count if args.rays is None else args.rays,
-        max_range=base.max_range if args.max_range is None else args.max_range,
-    )
-    return load_environment(args.env, sensor=sensor)
+    given = {f.name: v for f in fields(SensorConfig) if (v := getattr(args, _flag(f))) is not None}
+    return load_environment(args.env, sensor=replace(world_sensor(args.env), **given))
 
 
 def _out_dir(args) -> Path:
@@ -189,7 +205,10 @@ def _save_capture(args, env, dataset, **extra) -> CoverageSummary:
 # --- estimator spec strings --------------------------------------------------------
 
 
-def _parse_kv(text, casts):
+def _parse_kv(text, cls) -> dict:
+    """The fields of library config ``cls`` that ``text`` (key=value,..) sets,
+    each cast to the type of the field's default."""
+    casts = {f.name: type(f.default) for f in fields(cls)}
     out = {}
     for item in filter(None, text.split(",")):
         key, sep, raw = item.partition("=")
@@ -211,15 +230,14 @@ def build_estimator(spec: str, env) -> Estimator:
     """
     kind, _, rest = spec.partition(":")
     if kind == "oracle":
-        opts = _parse_kv(rest, {"sigma_pos": float, "sigma_theta": float, "seed": int})
-        return OracleEstimator(OracleConfig(**opts), env)
+        return OracleEstimator(OracleConfig(**_parse_kv(rest, OracleConfig)), env)
     if kind == "knn":
         db_path, _, tail = rest.partition(",")
         if not db_path:
             raise UsageError("knn spec needs a database path: knn:DB[,k=..,weighting=..]")
         if not Path(db_path).is_file():
             raise InputError(f"knn database not found: {db_path}")
-        opts = _parse_kv(tail, {"k": int, "weighting": str})
+        opts = _parse_kv(tail, KnnConfig)
         db = load_dataset(db_path)
         env.check_world("estimator", db.env_name, db.sensor, db.poses_matrix())
         return KnnEstimator(db, KnnConfig(**opts))
@@ -254,14 +272,7 @@ def cmd_gen(args) -> int:
 
 def cmd_walk(args) -> int:
     env = _resolve_env(args)
-    walk_cfg = WalkConfig(
-        capture_dist=args.capture_dist,
-        capture_rot=args.capture_rot,
-        step_len=args.step_len,
-        clearance_radius=args.clearance,
-        max_steps=args.steps,
-    )
-    result = random_walk_capture(env, walk_cfg, args.seed)
+    result = random_walk_capture(env, _config(WalkConfig, args), args.seed)
     _save_capture(args, env, result.dataset, wedged=result.wedged, steps=result.steps)
     print(f"walk: {result.steps} steps, {len(result.dataset)} captures in {env.name}"
           + (" (wedged)" if result.wedged else ""))
@@ -279,19 +290,7 @@ def _parse_hidden(text):
 
 def cmd_train(args) -> int:
     env = _resolve_env(args)
-    train_cfg = TrainConfig(
-        seed=args.seed,
-        max_iterations=args.iterations,
-        eval_interval=args.eval_interval,
-        batch_size=args.batch_size,
-        lr0=args.lr0,
-        weight_decay=args.weight_decay,
-        decay_mode=args.decay_mode,
-        hidden_dims=_parse_hidden(args.hidden),
-        val_fraction=args.val_fraction,
-        yaw_mode=args.yaw_mode,
-        loss=args.loss,
-    )
+    train_cfg = _config(TrainConfig, args, hidden_dims=_parse_hidden(args.hidden))
     dataset = load_dataset(args.dataset)
     evals_seen = 0
 
@@ -367,15 +366,8 @@ def cmd_navigate(args) -> int:
     env = _resolve_env(args)
     start = _parse_start(args.start)
     waypoints = load_waypoints(args.waypoints)
-    nav_cfg = NavConfig(
-        T_d=args.td, T_a=args.ta, max_step=args.max_step,
-        linear_speed=args.linear_speed, angular_speed=args.angular_speed,
-        dt=args.dt, max_ticks=args.max_ticks, footprint_radius=args.footprint,
-        leg_tolerance=args.leg_tolerance,
-    )
-    odo = OdometryConfig(
-        sigma_lin_frac=args.odo_lin, sigma_ang_per_step=args.odo_ang, seed=args.seed,
-    )
+    nav_cfg = _config(NavConfig, args)
+    odo = _config(OdometryConfig, args)
     with build_estimator(args.estimator, env) as estimator:
         trace, report = navigate_waypoints(waypoints, estimator, env, start, nav_cfg, odo)
     out = _out_dir(args)
@@ -439,9 +431,9 @@ def cmd_bench(args) -> int:
 
 
 # Each command: its function, its options and their defaults, the options it
-# requires, and the options that name an input file, each stated once. A
-# default a library config defines is read from it. An option takes its
-# default's type, a string where the default is unset (None), or its
+# requires, and the options that name an input file, each stated once. The
+# options that set a library config are read from its fields. An option takes
+# its default's type, a string where the default is unset (None), or its
 # _FLAG_TYPES entry.
 COMMON = {"env": None, "out": None, "seed": 0, "fov": None, "rays": None, "max_range": None}
 _FLAG_TYPES = {"rays": int, "fov": float, "max_range": float, "leg_tolerance": float, "hidden": str}
@@ -450,22 +442,10 @@ _SHIPPED = {"env": world_file, "waypoints": route_file}
 
 COMMANDS = {
     "gen": (cmd_gen, {**COMMON, "n": 1000}, ("env", "out"), ("env",)),
-    "walk": (
-        cmd_walk,
-        {**COMMON, "steps": WalkConfig.max_steps, "capture_dist": WalkConfig.capture_dist,
-         "capture_rot": WalkConfig.capture_rot, "step_len": WalkConfig.step_len,
-         "clearance": WalkConfig.clearance_radius},
-        ("env", "out"),
-        ("env",),
-    ),
+    "walk": (cmd_walk, {**COMMON, **_settings(WalkConfig)}, ("env", "out"), ("env",)),
     "train": (
         cmd_train,
-        {**COMMON, "dataset": None, "iterations": TrainConfig.max_iterations,
-         "eval_interval": TrainConfig.eval_interval, "batch_size": TrainConfig.batch_size,
-         "lr0": TrainConfig.lr0, "weight_decay": TrainConfig.weight_decay,
-         "decay_mode": TrainConfig.decay_mode, "hidden": TrainConfig.hidden_dims,
-         "val_fraction": TrainConfig.val_fraction, "yaw_mode": TrainConfig.yaw_mode,
-         "loss": TrainConfig.loss},
+        {**COMMON, "dataset": None, **_settings(TrainConfig)},
         ("env", "out", "dataset"),
         ("env", "dataset"),
     ),
@@ -478,11 +458,7 @@ COMMANDS = {
     "navigate": (
         cmd_navigate,
         {**COMMON, "estimator": None, "waypoints": None, "start": None,
-         "td": NavConfig.T_d, "ta": NavConfig.T_a, "max_step": NavConfig.max_step,
-         "linear_speed": NavConfig.linear_speed, "angular_speed": NavConfig.angular_speed,
-         "dt": NavConfig.dt, "max_ticks": NavConfig.max_ticks,
-         "footprint": NavConfig.footprint_radius, "leg_tolerance": NavConfig.leg_tolerance,
-         "odo_lin": OdometryConfig.sigma_lin_frac, "odo_ang": OdometryConfig.sigma_ang_per_step},
+         **_settings(NavConfig), **_settings(OdometryConfig)},
         ("env", "out", "estimator", "waypoints", "start"),
         ("env", "waypoints"),
     ),
@@ -531,6 +507,10 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeAbort, EstimatorUnavailableError, TrainingDivergedError) as exc:
         print(f"neuromap: runtime abort: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"neuromap: runtime abort: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return 3
 
 

@@ -10,6 +10,7 @@ Any other exception marks a bug.
 import dataclasses
 import json
 import math
+import sys
 from collections.abc import Iterator
 
 
@@ -66,6 +67,15 @@ def header_line(header: dict, extra: dict | None) -> str:
         if key in header:
             raise ValueError(f"extra header key {key!r} collides with a core field")
     return json.dumps({**header, **(extra or {})}, sort_keys=True)
+
+
+def check_size(what: str, *extents: int) -> None:
+    """Refuse ``extents`` whose float64 array numpy could not size, as its
+    byte count would not fit in an intp (``sys.maxsize``). A smaller array
+    that the host cannot hold ends in ``MemoryError`` instead."""
+    if math.prod(extents) * 8 > sys.maxsize:
+        shape = " x ".join(map(str, extents))
+        raise InputError(f"{what}: an array of {shape} floats is larger than numpy can size")
 
 
 def check_finite(config) -> None:

@@ -171,8 +171,9 @@ class _Episode:
         self.wp_idx = 0
         self.last_estimate = None
 
-    def _append(self, event):
-        if len(self.rows) >= self.cfg.max_ticks:
+    def _append(self, event, budgeted=True):
+        """Append the row of ``event``; a budgeted row past max_ticks aborts."""
+        if budgeted and len(self.rows) >= self.cfg.max_ticks:
             raise _Abort(ABORT_BUDGET)
         self.rows.append(
             TraceTick(
@@ -266,13 +267,7 @@ def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, st
             ep._append(EVENT_REACHED)
     except _Abort as a:
         abort_reason = a.reason
-        try:
-            ep._append(EVENT_ABORT)
-        except _Abort:  # budget died exactly at the abort row
-            ep.rows.append(
-                TraceTick(len(ep.rows), ep.time, ep.true_pose, ep.last_estimate,
-                          ep.wp_idx, EVENT_ABORT)
-            )
+        ep._append(EVENT_ABORT, budgeted=False)  # the abort row may pass the budget
 
     trace = RouteTrace(tuple(ep.rows))
     report = closest_distance_metrics(trace, waypoints, abort_reason=abort_reason)

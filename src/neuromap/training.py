@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .capture import Dataset, derived_rng
-from .inputs import FormatError, InputError, check_finite, header_line, read_header, read_lines
+from .inputs import FormatError, InputError, check_finite, check_size, header_line, read_header, read_lines
 from .pose import EnvBounds, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, SensorConfig
 
@@ -433,6 +433,10 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
     Xv, Pv = X[val_idx], poses[val_idx]
 
     layer_dims = (dataset.sensor.ray_count, *cfg.hidden_dims, 3 if cfg.yaw_mode == YAW_TANH else 4)
+    # the parameter vector, and a layer's activations over the whole dataset
+    what = f"hidden widths {cfg.hidden_dims}"
+    check_size(what, sum(o * (i + 1) for i, o in zip(layer_dims, layer_dims[1:])))
+    check_size(what, n, max(layer_dims))
     model = RegressorModel.random(
         layer_dims,
         derived_rng(cfg.seed, STREAM_INIT),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import FormatError, InputError, check_finite, read_lines
+from .inputs import FormatError, InputError, check_finite, check_size, read_lines
 from .pose import EnvBounds, Pose2D
 
 FREE_CHAR = "."
@@ -265,6 +265,7 @@ class EnvironmentSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("environment name must be non-empty")
+        check_size("ray_count", self.sensor.ray_count)  # a scan's ranges, before any raycast
         object.__setattr__(self, "bounds", self.grid.bounds())
 
     def check_world(self, what: str, env_name: str, sensor: SensorConfig, poses=None) -> None:

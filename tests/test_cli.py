@@ -5,6 +5,7 @@ wiring test shells out. A downsampled 16-ray apartment keeps dataset
 generation fast.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,10 +19,14 @@ import pytest
 
 from neuromap import estimator as estimator_module
 from neuromap.capture import Dataset, WalkConfig, load_dataset, save_dataset
+from neuromap import cli
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
-from neuromap.estimator import Estimator, KnnEstimator, OracleEstimator
+from neuromap.estimator import Estimator, KnnConfig, KnnEstimator, OracleConfig, OracleEstimator
+from neuromap.navigate import NavConfig, OdometryConfig
 from neuromap.inputs import read_lines
-from neuromap.training import RegressorModel, load_model, save_model
+from neuromap.training import (
+    DECAY_PER_INTERVAL, YAW_SINCOS, RegressorModel, TrainConfig, load_model, save_model,
+)
 from neuromap.world import SensorConfig
 from neuromap.worlds import bundled_environment
 from worldgen import grid_text, near_obstacle_fraction, save_environment
@@ -807,6 +812,90 @@ NUMERIC_OPTIONS = {
 }
 
 
+# each command's options, stated apart from the library configs that most of
+# them are read from
+FLAGS = {command: set(("env out seed fov rays max_range " + names).split()) for command, names in {
+    "gen": "n",
+    "walk": "steps capture_dist capture_rot step_len clearance",
+    "train": "dataset iterations eval_interval batch_size lr0 weight_decay decay_mode hidden "
+             "val_fraction yaw_mode loss",
+    "eval": "estimator testset ablate",
+    "navigate": "estimator waypoints start td ta max_step linear_speed angular_speed dt max_ticks "
+                "footprint leg_tolerance odo_lin odo_ang",
+    "plot": "dataset trace waypoints",
+    "bench": "estimator frames repeats",
+}.items()}
+
+# the library config fields whose option is named otherwise
+RENAMED = {"max_steps": "steps", "clearance_radius": "clearance", "max_iterations": "iterations",
+           "hidden_dims": "hidden", "T_d": "td", "T_a": "ta", "footprint_radius": "footprint",
+           "sigma_lin_frac": "odo_lin", "sigma_ang_per_step": "odo_ang"}
+# a value other than the default for each string field
+OTHER_STRINGS = {"decay_mode": DECAY_PER_INTERVAL, "yaw_mode": YAW_SINCOS, "loss": "l2",
+                 "weighting": "uniform"}
+
+
+def _other_value(field):
+    """A valid value of ``field`` other than its default."""
+    default = field.default
+    if isinstance(default, str):
+        return OTHER_STRINGS[field.name]
+    if isinstance(default, tuple):
+        return (8, 8)
+    if isinstance(default, int):
+        return default + 1
+    return 2.0 * default if default else 0.25
+
+
+def test_each_command_keeps_its_options():
+    assert {command: set(spec[1]) for command, spec in COMMANDS.items()} == FLAGS
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cls, command, runner", [
+    (WalkConfig, "walk", "random_walk_capture"),
+    (TrainConfig, "train", "train"),
+    (NavConfig, "navigate", "navigate_waypoints"),
+    (OdometryConfig, "navigate", "navigate_waypoints"),
+], ids=["walk", "train", "nav", "odometry"])
+def test_every_config_field_is_an_option_with_its_default(workspace, monkeypatch, cls, command,
+                                                          runner):
+    options, argv, expected = COMMANDS[command][1], _valid_runs(workspace)[command], {}
+    for field in dataclasses.fields(cls):
+        flag = RENAMED.get(field.name, field.name)
+        assert flag in options and options[flag] == field.default, (cls.__name__, field.name)
+        value = expected[field.name] = _other_value(field)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv = [*argv, "--" + flag.replace("_", "-"), text]
+    built = []
+
+    def capture(*args, **kwargs):
+        built.extend(a for a in args if isinstance(a, cls))
+        raise _Built
+
+    monkeypatch.setattr(cli, runner, capture)
+    with pytest.raises(_Built):
+        main([command, *argv, "--out", str(workspace / "unused")])
+    assert [dataclasses.asdict(c) for c in built] == [expected]
+
+
+@pytest.mark.parametrize("cls, kind", [(OracleConfig, "oracle:"), (KnnConfig, "knn:{db},")],
+                         ids=["oracle", "knn"])
+def test_every_spec_config_field_is_a_spec_key(workspace, cls, kind):
+    env = bundled_environment("apartment")
+    env = type(env)(env.name, env.grid, SensorConfig(fov=360.0, ray_count=16, max_range=12.0))
+    kind = kind.format(db=workspace / "db" / "dataset.csv")
+    expected = {f.name: _other_value(f) for f in dataclasses.fields(cls)}
+    with build_estimator(kind.rstrip(":,"), env) as estimator:
+        assert estimator.cfg == cls()
+    spec = kind + ",".join(f"{key}={value}" for key, value in expected.items())
+    with build_estimator(spec, env) as estimator:
+        assert dataclasses.asdict(estimator.cfg) == expected
+
+
 @pytest.mark.parametrize("command", sorted(NUMERIC_OPTIONS))
 def test_option_types(command):
     from neuromap.cli import COMMANDS, UsageError, _build_parser
@@ -1098,6 +1187,51 @@ def test_world_without_room_fails_fast(tmp_path, capsys, argv, occupied, clearan
     assert capsys.readouterr().err == (
         f"neuromap: input error: no free pose with clearance {clearance} in 'blocked': no room\n"
     )
+
+
+# every size here makes an array of more bytes than an intp holds, which no
+# host could allocate: the refusal must come before numpy is asked
+@pytest.mark.parametrize("argv, why", [
+    (["gen", "--env", "cabin", "--n", "99999999999999999999999"],
+     "n = 99999999999999999999999 samples: an array of 99999999999999999999999 x 99 floats"),
+    (["gen", "--env", "cabin", "--rays", "16", "--n", str(2**59)],
+     f"n = {2**59} samples: an array of {2**59} x 19 floats"),
+    (["bench", "--env", "cabin", "--estimator", "oracle", "--frames", str(2**63)],
+     f"n = {2**63} samples: an array of {2**63} x 99 floats"),
+    (["walk", "--env", "cabin", "--rays", str(2**60)], f"ray_count: an array of {2**60} floats"),
+    (["train", "--env", "cabin", "--rays", "16", "--dataset", "{data}", "--hidden", f"4,{2**63}"],
+     f"hidden widths (4, {2**63}): an array of "  # W0 and b0, W1 and b1, W2 and b2
+     f"{4 * (16 + 1) + 2**63 * (4 + 1) + 3 * (2**63 + 1)} floats"),
+    (["train", "--env", "cabin", "--rays", "16", "--dataset", "{data}",
+      "--hidden", "99999999999999999999999"],
+     "hidden widths (99999999999999999999999,): an array of 1999999999999999999999983 floats"),
+], ids=["gen-n", "gen-n-by-rays", "bench-frames", "walk-rays", "train-hidden", "train-hidden-wide"])
+def test_a_size_numpy_cannot_hold_is_input_error(tmp_path, capsys, argv, why):
+    data = tmp_path / "d"
+    assert main(["gen", "--env", "cabin", "--rays", "16", "--n", "40", "--out", str(data)]) == 0
+    capsys.readouterr()
+    argv = [a.format(data=data / "dataset.csv") for a in argv]
+    err = _refused(capsys, argv, tmp_path / "o")
+    assert err == f"neuromap: input error: {why} is larger than numpy can size\n"
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967296, 1) and data "
+                 "type float64"),
+     "out of memory: Unable to allocate 32.0 GiB for an array with shape (4294967296, 1) and "
+     "data type float64"),
+    (MemoryError(), "out of memory: an allocation failed"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_one_line_runtime_abort(tmp_path, capsys, monkeypatch, exc, line):
+    # an array numpy can size but the host cannot hold
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_dataset", refuse)
+    rc = main(["gen", "--env", "cabin", "--n", "5", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"neuromap: runtime abort: {line}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_a_ray_count_numpy_cannot_size_is_input_error(tmp_path, capsys):
