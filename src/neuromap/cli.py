@@ -336,8 +336,10 @@ def cmd_eval(args) -> int:
                 raise InputError(
                     f"ablation size {max(sizes)} exceeds database size {len(estimator.db)}"
                 )
+            if min(sizes) < estimator.cfg.k:
+                raise InputError(f"k={estimator.cfg.k} exceeds database size {min(sizes)}")
         results = {args.estimator: evaluate(estimator, testset, env)}
-        for size in sizes:  # k-NN over the database's first `size` rows
+        for size in dict.fromkeys(sizes):  # k-NN over the database's first `size` rows
             db = estimator.db
             subset = Dataset(
                 db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]

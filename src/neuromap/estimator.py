@@ -10,9 +10,10 @@ the true poses, which only the oracle reads.
 
 k-NN is an exact brute-force search: a screen over cached row norms (the
 GEMM identity of Faiss' exact search, one matrix product per block of
-queries) keeps every row that rounding could place among the k nearest,
-and only those are re-ranked with the direct distance and the (distance,
-id) tie rule.
+queries and tile of database rows, with a running bound on each query's
+k-th score carried across the tiles) keeps every row that rounding could
+place among the k nearest, and only those are re-ranked with the direct
+distance and the (distance, id) tie rule.
 """
 
 import math
@@ -41,13 +42,17 @@ INVERSE_WEIGHT_EPS = 1e-9
 
 DEFAULT_TIMEOUT_S = 5.0
 
-# Size of one (queries, database rows) float64 score block of the k-NN
-# screen. It sets how many queries share one pass over the database: 32
-# against a 20k-row database. Each of the screen's threads holds one block
-# and its boolean mask (~5.8 MB there), so SCREEN_BYTES_IN_FLIGHT caps the
-# threads, and peak memory does not grow with the core count.
-SCREEN_BLOCK_BYTES = 5 << 20
-SCREEN_BYTES_IN_FLIGHT = 2 * SCREEN_BLOCK_BYTES
+# The k-NN screen scores blocks of SCREEN_QUERIES queries against the
+# database one tile of rows at a time, as Faiss' exact search tiles both
+# sides. Each of its threads holds one float64 score tile of at most
+# SCREEN_TILE_BYTES (6144 rows for 32 queries) and its boolean mask,
+# whatever the database's size, and SCREEN_BYTES_IN_FLIGHT caps the
+# threads' tiles and masks together, so peak memory grows with neither the
+# database nor the core count. Smaller tiles screened a 20k-row database
+# more slowly.
+SCREEN_QUERIES = 32
+SCREEN_TILE_BYTES = 3 << 19
+SCREEN_BYTES_IN_FLIGHT = 2 * (SCREEN_TILE_BYTES + SCREEN_TILE_BYTES // 8)
 
 # database rows per group whose minimum score bounds a query's k-th from above
 SCREEN_GROUP = 64
@@ -175,11 +180,12 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
     q's k nearest.
 
     Each block of queries Q is scored against every row r by ``||r||^2 -
-    2 Q r`` in one matrix product over the database's cached row norms (the
-    score differs from the squared distance only by the constant
-    ``||q||^2``); a row survives when its score is within a floating-point
-    rounding bound of its query's k-th smallest. The blocks run on
-    ``map_in_order``'s threads, each thread with its own score buffer.
+    2 Q r`` over the database's cached row norms (the score differs from the
+    squared distance only by the constant ``||q||^2``), one matrix product
+    per tile of database rows; a row survives when its score is within a
+    floating-point rounding bound of its query's k-th smallest. A one-query
+    call scores the whole database in one product. The blocks run on
+    ``map_in_order``'s threads, each thread with its own tile buffers.
     """
     R = db.ranges_matrix()
     norms_sq = db.range_norms_sq()
@@ -200,43 +206,58 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
     # the threshold sum. Ties in a (duplicate rows) all pass the <= test.
     c = math.sqrt(norms_sq.max()) + np.sqrt(np.einsum("ij,ij->i", queries, queries))
     tol = 8.0 * (m + 2) * np.finfo(np.float64).eps * c * c
-    block = max(1, min(len(queries), SCREEN_BLOCK_BYTES // (8 * n)))
-    groups = n // SCREEN_GROUP
-    full = groups * SCREEN_GROUP  # columns in whole groups; a shorter tail follows
+    block = max(1, min(len(queries), SCREEN_QUERIES))
+    # a tile of k groups or more bounds every query's k-th score on its own
+    tile = n if len(queries) == 1 else min(n, max(k * SCREEN_GROUP, SCREEN_TILE_BYTES // (8 * block)))
     buffers = threading.local()
 
     def screen(start: int) -> list[KnnQuery]:
         stop = min(start + block, len(queries))
+        b, t = stop - start, tol[start:stop]
         if not hasattr(buffers, "scores"):
-            buffers.scores, buffers.keep = np.empty((block, n)), np.empty((block, n), dtype=bool)
-        a, mask, t = buffers.scores[: stop - start], buffers.keep[: stop - start], tol[start:stop]
-        np.matmul(queries[start:stop], R.T, out=a)
-        a *= -2.0
-        a += norms_sq
-        # The columns fall into groups: column g + j * groups for j < SCREEN_GROUP
-        # is in group g, and the tail past the whole groups is one more. The
-        # k smallest group minima are k distinct rows' scores, so the k-th
-        # of them, tau, is at or above the k-th score: every row within tol
-        # of the k-th score is a candidate (tau is inf below k groups).
-        mins = np.empty((len(a), groups + (full < n)))
-        np.minimum.reduce(a[:, :full].reshape(len(a), SCREEN_GROUP, groups), axis=1,
-                          out=mins[:, :groups])
-        if full < n:
-            np.minimum.reduce(a[:, full:], axis=1, out=mins[:, groups])
-        tau = np.partition(mins, k - 1, axis=1)[:, k - 1] if mins.shape[1] >= k else np.inf
-        np.less_equal(a, (tau + t)[:, None], out=mask)
-        flat = np.flatnonzero(mask)
-        rows, ids = np.divmod(flat, n)  # ids ascend within each query
-        scores = a.ravel()[flat]
+            buffers.scores, buffers.keep = np.empty(block * tile), np.empty(block * tile, dtype=bool)
+        best = np.full((b, k), np.inf)  # the k smallest group minima so far
+        found = []
+        for lo in range(0, n, tile):
+            width = min(tile, n - lo)
+            a = buffers.scores[: b * width].reshape(b, width)
+            mask = buffers.keep[: b * width].reshape(b, width)
+            np.matmul(queries[start:stop], R[lo : lo + width].T, out=a)
+            a *= -2.0
+            a += norms_sq[lo : lo + width]
+            # The tile's columns fall into groups: column g + j * groups for
+            # j < SCREEN_GROUP is in group g, and the tail past the whole
+            # groups is one more. Group minima are distinct rows' scores, so
+            # the k-th smallest of all minima so far, the bound, is at or
+            # above the k-th score of the rows so far and thus of the whole
+            # database (inf until k minima are seen). It only falls, so every
+            # row within tol of the k-th score is kept.
+            groups = width // SCREEN_GROUP
+            full = groups * SCREEN_GROUP
+            mins = np.empty((b, k + groups + (full < width)))
+            mins[:, :k] = best
+            np.minimum.reduce(a[:, :full].reshape(b, SCREEN_GROUP, groups), axis=1,
+                              out=mins[:, k : k + groups])
+            if full < width:
+                np.minimum.reduce(a[:, full:], axis=1, out=mins[:, -1])
+            mins.partition(k - 1, axis=1)
+            best = mins[:, :k].copy()
+            np.less_equal(a, (best[:, k - 1] + t)[:, None], out=mask)
+            flat = np.flatnonzero(mask)
+            rows, ids = np.divmod(flat, width)
+            found.append((rows, ids + lo, a.ravel()[flat]))
+        rows, ids, scores = map(np.concatenate, zip(*found))
         # each query's k-th score, exactly, from its sorted candidates
-        first = np.searchsorted(rows, np.arange(len(a)))
-        kth = scores[np.lexsort((scores, rows))[first + k - 1]]
+        order = np.lexsort((scores, rows))
+        first = np.searchsorted(rows[order], np.arange(b))
+        kth = scores[order[first + k - 1]]
         keep = scores <= (kth + t)[rows]
         rows, ids = rows[keep], ids[keep]
-        split = np.split(ids, np.searchsorted(rows, np.arange(1, len(a))))
+        order = np.argsort(rows, kind="stable")  # ids ascend within each query
+        split = np.split(ids[order], np.searchsorted(rows[order], np.arange(1, b)))
         return list(map(KnnQuery, queries[start:stop], split))
 
-    most = max(1, SCREEN_BYTES_IN_FLIGHT // (8 * block * n))
+    most = max(1, SCREEN_BYTES_IN_FLIGHT // (9 * block * tile))  # 8 score bytes and 1 mask byte
     parts = map_in_order(screen, range(0, len(queries), block), most)
     return [q for part in parts for q in part]
 

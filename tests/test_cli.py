@@ -105,14 +105,16 @@ def test_gen_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
 
 
 def test_eval_bytes_do_not_depend_on_cpu_count(workspace, tmp_path, monkeypatch):
-    # k-NN screen blocks of 7 of the 60 queries run on one or two threads,
-    # and one block of all 60 gives the same bytes
+    # k-NN screen blocks of 7 of the 60 queries, each scored in three tiles
+    # of the 800-row database, run on one or two threads, and one block of
+    # all 60 in one tile gives the same bytes
     argv = ["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'},k=5",
             "--testset", str(workspace / "test" / "dataset.csv"), "--out", str(tmp_path / "o")]
     runs = []
-    for cpus, block in ((1, 7), (2, 7), (2, 60)):
+    for cpus, block, tile_bytes in ((1, 7, 8), (2, 7, 8), (2, 60, 60 * 8 * 800)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)), raising=False)
-        monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", block * 8 * 800)
+        monkeypatch.setattr(estimator_module, "SCREEN_QUERIES", block)
+        monkeypatch.setattr(estimator_module, "SCREEN_TILE_BYTES", tile_bytes)
         assert main(argv) == 0
         runs.append({p.name: read(p) for p in (tmp_path / "o").iterdir()})
     assert runs[0] == runs[1] == runs[2]
@@ -259,6 +261,37 @@ def test_eval_ablation_beyond_the_database_fails_before_evaluating(
     assert err.startswith("neuromap: input error: ablation size 1000000 exceeds database size")
     assert err.count("\n") == 1
     assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_eval_ablation_below_k_fails_before_evaluating(workspace, tmp_path, monkeypatch, capsys):
+    _fail_if_evaluated(monkeypatch)
+    rc = main(["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'},k=5",
+               "--testset", str(workspace / "test" / "dataset.csv"),
+               "--ablate", "sizes=100,3", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert capsys.readouterr().err == "neuromap: input error: k=5 exceeds database size 3\n"
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_eval_repeated_ablation_size_is_evaluated_once(workspace, tmp_path, monkeypatch):
+    evaluate, calls = cli.evaluate, []
+
+    def counted(estimator, *rest):
+        calls.append(len(estimator.db))
+        return evaluate(estimator, *rest)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    runs = []
+    for sizes in ("sizes=100,400", "sizes=100,400,100,400"):
+        calls.clear()
+        assert main(["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'},k=3",
+                     "--testset", str(workspace / "test" / "dataset.csv"),
+                     "--ablate", sizes, "--out", str(tmp_path / "e")]) == 0
+        assert calls == [800, 100, 400]
+        out = tmp_path / "e"
+        table = [s for s in (out / "table.txt").read_text().splitlines() if "--ablate" not in s]
+        runs.append((json.loads((out / "metrics.json").read_text())["metrics"], table))
+    assert runs[0] == runs[1]  # all but the invocation line
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,10 @@ from neuromap import estimator as estimator_module
 from neuromap.capture import Dataset, generate_dataset, save_dataset
 from neuromap.estimator import (
     INVERSE_WEIGHT_EPS,
-    SCREEN_BLOCK_BYTES,
+    SCREEN_BYTES_IN_FLIGHT,
+    SCREEN_GROUP,
+    SCREEN_QUERIES,
+    SCREEN_TILE_BYTES,
     WEIGHT_INVERSE,
     EstimatorUnavailableError,
     ExternalEstimator,
@@ -297,10 +301,12 @@ def test_knn_estimator_matches_function():
 @pytest.mark.parametrize("k", [1, 5])
 @pytest.mark.parametrize("weighting", ["uniform", "inverse-distance"])
 def test_knn_block_estimate_matches_row_by_row(k, weighting, monkeypatch):
-    # blocks of 7 screened queries: the 40 rows span several screen blocks
+    # blocks of 7 screened queries: the 40 rows span several screen blocks,
+    # each scored in tiles of k groups
     env = asym_env()
     db = generate_dataset(env, 200, seed=14)
-    monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", 7 * 8 * len(db))
+    monkeypatch.setattr(estimator_module, "SCREEN_QUERIES", 7)
+    monkeypatch.setattr(estimator_module, "SCREEN_TILE_BYTES", 8)
     queries = np.vstack([generate_dataset(env, 37, seed=15).ranges_matrix(),
                          db.ranges_matrix()[[3, 3, 150]]])
     est = KnnEstimator(db, KnnConfig(k=k, weighting=weighting))
@@ -373,23 +379,39 @@ def random_db(rng, n, rays, rows=None):
     return Dataset("e", sensor, 0, poses, rows)
 
 
+def screen_tile(db, queries, k):
+    """The database rows per score tile that ``knn_screen`` uses for
+    ``queries``: all of them for one query, else the module's tile bytes
+    over its block of queries, and at least k groups."""
+    n = len(db)
+    if len(queries) == 1:
+        return n
+    block = min(len(queries), estimator_module.SCREEN_QUERIES)
+    return min(n, max(k * SCREEN_GROUP, estimator_module.SCREEN_TILE_BYTES // (8 * block)))
+
+
 def screen_by_partition(db, queries, k):
     """The survivor ids of the screen that partitions a copy of each block's
-    scores to read each query's k-th: the blocks, scores and threshold of
-    ``knn_screen``, which must keep the same rows, id for id."""
+    scores to read each query's k-th: the blocks, score tiles and threshold
+    of ``knn_screen``, which must keep the same rows, id for id."""
     R = db.ranges_matrix()
     norms_sq = db.range_norms_sq()
     n, m = R.shape
     c = math.sqrt(norms_sq.max()) + np.sqrt(np.einsum("ij,ij->i", queries, queries))
     tol = 8.0 * (m + 2) * np.finfo(np.float64).eps * c * c
-    block = max(1, min(len(queries), estimator_module.SCREEN_BLOCK_BYTES // (8 * n)))
+    block = max(1, min(len(queries), estimator_module.SCREEN_QUERIES))
+    tile = screen_tile(db, queries, k)
     survivors = []
     for start in range(0, len(queries), block):
         stop = min(start + block, len(queries))
-        a = np.empty((stop - start, n))
-        np.matmul(queries[start:stop], R.T, out=a)
-        a *= -2.0
-        a += norms_sq
+        tiles = []
+        for lo in range(0, n, tile):
+            a = np.empty((stop - start, min(tile, n - lo)))
+            np.matmul(queries[start:stop], R[lo : lo + tile].T, out=a)
+            a *= -2.0
+            a += norms_sq[lo : lo + tile]
+            tiles.append(a)
+        a = np.hstack(tiles)
         p = np.partition(a, k - 1, axis=1)
         rows, ids = np.divmod(np.flatnonzero(a <= (p[:, k - 1] + tol[start:stop])[:, None]), n)
         survivors += np.split(ids, np.searchsorted(rows, np.arange(1, stop - start)))
@@ -411,13 +433,15 @@ def assert_screen_matches_partition(db, queries, ks, counts):
                         assert g.dtype == w.dtype and np.array_equal(g, w), (cpus, k, count, i)
 
 
-def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
+def assert_knn_matches_full_scan(db, queries, ks, monkeypatch, tile_bytes=8):
     """One-row and block ``estimate`` calls of the k-NN estimator against the
     full scan, bit for bit, and the screen against the partition screen. The
     blocks screen len(queries) - 1 queries at a time, so they cover 1,
-    block - 1, block and block + 1 queries."""
+    block - 1, block and block + 1 queries; ``tile_bytes`` sets the score
+    tiles, by default k groups each."""
     block = max(1, len(queries) - 1)
-    monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", block * 8 * len(db))
+    monkeypatch.setattr(estimator_module, "SCREEN_QUERIES", block)
+    monkeypatch.setattr(estimator_module, "SCREEN_TILE_BYTES", tile_bytes)
     queries = np.array(queries)
     counts = sorted({1, block - 1, block, block + 1} - {0})
     assert_screen_matches_partition(db, queries, ks, counts)
@@ -433,8 +457,14 @@ def assert_knn_matches_full_scan(db, queries, ks, monkeypatch):
                 assert got == want[:count], (k, weighting, count)
 
 
-@pytest.mark.parametrize("n,rays", [(1, 1), (7, 3), (64, 16), (500, 96), (3000, 8)])
+@pytest.mark.parametrize(
+    "n,rays", [(1, 1), (7, 3), (64, 16), (200, 10), (319, 10), (500, 96), (641, 12), (650, 12), (3000, 8)]
+)
 def test_knn_matches_full_scan_on_random_databases(n, rays, monkeypatch):
+    # Tiles of k groups. Below k = 5 groups (200 and 319 rows) the database
+    # is one tile, whose bound is inf below k minima (200 rows: every row is
+    # a candidate). 641 and 650 rows end in a tile shorter than a group (1
+    # and 10 rows) for k = 1 and k = 5, and k = n is one tile of every row.
     rng = np.random.default_rng(n * 1000 + rays)
     db = random_db(rng, n, rays)
     R = db.ranges_matrix()
@@ -444,21 +474,24 @@ def test_knn_matches_full_scan_on_random_databases(n, rays, monkeypatch):
 
 
 def test_knn_batch_of_one_real_screen_block_matches_full_scan(monkeypatch):
-    # 3000 rows of 8 rays: the block SCREEN_BLOCK_BYTES gives, and one more query
+    # the block and tile that SCREEN_QUERIES and SCREEN_TILE_BYTES give, and
+    # one more query, over two whole tiles of 8-ray rows and a short third
+    tile = SCREEN_TILE_BYTES // (8 * SCREEN_QUERIES)
     rng = np.random.default_rng(3008)
-    db = random_db(rng, 3000, 8)
-    block = SCREEN_BLOCK_BYTES // (8 * len(db))
-    queries = [*rng.uniform(0.0, 1.0, (block - 1, 8)), *db.ranges_matrix()[:2]]
-    assert_knn_matches_full_scan(db, queries, [1, 5, len(db)], monkeypatch)
+    db = random_db(rng, 2 * tile + 100, 8)
+    assert screen_tile(db, np.zeros((SCREEN_QUERIES, 8)), 5) == tile
+    queries = [*rng.uniform(0.0, 1.0, (SCREEN_QUERIES - 1, 8)), *db.ranges_matrix()[:2]]
+    assert_knn_matches_full_scan(db, queries, [1, 5, len(db)], monkeypatch, SCREEN_TILE_BYTES)
 
 
 def test_knn_screen_under_frequent_thread_switches(monkeypatch):
     # one query per block on 8 threads, more than a small host has cores, each
-    # thread with its own score buffer
+    # thread with its own score tile; 320-row tiles (k groups) over 700 rows
     rng = np.random.default_rng(31)
     db = random_db(rng, 700, 16)
     queries = np.vstack([rng.uniform(0.0, 1.0, (40, 16)), db.ranges_matrix()[:8]])
-    monkeypatch.setattr(estimator_module, "SCREEN_BLOCK_BYTES", 8 * len(db))
+    monkeypatch.setattr(estimator_module, "SCREEN_QUERIES", 1)
+    monkeypatch.setattr(estimator_module, "SCREEN_TILE_BYTES", 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -510,6 +543,49 @@ def test_knn_matches_full_scan_on_one_ulp_near_ties(monkeypatch):
     db = random_db(rng, len(rows), rays, rows=rows)
     queries = [q, up, down, rows[0], rows[1]]
     assert_knn_matches_full_scan(db, queries, [1, 2, 5, 16, 17, 40, 80, 120], monkeypatch)
+
+
+# k-NN screen tiles ---------------------------------------------------------------
+
+
+def test_knn_screen_ties_straddling_tile_edges(monkeypatch):
+    # rows 250-399 are copies of one row and straddle the tile edges at 256,
+    # 320 and 384 (tiles of 64, 128, 192 and 320 rows for k = 1, 2, 3, 5);
+    # copies of a second row are scattered over the rest, so each k cuts
+    # through exact distance ties that cross a tile edge
+    rng = np.random.default_rng(43)
+    distinct = rng.uniform(0.0, 1.0, (2, 12))
+    rows = rng.uniform(0.0, 1.0, (700, 12))
+    rows[250:400] = distinct[0]
+    rows[rng.choice(np.r_[0:250, 400:700], 40, replace=False)] = distinct[1]
+    db = random_db(rng, 700, 12, rows=rows)
+    queries = [*distinct, (distinct[0] + distinct[1]) / 2, np.nextafter(distinct[0], 2.0),
+               rng.uniform(0.0, 1.0, 12)]
+    assert_knn_matches_full_scan(db, queries, [1, 2, 3, 5, 40, 41, 150, 151, 190], monkeypatch)
+    for q in knn_screen(db, np.array(queries[:1] * 2), 5):
+        assert np.array_equal(q.ids, np.arange(250, 400))  # every tie survives
+
+
+def test_knn_screen_memory_does_not_grow_with_the_database(monkeypatch):
+    # 64 queries (two blocks) offered 8 CPUs, over databases 10x apart: the
+    # screen's traced peak stays under the in-flight cap of the threads'
+    # score tiles and masks, plus a small margin
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    rng = np.random.default_rng(47)
+    sensor = SensorConfig(fov=360.0, ray_count=16, max_range=10.0)
+    queries = rng.uniform(0.0, 1.0, (2 * SCREEN_QUERIES, 16))
+    peaks = {}
+    for n in (8_000, 80_000):
+        db = Dataset("e", sensor, 0, np.zeros((n, 3)), rng.uniform(0.0, 1.0, (n, 16)))
+        db.range_norms_sq()  # cached, as a loaded estimator's database has it
+        tracemalloc.start()
+        try:
+            screened = knn_screen(db, queries, 5)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(q.ids) for q in screened] == [5] * len(queries)
+    assert max(peaks.values()) < SCREEN_BYTES_IN_FLIGHT + (256 << 10), peaks
 
 
 # regressor ----------------------------------------------------------------------
