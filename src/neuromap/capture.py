@@ -30,7 +30,7 @@ from .world import EnvironmentSpec, SensorConfig, ray_distances
 
 REJECTION_BUDGET = 1_000_000
 
-# _observe_poses hands ray_distances chunks of about CHUNK_RAYS rays (512
+# raycast hands ray_distances chunks of about CHUNK_RAYS rays (512
 # poses of a 96-ray sensor), one chunk per worker thread; larger chunks
 # spread numpy's per-call overhead over more rays. Each ray in flight peaks
 # at ~106 bytes of traversal state, ~130 with its origin and bearing (~6.4 MB
@@ -347,13 +347,17 @@ def sample_random_pose(
     )
 
 
-def _observe_poses(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
-    """Raycast (n, 3) poses at once; returns (n, ray_count) normalised ranges.
+def raycast(env: EnvironmentSpec, poses: np.ndarray) -> np.ndarray:
+    """The scans of (m, 3) poses (x, y, theta degrees): (m, ray_count) hit
+    distances over ``max_range``, in [0, 1], ray 0 at -fov/2. Every scan of
+    ``gen``, ``walk`` and ``navigate`` is made here, and a row's bits do not
+    depend on the other rows of its call.
 
     Chunks of poses run on ``map_in_order``'s threads (numpy releases the
     GIL inside its loops), each writing only its own rows, so the result
     does not depend on the CPU count. A failure raises what a serial loop
-    over the chunks would raise first, and no chunk starts after it.
+    over the chunks would raise first, and no chunk starts after it: an
+    ``InvalidPoseError`` for a pose outside the world or in an obstacle.
     """
     sensor = env.sensor
     offsets = sensor.bearing_offsets()
@@ -403,7 +407,7 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
                    for i in rejected.tolist()]
         if retried:
             poses[rejected] = [(p.x, p.y, p.theta) for p in retried]
-    return Dataset(env.name, env.sensor, seed, poses, _observe_poses(env, poses))
+    return Dataset(env.name, env.sensor, seed, poses, raycast(env, poses))
 
 
 def random_walk_capture(
@@ -466,7 +470,7 @@ def random_walk_capture(
             break
 
     poses = np.array([(p.x, p.y, p.theta) for p in captured_poses])
-    dataset = Dataset(env.name, env.sensor, seed, poses, _observe_poses(env, poses))
+    dataset = Dataset(env.name, env.sensor, seed, poses, raycast(env, poses))
     return WalkResult(dataset=dataset, wedged=wedged, steps=steps, log=tuple(log))
 
 

@@ -91,8 +91,9 @@ def _merge_options(args, argv) -> None:
     """Resolve every option of ``args.command`` onto ``args``: flags > config
     file > defaults. Unknown config keys are rejected, a required option
     that neither gives is a usage error, a bundled world (``--env``) or route
-    (``--waypoints``) name becomes its shipped file, and every input file is
-    checked here, so missing inputs fail before any work starts. Adds
+    (``--waypoints``) name becomes its shipped file, and every input file and
+    the nearest existing path of ``--out``, which must be a directory, are
+    checked here, so a run that cannot read or write fails before any work. Adds
     ``args.provenance`` and its comment-line form ``args.comments``."""
     _, defaults, required, file_keys = COMMANDS[args.command]
     loaded = {}
@@ -129,6 +130,11 @@ def _merge_options(args, argv) -> None:
             setattr(args, key, value)
         if not Path(value).is_file():
             raise InputError(f"{key}: no such file: {value}")
+    if args.out is not None:
+        out = Path(args.out)
+        near = next((p for p in (out, *out.parents) if p.exists() or p.is_symlink()), None)
+        if near is not None and not near.is_dir():
+            raise InputError(f"--out {out}: {near} is not a directory")
     args.provenance = {
         "tool": f"neuromap {__version__}",
         "invocation": shlex.join(["neuromap", *argv]),

@@ -183,9 +183,8 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
     2 Q r`` over the database's cached row norms (the score differs from the
     squared distance only by the constant ``||q||^2``), one matrix product
     per tile of database rows; a row survives when its score is within a
-    floating-point rounding bound of its query's k-th smallest. A one-query
-    call scores the whole database in one product. The blocks run on
-    ``map_in_order``'s threads, each thread with its own tile buffers.
+    floating-point rounding bound of its query's k-th smallest. The blocks
+    run on ``map_in_order``'s threads, each thread with its own tile buffers.
     """
     R = db.ranges_matrix()
     norms_sq = db.range_norms_sq()
@@ -208,7 +207,7 @@ def knn_screen(db: Dataset, queries: np.ndarray, k: int) -> list[KnnQuery]:
     tol = 8.0 * (m + 2) * np.finfo(np.float64).eps * c * c
     block = max(1, min(len(queries), SCREEN_QUERIES))
     # a tile of k groups or more bounds every query's k-th score on its own
-    tile = n if len(queries) == 1 else min(n, max(k * SCREEN_GROUP, SCREEN_TILE_BYTES // (8 * block)))
+    tile = min(n, max(k * SCREEN_GROUP, SCREEN_TILE_BYTES // (8 * block)))
     buffers = threading.local()
 
     def screen(start: int) -> list[KnnQuery]:

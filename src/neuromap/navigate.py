@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .capture import raycast
 from .estimator import Estimator, EstimatorUnavailableError
 from .inputs import FormatError, InputError, check_finite, read_lines
-from .pose import Pose2D, ang_diff, heading
-from .world import EnvironmentSpec, raycast
+from .pose import HEADING_EPS, Pose2D, ang_diff, heading
+from .world import EnvironmentSpec
 
 EVENT_ESTIMATE = "estimate"
 EVENT_ROTATE = "rotate"
@@ -54,6 +55,8 @@ class NavConfig:
                 raise InputError(f"{name} must be positive")
         if self.max_ticks <= 0 or self.footprint_radius < 0:
             raise InputError("max_ticks must be positive, footprint_radius >= 0")
+        if self.T_d < HEADING_EPS:  # dist > T_d then keeps heading() defined
+            raise InputError(f"T_d must be >= {HEADING_EPS}, got {self.T_d!r}")
         if self.T_d >= self.max_step:
             raise InputError("T_d must be smaller than max_step")
         if self.leg_tolerance is not None and self.leg_tolerance <= 0:
@@ -184,9 +187,10 @@ class _Episode:
 
     def estimate(self) -> Pose2D:
         p = self.true_pose
-        ranges = raycast(self.env.grid, p, self.env.sensor)
+        pose = np.array([[p.x, p.y, p.theta]])
+        ranges = raycast(self.env, pose)
         try:
-            row = self.estimator.estimate(ranges[None, :], [(p.x, p.y, p.theta)])[0]
+            row = self.estimator.estimate(ranges, pose)[0]
         except EstimatorUnavailableError:
             raise _Abort(ABORT_ESTIMATOR) from None
         self.last_estimate = Pose2D(*row.tolist())

@@ -1,5 +1,5 @@
 """One thread pool for the array loops that numpy runs without the GIL: the
-raycast of ``gen``'s poses and the k-NN screen.
+raycast and the k-NN screen.
 
 Work is split into items that each write only their own result, so the
 results do not depend on the CPU count.

@@ -23,6 +23,9 @@ import numpy as np
 
 from .inputs import InputError
 
+# metres within which two points have no heading between them
+HEADING_EPS = 1e-9
+
 
 class DegenerateHeadingError(ValueError):
     """Heading requested between two (nearly) coincident points."""
@@ -111,19 +114,19 @@ class EnvBounds:
         return self.y_max - self.y_min
 
 
-def heading(frm: Pose2D, to: Pose2D, eps: float = 1e-9) -> float:
+def heading(frm: Pose2D, to: Pose2D) -> float:
     """Bearing in degrees of the vector from ``frm`` to ``to``.
 
     Measured counter-clockwise from the +x axis, wrapped to (-180, +180].
 
     Raises:
-        DegenerateHeadingError: if the points coincide to within ``eps``
-            metres. Callers steering toward a target should treat that
-            target as already reached.
+        DegenerateHeadingError: if the points coincide to within
+            ``HEADING_EPS`` metres. Callers steering toward a target should
+            treat that target as already reached.
     """
     dx = to.x - frm.x
     dy = to.y - frm.y
-    if math.hypot(dx, dy) <= eps:
+    if math.hypot(dx, dy) <= HEADING_EPS:
         raise DegenerateHeadingError(
             f"heading undefined between coincident points ({frm.x}, {frm.y}) and ({to.x}, {to.y})"
         )

@@ -1,4 +1,4 @@
-"""Occupancy-grid environments: collision queries and raycast observations.
+"""Occupancy-grid environments: collision queries and the ray traversal.
 
 A world is a rectangular grid of square cells, each free or occupied, with
 metric bounds fixed by an origin and a resolution. The outer boundary counts
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .inputs import FormatError, InputError, check_finite, check_size, read_lines
-from .pose import EnvBounds, Pose2D
+from .pose import EnvBounds
 
 FREE_CHAR = "."
 OCCUPIED_CHAR = "#"
@@ -475,23 +475,3 @@ def _axis_start(origin: float, start, index, u, res: float) -> tuple:
         edge = origin + (index + (step > 0)) * res  # the first cell edge ahead
         t = np.where(u != 0.0, (edge - start) / u, np.inf)
     return t, t_delta, step
-
-
-def raycast(grid: OccupancyGrid, pose: Pose2D, sensor: SensorConfig = DEFAULT_SENSOR) -> np.ndarray:
-    """Observe the world from a pose: the (ray_count,) hit distances over
-    ``max_range``, each in [0, 1], ray 0 at -fov/2.
-
-    Raises:
-        InvalidPoseError: when the pose is outside the world or inside an
-            obstacle cell.
-    """
-    bearings = pose.theta + sensor.bearing_offsets()
-    n = bearings.size
-    dists = ray_distances(
-        grid,
-        np.full(n, pose.x),
-        np.full(n, pose.y),
-        bearings,
-        sensor.max_range,
-    )
-    return dists / sensor.max_range

@@ -362,7 +362,7 @@ def test_generate_rejects_bad_n():
 
 # parallel raycast ----------------------------------------------------------------
 
-CHUNK = 7  # poses per _observe_poses chunk in these tests
+CHUNK = 7  # poses per raycast chunk in these tests
 
 
 def box_env():
@@ -370,10 +370,10 @@ def box_env():
 
 
 def observe_with(monkeypatch, env, poses, cpus, chunk=CHUNK):
-    """_observe_poses with ``cpus`` CPUs in the affinity mask and ``chunk``-pose chunks."""
+    """raycast with ``cpus`` CPUs in the affinity mask and ``chunk``-pose chunks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(capture, "CHUNK_RAYS", chunk * env.sensor.ray_count)
-    return capture._observe_poses(env, poses)
+    return capture.raycast(env, poses)
 
 
 def one_call(env, poses):
@@ -393,6 +393,9 @@ def test_observe_poses_equals_one_call_bit_for_bit(monkeypatch, n, cpus):
     poses = generate_dataset(env, n, seed=n).poses_matrix()
     got = observe_with(monkeypatch, env, poses, cpus)
     assert got.tobytes() == one_call(env, poses).tobytes()
+    # each row is also the scan navigate takes of its pose alone
+    for i in range(n):
+        assert got[i].tobytes() == capture.raycast(env, poses[i : i + 1])[0].tobytes(), i
 
 
 def test_observe_poses_under_frequent_thread_switches(monkeypatch):
@@ -412,7 +415,7 @@ def test_observe_no_poses_makes_no_pool(monkeypatch):
         raise AssertionError("thread created")
 
     monkeypatch.setattr(pool.threading, "Thread", no_thread)
-    got = capture._observe_poses(box_env(), np.empty((0, 3)))
+    got = capture.raycast(box_env(), np.empty((0, 3)))
     assert got.shape == (0, 16)
 
 

@@ -24,6 +24,7 @@ from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnConfig, KnnEstimator, OracleConfig, OracleEstimator
 from neuromap.navigate import NavConfig, OdometryConfig
 from neuromap.inputs import read_lines
+from neuromap.pose import HEADING_EPS
 from neuromap.training import (
     DECAY_PER_INTERVAL, YAW_SINCOS, RegressorModel, TrainConfig, load_model, save_model,
 )
@@ -1022,6 +1023,38 @@ def test_a_run_refused_while_working_creates_no_out(two_worlds, tmp_path, capsys
     paths = {"tmp": tmp_path, "b": two_worlds / "b.grid", "a_data": two_worlds / "a" / "dataset.csv"}
     err = _refused(capsys, [a.format(**paths) for a in argv], tmp_path / "o")
     assert err == f"neuromap: input error: {why}\n"
+
+
+def test_a_td_below_heading_eps_is_refused(tmp_path, capsys):
+    # a waypoint 5e-10 m from the start: with T_d = 1e-10 the run would ask
+    # heading() for a bearing it refuses, so NavConfig refuses the T_d
+    waypoints = tmp_path / "wp.txt"
+    waypoints.write_text("1.5000000005,1.5\n")
+    argv = ["navigate", "--env", "apartment", "--estimator", "oracle", "--waypoints", str(waypoints),
+            "--start", "1.5,1.5,0", "--td", "1e-10"]
+    err = _refused(capsys, argv, tmp_path / "o")
+    assert err == f"neuromap: input error: T_d must be >= {HEADING_EPS}, got 1e-10\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["gen", "--env", "cabin", "--n", "20000"], "afile"),
+    (["gen", "--env", "cabin", "--n", "20000"], "afile/sub"),
+    (["train", "--env", "cabin", "--dataset", "{afile}"], "afile"),
+], ids=["gen-file", "gen-under-file", "train-file"])
+def test_an_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, out):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run's work started")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_work)
+    monkeypatch.setattr(cli, "train", no_work)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"not a directory\n")
+    argv = [a.format(afile=afile) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (
+        f"neuromap: input error: --out {tmp_path / out}: {afile} is not a directory\n")
+    assert afile.read_bytes() == b"not a directory\n"
+    assert list(tmp_path.iterdir()) == [afile]
 
 
 # every option a command cannot run without, stated apart from the CLI

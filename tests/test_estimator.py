@@ -381,13 +381,10 @@ def random_db(rng, n, rays, rows=None):
 
 def screen_tile(db, queries, k):
     """The database rows per score tile that ``knn_screen`` uses for
-    ``queries``: all of them for one query, else the module's tile bytes
-    over its block of queries, and at least k groups."""
-    n = len(db)
-    if len(queries) == 1:
-        return n
+    ``queries``, whatever their count: the module's tile bytes over its
+    block of queries, at least k groups and at most the database."""
     block = min(len(queries), estimator_module.SCREEN_QUERIES)
-    return min(n, max(k * SCREEN_GROUP, estimator_module.SCREEN_TILE_BYTES // (8 * block)))
+    return min(len(db), max(k * SCREEN_GROUP, estimator_module.SCREEN_TILE_BYTES // (8 * block)))
 
 
 def screen_by_partition(db, queries, k):
@@ -438,7 +435,7 @@ def assert_knn_matches_full_scan(db, queries, ks, monkeypatch, tile_bytes=8):
     full scan, bit for bit, and the screen against the partition screen. The
     blocks screen len(queries) - 1 queries at a time, so they cover 1,
     block - 1, block and block + 1 queries; ``tile_bytes`` sets the score
-    tiles, by default k groups each."""
+    tiles, by default k groups each, for one-row calls as for blocks."""
     block = max(1, len(queries) - 1)
     monkeypatch.setattr(estimator_module, "SCREEN_QUERIES", block)
     monkeypatch.setattr(estimator_module, "SCREEN_TILE_BYTES", tile_bytes)

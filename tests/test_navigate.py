@@ -105,6 +105,7 @@ def test_nav_config_explicit_leg_tolerance():
     "kwargs",
     [
         {"T_d": 0.0},
+        {"T_d": 5e-10},  # below HEADING_EPS, where heading() is undefined
         {"T_a": -1.0},
         {"max_step": 0.0},
         {"linear_speed": 0.0},

@@ -213,7 +213,7 @@ def test_heading_degenerate_raises():
         heading(p, Pose2D(1.0, 2.0, -90.0))
     with pytest.raises(DegenerateHeadingError):
         heading(Pose2D(0.0, 0.0), Pose2D(0.0, 1e-10))
-    # just above the default epsilon it is defined again
+    # just above HEADING_EPS it is defined again
     assert heading(Pose2D(0.0, 0.0), Pose2D(0.0, 1e-8)) == 90.0
 
 

@@ -10,7 +10,6 @@ import pytest
 from neuromap.capture import DATASET_MAGIC, Dataset, generate_dataset, load_dataset, save_dataset
 from neuromap.estimator import Estimator
 from neuromap.inputs import FormatError, InputError, read_lines
-from neuromap.pose import Pose2D
 from neuromap.training import (
     ACTION_CONTINUE,
     ACTION_CONVERGED,
@@ -492,7 +491,7 @@ def _val_split(data, cfg, env):
 def test_training_beats_untrained_baseline():
     # fixed-heading corridor: with yaw pinned the observation-to-position map
     # is smooth, so a small net makes real validation progress in seconds
-    from neuromap.world import raycast
+    from neuromap.capture import raycast
 
     grid = OccupancyGrid(60, 10, 0.2, 0.0, 0.0, np.zeros((10, 60), bool))
     grid = with_metric_box(grid, 2.0, 0.0, 2.6, 0.8)
@@ -500,15 +499,13 @@ def test_training_beats_untrained_baseline():
     sensor = SensorConfig(fov=120.0, ray_count=16, max_range=15.0)
     env = EnvironmentSpec("corridor", grid, sensor)
     rng = np.random.default_rng(7)
-    poses, ranges = [], []
+    poses = []
     while len(poses) < 1500:
         x = float(rng.uniform(0.05, 11.95))
         y = float(rng.uniform(0.05, 1.95))
-        if not env.grid.is_free(x, y):
-            continue
-        poses.append((x, y, 0.0))
-        ranges.append(raycast(env.grid, Pose2D(x, y, 0.0), sensor))
-    data = Dataset(env.name, sensor, 7, poses, ranges)
+        if env.grid.is_free(x, y):
+            poses.append((x, y, 0.0))
+    data = Dataset(env.name, sensor, 7, poses, raycast(env, np.array(poses)))
 
     cfg = TrainConfig(seed=3, max_iterations=6000, eval_interval=1000, hidden_dims=(32,), lr0=1e-3)
     model, history = train(data, env, cfg)

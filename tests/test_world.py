@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neuromap.capture import STREAM_GEN, derived_rng, generate_dataset, sample_random_pose
+from neuromap.capture import STREAM_GEN, derived_rng, generate_dataset, raycast, sample_random_pose
 from neuromap.inputs import FormatError, InputError
 from neuromap.pose import EnvBounds, Pose2D
 from neuromap.world import (
@@ -19,7 +19,6 @@ from neuromap.world import (
     SensorConfig,
     load_environment,
     ray_distances,
-    raycast,
 )
 from neuromap.worlds import bundled_environment
 from worldgen import (
@@ -366,15 +365,21 @@ def test_grid_is_immutable():
 # raycasting --------------------------------------------------------------------
 
 
+def scan(grid, pose, sensor=DEFAULT_SENSOR):
+    """The scan of one pose in ``grid`` through ``sensor``: a one-row
+    ``raycast``, as navigate calls it."""
+    return raycast(EnvironmentSpec("test", grid, sensor), np.array([[pose.x, pose.y, pose.theta]]))[0]
+
+
 def test_boundary_hit_analytic():
     # empty 10x10 m world, robot at the centre facing +x: the centre ray
     # crosses 5 m of free space and stops at the wall; 5/20 = 0.25
     grid = empty_grid(10, 10, 1.0)
     sensor = SensorConfig(fov=120.0, ray_count=97, max_range=20.0)
-    ranges = raycast(grid, Pose2D(5.0, 5.0, 0.0), sensor)
+    ranges = scan(grid, Pose2D(5.0, 5.0, 0.0), sensor)
     assert ranges.shape == (97,) and ranges[48] == 0.25
     # facing the far corner: distance 5*sqrt(2)
-    ranges = raycast(grid, Pose2D(5.0, 5.0, 45.0), sensor)
+    ranges = scan(grid, Pose2D(5.0, 5.0, 45.0), sensor)
     assert abs(ranges[48] - 5.0 * math.sqrt(2.0) / 20.0) < 1e-12
 
 
@@ -383,22 +388,22 @@ def test_wall_hit_analytic():
     grid = with_metric_box(empty_grid(20, 6, 0.5), 7.0, 0.0, 7.5, 3.0)
     d = ray_distances(grid, np.array([5.0]), np.array([1.5]), np.array([0.0]), 10.0)
     assert d[0] == 2.0
-    ranges = raycast(grid, Pose2D(5.0, 1.5, 0.0), SensorConfig(fov=360.0, ray_count=4, max_range=10.0))
+    ranges = scan(grid, Pose2D(5.0, 1.5, 0.0), SensorConfig(fov=360.0, ray_count=4, max_range=10.0))
     assert ranges[2] == 0.2  # offsets -180,-90,0,90: index 2 faces +x
 
 
 def test_no_hit_within_range_reports_one():
     grid = empty_grid(100, 100, 0.5)
-    ranges = raycast(grid, Pose2D(25.0, 25.0, 13.0), SensorConfig(fov=120.0, ray_count=8, max_range=2.0))
+    ranges = scan(grid, Pose2D(25.0, 25.0, 13.0), SensorConfig(fov=120.0, ray_count=8, max_range=2.0))
     assert np.all(ranges == 1.0)
 
 
 def test_raycast_rejects_bad_poses():
     grid = with_metric_box(empty_grid(4, 4, 1.0), 1.0, 1.0, 2.0, 2.0)
     with pytest.raises(InvalidPoseError):
-        raycast(grid, Pose2D(1.5, 1.5, 0.0))
+        scan(grid, Pose2D(1.5, 1.5, 0.0))
     with pytest.raises(InvalidPoseError):
-        raycast(grid, Pose2D(-1.0, 1.5, 0.0))
+        scan(grid, Pose2D(-1.0, 1.5, 0.0))
     with pytest.raises(InvalidPoseError):
         ray_distances(grid, np.array([1.5]), np.array([1.5]), np.array([0.0]), 5.0)
 
@@ -407,8 +412,8 @@ def test_raycast_deterministic():
     rng = np.random.default_rng(24)
     grid = random_world(rng)
     pose = random_free_pose(rng, grid)
-    a = raycast(grid, pose)
-    b = raycast(grid, pose)
+    a = scan(grid, pose)
+    b = scan(grid, pose)
     assert a.tobytes() == b.tobytes()
 
 
@@ -425,8 +430,8 @@ def test_obstacle_insertion_never_increases_range():
         denser = with_metric_box(grid, x0, y0, x0 + float(bw), y0 + float(bh))
         if not denser.is_free(pose.x, pose.y):
             continue
-        r_before = raycast(grid, pose)
-        r_after = raycast(denser, pose)
+        r_before = scan(grid, pose)
+        r_after = scan(denser, pose)
         assert np.all(r_after <= r_before + 1e-12)
         checked += 1
 
