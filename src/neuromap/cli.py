@@ -8,8 +8,9 @@ flags, so rerunning an invocation reproduces its outputs byte for byte.
 Exit codes: 0 success, 1 usage error, 2 input validation error (an
 ``InputError`` or ``OSError``: refused values and files, inputs captured in
 another world, worlds with no room to sample), 3 runtime abort (collision,
-estimator failure, tick budget, diverged training, out of memory). Any
-other exception is a bug and ends in a traceback.
+estimator failure, tick budget, diverged training, out of memory), 130
+interrupted (Ctrl-C: 128 + SIGINT). Any other exception is a bug and ends
+in a traceback.
 
 Option values resolve as flags > JSON config file (--config) > defaults;
 the options and estimator spec keys that set a library config are its
@@ -55,7 +56,8 @@ from .navigate import (
     save_trace,
 )
 from .pose import Pose2D
-from .report import CoverageSummary, coverage_summary, metrics_table, save_json, svg_coverage, svg_route
+from .report import (CoverageSummary, coverage_summary, metrics_table, printable, save_json,
+                     svg_coverage, svg_route)
 from .training import (
     TrainConfig,
     TrainingDivergedError,
@@ -140,7 +142,7 @@ def _merge_options(args, argv) -> None:
         "invocation": shlex.join(["neuromap", *argv]),
         "seed": args.seed,
     }
-    args.comments = tuple(f"{k}: {v}" for k, v in args.provenance.items())
+    args.comments = tuple(printable(f"{k}: {v}") for k, v in args.provenance.items())
 
 
 def _config_value(path, key, value, default):
@@ -355,7 +357,7 @@ def cmd_eval(args) -> int:
     metrics = {name: asdict(m) for name, m in results.items()}
     save_json(out / "metrics.json", {"metrics": metrics}, args.provenance)
     table = metrics_table(results, comments=args.comments)
-    (out / "table.txt").write_text(table)
+    (out / "table.txt").write_text(table, encoding="ascii")
     print(table, end="")
     return 0
 
@@ -520,6 +522,9 @@ def main(argv=None) -> int:
         print(f"neuromap: runtime abort: out of memory: {str(exc) or 'an allocation failed'}",
               file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("neuromap: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

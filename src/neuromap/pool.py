@@ -15,8 +15,9 @@ def map_in_order(fn, items, most: int) -> list:
 
     Items are handed out in order as threads free up, the calling thread
     being one of them. A failure raises what the serial loop would raise
-    first, and no item starts once a failure is seen. Fewer than two items
-    or workers run in that serial loop, on no thread.
+    first, and no item starts once a failure is seen or the calling thread
+    is interrupted. Fewer than two items or workers run in that serial
+    loop, on no thread.
     """
     items = list(items)
     workers = min(len(items), most)
@@ -42,11 +43,15 @@ def map_in_order(fn, items, most: int) -> list:
                 return
 
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
+    except BaseException as exc:  # raised outside fn: an interrupt
+        errors[-1] = exc  # one atomic store, and no worker takes a further item
+        raise
     if errors:  # items start in order, so every item before this one ran
         raise errors[min(errors)]
     return results

@@ -73,9 +73,16 @@ def _grid_rects(env: EnvironmentSpec, vp: _Viewport):
     return rects
 
 
+def printable(text: str) -> str:
+    """``text`` with each character but printable ASCII written as its Python
+    escape (``\\n``, ``\\xe9``, ``\\u2013``), so it prints as one ASCII line."""
+    return "".join(c if " " <= c <= "~" else ascii(c)[1:-1] for c in text)
+
+
 def _svg_document(vp: _Viewport, body, comments=()):
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     for c in comments:
+        c = c.replace("--", "-\\x2d")  # XML allows no "--" within a comment
         lines.append(f"<!-- {c} -->")
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -213,7 +220,7 @@ def metrics_table(metrics_by_name: dict, comments=()) -> str:
     lines += [header, "-" * len(header)]
     for name, m in metrics_by_name.items():
         lines.append(
-            f"{name:<24} {m.mean_pos_err:>12.4f} {m.median_pos_err:>12.4f} "
+            f"{printable(name):<24} {m.mean_pos_err:>12.4f} {m.median_pos_err:>12.4f} "
             f"{m.mean_theta_err:>14.3f} {m.median_theta_err:>13.3f}"
         )
     return "\n".join(lines) + "\n"

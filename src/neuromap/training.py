@@ -98,42 +98,32 @@ class RegressorModel:
 
     ``params`` is one float64 vector laid out W0, b0, W1, b1, ...;
     ``weights[i]`` (fan_out, fan_in) and ``biases[i]`` are views into it.
-    Hidden activations are relu, the last layer is tanh. With the default
-    yaw head the output dimension is exactly 3: (nx, ny, ntheta). The
-    optional sin/cos head uses 4. A model names the world its poses are
-    normalised against (``env_name``) and the ``sensor`` it reads, whose
-    ``ray_count`` is the input width; a model built in memory may leave
-    both unset, and then no estimator takes it.
+    The constructor copies the ``params`` it is given. Hidden activations
+    are relu, the last layer is tanh. With the default yaw head the output
+    dimension is exactly 3: (nx, ny, ntheta). The optional sin/cos head
+    uses 4. A model names the world its poses are normalised against
+    (``env_name``) and the ``sensor`` it reads, whose ``ray_count`` is the
+    input width; a model built in memory may leave both unset, and then no
+    estimator takes it.
     """
 
-    def __init__(self, layer_dims, weights, biases, yaw_mode=YAW_TANH, env_name="", sensor=None):
+    def __init__(self, layer_dims, params, yaw_mode=YAW_TANH, env_name="", sensor=None):
         layer_dims = tuple(int(d) for d in layer_dims)
         if len(layer_dims) < 2:
             raise ValueError("need at least input and output dims")
         if any(d < 1 for d in layer_dims):
             raise ValueError(f"layer dims must be positive, got {layer_dims}")
-        if yaw_mode not in (YAW_TANH, YAW_SINCOS):
-            raise ValueError(f"unknown yaw_mode {yaw_mode!r}")
-        out_dim = 3 if yaw_mode == YAW_TANH else 4
+        out_dim = head_width(yaw_mode)
         if layer_dims[-1] != out_dim:
             raise ValueError(f"yaw_mode {yaw_mode} needs {out_dim} outputs, got {layer_dims[-1]}")
-        if len(weights) != len(layer_dims) - 1 or len(biases) != len(weights):
-            raise ValueError("one weight matrix and bias vector per layer required")
         if sensor is not None and sensor.ray_count != layer_dims[0]:
             raise ValueError(f"sensor casts {sensor.ray_count} rays, the model takes {layer_dims[0]}")
+        params = np.array(params, dtype=np.float64)
+        if params.shape != (param_count(layer_dims),):
+            raise ValueError(f"params shape {params.shape}, expected ({param_count(layer_dims)},)")
         self.layer_dims = layer_dims
-        self.params = np.empty(sum(o * (i + 1) for i, o in zip(layer_dims, layer_dims[1:])))
-        self.weights, self.biases = _layer_views(layer_dims, self.params)
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
-            if w.shape != self.weights[i].shape:
-                raise ValueError(f"W{i} shape {w.shape}, expected {self.weights[i].shape}")
-            if b.shape != self.biases[i].shape:
-                raise ValueError(f"b{i} shape {b.shape}, expected ({layer_dims[i + 1]},)")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i} has non-finite parameters")
-            self.weights[i][...] = w
-            self.biases[i][...] = b
+        self.params = params
+        self.weights, self.biases = _layer_views(layer_dims, params)
         self.yaw_mode = yaw_mode
         self.env_name = env_name
         self.sensor = sensor
@@ -144,29 +134,35 @@ class RegressorModel:
 
     @classmethod
     def zeros(cls, layer_dims, yaw_mode=YAW_TANH, env_name="", sensor=None):
-        ws = [np.zeros((layer_dims[i + 1], layer_dims[i])) for i in range(len(layer_dims) - 1)]
-        bs = [np.zeros(layer_dims[i + 1]) for i in range(len(layer_dims) - 1)]
-        return cls(layer_dims, ws, bs, yaw_mode, env_name, sensor)
+        return cls(layer_dims, np.zeros(param_count(layer_dims)), yaw_mode, env_name, sensor)
 
     @classmethod
     def random(cls, layer_dims, rng, yaw_mode=YAW_TANH, env_name="", sensor=None):
         """He-uniform init for the relu hidden layers, Glorot for the tanh head."""
-        ws, bs = [], []
-        last = len(layer_dims) - 2
-        for i in range(len(layer_dims) - 1):
-            fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
-            if i == last:
-                limit = math.sqrt(6.0 / (fan_in + fan_out))
-            else:
-                limit = math.sqrt(6.0 / fan_in)
-            ws.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            bs.append(np.zeros(fan_out))
-        return cls(layer_dims, ws, bs, yaw_mode, env_name, sensor)
+        model = cls.zeros(layer_dims, yaw_mode, env_name, sensor)
+        last = len(model.weights) - 1
+        for i, w in enumerate(model.weights):
+            fan_out, fan_in = w.shape
+            limit = math.sqrt(6.0 / (fan_in + fan_out) if i == last else 6.0 / fan_in)
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
+        return model
 
     def copy(self) -> "RegressorModel":
-        return RegressorModel(
-            self.layer_dims, self.weights, self.biases, self.yaw_mode, self.env_name, self.sensor
-        )
+        return RegressorModel(self.layer_dims, self.params, self.yaw_mode, self.env_name, self.sensor)
+
+
+def head_width(yaw_mode) -> int:
+    """The network's outputs under ``yaw_mode``: (nx, ny, ntheta) or (nx, ny, sin, cos)."""
+    if yaw_mode == YAW_TANH:
+        return 3
+    if yaw_mode == YAW_SINCOS:
+        return 4
+    raise ValueError(f"unknown yaw_mode {yaw_mode!r}")
+
+
+def param_count(layer_dims) -> int:
+    """The length of the W0, b0, W1, b1, ... vector of a network of ``layer_dims``."""
+    return sum(o * (i + 1) for i, o in zip(layer_dims, layer_dims[1:]))
 
 
 def _layer_views(layer_dims, flat):
@@ -351,7 +347,7 @@ class LrSchedule:
         if eval_metric is not None:
             if not math.isfinite(eval_metric):
                 raise ValueError(f"eval metric must be finite, got {eval_metric!r}")
-            if eval_metric < self.best_metric - IMPROVEMENT_EPS:
+            if self.improves(eval_metric):
                 self.best_metric = eval_metric
                 self.iters_since_improvement = 0
                 if self.phase == PHASE_POST_RESET:
@@ -371,6 +367,10 @@ class LrSchedule:
         exponent = stairs * DECAY_INTERVAL if self.decay_mode == DECAY_PER_ITERATION else stairs
         self.current_lr = self.lr0 * DECAY_RATE**exponent
         return self.current_lr, action
+
+    def improves(self, metric: float) -> bool:
+        """Whether ``metric`` beats the best so far by more than ``IMPROVEMENT_EPS``."""
+        return metric < self.best_metric - IMPROVEMENT_EPS
 
 
 @dataclass(frozen=True)
@@ -432,10 +432,10 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
     train_idx = np.sort(perm[n_val:])
     Xv, Pv = X[val_idx], poses[val_idx]
 
-    layer_dims = (dataset.sensor.ray_count, *cfg.hidden_dims, 3 if cfg.yaw_mode == YAW_TANH else 4)
+    layer_dims = (dataset.sensor.ray_count, *cfg.hidden_dims, head_width(cfg.yaw_mode))
     # the parameter vector, and a layer's activations over the whole dataset
     what = f"hidden widths {cfg.hidden_dims}"
-    check_size(what, sum(o * (i + 1) for i, o in zip(layer_dims, layer_dims[1:])))
+    check_size(what, param_count(layer_dims))
     check_size(what, n, max(layer_dims))
     model = RegressorModel.random(
         layer_dims,
@@ -450,7 +450,6 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
 
     history: list[HistoryRow] = []
     best_model = model.copy()
-    best_metric = math.inf
     n_train = len(train_idx)
     order = batch_rng.permutation(n_train)
     cursor = 0
@@ -464,38 +463,31 @@ def train(dataset: Dataset, env: EnvironmentSpec, cfg: TrainConfig, on_eval=None
         cursor += cfg.batch_size
         return X[rows], T[rows]
 
-    stop = False
     for i in range(cfg.max_iterations):
-        metric = None
         if i > 0 and i % cfg.eval_interval == 0:
             vp, vt = _val_errors(model, Xv, Pv, env)
-            metric = vp
-        lr, action = sched.tick(i, metric)
-        if metric is not None:
+            if sched.improves(vp):
+                best_model = model.copy()
+            lr, action = sched.tick(i, vp)
             row = HistoryRow(i, lr, vp, vt, action if action != ACTION_CONTINUE else "")
             history.append(row)
-            if vp < best_metric - IMPROVEMENT_EPS:
-                best_metric = vp
-                best_model = model.copy()
             if on_eval is not None:
                 on_eval(row, model)
             if action == ACTION_CONVERGED:
-                stop = True
                 break
+        else:
+            lr, _ = sched.tick(i)
         bx, bt = next_batch()
         loss, grad = backward(model, bx, bt, cfg.loss)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at iteration {i}: {loss!r}")
         adam_step(model.params, grad, adam, lr, cfg.weight_decay)
-
-    if not stop:
-        # ran out of iterations mid-window: record a final validation point
+    else:  # ran out of iterations mid-window: record a final validation point
         vp, vt = _val_errors(model, Xv, Pv, env)
+        if sched.improves(vp):
+            best_model = model.copy()
         row = HistoryRow(cfg.max_iterations, sched.current_lr, vp, vt, "final")
         history.append(row)
-        if vp < best_metric - IMPROVEMENT_EPS:
-            best_metric = vp
-            best_model = model.copy()
         if on_eval is not None:
             on_eval(row, best_model)
 
@@ -609,7 +601,6 @@ def load_model(path) -> RegressorModel:
         raise FormatError(path, 2, f"unsupported activation {activation!r}")
     if min(layer_dims, default=0) < 1:
         raise FormatError(path, 2, f"layer dims must be positive, got {layer_dims}")
-    n_layers = len(layer_dims) - 1
     tensors = {}  # name -> (line number, values)
     for line_no, line in enumerate(lines[2:], start=3):
         parts = line.split()
@@ -625,9 +616,8 @@ def load_model(path) -> RegressorModel:
         if name in tensors:
             raise FormatError(path, line_no, f"duplicate tensor {name}")
         tensors[name] = line_no, values
-    weights, biases = [], []
-    for i in range(n_layers):
-        fan_out, fan_in = layer_dims[i + 1], layer_dims[i]
+    flat = []  # W0, b0, W1, b1, ...
+    for i, (fan_in, fan_out) in enumerate(zip(layer_dims, layer_dims[1:])):
         for key, want in ((f"W{i}", fan_out * fan_in), (f"b{i}", fan_out)):
             if key not in tensors:
                 raise FormatError(path, None, f"missing tensor {key}")
@@ -635,13 +625,13 @@ def load_model(path) -> RegressorModel:
             if values.size != want:
                 why = f"tensor {key} has {values.size} values, expected {want}"
                 raise FormatError(path, line_no, why)
-        weights.append(tensors[f"W{i}"][1].reshape(fan_out, fan_in))
-        biases.append(tensors[f"b{i}"][1])
-    if len(tensors) != 2 * n_layers:
-        extras = sorted(set(tensors) - {f"{p}{i}" for i in range(n_layers) for p in "Wb"})
+            flat.append(values)
+    if len(tensors) != len(flat):
+        extras = sorted(set(tensors) - {f"{p}{i}" for i in range(len(flat) // 2) for p in "Wb"})
         raise FormatError(path, None, f"unexpected tensors {extras}")
+    params = np.concatenate(flat) if flat else np.empty(0)
     try:  # the tensors fit the header, so what is left to refuse is in the header
-        return RegressorModel(layer_dims, weights, biases, yaw_mode, env_name, sensor)
+        return RegressorModel(layer_dims, params, yaw_mode, env_name, sensor)
     except ValueError as exc:
         raise FormatError(path, 2, str(exc)) from None
 

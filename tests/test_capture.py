@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,49 @@ def test_observe_failure_starts_no_queued_chunk(monkeypatch, cpus):
         observe_with(monkeypatch, env, poses, cpus)
     # the other workers may each have begun one more chunk before the failure
     assert 2 <= len(calls) <= 1 + cpus
+
+
+@pytest.mark.parametrize("where", ["lock", "join"])
+def test_an_interrupt_of_the_calling_thread_starts_no_further_item(monkeypatch, where):
+    caller, raised, started, threads = threading.get_ident(), threading.Event(), [], []
+
+    class Lock:  # the pool's lock, whose first taking by the calling thread is interrupted
+        def __init__(self):
+            self.lock, self.armed = threading.Lock(), where == "lock"
+
+        def __enter__(self):
+            if self.armed and threading.get_ident() == caller:
+                self.armed = False
+                raise KeyboardInterrupt
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    class Thread(threading.Thread):  # a worker thread whose join is interrupted
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            threads.append(self)
+
+        def join(self, timeout=None):
+            if where == "join":
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    def item(i):
+        started.append((i, raised.is_set()))
+        if threading.get_ident() != caller:
+            raised.wait(10)  # the worker's item outlasts the interrupt
+        return i
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(pool, "threading", types.SimpleNamespace(Lock=Lock, Thread=Thread))
+    with pytest.raises(KeyboardInterrupt):
+        pool.map_in_order(item, range(20), most=2)
+    raised.set()
+    for t in threads:
+        threading.Thread.join(t)
+    assert [i for i, late in started if late] == []
 
 
 # random walk -------------------------------------------------------------------

@@ -13,6 +13,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -385,7 +386,8 @@ def test_eval_testset_from_another_world_is_input_error(two_worlds, tmp_path, ca
     ("sensor", None, "bad header field: sensor must be an object, got None"),
     ("sensor", {"fov": 360.0, "ray_count": 8, "max_range": 12.0},
      "sensor casts 8 rays, the model takes 16"),
-], ids=["empty-env-name", "null-sensor", "input-width"])
+    ("yaw_mode", [], "unknown yaw_mode []"),
+], ids=["empty-env-name", "null-sensor", "input-width", "list-yaw-mode"])
 def test_model_that_does_not_name_its_world_is_input_error(two_worlds, tmp_path, capsys,
                                                            key, value, why):
     # a model trained in 'a' whose header is edited; 'a' is the world it is scored in
@@ -1298,6 +1300,52 @@ def test_memory_error_is_one_line_runtime_abort(tmp_path, capsys, monkeypatch, e
     assert rc == 3
     assert capsys.readouterr().err == f"neuromap: runtime abort: {line}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_an_interrupt_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "generate_dataset", interrupt)
+    rc = main(["gen", "--env", "cabin", "--n", "5", "--out", str(tmp_path / "o")])
+    assert rc == 130
+    assert capsys.readouterr().err == "neuromap: interrupted\n"
+
+
+@pytest.mark.parametrize("name, escaped", [("r\u00e9", "r\\xe9"), ("nav\nx", "nav\\nx")],
+                         ids=["non-ascii", "newline"])
+def test_argv_beyond_printable_ascii_leaves_ascii_outputs(workspace, tmp_path, capsys, name,
+                                                          escaped):
+    db = tmp_path / f"d{name}" / "db.csv"
+    db.parent.mkdir()
+    db.write_bytes(read(workspace / "db" / "dataset.csv"))
+    runs = {
+        "gen": ["gen", *ENV_FLAGS, "--n", "20"],
+        "train": ["train", *ENV_FLAGS, "--dataset", str(db), "--iterations", "200",
+                  "--eval-interval", "100", "--hidden", "4"],
+        "eval": ["eval", *ENV_FLAGS, "--estimator", f"knn:{db}",
+                 "--testset", str(workspace / "test" / "dataset.csv")],
+        "navigate": ["navigate", "--env", "apartment", "--estimator", "oracle",
+                     "--waypoints", "apartment_loop", "--start", "1.5,1.5,0"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / f"{command}-{name}"
+        assert main([*argv, "--out", str(out)]) == 0, command
+        for path in out.iterdir():
+            text = path.read_bytes().decode("ascii")  # UnicodeDecodeError if not ASCII
+            if path.suffix == ".svg":
+                ElementTree.fromstring(text)
+            comments = [ln for ln in text.splitlines() if ln.startswith(("# ", "<!-- "))]
+            if comments:
+                assert [ln.split(":")[0] for ln in comments] in (
+                    ["# tool", "# invocation", "# seed"], ["<!-- tool", "<!-- invocation", "<!-- seed"]
+                ), path
+                assert escaped in comments[1], path
+    assert f"knn:{tmp_path}/d{escaped}/db.csv" in read(tmp_path / f"eval-{name}" / "table.txt").decode()
+    capsys.readouterr()
+    trace = tmp_path / f"navigate-{name}" / "trace.csv"
+    assert main(["plot", "--env", "apartment", "--trace", str(trace), "--out", str(tmp_path / "p")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_ray_count_numpy_cannot_size_is_input_error(tmp_path, capsys):

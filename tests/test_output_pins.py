@@ -7,6 +7,8 @@ run in table order from one working directory, since later ones read the
 datasets and models that earlier ones write; their paths are relative, as
 an estimator spec is written into ``metrics.json`` and ``table.txt``.
 
+Every SVG the entries write must also parse as XML.
+
 A change that moves an output byte fails here. Re-pinning an entry is a
 declared change of the output format, recorded in CHANGES.md, as a change
 to ``perfbench/digests.json`` is.
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -135,6 +138,8 @@ def runs(tmp_path_factory):
     try:
         for name, (argv, _, _) in PINS.items():
             out[name] = main([*argv, "--out", name]), digest(tmp / name)
+            for svg in (tmp / name).glob("*.svg"):
+                ElementTree.parse(svg)  # well-formed XML, or a ParseError
     finally:
         os.chdir(cwd)
     return out

@@ -66,7 +66,7 @@ def test_zero_model_outputs_origin():
 def test_single_layer_sum_matches_tanh():
     w = np.zeros((3, 4))
     w[0, :] = 1.0
-    m = RegressorModel((4, 3), [w], [np.zeros(3)])
+    m = RegressorModel((4, 3), np.concatenate([w.ravel(), np.zeros(3)]))
     nx, ny, ntheta = forward_batch(m, np.array([[0.1, 0.2, 0.3, 0.4]]))[0]
     assert abs(nx - math.tanh(1.0)) < 1e-15
     assert ny == 0.0 and ntheta == 0.0
@@ -92,9 +92,9 @@ def test_model_validation():
     with pytest.raises(ValueError):
         RegressorModel.zeros((8, 3), yaw_mode="sincos")  # sincos needs 4
     with pytest.raises(ValueError):
-        RegressorModel((4, 3), [np.zeros((3, 5))], [np.zeros(3)])
+        RegressorModel((4, 3), np.zeros(16))  # W0 (3, 4) and b0 (3,) hold 15
     with pytest.raises(ValueError):
-        RegressorModel((4, 3), [np.full((3, 4), np.nan)], [np.zeros(3)])
+        RegressorModel((4, 3), np.zeros((3, 5)))  # 15 values, but not one flat vector
     with pytest.raises(ValueError, match="sensor casts 4 rays, the model takes 8"):
         RegressorModel.zeros((8, 3), sensor=SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
     RegressorModel.zeros((8, 4, 4), yaw_mode="sincos")
@@ -137,7 +137,7 @@ def test_hand_differentiated_single_weight():
     # the prediction, so dL/dw = (1 - tanh(w*x)^2) * x / 3
     w = np.zeros((3, 1))
     w[0, 0] = 0.8
-    m = RegressorModel((1, 3), [w], [np.zeros(3)])
+    m = RegressorModel((1, 3), np.concatenate([w.ravel(), np.zeros(3)]))
     x = 0.6
     t = -0.5
     X = np.array([[x]])
@@ -278,6 +278,41 @@ def test_params_layout_and_copy():
     assert not any(np.shares_memory(t, m.params) for t in (*c.weights, *c.biases))
     m.params[0] += 1.0
     assert m.weights[0][0, 0] == m.params[0] and c.weights[0][0, 0] != m.params[0]
+
+
+def _per_layer_random(layer_dims, rng):
+    """The per-layer construction that ``RegressorModel.random`` replaced: He
+    or Glorot weight tensors and zero biases, W0, b0, W1, b1, ... in one vector."""
+    tensors = []
+    last = len(layer_dims) - 2
+    for i in range(len(layer_dims) - 1):
+        fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
+        if i == last:
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+        else:
+            limit = math.sqrt(6.0 / fan_in)
+        tensors += [rng.uniform(-limit, limit, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(tensors)
+
+
+@pytest.mark.parametrize("dims, yaw_mode", [((96, 256, 256, 256, 3), "tanh"), ((24, 40, 17, 4), "sincos")])
+def test_random_init_matches_the_per_layer_construction(dims, yaw_mode):
+    m = RegressorModel.random(dims, np.random.default_rng(101), yaw_mode=yaw_mode)
+    assert m.params.tobytes() == _per_layer_random(dims, np.random.default_rng(101)).tobytes()
+
+
+@pytest.mark.parametrize("dims, yaw_mode", [((16, 12, 3), "tanh"), ((24, 40, 17, 4), "sincos")])
+def test_loaded_params_are_the_file_values_in_tensor_order(tmp_path, dims, yaw_mode):
+    sensor = SensorConfig(fov=120.0, ray_count=dims[0], max_range=10.0)
+    m = RegressorModel.random(dims, np.random.default_rng(7), yaw_mode, "unit-env", sensor)
+    path = tmp_path / "m.model"
+    save_model(m, path)
+    loaded = load_model(path)
+    # each tensor line parsed on its own, as a per-layer loader reads it
+    values = [float(v) for line in path.read_text().splitlines()[2:] for v in line.split()[1:]]
+    assert loaded.params.tobytes() == np.array(values).tobytes()
+    save_model(loaded, path)  # 12 digits reparse to the values they were written from
+    assert load_model(path).params.tobytes() == loaded.params.tobytes()
 
 
 def _per_tensor_backward(weights, biases, X, target, kind):
@@ -775,6 +810,8 @@ def test_model_header_names_its_world_and_sensor(tmp_path):
         ("sensor", None, "bad header field: sensor must be an object, got None"),
         ("sensor", {"fov": 120.0, "ray_count": 5, "max_range": 10.0},
          "sensor casts 5 rays, the model takes 4"),
+        ("yaw_mode", "bogus", "unknown yaw_mode 'bogus'"),
+        ("yaw_mode", [], "unknown yaw_mode []"),  # unhashable: no dict lookup may raise TypeError
     ]:
         edited = {**json.loads(header), key: value}
         path.write_text("\n".join([magic, json.dumps(edited), *tensors]) + "\n")
