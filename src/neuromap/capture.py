@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 import numpy as np
 
-from .inputs import FormatError, InputError, check_finite, check_size, header_line, read_header, read_lines
+from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines
 from .pool import map_in_order
 from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
 from .world import EnvironmentSpec, SensorConfig, ray_distances
@@ -259,37 +259,14 @@ class WalkConfig:
     max_steps: int = 1000
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        for name in ("capture_dist", "capture_rot", "step_len", "clearance_radius"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise InputError(f"{name} must be positive, got {v!r}")
-        if self.max_steps < 0:
-            raise InputError(f"max_steps must be >= 0, got {self.max_steps}")
+        check_config(self, positive=("capture_dist", "capture_rot", "step_len", "clearance_radius"),
+                     non_negative=("max_steps",))
 
-
-class CaptureGate:
-    """Accumulates path length and turned angle since the last capture.
-
-    Both thresholds are strict: moving exactly capture_dist is not enough.
-    """
-
-    def __init__(self, capture_dist: float, capture_rot: float) -> None:
-        self.capture_dist = capture_dist
-        self.capture_rot = capture_rot
-        self.dist = 0.0
-        self.rot = 0.0
-
-    def add(self, moved: float, rotated: float) -> None:
-        self.dist += abs(moved)
-        self.rot += abs(rotated)
-
-    def should_capture(self) -> bool:
-        return self.dist > self.capture_dist or self.rot > self.capture_rot
-
-    def reset(self) -> None:
-        self.dist = 0.0
-        self.rot = 0.0
+    def captures(self, dist: float, rot: float) -> bool:
+        """Whether a walk that has gone ``dist`` metres and turned ``rot``
+        degrees in all since its last capture captures now. Both thresholds
+        are strict: moving exactly capture_dist is not enough."""
+        return dist > self.capture_dist or rot > self.capture_rot
 
 
 @dataclass(frozen=True)
@@ -434,7 +411,7 @@ def random_walk_capture(
         pose = start
 
     captured_poses = [pose]
-    gate = CaptureGate(cfg.capture_dist, cfg.capture_rot)
+    dist = rot = 0.0  # path length and absolute turn since the last capture
     log = []
     wedged = False
     blocked_streak = 0
@@ -459,11 +436,12 @@ def random_walk_capture(
         else:
             pose = Pose2D(pose.x, pose.y, new_theta)
             blocked_streak += 1
-        gate.add(moved, turn)
-        captured = gate.should_capture()
+        dist += moved
+        rot += abs(turn)
+        captured = cfg.captures(dist, rot)
         if captured:
             captured_poses.append(pose)
-            gate.reset()
+            dist = rot = 0.0
         log.append(StepRecord(moved=moved, rotated=turn, captured=captured))
         if blocked_streak >= WEDGE_LIMIT:
             wedged = True

@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 usage error, 2 input validation error (an
 ``InputError`` or ``OSError``: refused values and files, inputs captured in
 another world, worlds with no room to sample), 3 runtime abort (collision,
 estimator failure, tick budget, diverged training, out of memory), 130
-interrupted (Ctrl-C: 128 + SIGINT). Any other exception is a bug and ends
-in a traceback.
+interrupted (Ctrl-C: 128 + SIGINT), 141 stdout closed (128 + SIGPIPE; the
+output files are written). Any other exception is a bug and ends in a
+traceback.
 
 Option values resolve as flags > JSON config file (--config) > defaults;
 the options and estimator spec keys that set a library config are its
@@ -19,6 +20,7 @@ fields, read with their defaults from it.
 
 import argparse
 import json
+import os
 import shlex
 import sys
 import time
@@ -337,22 +339,22 @@ def cmd_eval(args) -> int:
     env = _resolve_env(args)
     testset = load_dataset(args.testset)
     with build_estimator(args.estimator, env) as estimator:
+        ablations = {}
         if sizes:
             if not isinstance(estimator, KnnEstimator):
                 raise UsageError("--ablate requires a knn estimator")
-            if max(sizes) > len(estimator.db):
-                raise InputError(
-                    f"ablation size {max(sizes)} exceeds database size {len(estimator.db)}"
-                )
-            if min(sizes) < estimator.cfg.k:
-                raise InputError(f"k={estimator.cfg.k} exceeds database size {min(sizes)}")
-        results = {args.estimator: evaluate(estimator, testset, env)}
-        for size in dict.fromkeys(sizes):  # k-NN over the database's first `size` rows
             db = estimator.db
-            subset = Dataset(
-                db.env_name, db.sensor, db.seed, db.poses_matrix()[:size], db.ranges_matrix()[:size]
-            )
-            results[f"knn@{size}"] = evaluate(KnnEstimator(subset, estimator.cfg), testset, env)
+            if max(sizes) > len(db):  # a slice would silently stop at the database's end
+                raise InputError(f"ablation size {max(sizes)} exceeds database size {len(db)}")
+            # k-NN over the database's first `size` rows; each is built before any
+            # evaluation, so KnnEstimator refuses a size below k before any work
+            for size in dict.fromkeys(sizes):
+                subset = Dataset(db.env_name, db.sensor, db.seed, db.poses_matrix()[:size],
+                                 db.ranges_matrix()[:size])
+                ablations[f"knn@{size}"] = KnnEstimator(subset, estimator.cfg)
+        results = {args.estimator: evaluate(estimator, testset, env)}
+        for name, ablation in ablations.items():
+            results[name] = evaluate(ablation, testset, env)
     out = _out_dir(args)
     metrics = {name: asdict(m) for name, m in results.items()}
     save_json(out / "metrics.json", {"metrics": metrics}, args.provenance)
@@ -425,8 +427,6 @@ def cmd_bench(args) -> int:
             rates.append(len(frames) / (time.perf_counter() - t0))
     mean = float(np.mean(rates))
     std = float(np.std(rates))
-    print(f"bench: {args.estimator}: {mean:.1f} +/- {std:.1f} estimates/s "
-          f"({args.frames} frames x {args.repeats} repeats)")
     if args.out:
         save_json(
             _out_dir(args) / "bench.json",
@@ -434,6 +434,8 @@ def cmd_bench(args) -> int:
              "rate_mean": mean, "rate_std": std, "rates": rates},
             args.provenance,
         )
+    print(f"bench: {args.estimator}: {mean:.1f} +/- {std:.1f} estimates/s "
+          f"({args.frames} frames x {args.repeats} repeats)")
     return 0
 
 
@@ -508,7 +510,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _merge_options(args, argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+    except BrokenPipeError:
+        # as the Python docs advise: stdout becomes devnull, so the flush at
+        # shutdown cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("neuromap: output error: stdout is closed", file=sys.stderr)
+        return 141
     except UsageError as exc:
         print(f"neuromap: usage error: {exc}", file=sys.stderr)
         return 1

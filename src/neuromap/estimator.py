@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .capture import Dataset
-from .inputs import InputError, check_finite
+from .inputs import InputError, check_config
 from .pool import map_in_order
 from .pose import circular_mean, denormalize, wrap_angles
 from .training import decode_head, forward_batch
@@ -70,18 +70,11 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
-        if self.sigma_pos < 0 or self.sigma_theta < 0:
-            raise InputError("sigmas must be non-negative")
-        # -0.0 becomes 0.0: numpy's normal refuses a scale whose sign bit is set
-        object.__setattr__(self, "sigma_pos", self.sigma_pos + 0.0)
-        object.__setattr__(self, "sigma_theta", self.sigma_theta + 0.0)
+        check_config(self, non_negative=("sigma_pos", "sigma_theta", "seed"))
         # refuse a sigma whose 10-sigma draw (probability < 2e-23) overflows
         for name, sigma in (("sigma_pos", self.sigma_pos), ("sigma_theta", self.sigma_theta)):
             if not math.isfinite(10.0 * sigma):
                 raise InputError(f"{name} = {sigma!r}: a 10-sigma draw overflows")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +83,7 @@ class KnnConfig:
     weighting: str = WEIGHT_INVERSE
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InputError(f"k must be positive, got {self.k}")
+        check_config(self, positive=("k",))
         if self.weighting not in (WEIGHT_UNIFORM, WEIGHT_INVERSE):
             raise InputError(f"unknown weighting {self.weighting!r}")
 

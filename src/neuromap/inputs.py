@@ -78,9 +78,22 @@ def check_size(what: str, *extents: int) -> None:
         raise InputError(f"{what}: an array of {shape} floats is larger than numpy can size")
 
 
-def check_finite(config) -> None:
-    """Refuse a dataclass whose real-valued fields are not all finite."""
+def check_config(config, positive=(), non_negative=()) -> None:
+    """Refuse a config dataclass whose real-valued fields are not all
+    finite, a ``positive`` field that is not > 0 (one left None is unset),
+    or a ``non_negative`` field below 0. A ``non_negative`` -0.0 becomes 0.0,
+    as numpy's normal refuses a scale whose sign bit is set."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise InputError(f"{field.name} must be finite, got {value!r}")
+    for name in positive:
+        value = getattr(config, name)
+        if value is not None and not value > 0:
+            raise InputError(f"{name} must be positive, got {value!r}")
+    for name in non_negative:
+        value = getattr(config, name)
+        if value < 0:
+            raise InputError(f"{name} must be >= 0, got {value!r}")
+        if isinstance(value, float):
+            object.__setattr__(config, name, value + 0.0)  # frozen configs too

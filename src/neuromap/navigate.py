@@ -16,7 +16,7 @@ import numpy as np
 
 from .capture import raycast
 from .estimator import Estimator, EstimatorUnavailableError
-from .inputs import FormatError, InputError, check_finite, read_lines
+from .inputs import FormatError, InputError, check_config, read_lines
 from .pose import HEADING_EPS, Pose2D, ang_diff, heading
 from .world import EnvironmentSpec
 
@@ -49,18 +49,13 @@ class NavConfig:
     leg_tolerance: float | None = None
 
     def __post_init__(self):
-        check_finite(self)
-        for name in ("T_d", "T_a", "max_step", "linear_speed", "angular_speed", "dt"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
-        if self.max_ticks <= 0 or self.footprint_radius < 0:
-            raise InputError("max_ticks must be positive, footprint_radius >= 0")
+        check_config(self, positive=("T_d", "T_a", "max_step", "linear_speed", "angular_speed",
+                                     "dt", "max_ticks", "leg_tolerance"),
+                     non_negative=("footprint_radius",))
         if self.T_d < HEADING_EPS:  # dist > T_d then keeps heading() defined
             raise InputError(f"T_d must be >= {HEADING_EPS}, got {self.T_d!r}")
         if self.T_d >= self.max_step:
-            raise InputError("T_d must be smaller than max_step")
-        if self.leg_tolerance is not None and self.leg_tolerance <= 0:
-            raise InputError("leg_tolerance must be positive")
+            raise InputError(f"T_d must be smaller than max_step {self.max_step!r}, got {self.T_d!r}")
 
     @property
     def leg_tol(self) -> float:
@@ -74,12 +69,7 @@ class OdometryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
-        if self.sigma_lin_frac < 0 or self.sigma_ang_per_step < 0:
-            raise InputError("odometry sigmas must be non-negative")
-        # -0.0 becomes 0.0: numpy's normal refuses a scale whose sign bit is set
-        object.__setattr__(self, "sigma_lin_frac", self.sigma_lin_frac + 0.0)
-        object.__setattr__(self, "sigma_ang_per_step", self.sigma_ang_per_step + 0.0)
+        check_config(self, non_negative=("sigma_lin_frac", "sigma_ang_per_step", "seed"))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .capture import Dataset, derived_rng
-from .inputs import FormatError, InputError, check_finite, check_size, header_line, read_header, read_lines
+from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines
 from .pose import EnvBounds, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, SensorConfig
 
@@ -62,19 +62,10 @@ class TrainConfig:
     loss: str = "l1"
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
-        if self.max_iterations < 1:
-            raise InputError("max_iterations must be >= 1")
-        if self.eval_interval < 1:
-            raise InputError("eval_interval must be >= 1")
-        if not self.lr0 > 0.0:
-            raise InputError("lr0 must be positive")
+        check_config(self, positive=("batch_size", "max_iterations", "eval_interval", "lr0"),
+                     non_negative=("weight_decay", "seed"))
         if not 0.0 < self.val_fraction < 1.0:
-            raise InputError("val_fraction must be in (0, 1)")
-        if self.weight_decay < 0.0:
-            raise InputError("weight_decay must be >= 0")
+            raise InputError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
         if min(self.hidden_dims, default=1) < 1:
             raise InputError(f"hidden widths must be >= 1, got {self.hidden_dims}")
         if self.decay_mode not in (DECAY_PER_ITERATION, DECAY_PER_INTERVAL):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import FormatError, InputError, check_finite, check_size, read_lines
+from .inputs import FormatError, InputError, check_config, check_size, read_lines
 from .pose import EnvBounds
 
 FREE_CHAR = "."
@@ -47,16 +47,14 @@ class SensorConfig:
     max_range: float = 20.0
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_config(self, positive=("max_range",))
         if not 0.0 < self.fov <= 360.0:
             raise InputError(f"fov must be in (0, 360], got {self.fov!r}")
         min_rays = 1 if self.fov == 360.0 else 2
         if self.ray_count < min_rays:
-            raise InputError(f"ray_count must be >= {min_rays} for fov {self.fov}")
+            raise InputError(f"ray_count must be >= {min_rays} for fov {self.fov}, got {self.ray_count}")
         if self.ray_count > np.iinfo(np.intp).max:  # numpy could size no array of rays
             raise InputError(f"ray_count must be <= {np.iinfo(np.intp).max}, got {self.ray_count}")
-        if not self.max_range > 0.0:
-            raise InputError(f"max_range must be positive, got {self.max_range!r}")
 
     def header(self) -> dict:
         """The sensor as dataset and model file headers state it."""

@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from worldgen import APARTMENT_START, marching_ray, random_free_pose, random_world
 
 from neuromap.capture import (
@@ -255,6 +256,7 @@ KNN_MEAN_THETA_LIMIT = 9.5
 KNN_MEDIAN_POS_LIMIT = 0.25
 
 
+@pytest.mark.slow
 def test_criterion_06_training_efficacy():
     t0 = time.monotonic()
     env = bundled_environment("cabin")

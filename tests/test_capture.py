@@ -20,7 +20,6 @@ from neuromap.capture import (
     SAVE_BLOCK_ROWS,
     STREAM_GEN,
     STREAM_WALK,
-    CaptureGate,
     Dataset,
     InfeasibleEnvironmentError,
     WalkConfig,
@@ -57,43 +56,15 @@ def empty_grid(width, height, resolution, ox=0.0, oy=0.0):
 # capture gate ----------------------------------------------------------------
 
 
-def test_gate_under_both_thresholds_does_not_fire():
-    gate = CaptureGate(0.10, 10.0)
-    gate.add(0.05, 0.0)
-    gate.add(0.0, 5.0)
-    assert not gate.should_capture()
-
-
-def test_gate_fires_on_movement_alone():
-    gate = CaptureGate(0.10, 10.0)
-    gate.add(0.12, 0.0)
-    assert gate.should_capture()
-
-
 def test_gate_thresholds_are_strict():
-    gate = CaptureGate(0.10, 10.0)
-    gate.add(0.10, 0.0)
-    assert not gate.should_capture()  # exactly 10 cm is not "more than 10 cm"
-    gate.add(1e-9, 0.0)
-    assert gate.should_capture()
-    gate = CaptureGate(0.10, 10.0)
-    gate.add(0.0, 10.0)
-    assert not gate.should_capture()
-    gate.add(0.0, 0.1)
-    assert gate.should_capture()
-
-
-def test_gate_accumulates_and_resets():
-    gate = CaptureGate(0.10, 10.0)
-    for _ in range(3):
-        gate.add(0.04, 0.0)
-    assert gate.should_capture()  # 0.12 cumulative along the path
-    gate.reset()
-    assert not gate.should_capture()
-    # rotation accumulates absolute turn, so wiggling counts
-    for _ in range(4):
-        gate.add(0.0, -3.0)
-    assert gate.should_capture()
+    # accumulating |turn| and resetting after a capture are random_walk_capture's,
+    # replayed from its step log in test_walk_capture_thresholds_hold_on_step_log
+    cfg = WalkConfig(capture_dist=0.10, capture_rot=10.0)
+    assert not cfg.captures(0.0, 0.0)
+    assert not cfg.captures(0.10, 10.0)  # exactly 10 cm is not "more than 10 cm"
+    assert cfg.captures(0.10 + 1e-9, 0.0)  # either threshold alone is enough
+    assert cfg.captures(0.0, 10.0 + 1e-9)
+    assert cfg.captures(0.10 + 1e-9, 10.0 + 1e-9)
 
 
 # random pose sampling ---------------------------------------------------------

@@ -1378,6 +1378,32 @@ def test_console_script_version():
     assert proc.stdout.strip().startswith("neuromap ")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, outputs", [
+    (["gen", "--env", "cabin", "--n", "300"], ["coverage.json", "coverage.svg", "dataset.csv"]),
+    # the summary line is printed before the abort (exit 3 on an open stdout)
+    (["navigate", "--env", "apartment", "--estimator", "external:/bin/false",
+      "--waypoints", "apartment_loop", "--start", "1.5,1.5,0"],
+     ["report.json", "route.svg", "trace.csv"]),
+], ids=["gen", "navigate-abort"])
+def test_a_closed_stdout_is_one_line_and_exit_141(tmp_path, argv, outputs, unbuffered):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the command starts, so its every write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "neuromap.cli", *argv,
+                               "--out", str(tmp_path / "o")],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "neuromap: output error: stdout is closed\n")
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == outputs
+
+
 def test_eval_leaves_numpy_ma_unimported(workspace, tmp_path):
     # np.median's first call imports numpy.ma, which nothing else in eval needs
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,12 +1,17 @@
 """The InputError family and the one text reader."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from neuromap.inputs import FormatError, InputError, check_finite, read_lines
+from neuromap.capture import WalkConfig
+from neuromap.estimator import KnnConfig, OracleConfig
+from neuromap.inputs import FormatError, InputError, check_config, read_lines
+from neuromap.navigate import NavConfig, OdometryConfig
+from neuromap.training import TrainConfig
+from neuromap.world import SensorConfig
 
 
 @pytest.mark.parametrize("data, lines", [
@@ -99,11 +104,61 @@ class _Config:
     limit: float | None = None
 
 
-def test_check_finite_refuses_each_non_finite_real():
-    check_finite(_Config())
-    check_finite(_Config(limit=2.5, count=10**400))
+def test_check_config_refuses_each_non_finite_real():
+    check_config(_Config())
+    check_config(_Config(limit=2.5, count=10**400))
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(InputError, match=f"rate must be finite, got {value!r}"):
-            check_finite(_Config(rate=value))
+            check_config(_Config(rate=value))
         with pytest.raises(InputError, match="limit must be finite"):
-            check_finite(_Config(limit=value))
+            check_config(_Config(limit=value))
+
+
+# each library config and the fields it bounds: (positive, non-negative)
+CONFIG_BOUNDS = {
+    SensorConfig: (("max_range",), ()),
+    WalkConfig: (("capture_dist", "capture_rot", "step_len", "clearance_radius"), ("max_steps",)),
+    NavConfig: (("T_d", "T_a", "max_step", "linear_speed", "angular_speed", "dt", "max_ticks",
+                 "leg_tolerance"), ("footprint_radius",)),
+    OdometryConfig: ((), ("sigma_lin_frac", "sigma_ang_per_step", "seed")),
+    TrainConfig: (("batch_size", "max_iterations", "eval_interval", "lr0"),
+                  ("weight_decay", "seed")),
+    OracleConfig: ((), ("sigma_pos", "sigma_theta", "seed")),
+    KnnConfig: (("k",), ()),
+}
+
+
+def _field_type(cls, name):
+    default = getattr(cls(), name)
+    return float if default is None else type(default)  # None: an unset optional real
+
+
+@pytest.mark.parametrize("cls", CONFIG_BOUNDS, ids=lambda cls: cls.__name__)
+def test_every_config_refuses_its_bounds_by_field_and_value(cls):
+    positive, non_negative = CONFIG_BOUNDS[cls]
+    cases = [(name, "must be positive", value) for name in positive for value in (0, -1)]
+    cases += [(name, "must be >= 0", -1) for name in non_negative]
+    for name, rule, value in cases:
+        value = _field_type(cls, name)(value)
+        with pytest.raises(InputError) as err:
+            cls(**{name: value})
+        assert str(err.value) == f"{name} {rule}, got {value!r}"
+    for name in non_negative:
+        if _field_type(cls, name) is float:
+            assert math.copysign(1.0, getattr(cls(**{name: -0.0}), name)) == 1.0
+    reals = [f.name for f in fields(cls) if _field_type(cls, f.name) is float]
+    for name in reals:
+        with pytest.raises(InputError) as err:
+            cls(**{name: math.nan})
+        assert str(err.value) == f"{name} must be finite, got nan"
+
+
+@pytest.mark.parametrize("cls, kwargs, why", [
+    (NavConfig, {"T_d": 1.0}, "T_d must be smaller than max_step 1.0, got 1.0"),
+    (TrainConfig, {"val_fraction": 1.0}, "val_fraction must be in (0, 1), got 1.0"),
+    (SensorConfig, {"ray_count": 1}, "ray_count must be >= 2 for fov 120.0, got 1"),
+], ids=["NavConfig", "TrainConfig", "SensorConfig"])
+def test_range_refusals_name_their_value(cls, kwargs, why):
+    with pytest.raises(InputError) as err:
+        cls(**kwargs)
+    assert str(err.value) == why
