@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import islice
 import numpy as np
 
-from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines
+from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines, write_text
 from .pool import map_in_order
 from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
 from .world import EnvironmentSpec, SensorConfig, ray_distances
@@ -464,14 +464,15 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
     head = f"{DATASET_MAGIC}\n{header_line(header, extra_header)}\n"
     row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count)) + "\n"
     poses, ranges = d.poses_matrix(), d.ranges_matrix()
-    with open(path, "w", encoding="ascii") as f:
-        f.write(head)
-        # a block at a time: the whole text, or a whole-matrix tolist(), would
-        # hold several times the file's size
+    # a block at a time: the whole text, or a whole-matrix tolist(), would
+    # hold several times the file's size
+    def blocks():
+        yield head
         for lo in range(0, len(d), SAVE_BLOCK_ROWS):
             hi = lo + SAVE_BLOCK_ROWS
             rows = zip(poses[lo:hi].tolist(), ranges[lo:hi].tolist())
-            f.write("".join(row % (i, *p, *r) for i, (p, r) in enumerate(rows, lo)))
+            yield "".join(row % (i, *p, *r) for i, (p, r) in enumerate(rows, lo))
+    write_text(path, blocks())
 
 
 def load_dataset(path) -> Dataset:

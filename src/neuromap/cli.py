@@ -48,7 +48,7 @@ from .estimator import (
     OracleEstimator,
     RegressorEstimator,
 )
-from .inputs import InputError
+from .inputs import InputError, write_text
 from .navigate import (
     NavConfig,
     OdometryConfig,
@@ -359,7 +359,7 @@ def cmd_eval(args) -> int:
     metrics = {name: asdict(m) for name, m in results.items()}
     save_json(out / "metrics.json", {"metrics": metrics}, args.provenance)
     table = metrics_table(results, comments=args.comments)
-    (out / "table.txt").write_text(table, encoding="ascii")
+    write_text(out / "table.txt", table)
     print(table, end="")
     return 0
 

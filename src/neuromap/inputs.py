@@ -1,5 +1,5 @@
-"""Refusals of outside input, the one reader of the text files, and the
-header of dataset and model files.
+"""Refusals of outside input, the one reader and the one writer of the
+text files, and the header of dataset and model files.
 
 Every refusal of a caller's values or files is an ``InputError``; a file
 that breaks its format is a ``FormatError`` naming the path and, where one
@@ -11,7 +11,7 @@ import dataclasses
 import json
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 
 class InputError(ValueError):
@@ -25,6 +25,14 @@ class FormatError(InputError):
         self.path, self.line, self.why = path, line, why
         where = f"{path}: " if line is None else f"{path}: line {line}: "
         super().__init__(where + why)
+
+
+def write_text(path, parts: str | Iterable[str]) -> None:
+    """Write ``parts``, a str or an iterable of str written in turn, to
+    ``path`` as ASCII."""
+    with open(path, "w", encoding="ascii") as f:
+        for text in [parts] if isinstance(parts, str) else parts:
+            f.write(text)
 
 
 def read_lines(path) -> Iterator[str]:

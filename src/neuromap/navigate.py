@@ -10,13 +10,12 @@ only ever sees the estimator's output and its noisy odometry.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .capture import raycast
 from .estimator import Estimator, EstimatorUnavailableError
-from .inputs import FormatError, InputError, check_config, read_lines
+from .inputs import FormatError, InputError, check_config, read_lines, write_text
 from .pose import HEADING_EPS, Pose2D, ang_diff, heading
 from .world import EnvironmentSpec
 
@@ -315,7 +314,7 @@ def save_trace(trace: RouteTrace, path, comments=()) -> None:
             f"{t.tick},{t.time!r},{t.true_pose.x!r},{t.true_pose.y!r},"
             f"{t.true_pose.theta!r},{est},{t.waypoint_idx},{t.event}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _content_lines(path) -> list:

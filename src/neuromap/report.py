@@ -13,10 +13,10 @@ poses in blue, waypoints and dataset samples in red.
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .inputs import write_text
 from .world import EnvironmentSpec
 
 SCALE = 50.0  # px per metre
@@ -27,49 +27,32 @@ ESTIMATE_COLOR = "blue"
 MARKER_COLOR = "red"
 
 
-class _Viewport:
-    """World-to-pixel transform. (x_min, y_min) lands at the bottom-left
-    of the drawing, which means flipping y: SVG grows downward."""
-
-    def __init__(self, bounds):
-        self.bounds = bounds
-        self.width = (bounds.x_max - bounds.x_min) * SCALE + 2 * MARGIN
-        self.height = (bounds.y_max - bounds.y_min) * SCALE + 2 * MARGIN
-
-    def to_px(self, x, y):
-        px = (x - self.bounds.x_min) * SCALE + MARGIN
-        py = (self.bounds.y_max - y) * SCALE + MARGIN
-        return px, py
+def _to_px(bounds, x, y):
+    """World to pixels: (x_min, y_min) lands at the bottom-left of the
+    drawing, which means flipping y, as SVG grows downward."""
+    return (x - bounds.x_min) * SCALE + MARGIN, (bounds.y_max - y) * SCALE + MARGIN
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _grid_rects(env: EnvironmentSpec, vp: _Viewport):
-    """One rect per horizontal run of occupied cells; keeps files small."""
+def _grid_rects(env: EnvironmentSpec):
+    """One rect per run of occupied cells in a row, rows in turn; keeps files small."""
     grid = env.grid
     res = grid.resolution
+    # +1 where a run starts and -1 just past where it ends, row-major
+    edges = np.diff(np.pad(grid.cells.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    ends = np.nonzero(edges == -1)[1]
     rects = []
-    for iy in range(grid.height):
-        occ_row = grid.cells[iy]
-        ix = 0
-        while ix < grid.width:
-            if not occ_row[ix]:
-                ix += 1
-                continue
-            run = ix
-            while run < grid.width and occ_row[run]:
-                run += 1
-            x0 = grid.origin_x + ix * res
-            y1 = grid.origin_y + (iy + 1) * res
-            px, py = vp.to_px(x0, y1)
-            rects.append(
-                f'<rect class="cell" x="{_fmt(px)}" y="{_fmt(py)}" '
-                f'width="{_fmt((run - ix) * res * SCALE)}" '
-                f'height="{_fmt(res * SCALE)}" fill="#444444"/>'
-            )
-            ix = run
+    for iy, ix, run in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+        px, py = _to_px(env.bounds, grid.origin_x + ix * res, grid.origin_y + (iy + 1) * res)
+        rects.append(
+            f'<rect class="cell" x="{_fmt(px)}" y="{_fmt(py)}" '
+            f'width="{_fmt((run - ix) * res * SCALE)}" '
+            f'height="{_fmt(res * SCALE)}" fill="#444444"/>'
+        )
     return rects
 
 
@@ -79,26 +62,31 @@ def printable(text: str) -> str:
     return "".join(c if " " <= c <= "~" else ascii(c)[1:-1] for c in text)
 
 
-def _svg_document(vp: _Viewport, body, comments=()):
+def _svg_document(bounds, body, comments, path) -> str:
+    """The SVG text of ``body`` on the map of ``bounds``, written to ``path`` if given."""
+    width = _fmt((bounds.x_max - bounds.x_min) * SCALE + 2 * MARGIN)
+    height = _fmt((bounds.y_max - bounds.y_min) * SCALE + 2 * MARGIN)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     for c in comments:
         c = c.replace("--", "-\\x2d")  # XML allows no "--" within a comment
         lines.append(f"<!-- {c} -->")
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{_fmt(vp.width)}" height="{_fmt(vp.height)}" '
-        f'viewBox="0 0 {_fmt(vp.width)} {_fmt(vp.height)}">'
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     )
-    lines.append(f'<rect x="0" y="0" width="{_fmt(vp.width)}" height="{_fmt(vp.height)}" fill="white"/>')
+    lines.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
     lines.extend(body)
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        write_text(path, text)
+    return text
 
 
-def _polyline(points, cls, color, vp):
+def _polyline(points, cls, color, bounds):
     if len(points) < 2:
         return []
-    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (vp.to_px(x, y) for x, y in points))
+    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (_to_px(bounds, x, y) for x, y in points))
     return [
         f'<polyline class="{cls}" points="{coords}" fill="none" '
         f'stroke="{color}" stroke-width="2"/>'
@@ -108,38 +96,30 @@ def _polyline(points, cls, color, vp):
 def svg_coverage(env: EnvironmentSpec, positions, path=None, comments=()) -> str:
     """Map plus one red dot per sample position; ``positions`` is an
     (n, >= 2) array of x, y first, such as a dataset's ``poses_matrix()``."""
-    vp = _Viewport(env.bounds)
-    body = _grid_rects(env, vp)
+    body = _grid_rects(env)
     for x, y in positions[:, :2].tolist():
-        px, py = vp.to_px(x, y)
+        px, py = _to_px(env.bounds, x, y)
         body.append(
             f'<circle class="sample" cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.5" '
             f'fill="{MARKER_COLOR}"/>'
         )
-    text = _svg_document(vp, body, comments)
-    if path is not None:
-        Path(path).write_text(text, encoding="ascii")
-    return text
+    return _svg_document(env.bounds, body, comments, path)
 
 
 def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) -> str:
     """Map, green true route, blue estimated route, red waypoint markers."""
-    vp = _Viewport(env.bounds)
-    body = _grid_rects(env, vp)
+    body = _grid_rects(env)
     truth = [(t.true_pose.x, t.true_pose.y) for t in trace.ticks]
     est = [(t.estimate.x, t.estimate.y) for t in trace.ticks if t.estimate is not None]
-    body += _polyline(truth, "truth", TRUTH_COLOR, vp)
-    body += _polyline(est, "estimate", ESTIMATE_COLOR, vp)
+    body += _polyline(truth, "truth", TRUTH_COLOR, env.bounds)
+    body += _polyline(est, "estimate", ESTIMATE_COLOR, env.bounds)
     for wx, wy in waypoints:
-        px, py = vp.to_px(wx, wy)
+        px, py = _to_px(env.bounds, wx, wy)
         body.append(
             f'<circle class="waypoint" cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
             f'fill="{MARKER_COLOR}" fill-opacity="0.7"/>'
         )
-    text = _svg_document(vp, body, comments)
-    if path is not None:
-        Path(path).write_text(text, encoding="ascii")
-    return text
+    return _svg_document(env.bounds, body, comments, path)
 
 
 # --- coverage statistics -----------------------------------------------------------
@@ -198,7 +178,7 @@ def save_json(path, doc: dict, provenance: dict) -> None:
     Arrays and tuples are written as lists, and a float that is not finite
     as null: strict JSON has no Infinity."""
     text = json.dumps(_plain({**doc, "provenance": provenance}), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="ascii")
+    write_text(path, text + "\n")
 
 
 def _plain(value):

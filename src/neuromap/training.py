@@ -13,12 +13,11 @@ after the reset ends training as converged.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .capture import Dataset, derived_rng
-from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines
+from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines, write_text
 from .pose import EnvBounds, ang_diff, denormalize, normalize
 from .world import EnvironmentSpec, SensorConfig
 
@@ -571,7 +570,7 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         lines.append(f"W{i} " + " ".join(_fmt12(v) for v in w.ravel()))
         lines.append(f"b{i} " + " ".join(_fmt12(v) for v in b))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> RegressorModel:
@@ -592,34 +591,27 @@ def load_model(path) -> RegressorModel:
         raise FormatError(path, 2, f"unsupported activation {activation!r}")
     if min(layer_dims, default=0) < 1:
         raise FormatError(path, 2, f"layer dims must be positive, got {layer_dims}")
-    tensors = {}  # name -> (line number, values)
-    for line_no, line in enumerate(lines[2:], start=3):
-        parts = line.split()
-        if not parts:
-            raise FormatError(path, line_no, "empty tensor line")
-        name = parts[0]
-        try:
-            values = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise FormatError(path, line_no, f"bad value: {exc}") from None
-        if not np.isfinite(values).all():
-            raise FormatError(path, line_no, f"tensor {name} has non-finite values")
-        if name in tensors:
-            raise FormatError(path, line_no, f"duplicate tensor {name}")
-        tensors[name] = line_no, values
-    flat = []  # W0, b0, W1, b1, ...
+    numbered = enumerate(lines[2:], start=3)
+    flat = []  # W0, b0, W1, b1, ..., one line each, in the order save_model writes them
     for i, (fan_in, fan_out) in enumerate(zip(layer_dims, layer_dims[1:])):
         for key, want in ((f"W{i}", fan_out * fan_in), (f"b{i}", fan_out)):
-            if key not in tensors:
+            line_no, line = next(numbered, (None, None))
+            if line is None:
                 raise FormatError(path, None, f"missing tensor {key}")
-            line_no, values = tensors[key]
+            name, *parts = line.split() or [""]
+            if name != key:
+                raise FormatError(path, line_no, f"expected tensor {key}, got {name!r}")
+            try:
+                values = np.array([float(v) for v in parts])
+            except ValueError as exc:
+                raise FormatError(path, line_no, f"bad value: {exc}") from None
+            if not np.isfinite(values).all():
+                raise FormatError(path, line_no, f"tensor {name} has non-finite values")
             if values.size != want:
-                why = f"tensor {key} has {values.size} values, expected {want}"
-                raise FormatError(path, line_no, why)
+                raise FormatError(path, line_no, f"tensor {key} has {values.size} values, expected {want}")
             flat.append(values)
-    if len(tensors) != len(flat):
-        extras = sorted(set(tensors) - {f"{p}{i}" for i in range(len(flat) // 2) for p in "Wb"})
-        raise FormatError(path, None, f"unexpected tensors {extras}")
+    for line_no, _ in numbered:
+        raise FormatError(path, line_no, "unexpected line after the last tensor")
     params = np.concatenate(flat) if flat else np.empty(0)
     try:  # the tensors fit the header, so what is left to refuse is in the header
         return RegressorModel(layer_dims, params, yaw_mode, env_name, sensor)
@@ -636,4 +628,4 @@ def save_history(history, path, comments=()) -> None:
         lines.append(
             f"{row.iteration},{row.lr!r},{row.val_pos_err!r},{row.val_theta_err!r},{row.event}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_text(path, "\n".join(lines) + "\n")

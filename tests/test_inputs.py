@@ -1,7 +1,9 @@
-"""The InputError family and the one text reader."""
+"""The InputError family, the one text reader and the one text writer."""
 
+import ast
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,3 +164,45 @@ def test_range_refusals_name_their_value(cls, kwargs, why):
     with pytest.raises(InputError) as err:
         cls(**kwargs)
     assert str(err.value) == why
+
+
+# --- the one writer ----------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "neuromap"
+
+
+def _file_calls(source: str) -> list:
+    """The calls in ``source`` that open or write a file: the builtin ``open``,
+    any other ``.open`` method but ``os.open`` (a file descriptor, as for
+    /dev/null), and ``.write_text`` and ``.write_bytes`` methods."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append(f"line {node.lineno}: open")
+        elif isinstance(func, ast.Attribute) and (
+            func.attr in ("write_text", "write_bytes")
+            or (func.attr == "open" and not (isinstance(func.value, ast.Name) and func.value.id == "os"))
+        ):
+            found.append(f"line {node.lineno}: .{func.attr}")
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("open(p, 'w')", ["line 1: open"]),
+    ("Path(p).write_text(t)", ["line 1: .write_text"]),
+    ("p.write_bytes(b)", ["line 1: .write_bytes"]),
+    ("with p.open('w') as f: pass", ["line 1: .open"]),
+    ("os.dup2(os.open(os.devnull, os.O_WRONLY), 1)", []),
+    ("subprocess.Popen(argv, stdin=subprocess.PIPE)", []),
+    ("write_text(p, parts)", []),
+])
+def test_the_writer_guard_finds_each_kind_of_file_call(source, found):
+    assert _file_calls(source) == found
+
+
+def test_no_module_but_inputs_opens_or_writes_a_file():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    calls = {p.name: _file_calls(p.read_text(encoding="utf-8")) for p in modules if p.name != "inputs.py"}
+    assert {name: found for name, found in calls.items() if found} == {}

@@ -770,32 +770,36 @@ def test_model_save_load_save_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_model_file_errors(tmp_path):
-    rng = np.random.default_rng(38)
-    m = RegressorModel.random((4, 3), rng, env_name="unit-env", sensor=small_env(4).sensor)
+# each fault: how it edits the tensor lines W0, b0, W1, b1 (file lines 3-6)
+# of a (4, 2, 3) model, and the line and message it is refused with
+TENSOR_FAULTS = {
+    "reordered": (lambda t: [t[0], t[2], t[1], t[3]], 4, "expected tensor b0, got 'W1'"),
+    "duplicated": (lambda t: [t[0], t[0], *t[1:]], 4, "expected tensor b0, got 'W0'"),
+    "missing": (lambda t: t[:1], None, "missing tensor b0"),
+    "short": (lambda t: t[:3], None, "missing tensor b1"),
+    "extra": (lambda t: [*t, "W9 1 2 3"], 7, "unexpected line after the last tensor"),
+    "blank": (lambda t: [t[0], t[1], "", *t[2:]], 5, "expected tensor W1, got ''"),
+    "wrong-count": (lambda t: [t[0].rsplit(" ", 1)[0], *t[1:]], 3, "tensor W0 has 7 values, expected 8"),
+    "non-finite": (lambda t: [t[0], "b0 1 nan", *t[2:]], 4, "tensor b0 has non-finite values"),
+    "bad-value": (lambda t: [t[0], "b0 1 x", *t[2:]], 4,
+                  "bad value: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("fault", TENSOR_FAULTS)
+def test_model_file_errors(tmp_path, fault):
+    edit, line, why = TENSOR_FAULTS[fault]
+    m = RegressorModel.random((4, 2, 3), np.random.default_rng(38), env_name="unit-env",
+                              sensor=small_env(4).sensor)
     path = tmp_path / "m.model"
     save_model(m, path)
-    lines = path.read_text().splitlines()
-
-    bad = tmp_path / "bad.model"
-    bad.write_text("#something else\n")
-    with pytest.raises(FormatError, match="neuromap-model"):
-        load_model(bad)
-
-    bad.write_text("\n".join([lines[0], lines[1], lines[2]]) + "\n")  # missing b0
-    with pytest.raises(FormatError, match="b0"):
-        load_model(bad)
-
-    mangled = lines[:]
-    mangled[2] = "W0 " + " ".join(mangled[2].split()[1:-1])  # drop one value
-    bad.write_text("\n".join(mangled) + "\n")
-    with pytest.raises(FormatError, match="W0"):
-        load_model(bad)
-
-    mangled = lines + ["W9 1 2 3"]
-    bad.write_text("\n".join(mangled) + "\n")
-    with pytest.raises(FormatError, match="W9"):
-        load_model(bad)
+    magic, header, *tensors = path.read_text().splitlines()
+    path.write_text("\n".join([magic, header, *edit(tensors)]) + "\n")
+    with pytest.raises(FormatError) as info:
+        load_model(path)
+    assert (info.value.line, info.value.why) == (line, why)
+    where = f"{path}: " if line is None else f"{path}: line {line}: "
+    assert str(info.value) == where + why
 
 
 def test_model_header_names_its_world_and_sensor(tmp_path):

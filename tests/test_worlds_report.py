@@ -14,7 +14,11 @@ import neuromap
 from neuromap.navigate import RouteTrace, TraceTick, load_waypoints
 from neuromap.pose import Pose2D
 from neuromap.report import (
+    SCALE,
     CoverageSummary,
+    _fmt,
+    _grid_rects,
+    _to_px,
     coverage_summary,
     metrics_table,
     save_json,
@@ -166,6 +170,64 @@ def test_grid_rects_merge_runs():
     # the 1 m box covers a 2x2 cell block: one merged rect per row
     text = svg_coverage(tiny_env(), NO_POSITIONS)
     assert text.count('class="cell"') == 2
+
+
+def grid_rects_loop(env):
+    """Reference rects: walks every cell of each row in turn, as the renderer
+    once did; _grid_rects must give the same rects in the same order."""
+    grid = env.grid
+    res = grid.resolution
+    rects = []
+    for iy in range(grid.height):
+        occ_row = grid.cells[iy]
+        ix = 0
+        while ix < grid.width:
+            if not occ_row[ix]:
+                ix += 1
+                continue
+            run = ix
+            while run < grid.width and occ_row[run]:
+                run += 1
+            x0 = grid.origin_x + ix * res
+            y1 = grid.origin_y + (iy + 1) * res
+            px, py = _to_px(env.bounds, x0, y1)
+            rects.append(
+                f'<rect class="cell" x="{_fmt(px)}" y="{_fmt(py)}" '
+                f'width="{_fmt((run - ix) * res * SCALE)}" '
+                f'height="{_fmt(res * SCALE)}" fill="#444444"/>'
+            )
+            ix = run
+    return rects
+
+
+def _grid_env(cells, res=0.5, origin=(0.0, 0.0)):
+    h, w = cells.shape
+    grid = OccupancyGrid(w, h, res, *origin, cells)
+    return EnvironmentSpec("g", grid, SensorConfig(fov=90, ray_count=4, max_range=5))
+
+
+@pytest.mark.parametrize("cells", [
+    np.zeros((5, 7), dtype=bool),
+    np.ones((5, 7), dtype=bool),
+    np.zeros((1, 1), dtype=bool),
+    np.ones((1, 1), dtype=bool),
+    np.array([[1, 0, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0], [1, 0, 1, 0]], dtype=bool),
+], ids=["all-free", "all-occupied", "1x1-free", "1x1-occupied", "runs-at-both-edges"])
+def test_grid_rects_match_the_cell_loop(cells):
+    env = _grid_env(cells)
+    assert _grid_rects(env) == grid_rects_loop(env)
+
+
+def test_grid_rects_match_the_cell_loop_on_random_and_bundled_grids():
+    rng = np.random.default_rng(29)
+    envs = [bundled_environment("cabin"), bundled_environment("apartment")]
+    for _ in range(40):
+        h, w = (int(v) for v in rng.integers(1, 30, 2))
+        res = float(rng.choice([0.05, 0.1, 0.25, 0.3, 1.0]))
+        cells = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+        envs.append(_grid_env(cells, res, tuple(rng.uniform(-5.0, 5.0, 2))))
+    for env in envs:
+        assert _grid_rects(env) == grid_rects_loop(env), env.grid
 
 
 def test_route_svg_colours_and_counts():
