@@ -460,14 +460,12 @@ def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
     of ``id,x,y,theta,r0..`` at 9 significant digits.
     """
     header = {"env_name": d.env_name, "seed": d.seed, **d.sensor.header(), "n": len(d)}
-    # json.dumps may refuse a value, so it runs before the file is truncated
-    head = f"{DATASET_MAGIC}\n{header_line(header, extra_header)}\n"
     row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count)) + "\n"
     poses, ranges = d.poses_matrix(), d.ranges_matrix()
     # a block at a time: the whole text, or a whole-matrix tolist(), would
     # hold several times the file's size
     def blocks():
-        yield head
+        yield f"{DATASET_MAGIC}\n{header_line(header, extra_header)}\n"
         for lo in range(0, len(d), SAVE_BLOCK_ROWS):
             hi = lo + SAVE_BLOCK_ROWS
             rows = zip(poses[lo:hi].tolist(), ranges[lo:hi].tolist())

@@ -7,11 +7,11 @@ flags, so rerunning an invocation reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 input validation error (an
 ``InputError`` or ``OSError``: refused values and files, inputs captured in
-another world, worlds with no room to sample), 3 runtime abort (collision,
-estimator failure, tick budget, diverged training, out of memory), 130
-interrupted (Ctrl-C: 128 + SIGINT), 141 stdout closed (128 + SIGPIPE; the
-output files are written). Any other exception is a bug and ends in a
-traceback.
+another world, worlds with no room to sample) or output error (an
+``OutputError``: an output that could not be written), 3 runtime abort
+(collision, estimator failure, tick budget, diverged training, out of
+memory), 130 interrupted (Ctrl-C: 128 + SIGINT), 141 stdout closed (128 +
+SIGPIPE; the output files are written); any other exception is a bug.
 
 Option values resolve as flags > JSON config file (--config) > defaults;
 the options and estimator spec keys that set a library config are its
@@ -48,7 +48,7 @@ from .estimator import (
     OracleEstimator,
     RegressorEstimator,
 )
-from .inputs import InputError, write_text
+from .inputs import InputError, OutputError, write_text
 from .navigate import (
     NavConfig,
     OdometryConfig,
@@ -196,7 +196,10 @@ def _out_dir(args) -> Path:
     """The --out directory, created once the work that could refuse the run
     has run: a refused run leaves no --out."""
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(path, exc) from None
     return path
 
 
@@ -524,7 +527,8 @@ def main(argv=None) -> int:
         print(f"neuromap: usage error: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError) as exc:
-        print(f"neuromap: input error: {exc}", file=sys.stderr)
+        kind = "output" if isinstance(exc, OutputError) else "input"
+        print(f"neuromap: {kind} error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeAbort, EstimatorUnavailableError, TrainingDivergedError) as exc:
         print(f"neuromap: runtime abort: {exc}", file=sys.stderr)

@@ -3,13 +3,16 @@ text files, and the header of dataset and model files.
 
 Every refusal of a caller's values or files is an ``InputError``; a file
 that breaks its format is a ``FormatError`` naming the path and, where one
-line is at fault, the line. The ``neuromap`` command exits 2 on either.
-Any other exception marks a bug.
+line is at fault, the line. A file that cannot be written is an
+``OutputError``. The ``neuromap`` command exits 2 on each. Any other
+exception marks a bug.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -27,12 +30,31 @@ class FormatError(InputError):
         super().__init__(where + why)
 
 
+class OutputError(OSError):
+    """``path`` could not be written, or its directory created."""
+
+    def __init__(self, path, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def write_text(path, parts: str | Iterable[str]) -> None:
     """Write ``parts``, a str or an iterable of str written in turn, to
-    ``path`` as ASCII."""
-    with open(path, "w", encoding="ascii") as f:
-        for text in [parts] if isinstance(parts, str) else parts:
-            f.write(text)
+    ``path`` as ASCII, whole or not at all: they go to a temporary file
+    beside ``path`` that replaces it (a symlink too, not its target) once
+    every part is written, and that any exception, Ctrl-C included,
+    removes. An ``OSError`` is raised as ``OutputError``."""
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="ascii") as f:
+            for text in [parts] if isinstance(parts, str) else parts:
+                f.write(text)
+        os.replace(part, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        if isinstance(exc, OSError):
+            raise OutputError(path, exc) from None
+        raise
 
 
 def read_lines(path) -> Iterator[str]:

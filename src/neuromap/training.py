@@ -551,10 +551,6 @@ def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
 # --- file formats ----------------------------------------------------------------
 
 
-def _fmt12(v: float) -> str:
-    return "%.12g" % v
-
-
 def save_model(model: RegressorModel, path, extra_header: dict | None = None) -> None:
     """Write the model file: magic, JSON header, one line per tensor at
     12 significant digits (enough that save -> load -> save is stable).
@@ -568,8 +564,8 @@ def save_model(model: RegressorModel, path, extra_header: dict | None = None) ->
     }
     lines = [MODEL_MAGIC, header_line(header, extra_header)]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"W{i} " + " ".join(_fmt12(v) for v in w.ravel()))
-        lines.append(f"b{i} " + " ".join(_fmt12(v) for v in b))
+        lines.append(f"W{i} " + " ".join("%.12g" % v for v in w.ravel()))
+        lines.append(f"b{i} " + " ".join("%.12g" % v for v in b))
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -8,6 +8,7 @@ generation fast.
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from neuromap import cli
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnConfig, KnnEstimator, OracleConfig, OracleEstimator
 from neuromap.navigate import NavConfig, OdometryConfig
-from neuromap.inputs import read_lines
+from neuromap.inputs import read_lines, write_text
 from neuromap.pose import HEADING_EPS
 from neuromap.training import (
     DECAY_PER_INTERVAL, YAW_SINCOS, RegressorModel, TrainConfig, load_model, save_model,
@@ -1310,6 +1311,51 @@ def test_an_interrupt_is_one_line_and_exit_130(tmp_path, capsys, monkeypatch):
     rc = main(["gen", "--env", "cabin", "--n", "5", "--out", str(tmp_path / "o")])
     assert rc == 130
     assert capsys.readouterr().err == "neuromap: interrupted\n"
+
+
+def test_a_write_past_the_file_size_limit_is_one_output_error_and_no_file(tmp_path):
+    # RLIMIT_FSIZE acts on the child alone, which Python lets fail with EFBIG
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    limit = 256 * 1024  # a 1000-row cabin dataset is ~1.2 MB
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "neuromap.cli", "gen", "--env", "cabin", "--n", "1000",
+         "--seed", "101", "--out", str(out)],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert (proc.returncode, proc.stderr) == (
+        2, f"neuromap: output error: cannot write {out / 'dataset.csv'}: File too large\n")
+    assert os.listdir(out) == []  # neither dataset.csv nor a temporary file
+
+
+def test_an_interrupted_rewrite_keeps_the_old_file_and_exits_130(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    argv = ["gen", *ENV_FLAGS, "--n", "5", "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def interrupted(dataset, path, **kwargs):
+        def parts():
+            yield "#neuromap-dataset v1\n"
+            raise KeyboardInterrupt
+        write_text(path, parts())
+
+    monkeypatch.setattr(cli, "save_dataset", interrupted)
+    capsys.readouterr()
+    assert main(argv) == 130
+    assert capsys.readouterr().err == "neuromap: interrupted\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_an_out_that_cannot_be_created_is_an_output_error(tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    out = tmp_path / "o"
+    assert main(["gen", *ENV_FLAGS, "--n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"neuromap: output error: cannot write {out}: Permission denied\n"
 
 
 @pytest.mark.parametrize("name, escaped", [("r\u00e9", "r\\xe9"), ("nav\nx", "nav\\nx")],

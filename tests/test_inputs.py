@@ -1,7 +1,9 @@
 """The InputError family, the one text reader and the one text writer."""
 
 import ast
+import errno
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 
 from neuromap.capture import WalkConfig
 from neuromap.estimator import KnnConfig, OracleConfig
-from neuromap.inputs import FormatError, InputError, check_config, read_lines
+from neuromap.inputs import FormatError, InputError, OutputError, check_config, read_lines, write_text
 from neuromap.navigate import NavConfig, OdometryConfig
 from neuromap.training import TrainConfig
 from neuromap.world import SensorConfig
@@ -206,3 +208,56 @@ def test_no_module_but_inputs_opens_or_writes_a_file():
     assert len(modules) > 10
     calls = {p.name: _file_calls(p.read_text(encoding="utf-8")) for p in modules if p.name != "inputs.py"}
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_write_text_writes_a_str_or_its_parts_in_turn(tmp_path):
+    path = tmp_path / "f.txt"
+    write_text(path, "one\n")
+    assert path.read_bytes() == b"one\n"
+    write_text(path, (part for part in ["a", "", "b\n"]))
+    assert path.read_bytes() == b"ab\n"
+    assert os.listdir(tmp_path) == ["f.txt"]
+
+
+def _failing(exc):
+    """Parts that raise ``exc`` after their first block."""
+    yield "first block\n"
+    raise exc
+
+
+@pytest.mark.parametrize("exc, raised, message", [
+    (KeyboardInterrupt(), KeyboardInterrupt, ""),
+    (OSError(errno.EFBIG, "File too large"), OutputError, "cannot write {path}: File too large"),
+    (ValueError("refused"), ValueError, "refused"),
+], ids=["interrupt", "os-error", "value-error"])
+@pytest.mark.parametrize("old", [None, b"old text\n"], ids=["new", "rewrite"])
+def test_a_failed_write_leaves_the_old_file_or_none(tmp_path, exc, raised, message, old):
+    path = tmp_path / "f.txt"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(raised) as info:
+        write_text(path, _failing(exc))
+    assert str(info.value) == message.format(path=path)
+    assert os.listdir(tmp_path) == ([] if old is None else ["f.txt"])  # no temporary file
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_write_text_gives_the_mode_of_a_plain_open(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        write_text(tmp_path / "a", "x")
+        with open(tmp_path / "b", "w") as f:
+            f.write("x")
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "a").stat().st_mode == (tmp_path / "b").stat().st_mode
+
+
+def test_write_text_replaces_a_symlink_not_its_target(tmp_path):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"target\n")
+    link.symlink_to(target)
+    write_text(link, "new\n")
+    assert not link.is_symlink() and link.read_bytes() == b"new\n"
+    assert target.read_bytes() == b"target\n"
