@@ -46,8 +46,8 @@ def write_text(path, parts: str | Iterable[str]) -> None:
     part = f"{path}.{os.getpid()}.part"
     try:
         with open(part, "w", encoding="ascii") as f:
-            for text in [parts] if isinstance(parts, str) else parts:
-                f.write(text)
+            # unlike a loop of write(), this frees each part before making the next
+            f.writelines([parts] if isinstance(parts, str) else parts)
         os.replace(part, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):

@@ -4,6 +4,7 @@ import ast
 import errno
 import math
 import os
+import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -217,6 +218,30 @@ def test_write_text_writes_a_str_or_its_parts_in_turn(tmp_path):
     write_text(path, (part for part in ["a", "", "b\n"]))
     assert path.read_bytes() == b"ab\n"
     assert os.listdir(tmp_path) == ["f.txt"]
+
+
+class _Block(str):
+    """A str that a weak reference can watch."""
+
+
+def test_write_text_holds_one_part_at_a_time(tmp_path):
+    # a dataset block is ~1.2 MB: one kept alive while the next is made would
+    # raise save_dataset's peak by that much
+    alive = []
+
+    def parts():
+        previous = None
+        for _ in range(3):
+            if previous is not None:
+                alive.append(previous() is not None)
+            block = _Block("x" * 99_999 + "\n")  # past the text layer's 8 KiB buffer
+            previous = weakref.ref(block)
+            yield block
+            del block
+
+    write_text(tmp_path / "f.txt", parts())
+    assert alive == [False, False]
+    assert (tmp_path / "f.txt").stat().st_size == 3 * 100_000
 
 
 def _failing(exc):
