@@ -39,9 +39,15 @@ REJECTION_BUDGET = 1_000_000
 CHUNK_RAYS = 512 * 96
 RAYS_IN_FLIGHT = 8 * CHUNK_RAYS
 
-# rows per block of text that save_dataset formats and load_dataset parses,
-# and rows per block whose first attempts generate_dataset draws on arrays
-SAVE_BLOCK_ROWS = 1024
+# rows per block of text that load_dataset parses, and rows per block whose
+# first attempts generate_dataset draws on arrays
+BLOCK_ROWS = 1024
+
+# rows per block of text that save_dataset formats with one % operation
+TEXT_ROWS = 256
+
+# a row's id is written from a float64, which holds every integer up to 2**53
+MAX_ROWS = 2**53
 
 # Random-walk policy knobs. At each step the walker keeps a target heading,
 # redrawn with probability TURN_PROB, turns toward it by at most MAX_TURN_DEG
@@ -181,12 +187,16 @@ class _PCG64Rows:
 
 
 class Dataset:
-    """An ordered set of samples from one environment and sensor, held as
-    two read-only float64 arrays: ``poses_matrix()`` (n, 3) of (x, y, theta
-    degrees, wrapped on construction as ``wrap_angle`` does) and
-    ``ranges_matrix()`` (n, ray_count) in [0, 1]. A sample's id is its row.
-    A C-contiguous float64 ranges array is kept, not copied, and made
-    read-only.
+    """An ordered set of samples from one environment and sensor: a
+    read-only float64 ``poses_matrix()`` (n, 3) of (x, y, theta degrees,
+    wrapped on construction as ``wrap_angle`` does) and ``ranges_matrix()``
+    (n, ray_count) in [0, 1]. A sample's id is its row.
+
+    ``ranges`` is an array, of which a C-contiguous float64 one is kept,
+    not copied, and made read-only; or the ``EnvironmentSpec`` whose
+    ``raycast`` of the poses gives them. Those are scanned when first
+    needed: ``ranges_matrix()`` scans every row once and keeps the result,
+    and ``windows()`` scans one window of rows at a time and keeps none.
     ``range_norms_sq`` caches each range row's squared norm for k-NN.
     """
 
@@ -194,22 +204,19 @@ class Dataset:
         if not env_name:
             raise ValueError("env_name must be non-empty")
         poses = np.array(poses, dtype=np.float64, order="C")
-        ranges = np.ascontiguousarray(ranges, dtype=np.float64)
         if poses.ndim != 2 or poses.shape[1] != 3:
             raise ValueError(f"poses must be (n, 3), got shape {poses.shape}")
-        if ranges.shape != (len(poses), sensor.ray_count):
-            raise ValueError(
-                f"ranges must be ({len(poses)}, {sensor.ray_count}) for this sensor, "
-                f"got shape {ranges.shape}"
-            )
         if not np.isfinite(poses).all():
             raise ValueError("pose values must be finite")
-        # min and max allocate nothing, and a NaN makes both NaN
-        if ranges.size and not (ranges.min() >= 0.0 and ranges.max() <= 1.0):
-            raise ValueError("ranges must all lie in [0, 1]")
+        self._env = None
+        if isinstance(ranges, EnvironmentSpec):
+            if ranges.sensor != sensor:
+                raise ValueError("ranges must be scanned with this sensor")
+            self._env, ranges = ranges, None
+        else:
+            ranges = _checked_ranges(ranges, len(poses), sensor)
         poses[:, 2] = wrap_angles(poses[:, 2])
         poses.flags.writeable = False
-        ranges.flags.writeable = False
         self.env_name = env_name
         self.sensor = sensor
         self.seed = int(seed)
@@ -228,12 +235,27 @@ class Dataset:
             and self.sensor == other.sensor
             and self.seed == other.seed
             and np.array_equal(self._poses, other._poses)
-            and np.array_equal(self._ranges, other._ranges)
+            and np.array_equal(self.ranges_matrix(), other.ranges_matrix())
         )
 
     def ranges_matrix(self) -> np.ndarray:
         """(n, ray_count) float64, row i = sample i's normalised ranges."""
+        if self._ranges is None:
+            self._ranges = _checked_ranges(raycast(self._env, self._poses), len(self), self.sensor)
         return self._ranges
+
+    def windows(self):
+        """The (poses, ranges) of consecutive windows of rows, in order:
+        the arrays whole, or, while the ranges are not yet scanned, the
+        scans of RAYS_IN_FLIGHT rays' worth of rows at a time, each checked
+        as the constructor checks ranges and none kept."""
+        if self._ranges is not None:
+            yield self._poses, self._ranges
+            return
+        rows = max(1, RAYS_IN_FLIGHT // self.sensor.ray_count)
+        for lo in range(0, len(self), rows):
+            poses = self._poses[lo : lo + rows]
+            yield poses, _checked_ranges(raycast(self._env, poses), len(poses), self.sensor)
 
     def range_norms_sq(self) -> np.ndarray:
         """(n,) float64, entry i = ||ranges_matrix()[i]||^2."""
@@ -246,6 +268,21 @@ class Dataset:
     def poses_matrix(self) -> np.ndarray:
         """(n, 3) float64 of (x, y, theta degrees)."""
         return self._poses
+
+
+def _checked_ranges(ranges, n: int, sensor: SensorConfig) -> np.ndarray:
+    """``ranges`` as a read-only C-contiguous float64 array, refused unless
+    it is (n, ray_count) and in [0, 1]."""
+    ranges = np.ascontiguousarray(ranges, dtype=np.float64)
+    if ranges.shape != (n, sensor.ray_count):
+        raise ValueError(
+            f"ranges must be ({n}, {sensor.ray_count}) for this sensor, got shape {ranges.shape}"
+        )
+    # min and max allocate nothing, and a NaN makes both NaN
+    if ranges.size and not (ranges.min() >= 0.0 and ranges.max() <= 1.0):
+        raise ValueError("ranges must all lie in [0, 1]")
+    ranges.flags.writeable = False
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -363,15 +400,20 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
     first attempts of a block of samples are drawn and tested on arrays,
     with the bits ``sample_random_pose`` would draw, and each sample whose
     first attempt is rejected goes on in ``sample_random_pose``.
+
+    Every pose is drawn here, so every refusal is raised here; the ranges
+    are scanned when first needed (see ``Dataset``).
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     check_size(f"n = {n} samples", n, 3 + env.sensor.ray_count)  # poses and ranges
+    if n > MAX_ROWS:
+        raise InputError(f"n must be <= 2**53, got {n}")
     b = env.bounds
     # a block of poses at a time, so no per-row state for all n is held
     poses = np.empty((n, 3))
-    for lo in range(0, n, SAVE_BLOCK_ROWS):
-        hi = min(lo + SAVE_BLOCK_ROWS, n)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
         rows = _PCG64Rows(seed, STREAM_GEN, np.arange(lo, hi))
         block = poses[lo:hi]
         block[:, 0] = rows.uniform(b.x_min, b.x_max)
@@ -384,7 +426,7 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
                    for i in rejected.tolist()]
         if retried:
             poses[rejected] = [(p.x, p.y, p.theta) for p in retried]
-    return Dataset(env.name, env.sensor, seed, poses, raycast(env, poses))
+    return Dataset(env.name, env.sensor, seed, poses, env)
 
 
 def random_walk_capture(
@@ -458,25 +500,35 @@ def random_walk_capture(
 def save_dataset(d: Dataset, path, extra_header: dict | None = None) -> None:
     """Write the dataset file: magic line, one-line JSON header, CSV rows
     of ``id,x,y,theta,r0..`` at 9 significant digits.
+
+    The rows are formatted TEXT_ROWS at a time from ``d.windows()``, so
+    neither the whole text nor, for a dataset not yet scanned, its ranges
+    are held.
     """
     header = {"env_name": d.env_name, "seed": d.seed, **d.sensor.header(), "n": len(d)}
-    row = "%d," + ",".join(["%.9g"] * (3 + d.sensor.ray_count)) + "\n"
-    poses, ranges = d.poses_matrix(), d.ranges_matrix()
-    # a block at a time: the whole text, or a whole-matrix tolist(), would
-    # hold several times the file's size
+    cols = 4 + d.sensor.ray_count
+    row = "%d," + ",".join(["%.9g"] * (cols - 1)) + "\n"
+
     def blocks():
         yield f"{DATASET_MAGIC}\n{header_line(header, extra_header)}\n"
-        for lo in range(0, len(d), SAVE_BLOCK_ROWS):
-            hi = lo + SAVE_BLOCK_ROWS
-            rows = zip(poses[lo:hi].tolist(), ranges[lo:hi].tolist())
-            yield "".join(row % (i, *p, *r) for i, (p, r) in enumerate(rows, lo))
+        start = 0
+        for poses, ranges in d.windows():
+            for lo in range(0, len(poses), TEXT_ROWS):
+                m = min(TEXT_ROWS, len(poses) - lo)
+                block = np.empty((m, cols))  # id (exact, as n <= MAX_ROWS), pose, ranges
+                block[:, 0] = np.arange(start + lo, start + lo + m)
+                block[:, 1:4] = poses[lo : lo + m]
+                block[:, 4:] = ranges[lo : lo + m]
+                yield (row * m) % tuple(block.ravel().tolist())
+            start += len(poses)
+            del ranges  # freed before the next window is scanned
     write_text(path, blocks())
 
 
 def load_dataset(path) -> Dataset:
     """Parse a dataset file; unknown JSON header keys are ignored.
 
-    The rows are read SAVE_BLOCK_ROWS at a time, and each block is parsed
+    The rows are read BLOCK_ROWS at a time, and each block is parsed
     by one ``np.loadtxt`` call (an integer id, then floats, each as numpy
     reads them) straight into the arrays the Dataset keeps, so no more than
     one block of text is held at once. Only when np.loadtxt refuses a block
@@ -494,7 +546,7 @@ def load_dataset(path) -> Dataset:
     if not (isinstance(env_name, str) and env_name):
         raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
     cols = 4 + sensor.ray_count
-    block = list(islice(lines, SAVE_BLOCK_ROWS))
+    block = list(islice(lines, BLOCK_ROWS))
     # The first bad row is kept, not raised, until every row is counted: a
     # byte that is not ASCII, or a row count other than n, is reported first.
     # Nothing is sized by ray_count before the first row has its columns,
@@ -516,7 +568,7 @@ def load_dataset(path) -> Dataset:
                 if fits:
                     ids[lo:hi], poses[lo:hi] = body["id"], body["pose"]
                     ranges[lo:hi] = body["ranges"]
-        lo, block = hi, list(islice(lines, SAVE_BLOCK_ROWS))
+        lo, block = hi, list(islice(lines, BLOCK_ROWS))
     if lo != n:
         raise FormatError(path, None, f"header says n={n} but file has {lo} rows")
     if fault is not None:

@@ -192,26 +192,34 @@ def _resolve_env(args):
     return load_environment(args.env, sensor=replace(world_sensor(args.env), **given))
 
 
-def _out_dir(args) -> Path:
-    """The --out directory, created once the work that could refuse the run
-    has run: a refused run leaves no --out."""
-    path = Path(args.out)
+def _outputs(args, *names) -> list:
+    """The paths of ``names`` in the --out directory, which is created once
+    the work that could refuse the run has run: a refused run leaves no
+    --out. A command asks for all its outputs before its first write, and
+    any that an earlier run left are removed, so a run that fails part-way
+    leaves no file of another run beside its own."""
+    target = Path(args.out)
+    paths = [target / name for name in names]
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        target.mkdir(parents=True, exist_ok=True)
+        for target in paths:
+            target.unlink(missing_ok=True)
     except OSError as exc:
-        raise OutputError(path, exc) from None
-    return path
+        raise OutputError(target, exc) from None
+    return paths
 
 
 def _save_capture(args, env, dataset, **extra) -> CoverageSummary:
     """Write a captured dataset, its coverage.json (with ``extra`` keys) and
-    coverage.svg into --out."""
-    out = _out_dir(args)
-    save_dataset(dataset, out / "dataset.csv", extra_header={"provenance": args.provenance})
+    coverage.svg into --out. Only the poses are read here: the ranges of a
+    generated dataset are scanned by ``save_dataset`` a window at a time."""
+    dataset_csv, coverage_json, coverage_svg = _outputs(
+        args, "dataset.csv", "coverage.json", "coverage.svg")
+    save_dataset(dataset, dataset_csv, extra_header={"provenance": args.provenance})
     poses = dataset.poses_matrix()
     cov = coverage_summary(env, poses)
-    save_json(out / "coverage.json", {"coverage": asdict(cov), **extra}, args.provenance)
-    svg_coverage(env, poses, out / "coverage.svg", comments=args.comments)
+    save_json(coverage_json, {"coverage": asdict(cov), **extra}, args.provenance)
+    svg_coverage(env, poses, coverage_svg, comments=args.comments)
     return cov
 
 
@@ -306,18 +314,23 @@ def cmd_train(args) -> int:
     train_cfg = _config(TrainConfig, args, hidden_dims=_parse_hidden(args.hidden))
     dataset = load_dataset(args.dataset)
     evals_seen = 0
+    paths = []
+
+    def out(i):  # the path of train's i-th output, all asked for at the first write
+        if not paths:
+            paths.extend(_outputs(args, "checkpoint.model", "model.model", "history.csv"))
+        return paths[i]
 
     def checkpoint(row, model):
         nonlocal evals_seen
         evals_seen += 1
         if evals_seen % 10 == 0:
-            save_model(model, _out_dir(args) / "checkpoint.model",
+            save_model(model, out(0),
                        extra_header={"provenance": args.provenance, "iteration": row.iteration})
 
     model, history = train(dataset, env, train_cfg, on_eval=checkpoint)
-    out = _out_dir(args)
-    save_model(model, out / "model.model", extra_header={"provenance": args.provenance})
-    save_history(history, out / "history.csv", comments=args.comments)
+    save_model(model, out(1), extra_header={"provenance": args.provenance})
+    save_history(history, out(2), comments=args.comments)
     best = min((r.val_pos_err for r in history), default=float("nan"))
     print(f"train: {history[-1].iteration} iterations, best val pos err {best:.4f} m")
     return 0
@@ -358,11 +371,11 @@ def cmd_eval(args) -> int:
         results = {args.estimator: evaluate(estimator, testset, env)}
         for name, ablation in ablations.items():
             results[name] = evaluate(ablation, testset, env)
-    out = _out_dir(args)
+    metrics_json, table_txt = _outputs(args, "metrics.json", "table.txt")
     metrics = {name: asdict(m) for name, m in results.items()}
-    save_json(out / "metrics.json", {"metrics": metrics}, args.provenance)
+    save_json(metrics_json, {"metrics": metrics}, args.provenance)
     table = metrics_table(results, comments=args.comments)
-    write_text(out / "table.txt", table)
+    write_text(table_txt, table)
     print(table, end="")
     return 0
 
@@ -385,10 +398,10 @@ def cmd_navigate(args) -> int:
     odo = _config(OdometryConfig, args)
     with build_estimator(args.estimator, env) as estimator:
         trace, report = navigate_waypoints(waypoints, estimator, env, start, nav_cfg, odo)
-    out = _out_dir(args)
-    save_trace(trace, out / "trace.csv", comments=args.comments)
-    save_json(out / "report.json", asdict(report), args.provenance)
-    svg_route(env, trace, waypoints, out / "route.svg", comments=args.comments)
+    trace_csv, report_json, route_svg = _outputs(args, "trace.csv", "report.json", "route.svg")
+    save_trace(trace, trace_csv, comments=args.comments)
+    save_json(report_json, asdict(report), args.provenance)
+    svg_route(env, trace, waypoints, route_svg, comments=args.comments)
     status = "ok" if report.success else f"abort: {report.abort_reason}"
     print(f"navigate: {status}; {report.tick_count} ticks, "
           f"mean closest approach {report.mean_closest_true:.3f} m")
@@ -406,13 +419,14 @@ def cmd_plot(args) -> int:
     if args.dataset is not None:
         dataset = load_dataset(args.dataset)
         env.check_world("dataset", dataset.env_name, dataset.sensor, dataset.poses_matrix())
-        svg_coverage(env, dataset.poses_matrix(), _out_dir(args) / "coverage.svg",
-                     comments=args.comments)
+        (coverage_svg,) = _outputs(args, "coverage.svg")
+        svg_coverage(env, dataset.poses_matrix(), coverage_svg, comments=args.comments)
         print(f"plot: coverage.svg with {len(dataset)} samples")
     else:
         trace = load_trace(args.trace)
         waypoints = load_waypoints(args.waypoints) if args.waypoints else []
-        svg_route(env, trace, waypoints, _out_dir(args) / "route.svg", comments=args.comments)
+        (route_svg,) = _outputs(args, "route.svg")
+        svg_route(env, trace, waypoints, route_svg, comments=args.comments)
         print(f"plot: route.svg with {len(trace)} trace rows")
     return 0
 
@@ -431,8 +445,9 @@ def cmd_bench(args) -> int:
     mean = float(np.mean(rates))
     std = float(np.std(rates))
     if args.out:
+        (bench_json,) = _outputs(args, "bench.json")
         save_json(
-            _out_dir(args) / "bench.json",
+            bench_json,
             {"estimator": args.estimator, "frames": args.frames, "repeats": args.repeats,
              "rate_mean": mean, "rate_std": std, "rates": rates},
             args.provenance,

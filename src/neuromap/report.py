@@ -10,6 +10,7 @@ Plot conventions: the ground-truth route is drawn in green, estimated
 poses in blue, waypoints and dataset samples in red.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from .world import EnvironmentSpec
 
 SCALE = 50.0  # px per metre
 MARGIN = 10.0  # px border around the map
+DOT_ROWS = 1024  # sample dots per block of coverage.svg text
 
 TRUTH_COLOR = "green"
 ESTIMATE_COLOR = "blue"
@@ -62,25 +64,30 @@ def printable(text: str) -> str:
     return "".join(c if " " <= c <= "~" else ascii(c)[1:-1] for c in text)
 
 
-def _svg_document(bounds, body, comments, path) -> str:
-    """The SVG text of ``body`` on the map of ``bounds``, written to ``path`` if given."""
+def _svg_document(bounds, body, comments, path) -> str | None:
+    """The SVG text of ``body``, an iterable of str parts of whole lines, on
+    the map of ``bounds``: written to ``path`` a part at a time if given,
+    else returned."""
     width = _fmt((bounds.x_max - bounds.x_min) * SCALE + 2 * MARGIN)
     height = _fmt((bounds.y_max - bounds.y_min) * SCALE + 2 * MARGIN)
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
+    head = ['<?xml version="1.0" encoding="UTF-8"?>']
     for c in comments:
         c = c.replace("--", "-\\x2d")  # XML allows no "--" within a comment
-        lines.append(f"<!-- {c} -->")
-    lines.append(
+        head.append(f"<!-- {c} -->")
+    head.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     )
-    lines.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
-    lines.extend(body)
-    lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        write_text(path, text)
-    return text
+    head.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+    parts = itertools.chain([_lines(head)], body, ["</svg>\n"])
+    if path is None:
+        return "".join(parts)
+    write_text(path, parts)
+    return None
+
+
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _polyline(points, cls, color, bounds):
@@ -93,20 +100,23 @@ def _polyline(points, cls, color, bounds):
     ]
 
 
-def svg_coverage(env: EnvironmentSpec, positions, path=None, comments=()) -> str:
+def svg_coverage(env: EnvironmentSpec, positions, path=None, comments=()) -> str | None:
     """Map plus one red dot per sample position; ``positions`` is an
-    (n, >= 2) array of x, y first, such as a dataset's ``poses_matrix()``."""
-    body = _grid_rects(env)
-    for x, y in positions[:, :2].tolist():
-        px, py = _to_px(env.bounds, x, y)
-        body.append(
-            f'<circle class="sample" cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.5" '
-            f'fill="{MARKER_COLOR}"/>'
-        )
-    return _svg_document(env.bounds, body, comments, path)
+    (n, >= 2) array of x, y first, such as a dataset's ``poses_matrix()``.
+    The dots are formatted DOT_ROWS at a time, so a file gets no whole text."""
+    dot = f'<circle class="sample" cx="%.2f" cy="%.2f" r="1.5" fill="{MARKER_COLOR}"/>\n'
+
+    def dots():
+        for lo in range(0, len(positions), DOT_ROWS):
+            xy = positions[lo : lo + DOT_ROWS, :2]
+            px, py = _to_px(env.bounds, xy[:, 0], xy[:, 1])  # %.2f writes as _fmt does
+            yield (dot * len(xy)) % tuple(np.column_stack([px, py]).ravel().tolist())
+
+    return _svg_document(env.bounds, itertools.chain([_lines(_grid_rects(env))], dots()),
+                         comments, path)
 
 
-def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) -> str:
+def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) -> str | None:
     """Map, green true route, blue estimated route, red waypoint markers."""
     body = _grid_rects(env)
     truth = [(t.true_pose.x, t.true_pose.y) for t in trace.ticks]
@@ -119,7 +129,7 @@ def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) ->
             f'<circle class="waypoint" cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
             f'fill="{MARKER_COLOR}" fill-opacity="0.7"/>'
         )
-    return _svg_document(env.bounds, body, comments, path)
+    return _svg_document(env.bounds, [_lines(body)], comments, path)
 
 
 # --- coverage statistics -----------------------------------------------------------

@@ -17,9 +17,11 @@ from scipy import stats
 from neuromap import capture, pool
 from neuromap.capture import (
     DATASET_MAGIC,
-    SAVE_BLOCK_ROWS,
+    BLOCK_ROWS,
+    MAX_ROWS,
     STREAM_GEN,
     STREAM_WALK,
+    TEXT_ROWS,
     Dataset,
     InfeasibleEnvironmentError,
     WalkConfig,
@@ -30,7 +32,7 @@ from neuromap.capture import (
     sample_random_pose,
     save_dataset,
 )
-from neuromap.inputs import FormatError
+from neuromap.inputs import FormatError, InputError
 from neuromap.pose import Pose2D, ang_diff, wrap_angles
 from neuromap.world import (
     EnvironmentSpec,
@@ -185,7 +187,7 @@ def test_generate_pose_rows_are_the_drawn_poses_bit_for_bit():
 @pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
 def test_generate_draws_by_blocks_bit_for_bit(monkeypatch, n):
     # 7-pose blocks: one short block, one full, one full plus one, and several
-    monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(capture, "BLOCK_ROWS", 7)
     env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
     d = generate_dataset(env, n, seed=404)
     rows = scalar_oracle(env, n, 404)
@@ -198,7 +200,7 @@ def test_generate_draws_by_blocks_bit_for_bit(monkeypatch, n):
 def test_array_generators_equal_derived_rng_bit_for_bit(seed, stream):
     # 2**64 + 5 is three entropy words, five with stream and index, so
     # SeedSequence mixes in words past its 4-word pool
-    index = np.arange(SAVE_BLOCK_ROWS - 20, 2 * SAVE_BLOCK_ROWS + 20, 37)  # across block edges
+    index = np.arange(BLOCK_ROWS - 20, 2 * BLOCK_ROWS + 20, 37)  # across block edges
     rows = capture._PCG64Rows(seed, stream, index)
     raw = np.stack([rows.random_raw() for _ in range(3)], axis=1)
     states = zip(rows.hi.tolist(), rows.lo.tolist(), rows.inc_hi.tolist(), rows.inc_lo.tolist())
@@ -242,7 +244,7 @@ def count_is_free(monkeypatch):
 def test_generate_with_many_retries_equals_the_scalar_oracle(monkeypatch):
     # ~90% occupied, so the average row needs more than two retries, and
     # 7-row blocks, so the retried rows fall in every block
-    monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(capture, "BLOCK_ROWS", 7)
     rng = np.random.default_rng(5)
     cells = rng.random((12, 16)) < 0.9
     env = make_env(OccupancyGrid(16, 12, 0.3, -1.7, 2.35, cells))
@@ -296,11 +298,12 @@ def test_generate_holds_its_arrays_and_one_chunk_in_flight(monkeypatch):
     # and all n poses drawn at once, the peak was 5.2 MB above this bound.
     monkeypatch.setattr(capture, "RAYS_IN_FLIGHT", capture.CHUNK_RAYS)
     env, n = bundled_environment("cabin"), 2000
-    generate_dataset(env, 16, 101)
+    generate_dataset(env, 16, 101).ranges_matrix()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         d = generate_dataset(env, n, 101)
+        d.ranges_matrix()  # scanned when first asked for
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -330,6 +333,15 @@ def test_generate_rejects_bad_n():
     env = make_env(empty_grid(4, 4, 1.0))
     with pytest.raises(ValueError):
         generate_dataset(env, 0, seed=1)
+
+
+def test_generate_refuses_more_rows_than_a_float_id_holds():
+    # save_dataset writes each id from a float64, exact up to 2**53
+    assert "%d" % float(MAX_ROWS) == str(MAX_ROWS)
+    assert "%d" % float(MAX_ROWS + 1) != str(MAX_ROWS + 1)
+    env = make_env(empty_grid(4, 4, 1.0), ray_count=2)
+    with pytest.raises(InputError, match=rf"^n must be <= 2\*\*53, got {MAX_ROWS + 1}$"):
+        generate_dataset(env, MAX_ROWS + 1, seed=1)
 
 
 # parallel raycast ----------------------------------------------------------------
@@ -748,7 +760,7 @@ def test_load_reads_each_value_as_float_does(tmp_path):
 
 @pytest.fixture(scope="module")
 def two_blocks_and_five():
-    return _toy_dataset(2 * SAVE_BLOCK_ROWS + 5, seed=7)
+    return _toy_dataset(2 * BLOCK_ROWS + 5, seed=7)
 
 
 def _dataset_faults(lines, block):
@@ -817,10 +829,10 @@ def _load_outcome(load, path):
         return str(exc)
 
 
-@pytest.mark.parametrize("block", [3, SAVE_BLOCK_ROWS])
+@pytest.mark.parametrize("block", [3, BLOCK_ROWS])
 def test_streamed_load_equals_whole_file_loader(tmp_path, monkeypatch, two_blocks_and_five, block):
-    if block != SAVE_BLOCK_ROWS:
-        monkeypatch.setattr(capture, "SAVE_BLOCK_ROWS", block)
+    if block != BLOCK_ROWS:
+        monkeypatch.setattr(capture, "BLOCK_ROWS", block)
     d = two_blocks_and_five
     n = 2 * block + 5
     path = tmp_path / "good.csv"
@@ -924,11 +936,11 @@ def whole_text_save(d, path, extra_header=None):
 
 @pytest.fixture(scope="module")
 def block_plus_one():
-    return _toy_dataset(SAVE_BLOCK_ROWS + 1, seed=6)
+    return _toy_dataset(BLOCK_ROWS + 1, seed=6)
 
 
 @pytest.mark.parametrize("extra", [None, {"provenance": {"invocation": "gen --n 5"}}])
-@pytest.mark.parametrize("n", [0, 1, SAVE_BLOCK_ROWS - 1, SAVE_BLOCK_ROWS, SAVE_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_streamed_save_equals_whole_text_writer(tmp_path, block_plus_one, n, extra):
     full = block_plus_one
     d = Dataset(full.env_name, full.sensor, full.seed,
@@ -936,6 +948,34 @@ def test_streamed_save_equals_whole_text_writer(tmp_path, block_plus_one, n, ext
     save_dataset(d, tmp_path / "streamed.csv", extra_header=extra)
     whole_text_save(d, tmp_path / "whole.csv", extra_header=extra)
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("window", [1, 7, 300])  # rows per raycast window
+def test_a_generated_dataset_saves_and_equals_its_scanned_arrays(tmp_path, monkeypatch, window):
+    # windows of one row, of fewer rows than a text block, and across its edges
+    env = make_env(with_metric_box(empty_grid(12, 12, 0.5), 2.0, 2.0, 3.0, 4.0))
+    monkeypatch.setattr(capture, "RAYS_IN_FLIGHT", window * env.sensor.ray_count)
+    n = 2 * TEXT_ROWS + 5
+    d = generate_dataset(env, n, seed=404)
+    save_dataset(d, tmp_path / "windows.csv")  # scanned a window at a time, none kept
+    ranges = one_call(env, d.poses_matrix())
+    arrays = Dataset(env.name, env.sensor, 404, d.poses_matrix(), ranges)
+    assert generate_dataset(env, n, seed=404) == arrays
+    assert d.ranges_matrix().tobytes() == ranges.tobytes()
+    save_dataset(d, tmp_path / "kept.csv")  # from the scan ranges_matrix() kept
+    whole_text_save(arrays, tmp_path / "whole.csv")
+    saved = (tmp_path / "windows.csv").read_bytes()
+    assert saved == (tmp_path / "kept.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    loaded = load_dataset(tmp_path / "windows.csv")
+    assert datasets_close(loaded, d)
+    save_dataset(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == saved
+
+
+def test_a_dataset_is_scanned_only_with_its_own_sensor():
+    env = make_env(empty_grid(4, 4, 1.0), ray_count=8)
+    with pytest.raises(ValueError, match="scanned with this sensor"):
+        Dataset("e", SensorConfig(fov=120.0, ray_count=16), 1, np.array([(1.0, 1.0, 0.0)]), env)
 
 
 @pytest.mark.parametrize("extra, error", [({"seed": 99}, ValueError), ({"x": object()}, TypeError)])

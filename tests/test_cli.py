@@ -6,12 +6,14 @@ generation fast.
 """
 
 import dataclasses
+import errno
 import json
 import os
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
@@ -19,13 +21,16 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from neuromap import capture
 from neuromap import estimator as estimator_module
-from neuromap.capture import Dataset, WalkConfig, load_dataset, save_dataset
+from neuromap.capture import (CHUNK_RAYS, RAYS_IN_FLIGHT, STREAM_GEN, Dataset,
+                              InfeasibleEnvironmentError, WalkConfig, derived_rng, load_dataset,
+                              raycast, sample_random_pose, save_dataset)
 from neuromap import cli
 from neuromap.cli import COMMANDS, _flag_type, build_estimator, main
 from neuromap.estimator import Estimator, KnnConfig, KnnEstimator, OracleConfig, OracleEstimator
 from neuromap.navigate import NavConfig, OdometryConfig
-from neuromap.inputs import read_lines, write_text
+from neuromap.inputs import OutputError, read_lines, write_text
 from neuromap.pose import HEADING_EPS
 from neuromap.training import (
     DECAY_PER_INTERVAL, YAW_SINCOS, RegressorModel, TrainConfig, load_model, save_model,
@@ -1329,11 +1334,12 @@ def test_a_write_past_the_file_size_limit_is_one_output_error_and_no_file(tmp_pa
     assert os.listdir(out) == []  # neither dataset.csv nor a temporary file
 
 
-def test_an_interrupted_rewrite_keeps_the_old_file_and_exits_130(tmp_path, capsys, monkeypatch):
+def test_an_interrupted_rerun_leaves_no_output_of_either_run_and_exits_130(tmp_path, capsys,
+                                                                            monkeypatch):
     out = tmp_path / "o"
     argv = ["gen", *ENV_FLAGS, "--n", "5", "--out", str(out)]
     assert main(argv) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / "notes.txt").write_text("not an output of gen\n")
 
     def interrupted(dataset, path, **kwargs):
         def parts():
@@ -1345,7 +1351,87 @@ def test_an_interrupted_rewrite_keeps_the_old_file_and_exits_130(tmp_path, capsy
     capsys.readouterr()
     assert main(argv) == 130
     assert capsys.readouterr().err == "neuromap: interrupted\n"
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # gen's own outputs are removed before its first write; nothing else is
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+
+def test_a_failed_rerun_leaves_no_file_of_the_earlier_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    argv = ["navigate", "--env", "apartment", "--waypoints", "apartment_loop",
+            "--start", "1.5,1.5,0", "--out", str(out)]
+    assert main([*argv, "--estimator", "oracle:sigma_pos=0.05,seed=1"]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == ["report.json", "route.svg", "trace.csv"]
+    # a refused run leaves the earlier run's outputs as they were
+    assert main([*argv, "--estimator", "oracle:sigma_pos=-1"]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    capsys.readouterr()
+
+    def full_disk(env, trace, waypoints, path, **kwargs):
+        raise OutputError(path, OSError(errno.ENOSPC, "No space left on device"))
+
+    monkeypatch.setattr(cli, "svg_route", full_disk)
+    assert main([*argv, "--estimator", "oracle:sigma_pos=0.05,seed=2"]) == 2
+    assert capsys.readouterr().err == (
+        f"neuromap: output error: cannot write {out / 'route.svg'}: No space left on device\n")
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(second) == ["report.json", "trace.csv"]  # seed 1's route.svg is gone
+    assert second["trace.csv"] != first["trace.csv"]
+
+
+def test_gen_memory_does_not_grow_with_n(tmp_path, monkeypatch):
+    # Two CPUs, so two raycast chunks in flight on any host. gen holds the
+    # poses (24 bytes a row), one window of ranges (8 bytes a ray in
+    # flight), the chunks' traversal state (<= 138 bytes a ray) and a block
+    # of text. Holding the (n, 96) ranges, the 20k run peaked at 26.8 MiB
+    # and the 2k run at 13.3 MiB.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["gen", "--env", "cabin", "--n", "50", "--out", str(tmp_path / "warm")]) == 0
+    peaks = {}
+    for n in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["gen", "--env", "cabin", "--n", str(n), "--seed", "101",
+                         "--out", str(tmp_path / str(n))]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 8 * RAYS_IN_FLIGHT + 2 * 138 * CHUNK_RAYS + (2 << 20), peaks
+
+
+def test_a_row_refused_after_the_first_window_creates_no_out(tmp_path, capsys, monkeypatch):
+    # At seed 10, row 5000's first attempt is rejected, so it is drawn again
+    # by sample_random_pose; it lies past the first raycast window, and is
+    # refused before --out exists because every pose is drawn first
+    assert 5000 >= RAYS_IN_FLIGHT // 96
+    refused = derived_rng(10, STREAM_GEN, 5000).bit_generator.state
+
+    def sample(env, rng, clearance=0.0):
+        if rng.bit_generator.state == refused:
+            raise InfeasibleEnvironmentError("no free pose for row 5000")
+        return sample_random_pose(env, rng, clearance)
+
+    monkeypatch.setattr(capture, "sample_random_pose", sample)
+    err = _refused(capsys, ["gen", "--env", "cabin", "--n", "6000", "--seed", "10"], tmp_path / "o")
+    assert err == "neuromap: input error: no free pose for row 5000\n"
+
+
+def test_an_interrupt_in_the_second_window_leaves_no_dataset(tmp_path, capsys, monkeypatch):
+    scans = []
+
+    def scan(env, poses):
+        scans.append(len(poses))
+        if len(scans) == 2:
+            raise KeyboardInterrupt
+        return raycast(env, poses)
+
+    monkeypatch.setattr(capture, "raycast", scan)
+    out = tmp_path / "o"
+    assert main(["gen", "--env", "cabin", "--n", "6000", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "neuromap: interrupted\n"
+    assert scans == [RAYS_IN_FLIGHT // 96, 6000 - RAYS_IN_FLIGHT // 96]
+    assert list(out.iterdir()) == []  # neither dataset.csv nor its temporary file
 
 
 def test_an_out_that_cannot_be_created_is_an_output_error(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,8 @@ import neuromap
 from neuromap.navigate import RouteTrace, TraceTick, load_waypoints
 from neuromap.pose import Pose2D
 from neuromap.report import (
+    DOT_ROWS,
+    MARKER_COLOR,
     SCALE,
     CoverageSummary,
     _fmt,
@@ -251,6 +253,25 @@ def test_route_svg_skips_missing_estimates():
     text = svg_route(env, RouteTrace((t0,)), [])
     assert 'class="estimate"' not in text
     assert 'class="truth"' not in text  # a single point draws no polyline
+
+
+@pytest.mark.parametrize("n", [0, 1, DOT_ROWS, DOT_ROWS + 1])
+def test_coverage_svg_file_is_its_text_with_a_dot_per_position(tmp_path, n):
+    env = bundled_environment("cabin")
+    b = env.bounds
+    rng = np.random.default_rng(n)
+    positions = np.column_stack([rng.uniform(b.x_min, b.x_max, n), rng.uniform(b.y_min, b.y_max, n)])
+    positions[:1] = (b.x_min, -0.0)  # a corner, and a signed zero
+    text = svg_coverage(env, positions, comments=("seed: 1",))
+    assert svg_coverage(env, positions, tmp_path / "c.svg", comments=("seed: 1",)) is None
+    assert (tmp_path / "c.svg").read_text() == text
+    dots = []  # one f-string per dot, as the writer once formatted them
+    for x, y in positions.tolist():
+        px, py = _to_px(b, x, y)
+        dots.append(f'<circle class="sample" cx="{_fmt(px)}" cy="{_fmt(py)}" r="1.5" '
+                    f'fill="{MARKER_COLOR}"/>\n')
+    assert text.endswith("".join(dots) + "</svg>\n")
+    assert text.count("<circle") == n
 
 
 def test_svg_comments_embedded(tmp_path):
