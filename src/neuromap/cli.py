@@ -19,6 +19,7 @@ fields, read with their defaults from it.
 """
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -198,14 +199,17 @@ def _outputs(args, *names) -> list:
     --out. A command asks for all its outputs before its first write, and
     any that an earlier run left are removed, so a run that fails part-way
     leaves no file of another run beside its own."""
-    target = Path(args.out)
-    paths = [target / name for name in names]
+    directory = Path(args.out)
+    paths = [directory / name for name in names]
     try:
-        target.mkdir(parents=True, exist_ok=True)
-        for target in paths:
-            target.unlink(missing_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise OutputError(target, exc) from None
+        raise OutputError(directory, exc) from None
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise OutputError(path, exc) from None
     return paths
 
 
@@ -314,23 +318,23 @@ def cmd_train(args) -> int:
     train_cfg = _config(TrainConfig, args, hidden_dims=_parse_hidden(args.hidden))
     dataset = load_dataset(args.dataset)
     evals_seen = 0
-    paths = []
 
-    def out(i):  # the path of train's i-th output, all asked for at the first write
-        if not paths:
-            paths.extend(_outputs(args, "checkpoint.model", "model.model", "history.csv"))
-        return paths[i]
+    @functools.cache
+    def outputs():  # train's three outputs, all asked for at its first write
+        return _outputs(args, "checkpoint.model", "model.model", "history.csv")
 
     def checkpoint(row, model):
         nonlocal evals_seen
         evals_seen += 1
         if evals_seen % 10 == 0:
-            save_model(model, out(0),
+            checkpoint_model, _, _ = outputs()
+            save_model(model, checkpoint_model,
                        extra_header={"provenance": args.provenance, "iteration": row.iteration})
 
     model, history = train(dataset, env, train_cfg, on_eval=checkpoint)
-    save_model(model, out(1), extra_header={"provenance": args.provenance})
-    save_history(history, out(2), comments=args.comments)
+    _, model_model, history_csv = outputs()
+    save_model(model, model_model, extra_header={"provenance": args.provenance})
+    save_history(history, history_csv, comments=args.comments)
     best = min((r.val_pos_err for r in history), default=float("nan"))
     print(f"train: {history[-1].iteration} iterations, best val pos err {best:.4f} m")
     return 0
@@ -436,6 +440,7 @@ def cmd_bench(args) -> int:
         raise InputError(f"repeats must be >= 1, got {args.repeats}")
     env = _resolve_env(args)
     frames = generate_dataset(env, args.frames, args.seed)
+    frames.ranges_matrix()  # scanned here, so no timed pass includes the raycast
     rates = []
     with build_estimator(args.estimator, env) as estimator:
         for _ in range(args.repeats):

@@ -693,6 +693,30 @@ def test_bench_report(workspace, tmp_path, capsys):
     assert "estimates/s" in capsys.readouterr().out
 
 
+def test_bench_scans_its_frames_before_the_first_timed_pass(monkeypatch, tmp_path):
+    # bench's frames come from generate_dataset, whose ranges are scanned
+    # when first asked for; a scan inside a timed pass would count the
+    # raycast as estimating time in rates[0]
+    scans = []
+    real_raycast, real_evaluate = capture.raycast, cli.evaluate
+    scans_at_pass = []
+
+    def counted_raycast(env, poses):
+        scans.append(len(poses))
+        return real_raycast(env, poses)
+
+    def recorded_evaluate(estimator, frames, env):
+        scans_at_pass.append(len(scans))
+        return real_evaluate(estimator, frames, env)
+
+    monkeypatch.setattr(capture, "raycast", counted_raycast)
+    monkeypatch.setattr(cli, "evaluate", recorded_evaluate)
+    assert main(["bench", *ENV_FLAGS, "--estimator", "oracle", "--frames", "30",
+                 "--repeats", "2", "--out", str(tmp_path / "b")]) == 0
+    assert sum(scans) == 30
+    assert scans_at_pass == [len(scans)] * 2
+
+
 def test_bench_knn_slows_with_database_size(workspace):
     # wall-clock. With the screened k-NN, 800 rows query only ~6-21% slower
     # than 10, inside timer noise; tiling the rows to >= 16,000 makes each
