@@ -148,69 +148,6 @@ class _Abort(Exception):
         self.reason = reason
 
 
-class _Episode:
-    """Mutable state of one navigation run; builds the trace row by row."""
-
-    def __init__(self, start_pose, estimator, env, cfg, odo):
-        self.true_pose = start_pose
-        self.estimator = estimator
-        self.env = env
-        self.cfg = cfg
-        self.odo = odo
-        self.rng = np.random.default_rng(odo.seed)
-        self.rows = []
-        self.time = 0.0
-        self.wp_idx = 0
-        self.last_estimate = None
-
-    def _append(self, event, budgeted=True):
-        """Append the row of ``event``; a budgeted row past max_ticks aborts."""
-        if budgeted and len(self.rows) >= self.cfg.max_ticks:
-            raise _Abort(ABORT_BUDGET)
-        self.rows.append(
-            TraceTick(
-                len(self.rows), self.time, self.true_pose, self.last_estimate,
-                self.wp_idx, event,
-            )
-        )
-
-    def estimate(self) -> Pose2D:
-        p = self.true_pose
-        pose = np.array([[p.x, p.y, p.theta]])
-        ranges = raycast(self.env, pose)
-        try:
-            row = self.estimator.estimate(ranges, pose)[0]
-        except EstimatorUnavailableError:
-            raise _Abort(ABORT_ESTIMATOR) from None
-        self.last_estimate = Pose2D(*row.tolist())
-        self._append(EVENT_ESTIMATE)
-        return self.last_estimate
-
-    def rotate_by(self, relative_deg: float) -> None:
-        accumulated = 0.0
-        while abs(ang_diff(relative_deg, accumulated)) > self.cfg.T_a:
-            direction = ang_diff(relative_deg, accumulated)
-            self.true_pose, delta = simulate_rotation_tick(
-                self.true_pose, direction, self.cfg, self.odo, self.rng
-            )
-            accumulated += delta
-            self.time += self.cfg.dt
-            self._append(EVENT_ROTATE)
-
-    def drive_leg(self, leg_m: float) -> None:
-        travelled = 0.0
-        while abs(leg_m - travelled) > self.cfg.leg_tol:
-            self.true_pose, delta, collided = simulate_move_tick(
-                self.true_pose, self.env, self.cfg, self.odo, self.rng
-            )
-            travelled += delta
-            self.time += self.cfg.dt
-            if collided:
-                self._append(EVENT_COLLISION)
-                raise _Abort(ABORT_COLLISION)
-            self._append(EVENT_MOVE)
-
-
 def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, start_pose: Pose2D,
                        cfg: NavConfig = NavConfig(), odo: OdometryConfig = OdometryConfig()):
     """Drive through waypoints in order; returns (RouteTrace, NavReport).
@@ -238,31 +175,63 @@ def navigate_waypoints(waypoints, estimator: Estimator, env: EnvironmentSpec, st
     waypoints = [(float(x), float(y)) for x, y in waypoints]
     if not waypoints:
         raise InputError("need at least one waypoint")
+    for idx, (wx, wy) in enumerate(waypoints):
+        if not (math.isfinite(wx) and math.isfinite(wy)):
+            raise InputError(f"waypoint {idx} must be finite, got ({wx!r}, {wy!r})")
     if not env.grid.footprint_free(start_pose.x, start_pose.y, cfg.footprint_radius):
         raise InputError("start pose is not footprint-free")
     env.check_world("estimator", estimator.env_name, estimator.sensor)
 
-    ep = _Episode(start_pose, estimator, env, cfg, odo)
+    rng = np.random.default_rng(odo.seed)
+    rows = []
+    true_pose, clock, estimate = start_pose, 0.0, None
+
+    def record(event, budgeted=True):
+        """Append the row of ``event``; a budgeted row past max_ticks aborts."""
+        if budgeted and len(rows) >= cfg.max_ticks:
+            raise _Abort(ABORT_BUDGET)
+        rows.append(TraceTick(len(rows), clock, true_pose, estimate, wp_idx, event))
+
     abort_reason = ""
     try:
-        for idx, (wx, wy) in enumerate(waypoints):
-            ep.wp_idx = idx
-            pose = ep.estimate()
-            dist = math.hypot(wx - pose.x, wy - pose.y)
-            while dist > cfg.T_d:
-                target_heading = heading(pose, Pose2D(wx, wy, 0.0))
-                if abs(ang_diff(target_heading, pose.theta)) > cfg.T_a:
-                    ep.rotate_by(ang_diff(target_heading, pose.theta))
+        for wp_idx, (wx, wy) in enumerate(waypoints):
+            while True:
+                pose = np.array([[true_pose.x, true_pose.y, true_pose.theta]])
+                try:
+                    row = estimator.estimate(raycast(env, pose), pose)[0]
+                except EstimatorUnavailableError:
+                    raise _Abort(ABORT_ESTIMATOR) from None
+                estimate = Pose2D(*row.tolist())
+                record(EVENT_ESTIMATE)
+                dist = math.hypot(wx - estimate.x, wy - estimate.y)
+                if dist <= cfg.T_d:
+                    break
+                turn = ang_diff(heading(estimate, Pose2D(wx, wy, 0.0)), estimate.theta)
+                if abs(turn) > cfg.T_a:
+                    turned = 0.0
+                    while abs(ang_diff(turn, turned)) > cfg.T_a:
+                        true_pose, delta = simulate_rotation_tick(
+                            true_pose, ang_diff(turn, turned), cfg, odo, rng)
+                        turned += delta
+                        clock += cfg.dt
+                        record(EVENT_ROTATE)
                 else:
-                    ep.drive_leg(min(dist, cfg.max_step))
-                pose = ep.estimate()
-                dist = math.hypot(wx - pose.x, wy - pose.y)
-            ep._append(EVENT_REACHED)
+                    leg, travelled = min(dist, cfg.max_step), 0.0
+                    while abs(leg - travelled) > cfg.leg_tol:
+                        true_pose, delta, collided = simulate_move_tick(
+                            true_pose, env, cfg, odo, rng)
+                        travelled += delta
+                        clock += cfg.dt
+                        if collided:
+                            record(EVENT_COLLISION)
+                            raise _Abort(ABORT_COLLISION)
+                        record(EVENT_MOVE)
+            record(EVENT_REACHED)
     except _Abort as a:
         abort_reason = a.reason
-        ep._append(EVENT_ABORT, budgeted=False)  # the abort row may pass the budget
+        record(EVENT_ABORT, budgeted=False)  # the abort row may pass the budget
 
-    trace = RouteTrace(tuple(ep.rows))
+    trace = RouteTrace(tuple(rows))
     report = closest_distance_metrics(trace, waypoints, abort_reason=abort_reason)
     return trace, report
 

@@ -1,9 +1,10 @@
 """External estimator test double speaking the EST/POSE line protocol.
 
 Modes: const (fixed reply), knn (k-NN over a database, replying with
-normalised values), replay (request i gets line i of ``--replies FILE``),
-garbage, badid, hang, partial, exit. ``--log FILE`` appends each request's
-id to FILE, one per line.
+normalised values), replay (request i gets line i of ``--replies FILE``,
+and the process exits once the file runs out), garbage, badid, hang,
+partial, exit. ``--log FILE`` appends each request's id to FILE, one per
+line.
 """
 
 import argparse
@@ -71,6 +72,8 @@ def main():
             est = knn.estimate([[float(v) for v in parts[2:]]])[0]
             print(f"POSE {req_id} {normalized_response(est, env)}", flush=True)
         elif args.mode == "replay":
+            if int(req_id) >= len(replies):
+                return
             print(f"POSE {req_id} {replies[int(req_id)]}", flush=True)
         else:
             print(f"POSE {req_id} {args.nx!r} {args.ny!r} {args.ntheta!r}", flush=True)

@@ -7,11 +7,13 @@ and the true pose stay bit-exact under zero noise and the whole episode
 can be checked against a hand-computed trace.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from neuromap.capture import raycast
 from neuromap.estimator import (
     Estimator,
     EstimatorUnavailableError,
@@ -41,8 +43,9 @@ from neuromap.navigate import (
     simulate_rotation_tick,
 )
 from neuromap.inputs import InputError
-from neuromap.pose import Pose2D
+from neuromap.pose import Pose2D, ang_diff, heading
 from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
+from neuromap.worlds import bundled_environment, route_file
 from worldgen import with_metric_box
 
 SENSOR = SensorConfig(fov=360.0, ray_count=16, max_range=15.0)
@@ -377,6 +380,14 @@ def test_empty_waypoint_list_rejected():
         navigate_waypoints([], perfect_oracle(env), env, Pose2D(1.0, 5.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [(math.nan, 2.0), (2.0, math.inf), (-math.inf, 2.0)])
+def test_non_finite_waypoint_rejected(bad):
+    # a NaN distance is never above T_d, so a NaN waypoint would count as reached
+    env = empty_env()
+    with pytest.raises(InputError, match=r"^waypoint 1 must be finite, got \("):
+        navigate_waypoints([(8.0, 5.0), bad], perfect_oracle(env), env, Pose2D(1.0, 5.0, 0.0))
+
+
 def test_blocked_start_rejected():
     env = walled_env()
     with pytest.raises(ValueError, match="footprint-free"):
@@ -552,3 +563,165 @@ def test_waypoints_reject_empty_file(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(ValueError, match="no waypoints"):
         load_waypoints(path)
+
+
+# --- differential: the earlier controller as oracle ---------------------------------
+
+
+class _RefAbort(Exception):
+    def __init__(self, reason):
+        self.reason = reason
+
+
+class _Episode:
+    """Mutable state of one navigation run; builds the trace row by row.
+
+    The controller as it stood when an episode object held this state,
+    kept as the oracle of ``navigate_waypoints``."""
+
+    def __init__(self, start_pose, estimator, env, cfg, odo):
+        self.true_pose = start_pose
+        self.estimator = estimator
+        self.env = env
+        self.cfg = cfg
+        self.odo = odo
+        self.rng = np.random.default_rng(odo.seed)
+        self.rows = []
+        self.time = 0.0
+        self.wp_idx = 0
+        self.last_estimate = None
+
+    def _append(self, event, budgeted=True):
+        """Append the row of ``event``; a budgeted row past max_ticks aborts."""
+        if budgeted and len(self.rows) >= self.cfg.max_ticks:
+            raise _RefAbort(ABORT_BUDGET)
+        self.rows.append(
+            TraceTick(
+                len(self.rows), self.time, self.true_pose, self.last_estimate,
+                self.wp_idx, event,
+            )
+        )
+
+    def estimate(self) -> Pose2D:
+        p = self.true_pose
+        pose = np.array([[p.x, p.y, p.theta]])
+        ranges = raycast(self.env, pose)
+        try:
+            row = self.estimator.estimate(ranges, pose)[0]
+        except EstimatorUnavailableError:
+            raise _RefAbort(ABORT_ESTIMATOR) from None
+        self.last_estimate = Pose2D(*row.tolist())
+        self._append(EVENT_ESTIMATE)
+        return self.last_estimate
+
+    def rotate_by(self, relative_deg: float) -> None:
+        accumulated = 0.0
+        while abs(ang_diff(relative_deg, accumulated)) > self.cfg.T_a:
+            direction = ang_diff(relative_deg, accumulated)
+            self.true_pose, delta = simulate_rotation_tick(
+                self.true_pose, direction, self.cfg, self.odo, self.rng
+            )
+            accumulated += delta
+            self.time += self.cfg.dt
+            self._append(EVENT_ROTATE)
+
+    def drive_leg(self, leg_m: float) -> None:
+        travelled = 0.0
+        while abs(leg_m - travelled) > self.cfg.leg_tol:
+            self.true_pose, delta, collided = simulate_move_tick(
+                self.true_pose, self.env, self.cfg, self.odo, self.rng
+            )
+            travelled += delta
+            self.time += self.cfg.dt
+            if collided:
+                self._append(EVENT_COLLISION)
+                raise _RefAbort(ABORT_COLLISION)
+            self._append(EVENT_MOVE)
+
+
+def reference_navigate(waypoints, estimator, env, start_pose, cfg, odo):
+    """``navigate_waypoints`` through an ``_Episode``, without the input checks."""
+    waypoints = [(float(x), float(y)) for x, y in waypoints]
+    ep = _Episode(start_pose, estimator, env, cfg, odo)
+    abort_reason = ""
+    try:
+        for idx, (wx, wy) in enumerate(waypoints):
+            ep.wp_idx = idx
+            pose = ep.estimate()
+            dist = math.hypot(wx - pose.x, wy - pose.y)
+            while dist > cfg.T_d:
+                target_heading = heading(pose, Pose2D(wx, wy, 0.0))
+                if abs(ang_diff(target_heading, pose.theta)) > cfg.T_a:
+                    ep.rotate_by(ang_diff(target_heading, pose.theta))
+                else:
+                    ep.drive_leg(min(dist, cfg.max_step))
+                pose = ep.estimate()
+                dist = math.hypot(wx - pose.x, wy - pose.y)
+            ep._append(EVENT_REACHED)
+    except _RefAbort as a:
+        abort_reason = a.reason
+        ep._append(EVENT_ABORT, budgeted=False)
+    trace = RouteTrace(tuple(ep.rows))
+    return trace, closest_distance_metrics(trace, waypoints, abort_reason=abort_reason)
+
+
+SQUARE = [(8.0, 5.0), (8.0, 8.0), (2.0, 8.0), (2.0, 2.0)]
+START = Pose2D(1.0, 5.0, 0.0)
+NOISY_ODO = OdometryConfig(sigma_lin_frac=0.05, sigma_ang_per_step=1.0, seed=6)
+
+
+def noisy_oracle(env):
+    return OracleEstimator(OracleConfig(sigma_pos=0.1, sigma_theta=2.0, seed=5), env)
+
+
+def apartment_case(cfg):
+    return (load_waypoints(route_file("apartment_loop")), noisy_oracle,
+            bundled_environment("apartment"), Pose2D(1.5, 1.5, 0.0), cfg, OdometryConfig(seed=9))
+
+
+def failing_case(good_calls):
+    return (SQUARE, lambda env: FailingEstimator(env, good_calls), empty_env(), START, EXACT,
+            NOISY_ODO)
+
+
+# name -> () -> (waypoints, estimator factory, env, start pose, NavConfig, OdometryConfig)
+DIFFERENTIAL = {
+    "empty-exact": lambda: (SQUARE, perfect_oracle, empty_env(), START, EXACT, NO_NOISE),
+    "empty-noisy": lambda: (SQUARE, noisy_oracle, empty_env(), START, EXACT, NOISY_ODO),
+    "walled": lambda: ([(8.0, 5.0)], perfect_oracle, walled_env(), START, EXACT, NO_NOISE),
+    "apartment": lambda: apartment_case(NavConfig()),
+    "apartment-leg-tolerance": lambda: apartment_case(NavConfig(leg_tolerance=0.05)),
+    "failing-0": lambda: failing_case(0),
+    "failing-1": lambda: failing_case(1),
+    "failing-5": lambda: failing_case(5),
+}
+
+
+def both_controllers(waypoints, make_estimator, env, start, cfg, odo):
+    """((trace, report) of navigate_waypoints, the same of reference_navigate),
+    each with a fresh estimator."""
+    got = navigate_waypoints(waypoints, make_estimator(env), env, start, cfg, odo)
+    return got, reference_navigate(waypoints, make_estimator(env), env, start, cfg, odo)
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_navigate_matches_reference(name):
+    got, want = both_controllers(*DIFFERENTIAL[name]())
+    assert got == want
+    assert repr(got) == repr(want)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("name, event", [("empty-noisy", EVENT_ESTIMATE),
+                                         ("empty-noisy", EVENT_ROTATE),
+                                         ("empty-noisy", EVENT_MOVE),
+                                         ("walled", EVENT_COLLISION)])
+def test_navigate_matches_reference_when_the_budget_runs_out(name, event):
+    # the budget ends on the first row of ``event`` after the first row
+    waypoints, make_estimator, env, start, cfg, odo = DIFFERENTIAL[name]()
+    full, _ = reference_navigate(waypoints, make_estimator(env), env, start, cfg, odo)
+    budget = next(t.tick for t in full.ticks[1:] if t.event == event)
+    cfg = dataclasses.replace(cfg, max_ticks=budget)
+    got, want = both_controllers(waypoints, make_estimator, env, start, cfg, odo)
+    assert want[1].abort_reason == ABORT_BUDGET and len(want[0]) == budget + 1
+    assert got == want
+    assert repr(got) == repr(want)

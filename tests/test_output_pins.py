@@ -50,6 +50,9 @@ TRAIN = ["train", "--env", "cabin", "--dataset", CABIN_DB, "--iterations", "1100
 EVAL = ["eval", "--env", "cabin", "--testset", CABIN_TEST]
 NAVIGATE = ["navigate", "--env", "apartment", "--waypoints", "apartment_loop",
             "--start", "1.5,1.5,0", "--seed", "9"]
+STUB = Path(__file__).resolve().parent / "external_stub.py"
+# eight replies, then the stub exits: the estimator fails mid-route
+REPLIES = "-0.7 -0.7 0.0\n" * 8
 
 # name -> (argv, exit code, digest of --out)
 PINS = {
@@ -113,6 +116,15 @@ PINS = {
         [*NAVIGATE, "--estimator", "model:train-apartment/model.model",
          "--max-ticks", "200"], 3,
         "fe52ebc54d1bd3999615eeca65445dfcc57619e35089f6590c943c967651546b"),
+    # drives into the apartment's island and aborts at tick 38
+    "navigate-collision": (
+        ["navigate", "--env", "apartment", "--waypoints", "island.waypoints",
+         "--start", "1.5,1.5,45", "--seed", "9", "--estimator", "oracle"], 3,
+        "bc721a08191ec0e55f9e4df88c7bd8ca7d7235469b9b88ead3541b30c60c5dd3"),
+    "navigate-estimator-failure": (
+        [*NAVIGATE, "--estimator",
+         f"external:{sys.executable} {STUB} --mode replay --replies replies.txt"], 3,
+        "f2fe8397c9b9d586c261ed0c1eeb8b9508cf1707cb8dd2b96a9b53abde784860"),
     "plot-dataset": (
         ["plot", "--env", "cabin", "--dataset", CABIN_TEST], 0,
         "f4689b08ab6c4b4db7526b5e5abd9c355c14a7af415381816e31674d63498595"),
@@ -132,6 +144,8 @@ def runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pins")
     (tmp / "retry.grid").write_text(RETRY_GRID)
     (tmp / "gen.json").write_text(json.dumps({"n": 30, "seed": 8, "rays": 24}))
+    (tmp / "island.waypoints").write_text("6.5,6.5\n")
+    (tmp / "replies.txt").write_text(REPLIES)
     out = {}
     cwd = os.getcwd()
     os.chdir(tmp)
