@@ -16,6 +16,9 @@ each sample whose first attempt is rejected is drawn again in
 ``sample_random_pose`` from its own generator.
 """
 
+# annotations stay strings, so numpy.random loads at the first draw, not on import
+from __future__ import annotations
+
 import math
 import os
 import warnings

@@ -18,8 +18,6 @@ distance and the (distance, id) tie rule.
 
 import math
 import os
-import select
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -339,6 +337,7 @@ class ExternalEstimator(Estimator):
         self._next_id = 0
         self._buf = b""
         self._broken = False
+        import subprocess  # here, so that no other estimator's command loads it
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -351,6 +350,7 @@ class ExternalEstimator(Estimator):
         raise EstimatorUnavailableError(msg)
 
     def _read_line(self) -> str:
+        import select
         fd = self._proc.stdout.fileno()
         deadline = time.monotonic() + self.timeout
         while b"\n" not in self._buf:
@@ -399,6 +399,7 @@ class ExternalEstimator(Estimator):
         return denormalize(np.clip(raw, -1.0, 1.0), self.env.bounds)
 
     def close(self) -> None:
+        import subprocess
         if self._proc.poll() is None:
             try:
                 self._proc.stdin.write(b"QUIT\n")

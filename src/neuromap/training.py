@@ -554,7 +554,12 @@ def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
 def save_model(model: RegressorModel, path, extra_header: dict | None = None) -> None:
     """Write the model file: magic, JSON header, one line per tensor at
     12 significant digits (enough that save -> load -> save is stable).
+    A model not bound to a world and sensor is refused, as ``load_model`` would.
     """
+    if not (isinstance(model.env_name, str) and model.env_name):
+        raise ValueError(f"env_name must be a non-empty string, got {model.env_name!r}")
+    if model.sensor is None:
+        raise ValueError("sensor must be set, got None")
     header = {
         "layer_dims": list(model.layer_dims),
         "activation": "relu",

@@ -7,6 +7,7 @@ generation fast.
 
 import dataclasses
 import errno
+import functools
 import json
 import os
 import resource
@@ -1560,14 +1561,67 @@ def test_a_closed_stdout_is_one_line_and_exit_141(tmp_path, argv, outputs, unbuf
     assert sorted(p.name for p in (tmp_path / "o").iterdir()) == outputs
 
 
-def test_eval_leaves_numpy_ma_unimported(workspace, tmp_path):
-    # np.median's first call imports numpy.ma, which nothing else in eval needs
+WATCHED_MODULES = ("numpy.ma", "numpy.random", "subprocess")
+
+
+def _fresh_main(argv):
+    """``main(argv)`` in a fresh interpreter: its exit code, the watched
+    modules that ``import numpy`` alone loads, and those loaded once it returns."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = ["eval", *ENV_FLAGS, "--estimator", f"knn:{workspace / 'db' / 'dataset.csv'}",
-            "--testset", str(workspace / "test" / "dataset.csv"), "--out", str(tmp_path / "e")]
-    script = ("import sys; from neuromap.cli import main; rc = main(sys.argv[1:]); "
-              "print(rc, 'numpy.ma' in sys.modules)")
+    script = (f"import json, sys, numpy\nwatched = {WATCHED_MODULES!r}\n"
+              "before = [m for m in watched if m in sys.modules]\n"
+              "from neuromap.cli import main\n"
+              "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as exc:\n    rc = exc.code\n"
+              "print(json.dumps([rc, before, [m for m in watched if m in sys.modules]]))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", script, *argv],
                           capture_output=True, text=True, env=env)
-    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr
+    assert proc.stdout, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(workspace, tmp_path_factory):
+    """Each command run once, in a fresh interpreter, as ``_fresh_main`` reports it."""
+    out = tmp_path_factory.mktemp("fresh")
+    db, test = workspace / "db" / "dataset.csv", workspace / "test" / "dataset.csv"
+    argvs = {
+        "eval-knn": ["eval", *ENV_FLAGS, "--estimator", f"knn:{db}", "--testset", str(test)],
+        "plot-dataset": ["plot", *ENV_FLAGS, "--dataset", str(test)],
+        "gen-retry": ["gen", *ENV_FLAGS, "--n", "60", "--seed", "12"],
+        "navigate-oracle": ["navigate", "--env", "apartment", "--estimator", "oracle",
+                            "--waypoints", "apartment_loop", "--start", "1.5,1.5,0"],
+        "version": ["--version"],
+    }
+
+    @functools.cache
+    def run(name):
+        return _fresh_main([*argvs[name], *([] if name == "version" else ["--out", str(out / name)])])
+    return run
+
+
+@pytest.mark.parametrize("command, module, loaded", [
+    # np.median's first call imports numpy.ma, which nothing else in eval needs
+    ("eval-knn", "numpy.ma", False),
+    ("eval-knn", "numpy.random", False),
+    ("eval-knn", "subprocess", False),
+    ("plot-dataset", "numpy.random", False),
+    ("plot-dataset", "subprocess", False),
+    ("version", "numpy.random", False),
+    ("version", "subprocess", False),
+    # deferred, not dropped: a rejected first attempt is drawn again from its
+    # own generator, and navigate's odometry and oracle build theirs
+    ("gen-retry", "numpy.random", True),
+    ("navigate-oracle", "numpy.random", True),
+])
+def test_a_command_loads_numpy_random_and_subprocess_only_to_use_them(
+        fresh_runs, command, module, loaded):
+    rc, before, after = fresh_runs(command)
+    if module in before:  # numpy < 2 imports numpy.random with numpy
+        pytest.skip(f"import numpy alone loads {module}")
+    if command == "gen-retry":  # the first block holds a rejected first attempt
+        env, rngs = bundled_environment("apartment"), [derived_rng(12, STREAM_GEN, i) for i in range(60)]
+        b = env.bounds
+        xs, ys = zip(*[(r.uniform(b.x_min, b.x_max), r.uniform(b.y_min, b.y_max)) for r in rngs])
+        assert not env.grid.free_mask(np.array(xs), np.array(ys)).all()
+    assert (rc, module in after) == (0, loaded)

@@ -862,6 +862,23 @@ def test_model_extra_header(tmp_path):
         save_model(m, path, extra_header={"yaw_mode": "bogus"})
 
 
+@pytest.mark.parametrize("unbound, why", [
+    ({"sensor": None}, "sensor must be set, got None"),
+    ({"env_name": ""}, "env_name must be a non-empty string, got ''"),
+], ids=["no-sensor", "empty-env-name"])
+def test_save_model_refuses_an_unbound_model_and_writes_nothing(tmp_path, unbound, why):
+    bound = {"env_name": "unit-env", "sensor": small_env(4).sensor}
+    m = RegressorModel.random((4, 3), np.random.default_rng(40), **{**bound, **unbound})
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        save_model(m, tmp_path / "m.model")
+    assert list(tmp_path.iterdir()) == []
+    m = RegressorModel(m.layer_dims, m.params, **bound)  # bound, the same model round-trips
+    save_model(m, tmp_path / "m.model")
+    loaded = load_model(tmp_path / "m.model")
+    assert (loaded.env_name, loaded.sensor) == (bound["env_name"], bound["sensor"])
+    assert np.allclose(loaded.params, m.params, rtol=1e-11, atol=1e-15)
+
+
 def test_history_round_trip(tmp_path):
     rows = [
         HistoryRow(1000, 1e-4, 0.5, 12.0, ""),
