@@ -49,8 +49,9 @@ BLOCK_ROWS = 1024
 # rows per block of text that save_dataset formats with one % operation
 TEXT_ROWS = 256
 
-# a row's id is written from a float64, which holds every integer up to 2**53
-MAX_ROWS = 2**53
+# rows generate_dataset draws: _PCG64Rows takes row indices below 2**32, and
+# a row's id, written from a float64, is exact below 2**53
+MAX_ROWS = 2**32
 
 # Random-walk policy knobs. At each step the walker keeps a target heading,
 # redrawn with probability TURN_PROB, turns toward it by at most MAX_TURN_DEG
@@ -354,8 +355,7 @@ def sample_random_pose(
             return Pose2D(x, y, theta)
         # checked only once a draw is rejected, so accepted draws cost nothing
         if attempt == 0:
-            gb = grid.bounds()
-            if grid.cells.all() or 2.0 * clearance > min(gb.width, gb.height):
+            if grid.cells.all() or 2.0 * clearance > min(b.width, b.height):
                 raise InfeasibleEnvironmentError(
                     f"no free pose with clearance {clearance} in {env.name!r}: no room"
                 )
@@ -411,7 +411,7 @@ def generate_dataset(env: EnvironmentSpec, n: int, seed: int) -> Dataset:
         raise InputError(f"n must be >= 1, got {n}")
     check_size(f"n = {n} samples", n, 3 + env.sensor.ray_count)  # poses and ranges
     if n > MAX_ROWS:
-        raise InputError(f"n must be <= 2**53, got {n}")
+        raise InputError(f"n must be <= 2**32, got {n}")
     b = env.bounds
     # a block of poses at a time, so no per-row state for all n is held
     poses = np.empty((n, 3))

@@ -92,7 +92,7 @@ class Pose2D:
 
 @dataclass(frozen=True)
 class EnvBounds:
-    """Axis-aligned metric bounds of an environment."""
+    """Axis-aligned metric bounds of an environment, finite and non-empty."""
 
     x_min: float
     x_max: float
@@ -100,10 +100,11 @@ class EnvBounds:
     y_max: float
 
     def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(
-                f"degenerate bounds: x [{self.x_min}, {self.x_max}], y [{self.y_min}, {self.y_max}]"
-            )
+        # false for a NaN too, and for a grid's bounds that overflow or round away
+        if not (-math.inf < self.x_min < self.x_max < math.inf
+                and -math.inf < self.y_min < self.y_max < math.inf):
+            raise ValueError(f"bounds x [{self.x_min}, {self.x_max}], y [{self.y_min}, {self.y_max}] "
+                             "must be finite and non-empty")
 
     @property
     def width(self) -> float:

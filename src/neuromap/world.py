@@ -78,50 +78,43 @@ class SensorConfig:
 DEFAULT_SENSOR = SensorConfig()
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class OccupancyGrid:
     """Row-major boolean occupancy over a metric rectangle.
 
     ``cells[iy, ix]`` is True when the cell is an obstacle; row 0 is the
-    BOTTOM row (minimum y). Instances are immutable after construction.
+    BOTTOM row (minimum y). ``bounds``, the metric rectangle, is computed
+    once, from the origin and ``width`` x ``height`` cells of ``resolution``.
     """
 
-    __slots__ = ("width", "height", "resolution", "origin_x", "origin_y", "cells", "_padded")
+    width: int
+    height: int
+    resolution: float
+    origin_x: float
+    origin_y: float
+    cells: np.ndarray
+    bounds: EnvBounds = field(init=False)
+    _padded: np.ndarray = field(init=False)  # the raycaster's copy, flat
 
-    def __init__(
-        self,
-        width: int,
-        height: int,
-        resolution: float,
-        origin_x: float,
-        origin_y: float,
-        cells: np.ndarray,
-    ) -> None:
-        if width < 1 or height < 1:
-            raise ValueError(f"grid must be at least 1x1, got {width}x{height}")
-        if not (math.isfinite(resolution) and resolution > 0.0):
-            raise ValueError(f"resolution must be positive, got {resolution!r}")
-        x_max, y_max = origin_x + width * resolution, origin_y + height * resolution
-        # false for a non-finite origin too, and for bounds that overflow or round away
-        if not (origin_x < x_max < math.inf and origin_y < y_max < math.inf):
-            raise ValueError(
-                f"bounds x [{origin_x}, {x_max}], y [{origin_y}, {y_max}] must be finite and non-empty"
-            )
-        arr = np.asarray(cells, dtype=bool)
-        if arr.shape != (height, width):
-            raise ValueError(f"cells shape {arr.shape} does not match {height}x{width}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
-        object.__setattr__(self, "resolution", float(resolution))
-        object.__setattr__(self, "origin_x", float(origin_x))
-        object.__setattr__(self, "origin_y", float(origin_y))
-        object.__setattr__(self, "cells", arr)
-        padded = np.pad(arr, RAY_RING, constant_values=True)
-        object.__setattr__(self, "_padded", padded.ravel())
+    def __post_init__(self) -> None:
+        w, h, res = self.width, self.height, self.resolution
+        if w < 1 or h < 1:
+            raise ValueError(f"grid must be at least 1x1, got {w}x{h}")
+        if not (math.isfinite(res) and res > 0.0):
+            raise ValueError(f"resolution must be positive, got {res!r}")
+        bounds = EnvBounds(self.origin_x, self.origin_x + w * res, self.origin_y, self.origin_y + h * res)
+        cells = np.asarray(self.cells, dtype=bool)
+        if cells.shape != (h, w):
+            raise ValueError(f"cells shape {cells.shape} does not match {h}x{w}")
+        cells = cells.copy()
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "_padded", np.pad(cells, RAY_RING, constant_values=True).ravel())
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OccupancyGrid is immutable")
+    def __reduce__(self):
+        # a copy or an unpickled grid is built again, so its cells are read-only too
+        return OccupancyGrid, (self.width, self.height, self.resolution, self.origin_x, self.origin_y, self.cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OccupancyGrid):
@@ -140,14 +133,6 @@ class OccupancyGrid:
             f"OccupancyGrid({self.width}x{self.height} @ {self.resolution} m/cell, "
             f"origin ({self.origin_x}, {self.origin_y}), "
             f"{int(self.cells.sum())} occupied)"
-        )
-
-    def bounds(self) -> EnvBounds:
-        return EnvBounds(
-            self.origin_x,
-            self.origin_x + self.width * self.resolution,
-            self.origin_y,
-            self.origin_y + self.height * self.resolution,
         )
 
     def is_free(self, x: float, y: float) -> bool:
@@ -182,13 +167,13 @@ class OccupancyGrid:
         Touching an obstacle cell or the boundary exactly is tolerated;
         any penetration blocks. Radius 0 degenerates to is_free.
         """
-        if radius < 0.0:
+        if not radius >= 0.0:  # NaN too
             raise ValueError(f"radius must be >= 0, got {radius!r}")
         if not self.is_free(x, y):
             return False
         if radius == 0.0:
             return True
-        b = self.bounds()
+        b = self.bounds
         if x - radius < b.x_min or x + radius > b.x_max:
             return False
         if y - radius < b.y_min or y + radius > b.y_max:
@@ -252,19 +237,21 @@ class OccupancyGrid:
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """A named world plus the sensor used to observe it; ``bounds`` are the
-    grid's, computed once."""
+    """A named world plus the sensor used to observe it."""
 
     name: str
     grid: OccupancyGrid
     sensor: SensorConfig = DEFAULT_SENSOR
-    bounds: EnvBounds = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("environment name must be non-empty")
         check_size("ray_count", self.sensor.ray_count)  # a scan's ranges, before any raycast
-        object.__setattr__(self, "bounds", self.grid.bounds())
+
+    @property
+    def bounds(self) -> EnvBounds:
+        """The grid's bounds, the same object."""
+        return self.grid.bounds
 
     def check_world(self, what: str, env_name: str, sensor: SensorConfig, poses=None) -> None:
         """Refuse an artefact (dataset, model, estimator) named for another

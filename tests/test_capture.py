@@ -335,12 +335,16 @@ def test_generate_rejects_bad_n():
         generate_dataset(env, 0, seed=1)
 
 
-def test_generate_refuses_more_rows_than_a_float_id_holds():
-    # save_dataset writes each id from a float64, exact up to 2**53
-    assert "%d" % float(MAX_ROWS) == str(MAX_ROWS)
-    assert "%d" % float(MAX_ROWS + 1) != str(MAX_ROWS + 1)
+def test_generate_refuses_more_rows_than_the_array_sampler_takes():
+    # rows 0 .. MAX_ROWS - 1 are the indices _PCG64Rows takes, and
+    # save_dataset writes each id exactly from a float64
+    assert MAX_ROWS == 2**32
+    capture._PCG64Rows(1, STREAM_GEN, np.array([MAX_ROWS - 1]))
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        capture._PCG64Rows(1, STREAM_GEN, np.array([MAX_ROWS]))
+    assert "%d" % float(MAX_ROWS - 1) == str(MAX_ROWS - 1)
     env = make_env(empty_grid(4, 4, 1.0), ray_count=2)
-    with pytest.raises(InputError, match=rf"^n must be <= 2\*\*53, got {MAX_ROWS + 1}$"):
+    with pytest.raises(InputError, match=rf"^n must be <= 2\*\*32, got {MAX_ROWS + 1}$"):
         generate_dataset(env, MAX_ROWS + 1, seed=1)
 
 

@@ -1314,6 +1314,22 @@ def test_a_size_numpy_cannot_hold_is_input_error(tmp_path, capsys, argv, why):
     assert err == f"neuromap: input error: {why} is larger than numpy can size\n"
 
 
+def test_gen_refuses_more_rows_than_it_can_draw(tmp_path, capsys, monkeypatch):
+    # 2**32 + 1 rows is an array numpy can size, but row 2**32 has no array
+    # generator: the refusal comes before the poses are allocated or drawn
+    def no_rows(*args):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(capture, "_PCG64Rows", no_rows)
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    rc = main(["gen", "--env", "cabin", "--n", str(2**32 + 1), "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err == f"neuromap: input error: n must be <= 2**32, got {2**32 + 1}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exc, line", [
     (MemoryError("Unable to allocate 32.0 GiB for an array with shape (4294967296, 1) and data "
                  "type float64"),

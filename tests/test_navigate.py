@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from neuromap.capture import raycast
+from neuromap.capture import WalkConfig, random_walk_capture, raycast
 from neuromap.estimator import (
     Estimator,
     EstimatorUnavailableError,
@@ -43,7 +43,7 @@ from neuromap.navigate import (
     simulate_rotation_tick,
 )
 from neuromap.inputs import InputError
-from neuromap.pose import Pose2D, ang_diff, heading
+from neuromap.pose import EnvBounds, Pose2D, ang_diff, heading
 from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
 from neuromap.worlds import bundled_environment, route_file
 from worldgen import with_metric_box
@@ -677,6 +677,18 @@ def noisy_oracle(env):
 def apartment_case(cfg):
     return (load_waypoints(route_file("apartment_loop")), noisy_oracle,
             bundled_environment("apartment"), Pose2D(1.5, 1.5, 0.0), cfg, OdometryConfig(seed=9))
+
+
+def test_a_walk_and_a_route_build_no_bounds(monkeypatch):
+    # each footprint test reads the bounds the grid computed when it was built
+    waypoints, make_estimator, env, start, cfg, odo = apartment_case(NavConfig())
+    estimator = make_estimator(env)
+    built, post_init = [], EnvBounds.__post_init__
+    monkeypatch.setattr(EnvBounds, "__post_init__", lambda b: built.append(b) or post_init(b))
+    walk = random_walk_capture(env, WalkConfig(max_steps=200), seed=1)
+    _, report = navigate_waypoints(waypoints, estimator, env, start, cfg, odo)
+    assert walk.steps == 200 and report.success
+    assert built == []
 
 
 def failing_case(good_calls):

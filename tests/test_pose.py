@@ -177,6 +177,10 @@ def test_bounds_reject_degenerate():
         EnvBounds(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         EnvBounds(0.0, 1.0, 2.0, 1.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        for bounds in ((bad, 1.0, 0.0, 1.0), (0.0, bad, 0.0, 1.0), (0.0, 1.0, bad, 1.0), (0.0, 1.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="must be finite and non-empty$"):
+                EnvBounds(*bounds)
 
 
 # heading --------------------------------------------------------------------

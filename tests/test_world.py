@@ -1,6 +1,8 @@
 """Occupancy grids: parsing, collision queries, exact raycasting."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -119,6 +121,11 @@ def test_parse_errors():
         grid_from_text("3 2 0.5 0.0 0.0\n...\n")  # missing row
     with pytest.raises(FormatError, match="line 2"):
         grid_from_text("3 2 0.5 0.0 0.0\n..x\n...\n")
+    # a non-finite origin, and bounds that overflow or round away: EnvBounds refuses them
+    for res, origin_x, x_max in (("0.5", "nan", "nan"), ("0.5", "-inf", "-inf"), ("1e308", "0.0", "inf"),
+                                 ("0.5", "1e20", r"1e\+20")):
+        with pytest.raises(FormatError, match=rf"line 1: bounds x \[.*, {x_max}\], .* must be finite and non-empty$"):
+            grid_from_text(f"3 2 {res} {origin_x} 0.0\n...\n...\n")
 
 
 def test_cabin_scale_dimension_arithmetic():
@@ -127,7 +134,7 @@ def test_cabin_scale_dimension_arithmetic():
     body = "\n".join(["." * 140] * 300)
     grid = grid_from_text(header + "\n" + body + "\n")
     assert (grid.width, grid.height) == (140, 300)
-    b = grid.bounds()
+    b = grid.bounds
     assert abs(b.width - 7.0) < 1e-12
     assert abs(b.height - 15.0) < 1e-12
 
@@ -162,11 +169,12 @@ def test_load_and_save_environment(tmp_path):
 def test_environment_spec_takes_its_bounds_from_the_grid():
     grid = empty_grid(4, 6, 0.5, ox=1.0, oy=-2.0)
     env = EnvironmentSpec("x", grid)
-    assert env.bounds == grid.bounds() == EnvBounds(1.0, 3.0, -2.0, 1.0)
+    assert env.bounds == grid.bounds == EnvBounds(1.0, 3.0, -2.0, 1.0)
     narrow = replace(env, sensor=SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
     assert narrow.bounds == env.bounds
+    assert env.bounds is narrow.bounds is grid.bounds  # the grid's, not a copy
     with pytest.raises(TypeError):  # bounds are not passed
-        EnvironmentSpec("x", grid, DEFAULT_SENSOR, grid.bounds())
+        EnvironmentSpec("x", grid, DEFAULT_SENSOR, grid.bounds)
     with pytest.raises(ValueError):
         EnvironmentSpec("", grid)
 
@@ -222,7 +230,7 @@ def test_is_free_matches_the_floor_lookup():
     rng = np.random.default_rng(40)
     for _ in range(10):
         grid = random_world(rng, max_boxes=8)
-        b = grid.bounds()
+        b = grid.bounds
         xs = list(rng.uniform(b.x_min - 1.0, b.x_max + 1.0, 400))
         ys = list(rng.uniform(b.y_min - 1.0, b.y_max + 1.0, 400))
         # every cell edge, the doubles either side of it, and far-out values
@@ -258,7 +266,7 @@ def test_free_mask_equals_is_free(origin, resolution):
     far = [-1e308, 1e308, -math.inf, math.inf, math.nan]
     ex = np.concatenate([ex, np.nextafter(ex, -np.inf), np.nextafter(ex, np.inf), far])
     ey = np.concatenate([ey, np.nextafter(ey, -np.inf), np.nextafter(ey, np.inf), far])
-    b = grid.bounds()
+    b = grid.bounds
     xs = np.concatenate([np.repeat(ex, len(ey)), rng.uniform(b.x_min - 1.0, b.x_max + 1.0, 2000)])
     ys = np.concatenate([np.tile(ey, len(ex)), rng.uniform(b.y_min - 1.0, b.y_max + 1.0, 2000)])
     want = [grid.is_free(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
@@ -279,7 +287,7 @@ def test_edge_point_resolves_to_higher_cell():
 def test_footprint_zero_radius_equals_is_free():
     rng = np.random.default_rng(22)
     grid = random_world(rng, max_boxes=8)
-    b = grid.bounds()
+    b = grid.bounds
     for _ in range(10_000):
         x = float(rng.uniform(b.x_min - 0.5, b.x_max + 0.5))
         y = float(rng.uniform(b.y_min - 0.5, b.y_max + 0.5))
@@ -302,8 +310,9 @@ def test_footprint_respects_world_boundary():
     assert not grid.footprint_free(5.0, 5.0, 5.1)
     assert not grid.footprint_free(0.4, 5.0, 0.5)
     assert grid.footprint_free(0.5, 5.0, 0.5)  # tangent to the boundary
-    with pytest.raises(ValueError):
-        grid.footprint_free(5.0, 5.0, -0.1)
+    for radius in (-0.1, math.nan):
+        with pytest.raises(ValueError, match=f"^radius must be >= 0, got {radius!r}$"):
+            grid.footprint_free(5.0, 5.0, radius)
 
 
 def footprint_oracle(grid, x, y, radius):
@@ -312,7 +321,7 @@ def footprint_oracle(grid, x, y, radius):
         return False
     if radius == 0.0:
         return True
-    b = grid.bounds()
+    b = grid.bounds
     if x - radius < b.x_min or x + radius > b.x_max:
         return False
     if y - radius < b.y_min or y + radius > b.y_max:
@@ -334,7 +343,7 @@ def test_footprint_matches_exhaustive_oracle():
     rng = np.random.default_rng(23)
     for _ in range(25):
         grid = random_world(rng, min_size=3.0, max_size=5.0, max_boxes=5)
-        b = grid.bounds()
+        b = grid.bounds
         for _ in range(40):
             x = float(rng.uniform(b.x_min, b.x_max))
             y = float(rng.uniform(b.y_min, b.y_max))
@@ -360,6 +369,10 @@ def test_grid_is_immutable():
         grid.width = 5
     with pytest.raises(ValueError):
         grid.cells[0, 0] = True
+    for twin in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+        assert twin == grid and twin.bounds == grid.bounds
+        with pytest.raises(ValueError):
+            twin.cells[0, 0] = True
 
 
 # raycasting --------------------------------------------------------------------
@@ -423,7 +436,7 @@ def test_obstacle_insertion_never_increases_range():
     while checked < 60:
         grid = random_world(rng, max_boxes=3)
         pose = random_free_pose(rng, grid)
-        b = grid.bounds()
+        b = grid.bounds
         bw, bh = rng.uniform(0.2, 1.2, size=2)
         x0 = float(rng.uniform(b.x_min, b.x_max - bw))
         y0 = float(rng.uniform(b.y_min, b.y_max - bh))

@@ -110,7 +110,7 @@ def random_world(rng, min_size=4.0, max_size=9.0, max_boxes=6):
     ox = float(rng.uniform(-3.0, 3.0))
     oy = float(rng.uniform(-3.0, 3.0))
     grid = OccupancyGrid(width, height, res, ox, oy, np.zeros((height, width), dtype=bool))
-    b = grid.bounds()
+    b = grid.bounds
     for _ in range(int(rng.integers(0, max_boxes + 1))):
         bw = float(rng.uniform(0.2, 1.5))
         bh = float(rng.uniform(0.2, 1.5))
@@ -121,7 +121,7 @@ def random_world(rng, min_size=4.0, max_size=9.0, max_boxes=6):
 
 
 def random_free_pose(rng, grid, radius=0.0, attempts=1000):
-    b = grid.bounds()
+    b = grid.bounds
     for _ in range(attempts):
         x = float(rng.uniform(b.x_min, b.x_max))
         y = float(rng.uniform(b.y_min, b.y_max))
