@@ -29,7 +29,7 @@ import numpy as np
 from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines, write_text
 from .pool import map_in_order
 from .pose import Pose2D, ang_diff, wrap_angle, wrap_angles
-from .world import EnvironmentSpec, SensorConfig, ray_distances
+from .world import EnvironmentSpec, SensorConfig, check_env_name, ray_distances
 
 REJECTION_BUDGET = 1_000_000
 
@@ -205,8 +205,7 @@ class Dataset:
     """
 
     def __init__(self, env_name: str, sensor: SensorConfig, seed: int, poses, ranges) -> None:
-        if not env_name:
-            raise ValueError("env_name must be non-empty")
+        check_env_name(env_name)
         poses = np.array(poses, dtype=np.float64, order="C")
         if poses.ndim != 2 or poses.shape[1] != 3:
             raise ValueError(f"poses must be (n, 3), got shape {poses.shape}")
@@ -546,8 +545,10 @@ def load_dataset(path) -> Dataset:
         n = int(header["n"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(path, 2, f"bad header field: {exc}") from None
-    if not (isinstance(env_name, str) and env_name):
-        raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
+    try:  # before any row is read, so the constructor below refuses only rows
+        check_env_name(env_name)
+    except InputError as exc:
+        raise FormatError(path, 2, str(exc)) from None
     cols = 4 + sensor.ray_count
     block = list(islice(lines, BLOCK_ROWS))
     # The first bad row is kept, not raised, until every row is counted: a

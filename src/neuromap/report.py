@@ -64,10 +64,9 @@ def printable(text: str) -> str:
     return "".join(c if " " <= c <= "~" else ascii(c)[1:-1] for c in text)
 
 
-def _svg_document(bounds, body, comments, path) -> str | None:
-    """The SVG text of ``body``, an iterable of str parts of whole lines, on
-    the map of ``bounds``: written to ``path`` a part at a time if given,
-    else returned."""
+def _svg_document(bounds, body, comments, path) -> None:
+    """Write to ``path`` the SVG of ``body``, an iterable of str parts of
+    whole lines, on the map of ``bounds``, a part at a time."""
     width = _fmt((bounds.x_max - bounds.x_min) * SCALE + 2 * MARGIN)
     height = _fmt((bounds.y_max - bounds.y_min) * SCALE + 2 * MARGIN)
     head = ['<?xml version="1.0" encoding="UTF-8"?>']
@@ -79,11 +78,7 @@ def _svg_document(bounds, body, comments, path) -> str | None:
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     )
     head.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
-    parts = itertools.chain([_lines(head)], body, ["</svg>\n"])
-    if path is None:
-        return "".join(parts)
-    write_text(path, parts)
-    return None
+    write_text(path, itertools.chain([_lines(head)], body, ["</svg>\n"]))
 
 
 def _lines(lines) -> str:
@@ -100,10 +95,10 @@ def _polyline(points, cls, color, bounds):
     ]
 
 
-def svg_coverage(env: EnvironmentSpec, positions, path=None, comments=()) -> str | None:
+def svg_coverage(env: EnvironmentSpec, positions, path, comments=()) -> None:
     """Map plus one red dot per sample position; ``positions`` is an
     (n, >= 2) array of x, y first, such as a dataset's ``poses_matrix()``.
-    The dots are formatted DOT_ROWS at a time, so a file gets no whole text."""
+    The dots are formatted DOT_ROWS at a time, so the whole text is never held."""
     dot = f'<circle class="sample" cx="%.2f" cy="%.2f" r="1.5" fill="{MARKER_COLOR}"/>\n'
 
     def dots():
@@ -112,11 +107,10 @@ def svg_coverage(env: EnvironmentSpec, positions, path=None, comments=()) -> str
             px, py = _to_px(env.bounds, xy[:, 0], xy[:, 1])  # %.2f writes as _fmt does
             yield (dot * len(xy)) % tuple(np.column_stack([px, py]).ravel().tolist())
 
-    return _svg_document(env.bounds, itertools.chain([_lines(_grid_rects(env))], dots()),
-                         comments, path)
+    _svg_document(env.bounds, itertools.chain([_lines(_grid_rects(env))], dots()), comments, path)
 
 
-def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) -> str | None:
+def svg_route(env: EnvironmentSpec, trace, waypoints, path, comments=()) -> None:
     """Map, green true route, blue estimated route, red waypoint markers."""
     body = _grid_rects(env)
     truth = [(t.true_pose.x, t.true_pose.y) for t in trace.ticks]
@@ -129,7 +123,7 @@ def svg_route(env: EnvironmentSpec, trace, waypoints, path=None, comments=()) ->
             f'<circle class="waypoint" cx="{_fmt(px)}" cy="{_fmt(py)}" r="5" '
             f'fill="{MARKER_COLOR}" fill-opacity="0.7"/>'
         )
-    return _svg_document(env.bounds, [_lines(body)], comments, path)
+    _svg_document(env.bounds, [_lines(body)], comments, path)
 
 
 # --- coverage statistics -----------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .capture import Dataset, derived_rng
 from .inputs import FormatError, InputError, check_config, check_size, header_line, read_header, read_lines, write_text
 from .pose import EnvBounds, ang_diff, denormalize, normalize
-from .world import EnvironmentSpec, SensorConfig
+from .world import EnvironmentSpec, SensorConfig, check_env_name
 
 STREAM_INIT = 10
 STREAM_VAL_SPLIT = 11
@@ -71,8 +71,7 @@ class TrainConfig:
             raise InputError(f"unknown decay_mode {self.decay_mode!r}")
         if self.loss not in ("l1", "l2"):
             raise InputError(f"unknown loss {self.loss!r}")
-        if self.yaw_mode not in (YAW_TANH, YAW_SINCOS):
-            raise InputError(f"unknown yaw_mode {self.yaw_mode!r}")
+        head_width(self.yaw_mode)
 
 
 class ScheduleContractError(ValueError):
@@ -91,13 +90,15 @@ class RegressorModel:
     The constructor copies the ``params`` it is given. Hidden activations
     are relu, the last layer is tanh. With the default yaw head the output
     dimension is exactly 3: (nx, ny, ntheta). The optional sin/cos head
-    uses 4. A model names the world its poses are normalised against
-    (``env_name``) and the ``sensor`` it reads, whose ``ray_count`` is the
-    input width; a model built in memory may leave both unset, and then no
-    estimator takes it.
+    uses 4. A model is always bound to the world its poses are normalised
+    against (``env_name``) and the ``sensor`` it reads, whose ``ray_count``
+    is the input width.
     """
 
-    def __init__(self, layer_dims, params, yaw_mode=YAW_TANH, env_name="", sensor=None):
+    def __init__(self, layer_dims, params, yaw_mode=YAW_TANH, *, env_name, sensor):
+        check_env_name(env_name)
+        if sensor is None:
+            raise ValueError("sensor must be set, got None")
         layer_dims = tuple(int(d) for d in layer_dims)
         if len(layer_dims) < 2:
             raise ValueError("need at least input and output dims")
@@ -106,7 +107,7 @@ class RegressorModel:
         out_dim = head_width(yaw_mode)
         if layer_dims[-1] != out_dim:
             raise ValueError(f"yaw_mode {yaw_mode} needs {out_dim} outputs, got {layer_dims[-1]}")
-        if sensor is not None and sensor.ray_count != layer_dims[0]:
+        if sensor.ray_count != layer_dims[0]:
             raise ValueError(f"sensor casts {sensor.ray_count} rays, the model takes {layer_dims[0]}")
         params = np.array(params, dtype=np.float64)
         if params.shape != (param_count(layer_dims),):
@@ -123,13 +124,13 @@ class RegressorModel:
         return self.layer_dims[0]
 
     @classmethod
-    def zeros(cls, layer_dims, yaw_mode=YAW_TANH, env_name="", sensor=None):
-        return cls(layer_dims, np.zeros(param_count(layer_dims)), yaw_mode, env_name, sensor)
+    def zeros(cls, layer_dims, yaw_mode=YAW_TANH, *, env_name, sensor):
+        return cls(layer_dims, np.zeros(param_count(layer_dims)), yaw_mode, env_name=env_name, sensor=sensor)
 
     @classmethod
-    def random(cls, layer_dims, rng, yaw_mode=YAW_TANH, env_name="", sensor=None):
+    def random(cls, layer_dims, rng, yaw_mode=YAW_TANH, *, env_name, sensor):
         """He-uniform init for the relu hidden layers, Glorot for the tanh head."""
-        model = cls.zeros(layer_dims, yaw_mode, env_name, sensor)
+        model = cls.zeros(layer_dims, yaw_mode, env_name=env_name, sensor=sensor)
         last = len(model.weights) - 1
         for i, w in enumerate(model.weights):
             fan_out, fan_in = w.shape
@@ -138,7 +139,7 @@ class RegressorModel:
         return model
 
     def copy(self) -> "RegressorModel":
-        return RegressorModel(self.layer_dims, self.params, self.yaw_mode, self.env_name, self.sensor)
+        return RegressorModel(self.layer_dims, self.params, self.yaw_mode, env_name=self.env_name, sensor=self.sensor)
 
 
 def head_width(yaw_mode) -> int:
@@ -147,7 +148,7 @@ def head_width(yaw_mode) -> int:
         return 3
     if yaw_mode == YAW_SINCOS:
         return 4
-    raise ValueError(f"unknown yaw_mode {yaw_mode!r}")
+    raise InputError(f"unknown yaw_mode {yaw_mode!r}")
 
 
 def param_count(layer_dims) -> int:
@@ -553,13 +554,7 @@ def evaluate(estimator, testset: Dataset, env: EnvironmentSpec) -> Metrics:
 
 def save_model(model: RegressorModel, path, extra_header: dict | None = None) -> None:
     """Write the model file: magic, JSON header, one line per tensor at
-    12 significant digits (enough that save -> load -> save is stable).
-    A model not bound to a world and sensor is refused, as ``load_model`` would.
-    """
-    if not (isinstance(model.env_name, str) and model.env_name):
-        raise ValueError(f"env_name must be a non-empty string, got {model.env_name!r}")
-    if model.sensor is None:
-        raise ValueError("sensor must be set, got None")
+    12 significant digits (enough that save -> load -> save is stable)."""
     header = {
         "layer_dims": list(model.layer_dims),
         "activation": "relu",
@@ -586,8 +581,6 @@ def load_model(path) -> RegressorModel:
         sensor = SensorConfig.from_header(sensor_h)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(path, 2, f"bad header field: {exc}") from None
-    if not (isinstance(env_name, str) and env_name):
-        raise FormatError(path, 2, f"env_name must be a non-empty string, got {env_name!r}")
     if activation != "relu":
         raise FormatError(path, 2, f"unsupported activation {activation!r}")
     if min(layer_dims, default=0) < 1:
@@ -615,7 +608,7 @@ def load_model(path) -> RegressorModel:
         raise FormatError(path, line_no, "unexpected line after the last tensor")
     params = np.concatenate(flat) if flat else np.empty(0)
     try:  # the tensors fit the header, so what is left to refuse is in the header
-        return RegressorModel(layer_dims, params, yaw_mode, env_name, sensor)
+        return RegressorModel(layer_dims, params, yaw_mode, env_name=env_name, sensor=sensor)
     except ValueError as exc:
         raise FormatError(path, 2, str(exc)) from None
 

@@ -235,6 +235,13 @@ class OccupancyGrid:
             raise FormatError(path, 1, str(exc)) from None
 
 
+def check_env_name(env_name) -> None:
+    """The one rule for a world's name, which every world-bound artefact
+    (environment, dataset, model) applies when it is built: a non-empty str."""
+    if not (isinstance(env_name, str) and env_name):
+        raise InputError(f"env_name must be a non-empty string, got {env_name!r}")
+
+
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """A named world plus the sensor used to observe it."""
@@ -244,8 +251,7 @@ class EnvironmentSpec:
     sensor: SensorConfig = DEFAULT_SENSOR
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("environment name must be non-empty")
+        check_env_name(self.name)
         check_size("ray_count", self.sensor.ray_count)  # a scan's ranges, before any raycast
 
     @property

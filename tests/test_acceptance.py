@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from worldgen import APARTMENT_START, marching_ray, random_free_pose, random_world
+from worldgen import APARTMENT_START, marching_ray, model_world, random_free_pose, random_world
 
 from neuromap.capture import (
     Dataset,
@@ -166,7 +166,7 @@ def test_criterion_03_gradient_check():
         dims = [int(rng.integers(2, 9))]
         dims += [int(rng.integers(2, 17)) for _ in range(int(rng.integers(0, 3)))]
         dims += [3]
-        m = RegressorModel.random(dims, rng)
+        m = RegressorModel.random(dims, rng, **model_world(dims[0]))
         X = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 5)), dims[0]))
         T = rng.uniform(-0.9, 0.9, size=(X.shape[0], 3))
         m_relu, m_l1 = _kink_margins(m, X, T)
@@ -279,7 +279,8 @@ def test_criterion_06_training_efficacy():
     vi = np.sort(perm[:n_val])
     Xv = dataset.ranges_matrix()[vi]
     Pv = dataset.poses_matrix()[vi]
-    zero_pos, _ = _val_errors(RegressorModel.zeros(model.layer_dims), Xv, Pv, env)
+    zero_pos, _ = _val_errors(RegressorModel.zeros(model.layer_dims, env_name=env.name, sensor=env.sensor),
+                              Xv, Pv, env)
     best_pos, _ = _val_errors(model, Xv, Pv, env)
     ratio = best_pos / zero_pos
     assert ratio <= 0.50, f"trained {best_pos:.3f} m vs zero-init {zero_pos:.3f} m"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -1042,6 +1043,40 @@ def test_dataset_validation():
     for bad in ((np.nan, 1.0, 0.0), (1.0, np.inf, 0.0), (1.0, 1.0, np.nan)):
         with pytest.raises(ValueError, match="finite"):
             Dataset("e", env.sensor, 1, np.array([bad]), ranges)
+
+
+BAD_WORLD_NAMES = ["", 7, None, ["cabin"], {"name": "cabin"}]
+
+
+@pytest.mark.parametrize("name", BAD_WORLD_NAMES, ids=repr)
+def test_a_dataset_is_named_for_its_world_by_the_one_rule(tmp_path, name):
+    sensor = SensorConfig(fov=120.0, ray_count=8, max_range=10.0)
+    poses, ranges = np.array([(1.0, 1.0, 0.0)]), np.full((1, 8), 0.5)
+    why = f"env_name must be a non-empty string, got {name!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(why)}$"):
+        Dataset(name, sensor, 1, poses, ranges)
+    # a file that names no world is refused at its header, before its bad row is read
+    path = tmp_path / "d.csv"
+    save_dataset(Dataset("e", sensor, 1, poses, ranges), path)
+    magic, header, _ = path.read_text().splitlines()
+    path.write_text(f"{magic}\n{json.dumps({**json.loads(header), 'env_name': name})}\n0,x\n")
+    with pytest.raises(FormatError) as exc:
+        load_dataset(path)
+    assert (exc.value.line, exc.value.why) == (2, why)
+
+
+@pytest.mark.parametrize("name", ["cabin", "a b", "with,comma", 'quote"d', "caf\u00e9", "tab\tand\nnewline",
+                                  *BAD_WORLD_NAMES], ids=repr)
+def test_a_dataset_built_in_memory_saves_and_loads_back(tmp_path, name):
+    d = _toy_dataset(5)
+    try:
+        named = Dataset(name, d.sensor, d.seed, d.poses_matrix(), d.ranges_matrix())
+    except InputError:
+        assert name in BAD_WORLD_NAMES  # refused when built, not when loaded
+        return
+    save_dataset(named, tmp_path / "d.csv")
+    back = load_dataset(tmp_path / "d.csv")
+    assert back.env_name == name and datasets_close(back, named)
 
 
 def test_matrices_shapes_and_cache():

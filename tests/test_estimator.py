@@ -649,19 +649,14 @@ def test_regressor_matches_the_scalar_head_path(yaw_mode):
 
 def test_regressor_validation():
     env = asym_env(ray_count=8)
-    other = RegressorModel.zeros((8, 3), env_name="elsewhere")
-    with pytest.raises(ValueError, match="elsewhere"):
+    other = RegressorModel.zeros((8, 3), env_name="elsewhere", sensor=env.sensor)
+    with pytest.raises(InputError, match="model belongs to world 'elsewhere', not 'asym'"):
         RegressorEstimator(other, env)
     wrong_sensor = RegressorModel.zeros(
         (8, 3), env_name="asym", sensor=SensorConfig(fov=90.0, ray_count=8, max_range=5.0)
     )
-    with pytest.raises(ValueError, match="sensor"):
+    with pytest.raises(InputError, match="model sensor .* does not match"):
         RegressorEstimator(wrong_sensor, env)
-    # a model built in memory names no world or sensor unless told
-    with pytest.raises(InputError, match="model belongs to world '', not 'asym'"):
-        RegressorEstimator(RegressorModel.zeros((8, 3), sensor=env.sensor), env)
-    with pytest.raises(InputError, match="model sensor None does not match"):
-        RegressorEstimator(RegressorModel.zeros((8, 3), env_name="asym"), env)
     est = RegressorEstimator(RegressorModel.zeros((8, 3), env_name="asym", sensor=env.sensor), env)
     assert (est.env_name, est.sensor) == ("asym", env.sensor)
     with pytest.raises(ValueError):

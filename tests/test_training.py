@@ -37,7 +37,7 @@ from neuromap.training import (
     train,
 )
 from neuromap.world import EnvironmentSpec, OccupancyGrid, SensorConfig
-from worldgen import with_metric_box
+from worldgen import model_world, with_metric_box
 
 
 def small_env(ray_count=16, size=10, res=0.5):
@@ -52,21 +52,21 @@ def random_model(rng, dims=None, yaw_mode="tanh"):
         dims = [int(rng.integers(2, 9))]
         dims += [int(rng.integers(2, 17)) for _ in range(n_hidden)]
         dims += [3 if yaw_mode == "tanh" else 4]
-    return RegressorModel.random(dims, rng, yaw_mode=yaw_mode)
+    return RegressorModel.random(dims, rng, yaw_mode=yaw_mode, **model_world(dims[0]))
 
 
 # forward ------------------------------------------------------------------------
 
 
 def test_zero_model_outputs_origin():
-    m = RegressorModel.zeros((8, 4, 3))
+    m = RegressorModel.zeros((8, 4, 3), **model_world(8))
     assert forward_batch(m, np.full((1, 8), 0.7)).tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_single_layer_sum_matches_tanh():
     w = np.zeros((3, 4))
     w[0, :] = 1.0
-    m = RegressorModel((4, 3), np.concatenate([w.ravel(), np.zeros(3)]))
+    m = RegressorModel((4, 3), np.concatenate([w.ravel(), np.zeros(3)]), **model_world(4))
     nx, ny, ntheta = forward_batch(m, np.array([[0.1, 0.2, 0.3, 0.4]]))[0]
     assert abs(nx - math.tanh(1.0)) < 1e-15
     assert ny == 0.0 and ntheta == 0.0
@@ -81,23 +81,24 @@ def test_outputs_strictly_inside_unit_interval():
 
 
 def test_forward_rejects_dimension_mismatch():
-    m = RegressorModel.zeros((8, 3))
+    m = RegressorModel.zeros((8, 3), **model_world(8))
     with pytest.raises(ValueError):
         forward_batch(m, np.zeros((2, 7)))
 
 
 def test_model_validation():
+    world8, world4 = model_world(8), model_world(4)
     with pytest.raises(ValueError):
-        RegressorModel.zeros((8, 4))  # tanh head needs 3 outputs
+        RegressorModel.zeros((8, 4), **world8)  # tanh head needs 3 outputs
     with pytest.raises(ValueError):
-        RegressorModel.zeros((8, 3), yaw_mode="sincos")  # sincos needs 4
+        RegressorModel.zeros((8, 3), yaw_mode="sincos", **world8)  # sincos needs 4
     with pytest.raises(ValueError):
-        RegressorModel((4, 3), np.zeros(16))  # W0 (3, 4) and b0 (3,) hold 15
+        RegressorModel((4, 3), np.zeros(16), **world4)  # W0 (3, 4) and b0 (3,) hold 15
     with pytest.raises(ValueError):
-        RegressorModel((4, 3), np.zeros((3, 5)))  # 15 values, but not one flat vector
+        RegressorModel((4, 3), np.zeros((3, 5)), **world4)  # 15 values, but not one flat vector
     with pytest.raises(ValueError, match="sensor casts 4 rays, the model takes 8"):
-        RegressorModel.zeros((8, 3), sensor=SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
-    RegressorModel.zeros((8, 4, 4), yaw_mode="sincos")
+        RegressorModel.zeros((8, 3), **world4)
+    RegressorModel.zeros((8, 4, 4), yaw_mode="sincos", **world8)
 
 
 def test_sincos_head_yields_valid_normalized_yaw():
@@ -137,7 +138,7 @@ def test_hand_differentiated_single_weight():
     # the prediction, so dL/dw = (1 - tanh(w*x)^2) * x / 3
     w = np.zeros((3, 1))
     w[0, 0] = 0.8
-    m = RegressorModel((1, 3), np.concatenate([w.ravel(), np.zeros(3)]))
+    m = RegressorModel((1, 3), np.concatenate([w.ravel(), np.zeros(3)]), **model_world(1))
     x = 0.6
     t = -0.5
     X = np.array([[x]])
@@ -297,14 +298,13 @@ def _per_layer_random(layer_dims, rng):
 
 @pytest.mark.parametrize("dims, yaw_mode", [((96, 256, 256, 256, 3), "tanh"), ((24, 40, 17, 4), "sincos")])
 def test_random_init_matches_the_per_layer_construction(dims, yaw_mode):
-    m = RegressorModel.random(dims, np.random.default_rng(101), yaw_mode=yaw_mode)
+    m = RegressorModel.random(dims, np.random.default_rng(101), yaw_mode=yaw_mode, **model_world(dims[0]))
     assert m.params.tobytes() == _per_layer_random(dims, np.random.default_rng(101)).tobytes()
 
 
 @pytest.mark.parametrize("dims, yaw_mode", [((16, 12, 3), "tanh"), ((24, 40, 17, 4), "sincos")])
 def test_loaded_params_are_the_file_values_in_tensor_order(tmp_path, dims, yaw_mode):
-    sensor = SensorConfig(fov=120.0, ray_count=dims[0], max_range=10.0)
-    m = RegressorModel.random(dims, np.random.default_rng(7), yaw_mode, "unit-env", sensor)
+    m = RegressorModel.random(dims, np.random.default_rng(7), yaw_mode, **model_world(dims[0]))
     path = tmp_path / "m.model"
     save_model(m, path)
     loaded = load_model(path)
@@ -372,7 +372,7 @@ def _per_tensor_adam_step(params, grads, m, v, t, lr, weight_decay):
 def test_flat_core_matches_per_tensor_reference_bit_for_bit(yaw_mode, kind, weight_decay):
     rng = np.random.default_rng(39)
     out_dim = 3 if yaw_mode == "tanh" else 4
-    m = RegressorModel.random((48, 256, 96, out_dim), rng, yaw_mode=yaw_mode)
+    m = RegressorModel.random((48, 256, 96, out_dim), rng, yaw_mode=yaw_mode, **model_world(48))
     assert m.params.size > 2 * ADAM_BLOCK  # adam_step crosses block boundaries
     weights = [w.copy() for w in m.weights]
     biases = [b.copy() for b in m.biases]
@@ -547,7 +547,8 @@ def test_training_beats_untrained_baseline():
     from neuromap.training import _val_errors  # noqa: PLC0415
 
     Xv, Pv = _val_split(data, cfg, env)
-    zeros_pos, _ = _val_errors(RegressorModel.zeros(model.layer_dims), Xv, Pv, env)
+    zeros_pos, _ = _val_errors(RegressorModel.zeros(model.layer_dims, env_name=env.name, sensor=sensor),
+                               Xv, Pv, env)
     best_pos, best_theta = _val_errors(model, Xv, Pv, env)
     assert best_pos <= 0.6 * zeros_pos, f"trained {best_pos} vs untrained {zeros_pos}"
     assert best_theta < 5.0  # constant yaw is trivially learned
@@ -865,18 +866,25 @@ def test_model_extra_header(tmp_path):
 @pytest.mark.parametrize("unbound, why", [
     ({"sensor": None}, "sensor must be set, got None"),
     ({"env_name": ""}, "env_name must be a non-empty string, got ''"),
-], ids=["no-sensor", "empty-env-name"])
-def test_save_model_refuses_an_unbound_model_and_writes_nothing(tmp_path, unbound, why):
-    bound = {"env_name": "unit-env", "sensor": small_env(4).sensor}
-    m = RegressorModel.random((4, 3), np.random.default_rng(40), **{**bound, **unbound})
-    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
-        save_model(m, tmp_path / "m.model")
-    assert list(tmp_path.iterdir()) == []
-    m = RegressorModel(m.layer_dims, m.params, **bound)  # bound, the same model round-trips
-    save_model(m, tmp_path / "m.model")
-    loaded = load_model(tmp_path / "m.model")
-    assert (loaded.env_name, loaded.sensor) == (bound["env_name"], bound["sensor"])
-    assert np.allclose(loaded.params, m.params, rtol=1e-11, atol=1e-15)
+    ({"env_name": 7}, "env_name must be a non-empty string, got 7"),
+    ({"env_name": None}, "env_name must be a non-empty string, got None"),
+], ids=["no-sensor", "empty-env-name", "int-env-name", "no-env-name"])
+def test_a_model_is_bound_to_a_world_and_sensor_when_it_is_built(unbound, why):
+    bound = model_world(4)
+    params = np.zeros(15)
+    for build in (lambda **w: RegressorModel((4, 3), params, **w),
+                  lambda **w: RegressorModel.zeros((4, 3), **w),
+                  lambda **w: RegressorModel.random((4, 3), np.random.default_rng(40), **w)):
+        with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+            build(**{**bound, **unbound})
+        for key in bound:  # each is required, and by keyword
+            with pytest.raises(TypeError, match=key):
+                build(**{k: v for k, v in bound.items() if k != key})
+    with pytest.raises(TypeError):
+        RegressorModel((4, 3), params, "tanh", "unit-env", bound["sensor"])
+    m = RegressorModel((4, 3), params, **bound)
+    assert (m.env_name, m.sensor) == (bound["env_name"], bound["sensor"])
+    assert (m.copy().env_name, m.copy().sensor) == (m.env_name, m.sensor)
 
 
 def test_history_round_trip(tmp_path):

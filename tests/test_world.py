@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -177,6 +178,12 @@ def test_environment_spec_takes_its_bounds_from_the_grid():
         EnvironmentSpec("x", grid, DEFAULT_SENSOR, grid.bounds)
     with pytest.raises(ValueError):
         EnvironmentSpec("", grid)
+
+
+@pytest.mark.parametrize("name", ["", 7, None, b"x", ["x"]], ids=repr)
+def test_an_environment_is_named_by_the_one_world_name_rule(name):
+    with pytest.raises(InputError, match=f"^{re.escape(f'env_name must be a non-empty string, got {name!r}')}$"):
+        EnvironmentSpec(name, empty_grid(4, 4, 0.5))
 
 
 def test_check_world_refuses_another_world_or_sensor():

@@ -137,6 +137,13 @@ def test_loop_closes_at_start():
 NO_POSITIONS = np.zeros((0, 3))
 
 
+def written(render, tmp_path, *args, **kwargs) -> str:
+    """The text of the SVG that ``render`` writes from ``args`` and ``kwargs``."""
+    path = tmp_path / "plot.svg"
+    assert render(*args, path, **kwargs) is None
+    return path.read_text()
+
+
 def tiny_env():
     cells = np.zeros((6, 8), dtype=bool)
     grid = OccupancyGrid(8, 6, 0.5, 0.0, 0.0, cells)
@@ -144,33 +151,33 @@ def tiny_env():
     return EnvironmentSpec("tiny", grid, SensorConfig(fov=90.0, ray_count=4, max_range=5.0))
 
 
-def test_coverage_svg_marker_per_sample():
+def test_coverage_svg_marker_per_sample(tmp_path):
     env = tiny_env()
     poses = np.array([(0.5, 0.5, 0.0), (3.0, 2.0, 10.0), (2.5, 0.8, -90.0)])
-    text = svg_coverage(env, poses)
+    text = written(svg_coverage, tmp_path, env, poses)
     assert text.count('class="sample"') == 3
     assert text.count('fill="red"') == 3
     assert '<svg xmlns="http://www.w3.org/2000/svg"' in text
 
 
-def test_coverage_svg_empty_is_grid_only():
-    text = svg_coverage(tiny_env(), NO_POSITIONS)
+def test_coverage_svg_empty_is_grid_only(tmp_path):
+    text = written(svg_coverage, tmp_path, tiny_env(), NO_POSITIONS)
     assert 'class="sample"' not in text
     assert 'class="cell"' in text  # the map itself is still drawn
 
 
-def test_origin_maps_to_bottom_left():
+def test_origin_maps_to_bottom_left(tmp_path):
     # world (x_min, y_min) must land at the bottom-left of the viewport:
     # x at the left margin, y at height - margin (SVG y axis points down)
     env = tiny_env()
-    text = svg_coverage(env, np.array([(0.0, 0.0, 0.0)]))
+    text = written(svg_coverage, tmp_path, env, np.array([(0.0, 0.0, 0.0)]))
     height = 6 * 0.5 * 50.0 + 20.0
     assert f'cx="10.00" cy="{height - 10.0:.2f}"' in text
 
 
-def test_grid_rects_merge_runs():
+def test_grid_rects_merge_runs(tmp_path):
     # the 1 m box covers a 2x2 cell block: one merged rect per row
-    text = svg_coverage(tiny_env(), NO_POSITIONS)
+    text = written(svg_coverage, tmp_path, tiny_env(), NO_POSITIONS)
     assert text.count('class="cell"') == 2
 
 
@@ -232,7 +239,7 @@ def test_grid_rects_match_the_cell_loop_on_random_and_bundled_grids():
         assert _grid_rects(env) == grid_rects_loop(env), env.grid
 
 
-def test_route_svg_colours_and_counts():
+def test_route_svg_colours_and_counts(tmp_path):
     env = tiny_env()
     ticks = []
     for i in range(4):
@@ -240,17 +247,17 @@ def test_route_svg_colours_and_counts():
         est = Pose2D(0.5 + 0.5 * i, 0.6, 0.0)
         ticks.append(TraceTick(i, 0.1 * i, true, est, 0, "move"))
     trace = RouteTrace(tuple(ticks))
-    text = svg_route(env, trace, [(3.0, 2.0), (0.5, 2.5)])
+    text = written(svg_route, tmp_path, env, trace, [(3.0, 2.0), (0.5, 2.5)])
     assert text.count('class="truth"') == 1 and 'stroke="green"' in text
     assert text.count('class="estimate"') == 1 and 'stroke="blue"' in text
     assert text.count('class="waypoint"') == 2
     assert text.count('fill="red"') == 2
 
 
-def test_route_svg_skips_missing_estimates():
+def test_route_svg_skips_missing_estimates(tmp_path):
     env = tiny_env()
     t0 = TraceTick(0, 0.0, Pose2D(0.5, 0.5, 0.0), None, 0, "abort")
-    text = svg_route(env, RouteTrace((t0,)), [])
+    text = written(svg_route, tmp_path, env, RouteTrace((t0,)), [])
     assert 'class="estimate"' not in text
     assert 'class="truth"' not in text  # a single point draws no polyline
 
@@ -262,9 +269,8 @@ def test_coverage_svg_file_is_its_text_with_a_dot_per_position(tmp_path, n):
     rng = np.random.default_rng(n)
     positions = np.column_stack([rng.uniform(b.x_min, b.x_max, n), rng.uniform(b.y_min, b.y_max, n)])
     positions[:1] = (b.x_min, -0.0)  # a corner, and a signed zero
-    text = svg_coverage(env, positions, comments=("seed: 1",))
-    assert svg_coverage(env, positions, tmp_path / "c.svg", comments=("seed: 1",)) is None
-    assert (tmp_path / "c.svg").read_text() == text
+    text = written(svg_coverage, tmp_path, env, positions, comments=("seed: 1",))
+    assert "<!-- seed: 1 -->" in text
     dots = []  # one f-string per dot, as the writer once formatted them
     for x, y in positions.tolist():
         px, py = _to_px(b, x, y)

@@ -1,6 +1,7 @@
 """Shared helpers: the box layouts and route the bundled world files were
 generated from, the grid file writer, random worlds and free poses for
-property tests, and comparisons of datasets and sample positions."""
+property tests, comparisons of datasets and sample positions, and the world
+a test's regressor model is bound to."""
 
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from neuromap.pose import Pose2D, ang_diff
-from neuromap.world import FREE_CHAR, OCCUPIED_CHAR, EnvironmentSpec, OccupancyGrid
+from neuromap.world import FREE_CHAR, OCCUPIED_CHAR, EnvironmentSpec, OccupancyGrid, SensorConfig
 from neuromap.worlds import APARTMENT_SENSOR, CABIN_SENSOR
 
 # --- the bundled worlds' sources ---------------------------------------------------
@@ -184,3 +185,10 @@ def near_obstacle_fraction(env, positions, clearance_m: float = 0.3) -> float:
     xy = positions[:, :2].tolist()
     near = sum(1 for x, y in xy if not env.grid.footprint_free(x, y, clearance_m))
     return near / len(xy)
+
+
+def model_world(input_dim: int) -> dict:
+    """The keywords that bind a ``RegressorModel`` of input width
+    ``input_dim`` to a world, for a test that builds a model but reads no
+    world: the name "unit-env" and a full-circle sensor of that many rays."""
+    return {"env_name": "unit-env", "sensor": SensorConfig(fov=360.0, ray_count=input_dim, max_range=10.0)}
